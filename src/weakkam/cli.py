@@ -29,7 +29,7 @@ from . import homogenize as homog
 from . import mather, stability
 from .errors import ConfigError, ConvergenceError
 from .expr import ExprError, parse
-from .grid import Field, TorusGrid, field_from_expr, fmt17
+from .grid import Field, TorusGrid, field_from_expr, fmt17, write_csv
 from .hamiltonian import HamiltonianSpec, builtin, legendre, spec_from_config
 from .mather import LPError
 from .semigroup import CFLError, PicardError, evolve, stationary_solve
@@ -156,15 +156,6 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(command, numerics, output_dir, seed, spec, dict(raw))
 
 
-def _write_csv(path: str, header: dict, columns: str, rows):
-    lines = [f"# {key}={header[key]}" for key in sorted(header)]
-    lines.append(columns)
-    for row in rows:
-        lines.append(",".join(fmt17(v) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _grid_lt(config: ExperimentConfig):
     num = config.numerics
     g = TorusGrid(num["n"], 1.0)
@@ -214,7 +205,7 @@ def run_evolve(config, out):
     rows = [(float(t), float(x), float(v))
             for t, f in res.snapshots for x, v in zip(g.nodes, f.values)]
     path = os.path.join(out, "snapshots.csv")
-    _write_csv(path, config.header(), "t,x,value", rows)
+    write_csv(path, config.header(), "t,x,value", rows)
     with open(path, "a") as fh:
         fh.write(f"# summary steps={res.steps},final_residual={fmt17(res.final_residual)}\n")
     return f"steps={res.steps} final_residual={res.final_residual:.3e}", True
@@ -223,8 +214,8 @@ def run_evolve(config, out):
 def run_stationary(config, out):
     g, lt = _grid_lt(config)
     res = _u_minus(config, g, lt)
-    from .grid import write_field_csv
-    write_field_csv(os.path.join(out, "stationary.csv"), res.field, config.header())
+    write_csv(os.path.join(out, "stationary.csv"), config.header(), "x,value",
+              zip(g.nodes, res.field.values))
     return (f"converged={res.converged} residual={res.residual:.3e} steps={res.steps}",
             True)
 
@@ -233,8 +224,8 @@ def run_critical(config, out):
     result, _, _, _ = _critical_of_frozen(config, *_grid_lt(config))
     diag = result.diagnostics
     rows = list(zip(diag["lambda"], [-v for v in diag["minus_mean_lambda_u"]]))
-    _write_csv(os.path.join(out, "discount.csv"), config.header(),
-               "lambda,mean_lambda_u", rows)
+    write_csv(os.path.join(out, "discount.csv"), config.header(),
+              "lambda,mean_lambda_u", rows)
     gap = diag["gap"]
     summary = f"c={result.c:.2f}±{max(gap, 0.01):.2f}"
     return summary, result.method == "agree"
@@ -248,8 +239,8 @@ def run_ceps(config, out):
         config.spec, um, num["eps_list"], dt=num["dt_critical"],
         tol=num["tol_critical"], lt=lt, schedule=num["lambda_schedule"],
         T_long=num["T_long"], cross_tol=num["cross_tol"])
-    _write_csv(os.path.join(out, "ceps.csv"), config.header(), "eps,c",
-               list(zip(map(float, curve.eps_samples), map(float, curve.c_values))))
+    write_csv(os.path.join(out, "ceps.csv"), config.header(), "eps,c",
+              list(zip(map(float, curve.eps_samples), map(float, curve.c_values))))
     slack = curve.lipschitz_slack(config.spec.lambda_bound)
     ok = slack <= 4e-2
     return f"D-={curve.D_minus:.3f} D+={curve.D_plus:.3f}", ok
@@ -263,7 +254,7 @@ def run_mather(config, out):
     rows = [(float(g.nodes[i]), float(measure.vgrid[j]), float(measure.weights[i, j]))
             for i in range(g.n) for j in range(measure.vgrid.size)
             if measure.weights[i, j] >= 1e-12]
-    _write_csv(os.path.join(out, "measure.csv"), config.header(), "x,v,weight", rows)
+    write_csv(os.path.join(out, "measure.csv"), config.header(), "x,v,weight", rows)
     mismatch = abs(measure.value + result.c)
     ok = mismatch <= max(2 * num["cross_tol"], 1e-2) and result.method == "agree"
     return f"lp_value={measure.value:.4f} c={result.c:.4f} mismatch={mismatch:.3e}", ok
@@ -276,9 +267,9 @@ def run_barrier(config, out):
     bt = mather.peierls_barrier(ltp, result.c, aubry_tol=num["aubry_tol"])
     rows = [(float(g.nodes[i]), float(g.nodes[j]), float(bt.h[i, j]))
             for i in range(g.n) for j in range(g.n)]
-    _write_csv(os.path.join(out, "barrier.csv"), config.header(), "x,y,h", rows)
-    _write_csv(os.path.join(out, "aubry.csv"), config.header(), "index,x",
-               [(int(i), float(g.nodes[i])) for i in bt.aubry_indices])
+    write_csv(os.path.join(out, "barrier.csv"), config.header(), "x,y,h", rows)
+    write_csv(os.path.join(out, "aubry.csv"), config.header(), "index,x",
+              [(int(i), float(g.nodes[i])) for i in bt.aubry_indices])
     return (f"aubry_nodes={bt.aubry_indices.size} c_used={bt.c_used:.4f}",
             result.method == "agree")
 
@@ -306,8 +297,8 @@ def run_stability(config, out):
             delta_hi=float(config.raw["basin_delta_hi"]), lt=lt)
     phi = Field(g, um.values + num["delta"])
     times, devs = stability.deviation_series(config.spec, um, phi, T, num["dt"], lt=lt)
-    _write_csv(os.path.join(out, "decay.csv"), config.header(), "t,sup_dev",
-               list(zip(map(float, times), map(float, devs))))
+    write_csv(os.path.join(out, "decay.csv"), config.header(), "t,sup_dev",
+              list(zip(map(float, times), map(float, devs))))
     _write_report(out, config, report)
     a_txt = "n/a" if report.A_estimate is None else f"{report.A_estimate:.3f}"
     return (f"verdict={report.verdict} A_estimate={a_txt} "
@@ -321,8 +312,8 @@ def run_instability(config, out):
     probe = stability.instability_probe(
         config.spec, um, eps=num["eps"], Delta_target=num["Delta"],
         T=num["T"], dt=num["dt"], lt=lt)
-    _write_csv(os.path.join(out, "probe.csv"), config.header(), "t,sup_dev",
-               list(zip(map(float, probe.times), map(float, probe.devs))))
+    write_csv(os.path.join(out, "probe.csv"), config.header(), "t,sup_dev",
+              list(zip(map(float, probe.times), map(float, probe.devs))))
     if probe.escaped:
         return f"escaped t≈{probe.t_escape:.1f}", True
     return f"not escaped sup_dev={probe.sup_dev:.3e}", True
@@ -364,14 +355,14 @@ def run_homogenize(config, out):
                                    cell_opts=cell_opts or None, **table_opts)
     rows = [(float(e), float(err), float(err / math.sqrt(e)))
             for e, err in sorted(result.errors.items())]
-    _write_csv(os.path.join(out, "rate.csv"), config.header(),
-               "eps,error,sqrt_eps_ratio", rows)
+    write_csv(os.path.join(out, "rate.csv"), config.header(),
+              "eps,error,sqrt_eps_ratio", rows)
     et = result.table
     trows = [(float(x), float(p), float(c), float(et.values[i, j, kk]))
              for i, x in enumerate(et.x_nodes) for j, p in enumerate(et.p_nodes)
              for kk, c in enumerate(et.c_nodes)]
-    _write_csv(os.path.join(out, "effective_table.csv"), config.header(),
-               "x,p,c,Hbar", trows)
+    write_csv(os.path.join(out, "effective_table.csv"), config.header(),
+              "x,p,c,Hbar", trows)
     slope_txt = "noise" if result.slope is None else f"{result.slope:.3f}"
     return f"slope={slope_txt} C_fit={result.C_fit:.3f}", True
 

@@ -12,7 +12,8 @@ Two independent estimators with a mandatory agreement check:
 Each estimator has a distinct bias (lam-bias versus finite-T bias), so
 agreement within cross_tol is the working certificate of correctness.
 The W-part of a Hamiltonian G(x,p) + pot(x) is folded into the cost as
-L' = L - pot via LagrangianTable.with_potential.
+L' = L - pot via LagrangianTable.with_potential.  Both estimators step the
+min-plus kernel semigroup.MinPlusStepper under the driver semigroup.iterate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .grid import Field
 from .hamiltonian import HamiltonianSpec, LagrangianTable, legendre
-from .semigroup import CFLError, GatherPlan
+from .semigroup import CFLError, MinPlusStepper, iterate
 
 __all__ = [
     "DivergenceError",
@@ -47,23 +48,6 @@ class DivergenceError(RuntimeError):
     """Discounted iteration left the admissible range."""
 
 
-class MinPlusStepper:
-    """One backward variational step for a u-independent cost table."""
-
-    def __init__(self, lt: LagrangianTable, dt: float):
-        if dt <= 0:
-            raise CFLError("dt must be positive")
-        if dt * lt.vmax > lt.grid.period / 2 + 1e-12:
-            raise CFLError(
-                f"dt*vmax = {dt * lt.vmax:.3g} exceeds period/2 = {lt.grid.period / 2:.3g}")
-        self.dt = dt
-        self._plan = GatherPlan(lt.grid, lt.vgrid, dt, backward=True)
-        self._dtLT = np.ascontiguousarray(dt * lt.L.T)
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        return (self._plan.apply(u) + self._dtLT).min(axis=0)
-
-
 def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
                      tol: float = DEFAULT_TOL, u0: Field | None = None,
                      max_iter: int | None = None, divergence: float = 1e6) -> Field:
@@ -76,38 +60,34 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
         raise ValueError("discount rate lam must be positive")
     if dt * lam >= 1:
         raise CFLError(f"dt*lam = {dt * lam:.3g} must be below 1")
-    stepper = MinPlusStepper(lt, dt)
-    u = u0.values.copy() if u0 is not None else np.zeros(lt.grid.n)
+    stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
     if max_iter is None:
         max_iter = int(math.ceil(60.0 / (lam * dt)))
     factor = 1.0 / (1.0 + lam * dt)
-    residual = math.inf
-    for _ in range(max_iter):
-        nu = factor * stepper.step(u)
-        residual = float(np.max(np.abs(nu - u))) / dt
-        u = nu
-        if residual <= tol:
-            return Field(lt.grid, u)
-        if np.max(np.abs(u)) > divergence:
+
+    def diverged(k, u):
+        if np.abs(u).max() > divergence:
             raise DivergenceError(f"discounted iterate exceeded {divergence:g} in magnitude")
-    raise ConvergenceError(
-        f"discounted solve stalled at residual {residual:.3e} (tol {tol:.1e})", residual)
+
+    start = u0.values if u0 is not None else np.zeros(lt.grid.n)
+    rec = iterate(lambda u: factor * stepper.step(u), start, dt, max_iter, tol, diverged)
+    if not rec.converged:
+        raise ConvergenceError(
+            f"discounted solve stalled at residual {rec.residual:.3e} (tol {tol:.1e})",
+            rec.residual)
+    return Field(lt.grid, rec.values)
 
 
 def longtime_slope(lt: LagrangianTable, T: float, dt: float) -> float:
     """-d/dt of mean(T_t 0) read between T/2 and T under the W-free evolution."""
-    stepper = MinPlusStepper(lt, dt)
+    stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
     steps_half = int(round(T / (2 * dt)))
     steps_full = int(round(T / dt))
-    u = np.zeros(lt.grid.n)
-    mean_half = 0.0
-    for k in range(1, steps_full + 1):
-        u = stepper.step(u)
-        if k == steps_half:
-            mean_half = float(u.mean())
+    half = iterate(stepper.step, np.zeros(lt.grid.n), dt, steps_half).values
+    full = iterate(stepper.step, half, dt, steps_full - steps_half).values
     t1 = steps_half * dt
     t2 = steps_full * dt
-    return -(float(u.mean()) - mean_half) / (t2 - t1)
+    return -(float(full.mean()) - float(half.mean())) / (t2 - t1)
 
 
 @dataclass

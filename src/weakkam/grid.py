@@ -22,7 +22,7 @@ __all__ = [
     "constant_field",
     "sup_diff",
     "lipschitz",
-    "write_field_csv",
+    "write_csv",
     "fmt17",
 ]
 
@@ -144,14 +144,14 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_field_csv(path, f: Field, header: Mapping[str, object] | None = None):
-    """Write rows "x,value" with 17-significant-digit decimals."""
-    lines = []
-    if header:
-        for key in sorted(header):
-            lines.append(f"# {key}={header[key]}")
-    lines.append("x,value")
-    for x, v in zip(f.grid.nodes, f.values):
-        lines.append(f"{fmt17(x)},{fmt17(v)}")
+def write_csv(path, header: Mapping[str, object], columns: str, rows):
+    """Write sorted "# key=value" header lines, the column line, then the rows.
+
+    Floats get 17 significant digits, so doubles round-trip exactly.
+    """
+    lines = [f"# {key}={header[key]}" for key in sorted(header)]
+    lines.append(columns)
+    for row in rows:
+        lines.append(",".join(fmt17(v) if isinstance(v, float) else str(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -84,6 +84,18 @@ def _sampled_max_abs(e: Expr, nx: int = 4096, u_range=(-5.0, 5.0), nu: int = 21)
     return float(np.max(np.abs(vals)))
 
 
+def _midpoint_convexity_gap(fn, rng, pmax: float, samples: int) -> float:
+    """Largest sampled fn((p1+p2)/2) - (fn(p1)+fn(p2))/2, p1, p2 uniform on [-pmax, pmax].
+
+    fn binds every other sampled variable; a positive gap refutes convexity in p.
+    """
+    p1 = rng.uniform(-pmax, pmax, samples)
+    p2 = rng.uniform(-pmax, pmax, samples)
+    mid = np.asarray(fn((p1 + p2) / 2))
+    avg = (np.asarray(fn(p1)) + np.asarray(fn(p2))) / 2
+    return float(np.max(mid - avg))
+
+
 def validate_spec(spec: HamiltonianSpec, seed: int = 0, samples: int = 200):
     """Load-time sanity checks: the derivative bound and sampled convexity of G."""
     bound = _sampled_max_abs(spec.dWu)
@@ -92,11 +104,7 @@ def validate_spec(spec: HamiltonianSpec, seed: int = 0, samples: int = 200):
             f"|dWu| reaches {bound:.6g} on the test lattice, exceeding Lambda={spec.lambda_bound:.6g}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, samples)
-    p1 = rng.uniform(-spec.pmax, spec.pmax, samples)
-    p2 = rng.uniform(-spec.pmax, spec.pmax, samples)
-    mid = spec.G_at(xs, (p1 + p2) / 2)
-    avg = (np.asarray(spec.G_at(xs, p1)) + np.asarray(spec.G_at(xs, p2))) / 2
-    worst = float(np.max(np.asarray(mid) - avg))
+    worst = _midpoint_convexity_gap(lambda p: spec.G_at(xs, p), rng, spec.pmax, samples)
     if worst > 1e-9:
         raise ConfigError(f"G fails the sampled midpoint convexity test by {worst:.3g}")
     return spec

@@ -6,8 +6,10 @@ q -> H(x, y, p+q, c) on the fast torus in y.  Tabulated over (x, p, c)
 grids with trilinear interpolation, it drives the effective stationary
 solve, while the multiscale solver discretizes the frozen two-scale
 Hamiltonian x -> H(x, x/eps, p, u) directly on a fine grid with eps = 1/k
-commensurate to the slow torus.  Both stationary solvers are contact-type
-semi-Lagrangian iterations; the monotonicity window
+commensurate to the slow torus.  Both stationary solvers feed the min-plus
+kernel semigroup.MinPlusStepper a running cost tabulated on a grid of
+u-levels and interpolated at the current values, and iterate it to a fixed
+point with semigroup.iterate; the monotonicity window
 Lambda1 <= dH/du <= Lambda2 gives contraction at rate Lambda1.
 
 The rate experiment solves the ladder eps in {1/8, ..., 1/64}, measures
@@ -19,19 +21,17 @@ grid refinement as a self-consistency check.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import critical as crit
 from .errors import ConfigError, ConvergenceError
-from .expr import Expr, parse
+from .expr import Expr
 from .grid import Field, TorusGrid, lipschitz
-from .hamiltonian import LagrangianTable, conjugate_table
-from .semigroup import CFLError, GatherPlan
+from .hamiltonian import LagrangianTable, _as_expr, _midpoint_convexity_gap, conjugate_table
+from .semigroup import MinPlusStepper, iterate
 
 __all__ = [
     "HomogProblem",
@@ -64,12 +64,9 @@ class HomogProblem:
 
 
 def problem_from_config(conf: dict) -> HomogProblem:
-    def as_expr(v):
-        return v if isinstance(v, Expr) else parse(str(v))
-
     try:
         hp = HomogProblem(
-            H=as_expr(conf["H"]), dHu=as_expr(conf["dHu"]),
+            H=_as_expr(conf["H"]), dHu=_as_expr(conf["dHu"]),
             Lambda1=float(conf["Lambda1"]), Lambda2=float(conf["Lambda2"]),
             vmax=float(conf.get("vmax", 4.0)), pmax=float(conf.get("pmax", 4.0)))
     except KeyError as exc:
@@ -91,11 +88,7 @@ def validate_problem(hp: HomogProblem, seed: int = 0, samples: int = 200) -> Hom
         raise ConfigError(
             f"sampled dH/du leaves [{hp.Lambda1}, {hp.Lambda2}]: "
             f"range [{dvals.min():.4g}, {dvals.max():.4g}]")
-    p1 = rng.uniform(-hp.pmax, hp.pmax, samples)
-    p2 = rng.uniform(-hp.pmax, hp.pmax, samples)
-    mid = np.asarray(hp.H_at(xs, ys, (p1 + p2) / 2, us))
-    avg = (np.asarray(hp.H_at(xs, ys, p1, us)) + np.asarray(hp.H_at(xs, ys, p2, us))) / 2
-    if np.max(mid - avg) > 1e-9:
+    if _midpoint_convexity_gap(lambda p: hp.H_at(xs, ys, p, us), rng, hp.pmax, samples) > 1e-9:
         raise ConfigError("H fails the sampled midpoint convexity test in p")
     return hp
 
@@ -168,31 +161,17 @@ class EffectiveTable:
         return out
 
 
-def _cell_task(args):
-    hp, x, p, c, opts = args
-    return cell_problem(hp, x, p, c, **opts)
-
-
 def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
                           dt: float = 0.05, tol: float = crit.DEFAULT_TOL,
-                          table_tol: float = 5e-2, workers: int | None = None,
-                          **cell_opts) -> EffectiveTable:
+                          table_tol: float = 5e-2, **cell_opts) -> EffectiveTable:
     """Tabulate the cell problem on the given grids and verify monotonicity."""
     xn = np.asarray(list(x_nodes), dtype=float)
     pn = np.asarray(list(p_nodes), dtype=float)
     cn = np.asarray(list(c_nodes), dtype=float)
     if xn.size == 0 or pn.size == 0 or cn.size == 0:
         raise ValueError("table grids must be nonempty")
-    opts = dict(dt=dt, tol=tol, **cell_opts)
-    tasks = [(hp, float(x), float(p), float(c), opts)
-             for x in xn for p in pn for c in cn]
-    if workers is None:
-        workers = int(os.environ.get("WEAKKAM_THREADS", "1"))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_cell_task, tasks, chunksize=4))
-    else:
-        flat = [_cell_task(t) for t in tasks]
+    flat = [cell_problem(hp, float(x), float(p), float(c), dt=dt, tol=tol, **cell_opts)
+            for x in xn for p in pn for c in cn]
     values = np.asarray(flat).reshape(xn.size, pn.size, cn.size)
 
     # monotone in c at rate Lambda1, convex along p
@@ -216,55 +195,32 @@ def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
     return EffectiveTable(xn, pn, cn, values, hp.Lambda1, hp.Lambda2)
 
 
-class _ContactTableStepper:
-    """Backward step with running cost interpolated along a u-level axis.
+def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
+                             L_table: np.ndarray, dt: float, Lambda2: float,
+                             u0: np.ndarray, tol: float, T_max: float, what: str) -> Field:
+    """Fixed point of u' = min_j [ u(x_i - v_j dt) + dt L(x_i, v_j, u_i) ].
 
     L_table has shape (n, nlevels, m); per step the cost at each node is the
-    linear interpolation of L_table along the level axis at the current value
-    u_i, then u' = min_j [ u(x_i - v_j dt) + dt L(x_i, v_j, u_i) ].
+    linear interpolation of L_table along the level axis at the current
+    value u_i.
     """
+    rows = np.arange(g.n)
+    dlev = levels[1] - levels[0] if levels.size > 1 else 1.0
 
-    def __init__(self, g: TorusGrid, vgrid: np.ndarray, levels: np.ndarray,
-                 L_table: np.ndarray, dt: float, Lambda2: float):
-        vmax = float(np.abs(vgrid).max())
-        if dt * vmax > g.period / 2 + 1e-12:
-            raise CFLError(f"dt*vmax = {dt * vmax:.3g} exceeds period/2")
-        if dt * Lambda2 > 0.5 + 1e-12:
-            raise CFLError(f"dt*Lambda2 = {dt * Lambda2:.3g} exceeds 1/2")
-        self.g = g
-        self.dt = dt
-        self.levels = levels
-        self.dlev = levels[1] - levels[0] if levels.size > 1 else 1.0
-        self.L_table = L_table
-        self.plan = GatherPlan(g, vgrid, dt, backward=True)
-        self.rows = np.arange(g.n)
-
-    def cost_at(self, u: np.ndarray) -> np.ndarray:
-        lev = self.levels
-        if lev.size == 1:
-            return self.L_table[:, 0, :]
-        pos = np.clip((u - lev[0]) / self.dlev, 0.0, lev.size - 1 - 1e-12)
+    def cost_at(u):
+        if levels.size == 1:
+            return L_table[:, 0, :]
+        pos = np.clip((u - levels[0]) / dlev, 0.0, levels.size - 1 - 1e-12)
         i0 = pos.astype(int)
         th = (pos - i0)[:, None]
-        return self.L_table[self.rows, i0] * (1 - th) + self.L_table[self.rows, i0 + 1] * th
+        return L_table[rows, i0] * (1 - th) + L_table[rows, i0 + 1] * th
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        cost = self.cost_at(u)
-        return (self.plan.apply(u) + self.dt * cost.T).min(axis=0)
-
-
-def _iterate_to_fixed_point(stepper, u0: np.ndarray, dt: float, tol: float,
-                            T_max: float, grid: TorusGrid, what: str) -> Field:
-    u = u0.copy()
-    residual = math.inf
-    for _ in range(math.ceil(T_max / dt)):
-        nu = stepper.step(u)
-        residual = float(np.max(np.abs(nu - u))) / dt
-        u = nu
-        if residual <= tol:
-            return Field(grid, u)
-    raise ConvergenceError(f"{what} stalled at residual {residual:.3e} (tol {tol:.1e})",
-                           residual)
+    stepper = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2)
+    rec = iterate(stepper.step, u0, dt, math.ceil(T_max / dt), tol)
+    if not rec.converged:
+        raise ConvergenceError(
+            f"{what} stalled at residual {rec.residual:.3e} (tol {tol:.1e})", rec.residual)
+    return Field(g, rec.values)
 
 
 def _level_grid(span: float, count: int, pad: float = 0.25) -> np.ndarray:
@@ -293,9 +249,8 @@ def solve_effective(et: EffectiveTable, n_slow: int = 256, m: int = 65,
     scores = (et.p_nodes[None, :, None, None] * vs[None, None, None, :]
               - Hf[:, :, :, None])
     L_table = scores.max(axis=1)
-    stepper = _ContactTableStepper(g, vs, et.c_nodes, L_table, dt, et.Lambda2)
-    return _iterate_to_fixed_point(stepper, np.zeros(g.n), dt, tol, T_max, g,
-                                   "effective stationary solve")
+    return _level_table_fixed_point(g, vs, et.c_nodes, L_table, dt, et.Lambda2,
+                                    np.zeros(g.n), tol, T_max, "effective stationary solve")
 
 
 def solve_multiscale(hp: HomogProblem, eps: float, n_per_period: int = 32,
@@ -342,10 +297,9 @@ def solve_multiscale(hp: HomogProblem, eps: float, n_per_period: int = 32,
                                     hp.vmax, hp.pmax, warn_label="two-scale H")
         L_table = Lflat.reshape(n, levels.size, vs.size)
 
-    stepper = _ContactTableStepper(g, vs, levels, L_table, dt, hp.Lambda2)
     start = u0.interp(xs) if u0 is not None else np.zeros(n)
-    return _iterate_to_fixed_point(stepper, np.asarray(start, float), dt, tol, T_max,
-                                   g, f"multiscale solve at eps=1/{k_int}")
+    return _level_table_fixed_point(g, vs, levels, L_table, dt, hp.Lambda2, start, tol,
+                                    T_max, f"multiscale solve at eps=1/{k_int}")
 
 
 @dataclass
@@ -363,8 +317,7 @@ def rate_experiment(hp: HomogProblem, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
                     tol: float = 1e-5, table: EffectiveTable | None = None,
                     x_count: int = 9, p_span: float = 2.0, p_count: int = 17,
                     c_count: int = 5, n_slow: int = 256,
-                    noise_floor: float = 1e-3, workers: int | None = None,
-                    cell_opts: dict | None = None) -> RateResult:
+                    noise_floor: float = 1e-3, cell_opts: dict | None = None) -> RateResult:
     """Solve the eps ladder and fit the log-log error slope against sqrt(eps)."""
     eps_list = sorted(float(e) for e in eps_list)
     if table is None:
@@ -375,8 +328,7 @@ def rate_experiment(hp: HomogProblem, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
         p_nodes = np.linspace(-p_span, p_span, p_count)
         span = _default_c_span(hp)
         c_nodes = np.linspace(-span, span, c_count)
-        table = build_effective_table(hp, x_nodes, p_nodes, c_nodes,
-                                      workers=workers, **(cell_opts or {}))
+        table = build_effective_table(hp, x_nodes, p_nodes, c_nodes, **(cell_opts or {}))
     ubar = solve_effective(table, n_slow=n_slow)
     lip = lipschitz(ubar)
     if 2.0 * lip > float(table.p_nodes.max()):

@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .grid import Field
 from .hamiltonian import HamiltonianSpec, LagrangianTable, conjugate_table, legendre
 from .mather import aubry_set, extremal_integral, peierls_barrier, solve_occupational
-from .semigroup import Stepper
+from .semigroup import Stepper, iterate
 
 __all__ = [
     "StabilityReport",
@@ -160,16 +160,16 @@ def check_corollary_a(G_part, a_field: Field, dt: float = crit.DEFAULT_DT,
 
 def _deviation_series(spec, lt, u_minus: Field, phi: Field, T: float, dt: float,
                       sample_every: int):
-    stepper = Stepper(spec, lt, dt)
-    u = phi.values.copy()
     times = []
     devs = []
     steps = math.ceil(T / dt - 1e-12)
-    for kstep in range(1, steps + 1):
-        u = stepper.backward_values(u)
+
+    def sample(kstep, u):
         if kstep % sample_every == 0 or kstep == steps:
             times.append(kstep * dt)
-            devs.append(float(np.max(np.abs(u - u_minus.values))))
+            devs.append(float(np.abs(u - u_minus.values).max()))
+
+    iterate(Stepper(spec, lt, dt).backward_values, phi.values, dt, steps, observe=sample)
     return np.asarray(times), np.asarray(devs)
 
 
@@ -238,20 +238,17 @@ def instability_probe(spec: HamiltonianSpec, u_minus: Field, eps: float,
         raise ValueError("Delta_target must exceed eps")
     if lt is None:
         lt = legendre(spec, u_minus.grid, m, k)
-    stepper = Stepper(spec, lt, dt)
-    u = u_minus.values - eps
     times = [0.0]
     devs = [eps]
-    steps = math.ceil(T / dt - 1e-12)
-    t_escape = None
-    for kstep in range(1, steps + 1):
-        u = stepper.backward_values(u)
-        dev = float(np.max(np.abs(u - u_minus.values)))
+
+    def watch(kstep, u):
         times.append(kstep * dt)
-        devs.append(dev)
-        if t_escape is None and dev >= Delta_target:
-            t_escape = kstep * dt
-            break
+        devs.append(float(np.abs(u - u_minus.values).max()))
+        return devs[-1] >= Delta_target
+
+    iterate(Stepper(spec, lt, dt).backward_values, u_minus.values - eps, dt,
+            math.ceil(T / dt - 1e-12), observe=watch)
+    t_escape = times[-1] if devs[-1] >= Delta_target else None
     devs = np.asarray(devs)
     return ProbeResult(t_escape is not None, float(devs.max()), t_escape,
                        np.asarray(times), devs)

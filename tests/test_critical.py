@@ -5,7 +5,7 @@ from weakkam import TorusGrid, builtin, legendre
 from weakkam import critical as crit
 from weakkam.expr import parse
 from weakkam.grid import constant_field
-from weakkam.hamiltonian import HamiltonianSpec
+from weakkam.hamiltonian import HamiltonianSpec, LagrangianTable
 from weakkam.semigroup import CFLError
 
 
@@ -106,6 +106,17 @@ def test_divergence_guard(free_table):
     huge = free_table.with_potential(constant_field(free_table.grid, -2e5))
     with pytest.raises(crit.DivergenceError):
         crit.discounted_solve(huge, lam=1e-2, tol=1e-10)
+
+
+def test_nan_cost_entry_raises_at_first_step(free_table):
+    L = free_table.L.copy()
+    L[5, 3] = np.nan
+    bad = LagrangianTable(free_table.grid, free_table.vgrid, L, free_table.vmax,
+                          free_table.pmax)
+    with pytest.raises(ValueError, match="nonfinite values at step 1 "):
+        crit.longtime_slope(bad, T=4.0, dt=0.02)
+    with pytest.raises(ValueError, match="nonfinite values at step 1 "):
+        crit.discounted_solve(bad, lam=4e-2)
 
 
 def test_parameter_validation(free_table):

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_field
 from weakkam.expr import parse
 from weakkam.grid import (Field, GridMismatchError, TorusGrid, constant_field,
-                          field_from_expr, lipschitz, sup_diff, write_field_csv)
+                          field_from_expr, lipschitz, sup_diff, write_csv)
 
 
 def test_grid_validation():
@@ -150,7 +150,7 @@ def test_write_field_csv(tmp_path):
     g = TorusGrid(8)
     f = constant_field(g, 1 / 3)
     path = tmp_path / "f.csv"
-    write_field_csv(path, f, {"run": "test"})
+    write_csv(path, {"run": "test"}, "x,value", zip(g.nodes, f.values))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# run=test"
     assert lines[1] == "x,value"

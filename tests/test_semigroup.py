@@ -8,8 +8,7 @@ from weakkam import TorusGrid, builtin, legendre
 from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr, sup_diff
 from weakkam.hamiltonian import HamiltonianSpec
-from weakkam.semigroup import (CFLError, Stepper, backward_step, evolve,
-                               forward_step, stationary_solve)
+from weakkam.semigroup import CFLError, Stepper, evolve, iterate, stationary_solve
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +28,9 @@ def contact_64():
 def test_zero_is_fixed_point_free(free_64):
     g, spec, lt = free_64
     zero = constant_field(g, 0.0)
-    assert sup_diff(backward_step(zero, spec, lt, 1e-3), zero) == 0.0
-    assert sup_diff(forward_step(zero, spec, lt, 1e-3), zero) == 0.0
+    st = Stepper(spec, lt, 1e-3)
+    assert sup_diff(Field(g, st.backward_values(zero.values)), zero) == 0.0
+    assert sup_diff(Field(g, st.forward_values(zero.values)), zero) == 0.0
 
 
 def test_constant_data_one_step_exact(contact_64):
@@ -38,9 +38,10 @@ def test_constant_data_one_step_exact(contact_64):
     delta, dt = 0.37, 1e-3
     u = constant_field(g, delta)
     fwd_euler = delta * (1 - 1.0 * dt)
-    out = backward_step(u, spec, lt, dt)
+    st = Stepper(spec, lt, dt)
+    out = Field(g, st.backward_values(u.values))
     assert np.allclose(out.values, fwd_euler, atol=1e-15)
-    out_f = forward_step(u, spec, lt, dt)
+    out_f = Field(g, st.forward_values(u.values))
     assert np.allclose(out_f.values, delta * (1 + 1.0 * dt), atol=1e-15)
 
 
@@ -52,7 +53,7 @@ def test_constant_data_exactness_with_x_dependent_W():
     lt = legendre(spec, g, 33, 33)
     dt = 1e-2
     u = constant_field(g, 0.8)
-    out = backward_step(u, spec, lt, dt)
+    out = Field(g, Stepper(spec, lt, dt).backward_values(u.values))
     euler = 0.8 - dt * np.cos(2 * np.pi * g.nodes) * 0.8
     assert np.allclose(out.values, euler, atol=1e-15)
 
@@ -64,7 +65,7 @@ def test_one_step_against_velocity_refinement_oracle():
     lt = legendre(spec, g, 257, 257)
     dt = 1e-3
     u = field_from_expr(g, parse("cos(2*pi*x)"))
-    out = backward_step(u, spec, lt, dt)
+    out = Field(g, Stepper(spec, lt, dt).backward_values(u.values))
     vs = np.linspace(-4, 4, 100_001)
     oracle = np.min(u.interp(0.0 - vs * dt) + dt * vs ** 2 / 4)  # L(v) = v^2/4
     assert out.values[0] == pytest.approx(oracle, abs=1e-6)
@@ -197,8 +198,8 @@ def test_picard_close_to_explicit():
     u = random_field(g, rng)
     gaps = {}
     for dt in (1e-2, 5e-3):
-        ex = backward_step(u, spec, lt, dt, "explicit")
-        pi = backward_step(u, spec, lt, dt, "picard")
+        ex = Field(g, Stepper(spec, lt, dt, "explicit").backward_values(u.values))
+        pi = Field(g, Stepper(spec, lt, dt, "picard").backward_values(u.values))
         gaps[dt] = sup_diff(ex, pi)
     # the two treatments differ by O(dt^2) per step
     assert gaps[1e-2] <= 50 * 1e-2 ** 2
@@ -222,7 +223,7 @@ def test_stationary_linear_contact(contact_64):
     assert res.converged
     assert np.max(np.abs(res.field.values)) <= 1e-6 / 1.0  # tol / a
     # residual contract
-    after = backward_step(res.field, spec, lt, 1e-3)
+    after = Field(g, Stepper(spec, lt, 1e-3).backward_values(res.field.values))
     assert sup_diff(after, res.field) / 1e-3 <= 1e-6
 
 
@@ -261,3 +262,33 @@ def test_evolve_aborts_on_nonfinite():
     lt = legendre(spec, g, 33, 33)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonfinite"):
         evolve(constant_field(g, 700.0), spec, lt, T=900.0, dt=0.4)
+
+
+def test_iterate_stops_at_tol_and_reports_record():
+    # halving from 8 with dt = 0.5: residuals 8, 4, 2, 1, ...
+    rec = iterate(lambda u: u / 2, np.full(4, 8.0), dt=0.5, max_steps=50, tol=1.0)
+    assert rec.converged and rec.steps == 4 and rec.residual == 1.0
+    assert np.all(rec.values == 0.5)
+    rec = iterate(lambda u: u / 2, np.full(4, 8.0), dt=0.5, max_steps=3, tol=1.0)
+    assert not rec.converged and rec.steps == 3 and rec.residual == 2.0
+    assert np.all(rec.values == 1.0)
+
+
+def test_iterate_observer_stops_early():
+    seen = []
+
+    def observe(k, u):
+        seen.append((k, float(u[0])))
+        return k == 3
+
+    rec = iterate(lambda u: u + 1.0, np.zeros(3), dt=1.0, max_steps=10, observe=observe)
+    assert seen == [(1, 1.0), (2, 2.0), (3, 3.0)]
+    assert rec.steps == 3 and not rec.converged and rec.residual == 1.0
+
+
+def test_iterate_nonfinite_names_the_step():
+    def step(u):
+        return u + 1.0 if u[0] < 2.0 else np.full_like(u, np.nan)
+
+    with pytest.raises(ValueError, match="nonfinite values at step 3"):
+        iterate(step, np.zeros(3), dt=1.0, max_steps=10)
