@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import Field
-from .hamiltonian import HamiltonianSpec, LagrangianTable, legendre
+from .hamiltonian import HamiltonianSpec, LagrangianTable
 from .semigroup import CFLError, MinPlusStepper, iterate
 
 __all__ = [
@@ -191,8 +191,7 @@ def one_sided_derivatives(curve: CEpsCurve) -> tuple[float, float]:
 
 
 def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEFAULT_DT,
-                tol: float = DEFAULT_TOL, lt: LagrangianTable | None = None,
-                m: int = 65, k: int = 65, schedule=DEFAULT_SCHEDULE,
+                tol: float = DEFAULT_TOL, *, lt: LagrangianTable, schedule=DEFAULT_SCHEDULE,
                 T_long: float = 40.0, cross_tol: float = DEFAULT_CROSS_TOL) -> CEpsCurve:
     """Sample eps -> c(G + W(., u_minus + eps)) and finite-difference D^-, D^+ at 0."""
     eps = np.array(sorted(float(e) for e in eps_list))
@@ -200,8 +199,6 @@ def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEF
         raise ValueError("eps_list must contain 0")
     if np.count_nonzero(eps < 0) < 2 or np.count_nonzero(eps > 0) < 2:
         raise ValueError("eps_list needs at least two values of each sign")
-    if lt is None:
-        lt = legendre(spec, u_minus.grid, m, k)
     xs = u_minus.grid.nodes
     cs = []
     for e in eps:

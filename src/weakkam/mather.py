@@ -21,10 +21,12 @@ which certifies global optimality at the same 1e-9 tolerance while
 keeping every tableau small.
 
 The Peierls barrier is computed by min-plus dynamic programming on the
-normalized running cost L + c, seeded from the diagonal, with the liminf
-over horizons realized as a min over a finite horizon list.  A residual
-drift of the diagonal minimum between the two largest horizons estimates
-any error in the supplied normalization constant and is subtracted.
+normalized running cost L + c: the shared kernel semigroup.MinPlusStepper
+steps one function per start node as a batch, seeded from the diagonal,
+under the driver semigroup.iterate.  The liminf over horizons is realized
+as a min over a finite horizon list.  A residual drift of the diagonal
+minimum between the two largest distinct horizons estimates any error in
+the supplied normalization constant and is subtracted.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .grid import Field, TorusGrid
 from .hamiltonian import LagrangianTable
-from .semigroup import GatherPlan
+from .semigroup import MinPlusStepper, iterate
 
 __all__ = [
     "LinearProgram",
@@ -49,10 +51,11 @@ __all__ = [
     "extremal_integral",
     "BarrierTable",
     "peierls_barrier",
-    "aubry_set",
 ]
 
 L_CLIP = 1e6
+BIG = L_CLIP        # barrier value of an unreached (start, arrival) pair
+SAFETY = 4.0        # dt*vmax may span at most SAFETY cells in the barrier
 
 
 class LPError(RuntimeError):
@@ -396,43 +399,40 @@ class BarrierTable:
 
 
 def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
-                    dt: float | None = None, big: float = L_CLIP,
-                    aubry_tol: float = 1e-2, safety: float = 4.0) -> BarrierTable:
+                    dt: float | None = None, aubry_tol: float = 1e-2) -> BarrierTable:
     """Min-plus dynamic programming for the normalized minimal action.
 
-    H_{t+dt}[x,y] = min_j ( H_t[x, y - v_j dt] + dt (L[y,j] + c) ), seeded
-    with 0 on the diagonal and a large constant elsewhere.  The barrier is
-    the min over the horizon list of the drift-corrected tables.
+    h_t(x, .) = T_t delta_x for every start node x at once: column x of the
+    table H[y, x] is one function of the arrival node y, and the batch is
+    stepped by the min-plus kernel on the cost L + c,
+
+        H_{t+dt}[y, x] = min_j ( H_t[y - v_j dt, x] + dt (L[y,j] + c) ),
+
+    seeded with 0 on the diagonal and BIG elsewhere, and clamped at BIG.
+    The barrier is the min over the horizon list of the drift-corrected
+    tables; the Aubry set is the nodes y with h[y,y] <= aubry_tol.
     """
+    if aubry_tol <= 0:
+        raise ValueError("aubry_tol must be positive")
     g = lt.grid
     t_list = tuple(sorted(float(t) for t in t_list))
     if len(t_list) < 1 or any(t <= 0 for t in t_list):
         raise ValueError("t_list must contain positive horizons")
     if dt is None:
-        dt = min(0.02, safety * g.h / lt.vmax)
-    if dt * lt.vmax > safety * g.h + 1e-12:
-        raise ValueError(f"dt*vmax = {dt * lt.vmax:.3g} exceeds {safety:g}*h = {safety * g.h:.3g}")
-    plan = GatherPlan(g, lt.vgrid, dt, backward=True)
-    run_cost = dt * (np.minimum(lt.L, big) + c)   # (n, m), indexed by arrival node
-    n, m = g.n, lt.m
-
-    H = np.full((n, n), big)
-    np.fill_diagonal(H, 0.0)
-    snap_steps = [max(1, int(round(t / dt))) for t in t_list]
+        dt = min(0.02, SAFETY * g.h / lt.vmax)
+    if dt * lt.vmax > SAFETY * g.h + 1e-12:
+        raise ValueError(f"dt*vmax = {dt * lt.vmax:.3g} exceeds {SAFETY:g}*h = {SAFETY * g.h:.3g}")
+    stepper = MinPlusStepper(g, lt.vgrid, dt, np.minimum(lt.L, BIG) + c)
+    snap_steps = sorted({max(1, int(round(t / dt))) for t in t_list})
     snaps = []
-    step = 0
-    for target in snap_steps:
-        while step < target:
-            best = None
-            for j in range(m):
-                cand = (H[:, plan.idx0[j]] * plan.w0[j] + H[:, plan.idx1[j]] * plan.w1[j]
-                        + run_cost[:, j][None, :])
-                best = cand if best is None else np.minimum(best, cand)
-            H = np.minimum(best, big)
-            if not np.all(np.isfinite(H)):
-                raise ValueError(f"nonfinite barrier values at t={step * dt:.4g}")
-            step += 1
-        snaps.append(H.copy())
+
+    def keep(k, H):
+        if k in snap_steps:
+            snaps.append(H.T)
+
+    H0 = np.full((g.n, g.n), BIG)
+    np.fill_diagonal(H0, 0.0)
+    iterate(lambda H: np.minimum(stepper.step(H), BIG), H0, dt, snap_steps[-1], observe=keep)
 
     # estimate the residual normalization drift from the diagonal minimum
     drift = 0.0
@@ -445,13 +445,5 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
         corrected = snap - drift * (tgt * dt)
         barrier = corrected if barrier is None else np.minimum(barrier, corrected)
 
-    diag = np.diag(barrier)
-    indices = np.nonzero(diag <= aubry_tol)[0]
+    indices = np.nonzero(np.diag(barrier) <= aubry_tol)[0]
     return BarrierTable(barrier, c - drift, indices, aubry_tol, g, t_list)
-
-
-def aubry_set(bt: BarrierTable, tol: float) -> np.ndarray:
-    """Node indices y with h[y,y] <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return np.nonzero(np.diag(bt.h) <= tol)[0]

@@ -8,22 +8,25 @@ cost dt*L(x,v):
     u'(x_i) = min_j [ u(x_i - v_j dt) + dt L(x_i, v_j) ]
 
 The cost is a fixed table, or is recomputed from the current values when
-it depends on u (the two-scale solvers).  The velocity search is
-exhaustive over the velocity grid (L may be nonsmooth) and foot points use
-monotone periodic linear interpolation.  `Stepper` adds the contact
-correction -dt*W(x,u) of a split Hamiltonian, explicitly by default;
-"picard" mode re-evaluates W at the updated value by scalar fixed-point
-iteration, which contracts because dt*Lambda <= 1/2.  The forward step is
-the mirror image (max, +dt W), taken through the kernel by the identity
+it depends on u (the two-scale solvers).  The kernel steps one function
+or a batch of them, one per column (the Peierls barrier steps one per
+start node).  The velocity search is exhaustive over the velocity grid
+(L may be nonsmooth) and foot points use monotone periodic linear
+interpolation.  `Stepper` adds the contact correction -dt*W(x,u) of a
+split Hamiltonian, explicitly by default; "picard" mode re-evaluates W at
+the updated value by scalar fixed-point iteration, which contracts
+because dt*Lambda <= 1/2.  The forward step is the mirror image (max,
++dt W), taken through the kernel by the identity
 max_j [a_j - b_j] = -min_j [-a_j + b_j].
 
 The kernel enforces the stability requirements at construction:
     dt * Lambda <= 1/2        (contact term, when a bound is given)
     dt * vmax   <= period/2   (foot points stay within half the torus)
 
-The driver `iterate` runs every step loop: it applies a step map, measures
-the residual sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite
-iterate, and stops at a tolerance or when an observer asks it to.
+The driver `iterate` runs every step loop in the package, the Peierls
+barrier's included: it applies a step map, measures the residual
+sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite iterate, and
+stops at a tolerance or when an observer asks it to.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ class MinPlusStepper:
     cost is the (n, m) table L, or a callable u -> (n, m) table for a cost
     that depends on the current values.  lambda_bound, when given, is the
     derivative bound of a contact term applied on top of the kernel.
+    step takes one function of shape (n,) or, with a fixed cost table, a
+    batch of shape (n, B), one function per column, each column stepped
+    exactly as if alone.
     """
 
     def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, cost,
@@ -103,7 +109,17 @@ class MinPlusStepper:
 
     def step(self, u: np.ndarray) -> np.ndarray:
         dtLT = self._dtLT if self._cost is None else self.dt * self._cost(u).T
-        return (self._plan.apply(u) + dtLT).min(axis=0)
+        if u.ndim == 1:
+            return (self._plan.apply(u) + dtLT).min(axis=0)
+        # a batch (n, B) goes one velocity at a time, keeping (n, B) temporaries
+        p = self._plan
+        best = None
+        for j in range(dtLT.shape[0]):
+            cand = u[p.idx0[j]] * p.w0[j]
+            cand += u[p.idx1[j]] * p.w1[j]
+            cand += dtLT[j][:, None]
+            best = cand if best is None else np.minimum(best, cand, out=best)
+        return best
 
 
 class Stepper:

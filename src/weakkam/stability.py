@@ -26,8 +26,8 @@ import numpy as np
 from . import critical as crit
 from .errors import ConfigError
 from .grid import Field
-from .hamiltonian import HamiltonianSpec, LagrangianTable, conjugate_table, legendre
-from .mather import aubry_set, extremal_integral, peierls_barrier, solve_occupational
+from .hamiltonian import HamiltonianSpec, LagrangianTable, conjugate_table
+from .mather import extremal_integral, peierls_barrier, solve_occupational
 from .semigroup import Stepper, iterate
 
 __all__ = [
@@ -82,9 +82,8 @@ def frozen_dwu(spec: HamiltonianSpec, u_minus: Field) -> np.ndarray:
 
 def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
                     zeta_grid=DEFAULT_ZETA_GRID, dt: float = crit.DEFAULT_DT,
-                    tol: float = crit.DEFAULT_TOL, margin: float = 1e-2,
-                    lt: LagrangianTable | None = None, m: int = 65, k: int = 65,
-                    with_A_estimate: bool = True) -> StabilityReport:
+                    tol: float = crit.DEFAULT_TOL, margin: float = 1e-2, *,
+                    lt: LagrangianTable, with_A_estimate: bool = True) -> StabilityReport:
     """Walk the zeta grid testing the shifted critical values.
 
     Verdict "holds" on the first zeta with c < -margin; "fails" when every
@@ -93,8 +92,6 @@ def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
     if which not in ("A3", "A4"):
         raise ValueError("which must be 'A3' or 'A4'")
     sign = -1.0 if which == "A3" else +1.0
-    if lt is None:
-        lt = legendre(spec, u_minus.grid, m, k)
     base_pot = frozen_potential(spec, u_minus)
     dwu = frozen_dwu(spec, u_minus)
 
@@ -148,7 +145,7 @@ def check_corollary_a(G_part, a_field: Field, dt: float = crit.DEFAULT_DT,
 
     cres = crit.critical_value(lt, dt=dt, tol=tol)
     bt = peierls_barrier(lt, cres.c, t_list=barrier_t_list, aubry_tol=aubry_tol)
-    nodes = aubry_set(bt, aubry_tol)
+    nodes = bt.aubry_indices
     a0 = float(a_field.values[nodes].min()) if nodes.size else 0.0
     verdict = "holds" if a0 > margin else "fails"
     return StabilityReport(
@@ -158,8 +155,9 @@ def check_corollary_a(G_part, a_field: Field, dt: float = crit.DEFAULT_DT,
                "critical_method": cres.method})
 
 
-def _deviation_series(spec, lt, u_minus: Field, phi: Field, T: float, dt: float,
-                      sample_every: int):
+def deviation_series(spec: HamiltonianSpec, u_minus: Field, phi: Field, T: float,
+                     dt: float, *, lt: LagrangianTable, sample_every: int = 10):
+    """Times and sup-norm deviations from u_- along the evolution of phi."""
     times = []
     devs = []
     steps = math.ceil(T / dt - 1e-12)
@@ -173,27 +171,15 @@ def _deviation_series(spec, lt, u_minus: Field, phi: Field, T: float, dt: float,
     return np.asarray(times), np.asarray(devs)
 
 
-def deviation_series(spec: HamiltonianSpec, u_minus: Field, phi: Field, T: float,
-                     dt: float, lt: LagrangianTable | None = None, m: int = 65,
-                     k: int = 65, sample_every: int = 10):
-    """Times and sup-norm deviations from u_- along the evolution of phi."""
-    if lt is None:
-        lt = legendre(spec, u_minus.grid, m, k)
-    return _deviation_series(spec, lt, u_minus, phi, T, dt, sample_every)
-
-
 def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float,
-                   dt: float, fit_window: tuple | None = None,
-                   lt: LagrangianTable | None = None, m: int = 65, k: int = 65,
-                   sample_every: int = 10) -> float:
+                   dt: float, fit_window: tuple | None = None, *,
+                   lt: LagrangianTable, sample_every: int = 10) -> float:
     """Fitted slope of ln ||u(t) - u_-|| on the late window, worse of +/-delta.
 
     A positive return value reports non-decay; it is not an error.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if lt is None:
-        lt = legendre(spec, u_minus.grid, m, k)
     t_lo, t_hi = fit_window if fit_window is not None else (T / 2, T)
     if t_hi > T + 1e-12:
         raise ValueError("fit window must end by the horizon T")
@@ -202,7 +188,8 @@ def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float
     slopes = []
     for sgn in (+1.0, -1.0):
         phi = Field(u_minus.grid, u_minus.values + sgn * delta)
-        times, devs = _deviation_series(spec, lt, u_minus, phi, T, dt, sample_every)
+        times, devs = deviation_series(spec, u_minus, phi, T, dt, lt=lt,
+                                       sample_every=sample_every)
         ok = (times >= t_lo - 1e-12) & (times <= t_hi + 1e-12) & (devs > noise_floor)
         if np.count_nonzero(ok) < 2:
             # deviation underflowed on the requested window; shrink it
@@ -228,16 +215,13 @@ class ProbeResult:
 
 
 def instability_probe(spec: HamiltonianSpec, u_minus: Field, eps: float,
-                      Delta_target: float, T: float, dt: float,
-                      lt: LagrangianTable | None = None, m: int = 65,
-                      k: int = 65) -> ProbeResult:
+                      Delta_target: float, T: float, dt: float, *,
+                      lt: LagrangianTable) -> ProbeResult:
     """Evolve u_- - eps and watch whether the deviation reaches Delta_target."""
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0,1)")
     if Delta_target <= eps:
         raise ValueError("Delta_target must exceed eps")
-    if lt is None:
-        lt = legendre(spec, u_minus.grid, m, k)
     times = [0.0]
     devs = [eps]
 
@@ -255,19 +239,16 @@ def instability_probe(spec: HamiltonianSpec, u_minus: Field, eps: float,
 
 
 def basin_estimate(spec: HamiltonianSpec, u_minus: Field, T: float, dt: float,
-                   delta_hi: float, lt: LagrangianTable | None = None,
-                   m: int = 65, k: int = 65, rounds: int = 6) -> float:
+                   delta_hi: float, *, lt: LagrangianTable, rounds: int = 6) -> float:
     """Bisection for the largest tested delta whose +/- perturbations re-enter
     a delta/2 neighborhood of u_- by time T.  Returns 0 if every probe fails."""
     if delta_hi <= 0:
         raise ValueError("delta_hi must be positive")
-    if lt is None:
-        lt = legendre(spec, u_minus.grid, m, k)
 
     def recovers(delta: float) -> bool:
         for sgn in (+1.0, -1.0):
             phi = Field(u_minus.grid, u_minus.values + sgn * delta)
-            _, devs = _deviation_series(spec, lt, u_minus, phi, T, dt, sample_every=10)
+            _, devs = deviation_series(spec, u_minus, phi, T, dt, lt=lt)
             if devs.min() > delta / 2:
                 return False
         return True

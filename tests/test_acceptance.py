@@ -263,7 +263,7 @@ def test_criterion_11_mather_support_in_aubry_set(example_setup, eikonal_cos_128
             table = lt if pot is None else lt.with_potential(pot)
             cres = crit.critical_value(table)
             bt = mather.peierls_barrier(table, cres.c)
-            nodes = mather.aubry_set(bt, 1e-2)
+            nodes = bt.aubry_indices
             support = np.nonzero(measure.node_mass() > 1e-6)[0]
             assert support.size > 0
             for i in support:

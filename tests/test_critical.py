@@ -157,7 +157,8 @@ def test_c_eps_curve_sample_validation():
     g = TorusGrid(64)
     spec = builtin("linear_contact", {"a": 1.0, "V": 0})
     um = constant_field(g, 0.0)
+    lt = legendre(spec, g, 33, 33)
     with pytest.raises(ValueError, match="contain 0"):
-        crit.c_eps_curve(spec, um, [-0.02, -0.01, 0.01, 0.02])
+        crit.c_eps_curve(spec, um, [-0.02, -0.01, 0.01, 0.02], lt=lt)
     with pytest.raises(ValueError, match="each sign"):
-        crit.c_eps_curve(spec, um, [-0.01, 0.0, 0.01, 0.02])
+        crit.c_eps_curve(spec, um, [-0.01, 0.0, 0.01, 0.02], lt=lt)

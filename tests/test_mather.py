@@ -8,7 +8,7 @@ from weakkam import critical as crit
 from weakkam import mather
 from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr
-from weakkam.hamiltonian import HamiltonianSpec
+from weakkam.hamiltonian import HamiltonianSpec, LagrangianTable
 from weakkam.stability import frozen_potential
 
 
@@ -184,7 +184,7 @@ def test_barrier_free_case(g64):
     bt = mather.peierls_barrier(lt, 0.0)
     # cost of slow travel vanishes in the long-horizon limit
     assert np.abs(bt.h).max() <= 5e-2
-    assert mather.aubry_set(bt, 1e-2).size == g64.n
+    assert bt.aubry_indices.size == g64.n
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +226,7 @@ def test_barrier_semigroup_property(g64):
 
 def test_aubry_set_window(normalized_eikonal_barrier, g64):
     bt, _ = normalized_eikonal_barrier
-    nodes = mather.aubry_set(bt, 1e-2)
+    nodes = bt.aubry_indices
     assert 0 in nodes
     dist = np.minimum(nodes, g64.n - nodes)
     assert np.all(dist <= 4)
@@ -237,7 +237,7 @@ def test_aubry_example_instance(example_setup):
     g = example_setup["grid"]
     res = crit.critical_value(lt.with_potential(frozen_potential(spec, um)))
     bt = mather.peierls_barrier(lt.with_potential(frozen_potential(spec, um)), res.c)
-    nodes = mather.aubry_set(bt, 1e-2)
+    nodes = bt.aubry_indices
     quarter, three_quarter = g.n // 4, 3 * g.n // 4
     dist = np.minimum(np.abs(nodes - quarter), np.abs(nodes - three_quarter))
     assert np.all(dist <= 4)
@@ -250,7 +250,7 @@ def test_mather_support_in_aubry_set(example_setup):
     meas = mather.solve_occupational(lt, potential=pot)
     res = crit.critical_value(lt.with_potential(pot))
     bt = mather.peierls_barrier(lt.with_potential(pot), res.c)
-    nodes = mather.aubry_set(bt, 1e-2)
+    nodes = bt.aubry_indices
     mass = meas.node_mass()
     support = np.nonzero(mass > 1e-6)[0]
     n = example_setup["grid"].n
@@ -266,6 +266,24 @@ def test_barrier_validation(g64):
         mather.peierls_barrier(lt, 0.0, t_list=())
     with pytest.raises(ValueError, match="exceeds"):
         mather.peierls_barrier(lt, 0.0, dt=1.0)
-    bt = mather.peierls_barrier(lt, 0.0, t_list=(2.0,))
-    with pytest.raises(ValueError):
-        mather.aubry_set(bt, -1.0)
+    with pytest.raises(ValueError, match="aubry_tol"):
+        mather.peierls_barrier(lt, 0.0, t_list=(2.0,), aubry_tol=-1.0)
+
+
+def test_barrier_duplicate_horizons(g64):
+    # horizons that round to one step count give one snapshot and no drift
+    lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x) - 1"}), g64, 33, 33)
+    single = mather.peierls_barrier(lt, 0.0, t_list=(1.0,))
+    for t_list in ((1.0, 1.0), (1.0, 1.001)):
+        bt = mather.peierls_barrier(lt, 0.0, t_list=t_list)
+        assert np.array_equal(bt.h, single.h)
+        assert bt.c_used == 0.0
+
+
+def test_barrier_nan_cost_raises_at_first_step(g64):
+    lt = legendre(builtin("eikonal", {"V": 0}), g64, 33, 33)
+    L = lt.L.copy()
+    L[5, 3] = np.nan
+    bad = LagrangianTable(lt.grid, lt.vgrid, L, lt.vmax, lt.pmax)
+    with pytest.raises(ValueError, match="nonfinite values at step 1 "):
+        mather.peierls_barrier(bad, 0.0, t_list=(1.0,))

@@ -8,7 +8,8 @@ from weakkam import TorusGrid, builtin, legendre
 from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr, sup_diff
 from weakkam.hamiltonian import HamiltonianSpec
-from weakkam.semigroup import CFLError, Stepper, evolve, iterate, stationary_solve
+from weakkam.semigroup import (CFLError, MinPlusStepper, Stepper, evolve, iterate,
+                               stationary_solve)
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +293,15 @@ def test_iterate_nonfinite_names_the_step():
 
     with pytest.raises(ValueError, match="nonfinite values at step 3"):
         iterate(step, np.zeros(3), dt=1.0, max_steps=10)
+
+
+@pytest.mark.parametrize("backward", [True, False])
+def test_batch_step_equals_columnwise(backward):
+    g = TorusGrid(32)
+    lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), g, 17, 17)
+    stepper = MinPlusStepper(g, lt.vgrid, 0.02, lt.L, backward=backward)
+    batch = np.random.default_rng(5).normal(size=(g.n, 7))
+    out = stepper.step(batch)
+    assert out.shape == batch.shape
+    for b in range(batch.shape[1]):
+        assert np.array_equal(out[:, b], stepper.step(np.ascontiguousarray(batch[:, b])))
