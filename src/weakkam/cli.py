@@ -181,15 +181,13 @@ def _u_minus(config: ExperimentConfig, g, lt):
 def _critical_of_frozen(config: ExperimentConfig, g, lt):
     """Critical value of G + W(., u_-); for u-independent W no freeze is needed."""
     num = config.numerics
-    W = config.spec.W
-    if "u" in W.variables():
+    if "u" in config.spec.W.variables():
         um = _u_minus(config, g, lt).field
         pot = stability.frozen_potential(config.spec, um)
-        ltp = lt.with_potential(pot)
     else:
         um = None
         pot = stability.frozen_potential(config.spec, Field(g, np.zeros(g.n)))
-        ltp = lt.with_potential(pot) if float(np.max(np.abs(pot))) > 0 else lt
+    ltp = lt.with_potential(pot)
     result = crit.critical_value(
         ltp, schedule=num["lambda_schedule"], dt=num["dt_critical"],
         tol=num["tol_critical"], T_long=num["T_long"], cross_tol=num["cross_tol"])
@@ -289,16 +287,15 @@ def run_stability(config, out):
         config.spec, um, which=which, zeta_grid=num["zeta_grid"],
         dt=num["dt_critical"], tol=num["tol_critical"], margin=num["margin"], lt=lt)
     T = float(config.raw.get("decay_T", 8.0))
-    report.decay_slope = stability.decay_exponent(
-        config.spec, um, delta=num["delta"], T=T, dt=num["dt"], lt=lt)
+    decay = stability.decay_exponent(config.spec, um, delta=num["delta"], T=T, dt=num["dt"],
+                                     lt=lt)
+    report.decay_slope = decay.slope
     if "basin_delta_hi" in config.raw:
         report.Delta_estimate = stability.basin_estimate(
             config.spec, um, T=num["T_max"], dt=num["dt"],
             delta_hi=float(config.raw["basin_delta_hi"]), lt=lt)
-    phi = Field(g, um.values + num["delta"])
-    times, devs = stability.deviation_series(config.spec, um, phi, T, num["dt"], lt=lt)
     write_csv(os.path.join(out, "decay.csv"), config.header(), "t,sup_dev",
-              list(zip(map(float, times), map(float, devs))))
+              list(zip(map(float, decay.times), map(float, decay.devs))))
     _write_report(out, config, report)
     a_txt = "n/a" if report.A_estimate is None else f"{report.A_estimate:.3f}"
     return (f"verdict={report.verdict} A_estimate={a_txt} "
@@ -327,11 +324,10 @@ def run_corollary(config, out):
         raise ConfigError("corollary command requires key 'a' (formula in x)")
     try:
         a_field = field_from_expr(g, parse(str(a_src)))
-        gpart = config.spec.G if config.spec is not None else parse(str(config.raw["G"]))
-    except (ExprError, KeyError) as exc:
+    except ExprError as exc:
         raise ConfigError(f"corollary config error: {exc}") from exc
     report = stability.check_corollary_a(
-        gpart, a_field, dt=num["dt_critical"], tol=num["tol_critical"],
+        config.spec.G, a_field, dt=num["dt_critical"], tol=num["tol_critical"],
         margin=num["margin"], m=num["m"], k=num["m"],
         vmax=num["vmax"], pmax=num["pmax"], aubry_tol=num["aubry_tol"])
     _write_report(out, config, report)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import Field
-from .hamiltonian import HamiltonianSpec, LagrangianTable
+from .hamiltonian import HamiltonianSpec, LagrangianTable, frozen_values
 from .semigroup import CFLError, MinPlusStepper, iterate
 
 __all__ = [
@@ -42,6 +42,8 @@ DEFAULT_SCHEDULE = (4e-2, 2e-2, 1e-2)
 DEFAULT_DT = 0.02
 DEFAULT_TOL = 1e-4
 DEFAULT_CROSS_TOL = 2e-2
+DEFAULT_T_LONG = 40.0
+DIVERGENCE = 1e6        # a discounted iterate beyond this magnitude has diverged
 
 
 class DivergenceError(RuntimeError):
@@ -49,28 +51,27 @@ class DivergenceError(RuntimeError):
 
 
 def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
-                     tol: float = DEFAULT_TOL, u0: Field | None = None,
-                     max_iter: int | None = None, divergence: float = 1e6) -> Field:
+                     tol: float = DEFAULT_TOL, u0: Field | None = None) -> Field:
     """Fixed point of the discounted update, iterated until sup|du|/dt <= tol.
 
     At that stopping level the extracted values lam*u are accurate to about
-    tol, since the iteration contracts by 1/(1 + lam*dt) per step.
+    tol, since the iteration contracts by 1/(1 + lam*dt) per step.  The
+    iteration is capped at 60/lam of simulated time.
     """
     if lam <= 0:
         raise ValueError("discount rate lam must be positive")
     if dt * lam >= 1:
         raise CFLError(f"dt*lam = {dt * lam:.3g} must be below 1")
     stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
-    if max_iter is None:
-        max_iter = int(math.ceil(60.0 / (lam * dt)))
     factor = 1.0 / (1.0 + lam * dt)
 
     def diverged(k, u):
-        if np.abs(u).max() > divergence:
-            raise DivergenceError(f"discounted iterate exceeded {divergence:g} in magnitude")
+        if np.abs(u).max() > DIVERGENCE:
+            raise DivergenceError(f"discounted iterate exceeded {DIVERGENCE:g} in magnitude")
 
     start = u0.values if u0 is not None else np.zeros(lt.grid.n)
-    rec = iterate(lambda u: factor * stepper.step(u), start, dt, max_iter, tol, diverged)
+    rec = iterate(lambda u: factor * stepper.step(u), start, dt,
+                  int(math.ceil(60.0 / (lam * dt))), tol, diverged)
     if not rec.converged:
         raise ConvergenceError(
             f"discounted solve stalled at residual {rec.residual:.3e} (tol {tol:.1e})",
@@ -99,7 +100,7 @@ class CriticalValueResult:
 
 
 def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = DEFAULT_DT,
-                   tol: float = DEFAULT_TOL, T_long: float = 40.0,
+                   tol: float = DEFAULT_TOL, T_long: float = DEFAULT_T_LONG,
                    cross_tol: float = DEFAULT_CROSS_TOL) -> CriticalValueResult:
     """Critical value by vanishing discount, cross-checked by long-time slope."""
     schedule = tuple(float(s) for s in schedule)
@@ -192,18 +193,17 @@ def one_sided_derivatives(curve: CEpsCurve) -> tuple[float, float]:
 
 def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEFAULT_DT,
                 tol: float = DEFAULT_TOL, *, lt: LagrangianTable, schedule=DEFAULT_SCHEDULE,
-                T_long: float = 40.0, cross_tol: float = DEFAULT_CROSS_TOL) -> CEpsCurve:
+                T_long: float = DEFAULT_T_LONG,
+                cross_tol: float = DEFAULT_CROSS_TOL) -> CEpsCurve:
     """Sample eps -> c(G + W(., u_minus + eps)) and finite-difference D^-, D^+ at 0."""
     eps = np.array(sorted(float(e) for e in eps_list))
     if not np.any(np.abs(eps) < 1e-15):
         raise ValueError("eps_list must contain 0")
     if np.count_nonzero(eps < 0) < 2 or np.count_nonzero(eps > 0) < 2:
         raise ValueError("eps_list needs at least two values of each sign")
-    xs = u_minus.grid.nodes
     cs = []
     for e in eps:
-        pot = np.broadcast_to(
-            np.asarray(spec.W_at(xs, u_minus.values + e), dtype=float), xs.shape)
+        pot = frozen_values(spec.W, u_minus.grid.nodes, u_minus.values + e)
         result = critical_value(lt.with_potential(pot), schedule=schedule, dt=dt,
                                 tol=tol, T_long=T_long, cross_tol=cross_tol)
         cs.append(result.c)

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 BUILTIN_NAMES = ("eikonal", "linear_contact", "example_ex", "corollary_a")
+REFINE = 40         # ternary-search passes refining each sampled Legendre argmax
+SAMPLES = 200       # random points drawn by each sampled load-time check
+U_CHECK = 5.0       # load-time checks sample u on [-U_CHECK, U_CHECK]
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,11 @@ class HamiltonianSpec:
         return self.dWu.evaluate({"x": x, "u": u})
 
 
+def frozen_values(e: Expr, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """An (x, u) expression frozen at u = us(x), sampled on the nodes xs."""
+    return np.broadcast_to(np.asarray(e.evaluate({"x": xs, "u": us}), dtype=float), xs.shape)
+
+
 def _as_expr(value) -> Expr:
     if isinstance(value, Expr):
         return value
@@ -73,38 +81,38 @@ def _formula(value) -> str:
     return f"({float(value)!r})"
 
 
-def _sampled_max_abs(e: Expr, nx: int = 4096, u_range=(-5.0, 5.0), nu: int = 21) -> float:
-    xs = np.linspace(0.0, 1.0, nx, endpoint=False)
+def _sampled_max_abs(e: Expr) -> float:
+    xs = np.linspace(0.0, 1.0, 4096, endpoint=False)
     names = e.variables()
     if "u" in names:
-        us = np.linspace(u_range[0], u_range[1], nu)
+        us = np.linspace(-U_CHECK, U_CHECK, 21)
         vals = e.evaluate({"x": xs[:, None], "u": us[None, :]})
     else:
         vals = e.evaluate({"x": xs}) if "x" in names else e.evaluate({})
     return float(np.max(np.abs(vals)))
 
 
-def _midpoint_convexity_gap(fn, rng, pmax: float, samples: int) -> float:
+def _midpoint_convexity_gap(fn, rng, pmax: float) -> float:
     """Largest sampled fn((p1+p2)/2) - (fn(p1)+fn(p2))/2, p1, p2 uniform on [-pmax, pmax].
 
     fn binds every other sampled variable; a positive gap refutes convexity in p.
     """
-    p1 = rng.uniform(-pmax, pmax, samples)
-    p2 = rng.uniform(-pmax, pmax, samples)
+    p1 = rng.uniform(-pmax, pmax, SAMPLES)
+    p2 = rng.uniform(-pmax, pmax, SAMPLES)
     mid = np.asarray(fn((p1 + p2) / 2))
     avg = (np.asarray(fn(p1)) + np.asarray(fn(p2))) / 2
     return float(np.max(mid - avg))
 
 
-def validate_spec(spec: HamiltonianSpec, seed: int = 0, samples: int = 200):
+def validate_spec(spec: HamiltonianSpec, seed: int = 0):
     """Load-time sanity checks: the derivative bound and sampled convexity of G."""
     bound = _sampled_max_abs(spec.dWu)
     if bound > spec.lambda_bound + 1e-9:
         raise ConfigError(
             f"|dWu| reaches {bound:.6g} on the test lattice, exceeding Lambda={spec.lambda_bound:.6g}")
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 1.0, samples)
-    worst = _midpoint_convexity_gap(lambda p: spec.G_at(xs, p), rng, spec.pmax, samples)
+    xs = rng.uniform(0.0, 1.0, SAMPLES)
+    worst = _midpoint_convexity_gap(lambda p: spec.G_at(xs, p), rng, spec.pmax)
     if worst > 1e-9:
         raise ConfigError(f"G fails the sampled midpoint convexity test by {worst:.3g}")
     return spec
@@ -217,7 +225,7 @@ def _odd(count: int) -> int:
 
 
 def conjugate_table(gfun, nnodes: int, m: int, k: int, vmax: float, pmax: float,
-                    refine: int = 40, warn_label: str = "G") -> tuple[np.ndarray, np.ndarray]:
+                    warn_label: str = "G") -> tuple[np.ndarray, np.ndarray]:
     """Sampled sup_p (p*v - g(p)) with one ternary-search refinement pass.
 
     gfun(P) evaluates the convex part at a momentum array P of shape
@@ -258,7 +266,7 @@ def conjugate_table(gfun, nnodes: int, m: int, k: int, vmax: float, pmax: float,
     lo = ps[np.maximum(bidx - 1, 0)]
     hi = ps[np.minimum(bidx + 1, k - 1)]
     V = np.broadcast_to(vs[None, :], (nnodes, m))
-    for _ in range(refine):
+    for _ in range(REFINE):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
         f1 = m1 * V - geval(m1)

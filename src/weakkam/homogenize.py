@@ -30,7 +30,8 @@ from . import critical as crit
 from .errors import ConfigError, ConvergenceError
 from .expr import Expr
 from .grid import Field, TorusGrid, lipschitz
-from .hamiltonian import LagrangianTable, _as_expr, _midpoint_convexity_gap, conjugate_table
+from .hamiltonian import (SAMPLES, U_CHECK, LagrangianTable, _as_expr, _midpoint_convexity_gap,
+                          conjugate_table)
 from .semigroup import MinPlusStepper, iterate
 
 __all__ = [
@@ -43,6 +44,16 @@ __all__ = [
     "rate_experiment",
     "RateResult",
 ]
+
+TABLE_TOL = 5e-2        # slack of the effective table's monotonicity and convexity checks
+STATIONARY_M = 65       # velocities of both stationary solves
+T_MAX = 40.0            # time budget of both stationary solves
+EFFECTIVE_DT = 5e-3     # time step of the effective stationary solve
+EFFECTIVE_TOL = 1e-6    # residual target of the effective stationary solve
+MULTISCALE_K = 49       # momenta of the two-scale Legendre table
+MULTISCALE_TOL = 1e-5   # residual target of the two-scale stationary solve
+N_ULEVELS = 9           # u-levels on which the two-scale cost is tabulated
+NOISE_FLOOR = 1e-3      # rate errors all at or below this report no slope
 
 
 @dataclass(frozen=True)
@@ -74,29 +85,27 @@ def problem_from_config(conf: dict) -> HomogProblem:
     return validate_problem(hp)
 
 
-def validate_problem(hp: HomogProblem, seed: int = 0, samples: int = 200) -> HomogProblem:
+def validate_problem(hp: HomogProblem) -> HomogProblem:
     """Sampled checks of the monotonicity window and convexity in p."""
     if not (0 < hp.Lambda1 <= hp.Lambda2):
         raise ConfigError("need 0 < Lambda1 <= Lambda2")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0, 1, samples)
-    ys = rng.uniform(0, 1, samples)
-    ps = rng.uniform(-hp.pmax, hp.pmax, samples)
-    us = rng.uniform(-5, 5, samples)
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(0, 1, SAMPLES)
+    ys = rng.uniform(0, 1, SAMPLES)
+    ps = rng.uniform(-hp.pmax, hp.pmax, SAMPLES)
+    us = rng.uniform(-U_CHECK, U_CHECK, SAMPLES)
     dvals = np.asarray(hp.dHu.evaluate({"x": xs, "y": ys, "p": ps, "u": us}))
     if np.any(dvals < hp.Lambda1 - 1e-9) or np.any(dvals > hp.Lambda2 + 1e-9):
         raise ConfigError(
             f"sampled dH/du leaves [{hp.Lambda1}, {hp.Lambda2}]: "
             f"range [{dvals.min():.4g}, {dvals.max():.4g}]")
-    if _midpoint_convexity_gap(lambda p: hp.H_at(xs, ys, p, us), rng, hp.pmax, samples) > 1e-9:
+    if _midpoint_convexity_gap(lambda p: hp.H_at(xs, ys, p, us), rng, hp.pmax) > 1e-9:
         raise ConfigError("H fails the sampled midpoint convexity test in p")
     return hp
 
 
 def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
-                 dt: float = 0.05, tol: float = crit.DEFAULT_TOL, n_fast: int = 64,
-                 m: int = 49, k: int = 49, schedule=crit.DEFAULT_SCHEDULE,
-                 T_long: float = 40.0, cross_tol: float = crit.DEFAULT_CROSS_TOL) -> float:
+                 dt: float = 0.05, n_fast: int = 64, m: int = 49, k: int = 49) -> float:
     """Effective value Hbar(x,p,c): critical value of q -> H(x,y,p+q,c) in y."""
     for name, val in (("x", x), ("p", p), ("c", c)):
         if not np.isfinite(val):
@@ -110,8 +119,7 @@ def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
 
     vs, L = conjugate_table(gfun, g.n, m, k, hp.vmax, pmax_cell, warn_label="cell H")
     lt = LagrangianTable(g, vs, L, hp.vmax, pmax_cell)
-    res = crit.critical_value(lt, schedule=schedule, dt=dt, tol=tol,
-                              T_long=T_long, cross_tol=cross_tol)
+    res = crit.critical_value(lt, dt=dt)
     if res.method != "agree":
         raise ConvergenceError(
             f"cell problem at (x={x:.4g}, p={p:.4g}, c={c:.4g}): discount and "
@@ -162,22 +170,21 @@ class EffectiveTable:
 
 
 def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
-                          dt: float = 0.05, tol: float = crit.DEFAULT_TOL,
-                          table_tol: float = 5e-2, **cell_opts) -> EffectiveTable:
+                          dt: float = 0.05, **cell_opts) -> EffectiveTable:
     """Tabulate the cell problem on the given grids and verify monotonicity."""
     xn = np.asarray(list(x_nodes), dtype=float)
     pn = np.asarray(list(p_nodes), dtype=float)
     cn = np.asarray(list(c_nodes), dtype=float)
     if xn.size == 0 or pn.size == 0 or cn.size == 0:
         raise ValueError("table grids must be nonempty")
-    flat = [cell_problem(hp, float(x), float(p), float(c), dt=dt, tol=tol, **cell_opts)
+    flat = [cell_problem(hp, float(x), float(p), float(c), dt=dt, **cell_opts)
             for x in xn for p in pn for c in cn]
     values = np.asarray(flat).reshape(xn.size, pn.size, cn.size)
 
     # monotone in c at rate Lambda1, convex along p
     for kk in range(cn.size - 1):
         dc = cn[kk + 1] - cn[kk]
-        bad = values[:, :, kk + 1] - values[:, :, kk] - hp.Lambda1 * dc < -table_tol
+        bad = values[:, :, kk + 1] - values[:, :, kk] - hp.Lambda1 * dc < -TABLE_TOL
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             raise ConfigError(
@@ -186,7 +193,7 @@ def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
     for j in range(pn.size - 2):
         mid = values[:, j + 1, :]
         avg = (values[:, j, :] + values[:, j + 2, :]) / 2
-        bad = mid - avg > table_tol
+        bad = mid - avg > TABLE_TOL
         if np.any(bad):
             i, kk = np.argwhere(bad)[0]
             raise ConfigError(
@@ -197,7 +204,7 @@ def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
 
 def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
                              L_table: np.ndarray, dt: float, Lambda2: float,
-                             u0: np.ndarray, tol: float, T_max: float, what: str) -> Field:
+                             u0: np.ndarray, tol: float, what: str) -> Field:
     """Fixed point of u' = min_j [ u(x_i - v_j dt) + dt L(x_i, v_j, u_i) ].
 
     L_table has shape (n, nlevels, m); per step the cost at each node is the
@@ -216,20 +223,14 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
         return L_table[rows, i0] * (1 - th) + L_table[rows, i0 + 1] * th
 
     stepper = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2)
-    rec = iterate(stepper.step, u0, dt, math.ceil(T_max / dt), tol)
+    rec = iterate(stepper.step, u0, dt, math.ceil(T_MAX / dt), tol)
     if not rec.converged:
         raise ConvergenceError(
             f"{what} stalled at residual {rec.residual:.3e} (tol {tol:.1e})", rec.residual)
     return Field(g, rec.values)
 
 
-def _level_grid(span: float, count: int, pad: float = 0.25) -> np.ndarray:
-    lim = span * (1 + pad) + 0.1
-    return np.linspace(-lim, lim, count)
-
-
-def solve_effective(et: EffectiveTable, n_slow: int = 256, m: int = 65,
-                    dt: float = 5e-3, tol: float = 1e-6, T_max: float = 40.0) -> Field:
+def solve_effective(et: EffectiveTable, n_slow: int = 256) -> Field:
     """Stationary solve of Hbar(x, Du, u) = 0 from the tabulated values."""
     g = TorusGrid(n_slow, 1.0)
     xs = g.nodes
@@ -243,21 +244,24 @@ def solve_effective(et: EffectiveTable, n_slow: int = 256, m: int = 65,
     slopes = np.abs(np.diff(Hf, axis=1) / np.diff(et.p_nodes)[None, :, None])
     vmax = float(slopes.max()) if slopes.size else 1.0
     vmax = max(vmax, 1e-6)
-    m = m if m % 2 == 1 else m + 1
-    vs = np.linspace(-vmax, vmax, m)
+    vs = np.linspace(-vmax, vmax, STATIONARY_M)
     # L_table[i, kc, j] = max_jp (p_jp * v_j - Hf[i, jp, kc])
     scores = (et.p_nodes[None, :, None, None] * vs[None, None, None, :]
               - Hf[:, :, :, None])
     L_table = scores.max(axis=1)
-    return _level_table_fixed_point(g, vs, et.c_nodes, L_table, dt, et.Lambda2,
-                                    np.zeros(g.n), tol, T_max, "effective stationary solve")
+    return _level_table_fixed_point(g, vs, et.c_nodes, L_table, EFFECTIVE_DT, et.Lambda2,
+                                    np.zeros(g.n), EFFECTIVE_TOL, "effective stationary solve")
 
 
 def solve_multiscale(hp: HomogProblem, eps: float, n_per_period: int = 32,
-                     m: int = 65, k: int = 49, dt: float | None = None,
-                     tol: float = 1e-5, T_max: float = 40.0,
-                     n_ulevels: int = 9, u0: Field | None = None) -> Field:
-    """Stationary solve of the frozen two-scale Hamiltonian H(x, x/eps, Du, u)."""
+                     u0: Field | None = None) -> Field:
+    """Stationary solve of the frozen two-scale Hamiltonian H(x, x/eps, Du, u).
+
+    The cost is the Legendre table of H on the u-level grid.  When H does
+    not depend on x the node data (y, u-level) repeats every fast period,
+    so the table is built on the first n_per_period nodes and tiled around
+    the torus; otherwise it is built on every node.
+    """
     k_int = round(1.0 / eps)
     if k_int < 1 or abs(1.0 / k_int - eps) > 1e-12:
         raise ValueError(f"eps must be the reciprocal of an integer, got {eps}")
@@ -265,41 +269,27 @@ def solve_multiscale(hp: HomogProblem, eps: float, n_per_period: int = 32,
     g = TorusGrid(n, 1.0)
     xs = g.nodes
     ys = np.mod(xs * k_int, 1.0)
-    if dt is None:
-        # foot points should not cross a fast cell in one step
-        dt = min(5e-3, eps / (4.0 * hp.vmax))
-    span = float(np.max(np.abs(hp.H_at(xs, ys, 0.0, 0.0)))) / hp.Lambda1
-    levels = _level_grid(span, n_ulevels)
+    # foot points should not cross a fast cell in one step
+    dt = min(5e-3, eps / (4.0 * hp.vmax))
+    # u-levels cover the comparison bound max|H(x, y, 0, 0)|/Lambda1 with a 25% pad
+    lim = float(np.max(np.abs(hp.H_at(xs, ys, 0.0, 0.0)))) / hp.Lambda1 * 1.25 + 0.1
+    levels = np.linspace(-lim, lim, N_ULEVELS)
 
-    if hp.x_independent():
-        # the node data (y, u-level) repeats with period n_per_period
-        yu = ys[:n_per_period]
-        yf = np.repeat(yu, levels.size)[:, None]
-        uf = np.tile(levels, n_per_period)[:, None]
+    cells = n_per_period if hp.x_independent() else n
+    xf = np.repeat(xs[:cells], levels.size)[:, None]
+    yf = np.repeat(ys[:cells], levels.size)[:, None]
+    uf = np.tile(levels, cells)[:, None]
 
-        def gfun(Q):
-            return hp.H.evaluate({"y": yf, "p": Q, "u": uf})
+    def gfun(Q):
+        return hp.H.evaluate({"x": xf, "y": yf, "p": Q, "u": uf})
 
-        vs, Lflat = conjugate_table(gfun, yu.size * levels.size, m, k,
-                                    hp.vmax, hp.pmax, warn_label="two-scale H")
-        L_small = Lflat.reshape(n_per_period, levels.size, vs.size)
-        reps = k_int
-        L_table = np.tile(L_small, (reps, 1, 1))
-    else:
-        xf = np.repeat(xs, levels.size)[:, None]
-        yf = np.repeat(ys, levels.size)[:, None]
-        uf = np.tile(levels, n)[:, None]
-
-        def gfun(Q):
-            return hp.H.evaluate({"x": xf, "y": yf, "p": Q, "u": uf})
-
-        vs, Lflat = conjugate_table(gfun, n * levels.size, m, k,
-                                    hp.vmax, hp.pmax, warn_label="two-scale H")
-        L_table = Lflat.reshape(n, levels.size, vs.size)
+    vs, Lflat = conjugate_table(gfun, cells * levels.size, STATIONARY_M, MULTISCALE_K,
+                                hp.vmax, hp.pmax, warn_label="two-scale H")
+    L_table = np.tile(Lflat.reshape(cells, levels.size, vs.size), (n // cells, 1, 1))
 
     start = u0.interp(xs) if u0 is not None else np.zeros(n)
-    return _level_table_fixed_point(g, vs, levels, L_table, dt, hp.Lambda2, start, tol,
-                                    T_max, f"multiscale solve at eps=1/{k_int}")
+    return _level_table_fixed_point(g, vs, levels, L_table, dt, hp.Lambda2, start,
+                                    MULTISCALE_TOL, f"multiscale solve at eps=1/{k_int}")
 
 
 @dataclass
@@ -313,11 +303,10 @@ class RateResult:
 
 
 def rate_experiment(hp: HomogProblem, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
-                    n_per_period: int = 32, dt: float | None = None,
-                    tol: float = 1e-5, table: EffectiveTable | None = None,
+                    n_per_period: int = 32, table: EffectiveTable | None = None,
                     x_count: int = 9, p_span: float = 2.0, p_count: int = 17,
                     c_count: int = 5, n_slow: int = 256,
-                    noise_floor: float = 1e-3, cell_opts: dict | None = None) -> RateResult:
+                    cell_opts: dict | None = None) -> RateResult:
     """Solve the eps ladder and fit the log-log error slope against sqrt(eps)."""
     eps_list = sorted(float(e) for e in eps_list)
     if table is None:
@@ -339,14 +328,13 @@ def rate_experiment(hp: HomogProblem, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
 
     errors = {}
     for eps in sorted(eps_list, reverse=True):
-        ue = solve_multiscale(hp, eps, n_per_period=n_per_period, dt=dt, tol=tol,
-                              u0=ubar)
+        ue = solve_multiscale(hp, eps, n_per_period=n_per_period, u0=ubar)
         ub_fine = ubar.interp(ue.grid.nodes)
         errors[eps] = float(np.max(np.abs(ue.values - ub_fine)))
 
     eps_arr = np.array(sorted(errors))
     err_arr = np.array([errors[e] for e in eps_arr])
-    if np.all(err_arr <= noise_floor):
+    if np.all(err_arr <= NOISE_FLOOR):
         slope = None
     else:
         slope = float(np.polyfit(np.log(eps_arr), np.log(np.maximum(err_arr, 1e-300)), 1)[0])

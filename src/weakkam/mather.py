@@ -56,6 +56,8 @@ __all__ = [
 L_CLIP = 1e6
 BIG = L_CLIP        # barrier value of an unreached (start, arrival) pair
 SAFETY = 4.0        # dt*vmax may span at most SAFETY cells in the barrier
+LP_TOL = 1e-9       # simplex pivot and optimality tolerance
+LP_MAX_ITER = 200_000   # simplex pivots per phase before LPError
 
 
 class LPError(RuntimeError):
@@ -100,31 +102,31 @@ def _pivot(tab: np.ndarray, row: int, col: int):
     tab[row] = piv
 
 
-def _simplex_phase(tab: np.ndarray, basis: np.ndarray, var_cols: np.ndarray,
-                   tol: float, max_iter: int, stall_limit: int = 50):
+def _simplex_phase(tab: np.ndarray, basis: np.ndarray, var_cols: np.ndarray):
     """Run pivots until the reduced costs over var_cols are nonnegative.
 
     tab carries the constraint rows, a trailing rhs column, and a final
     reduced-cost row whose rhs entry is minus the current objective.
+    Dantzig's rule gives way to Bland's after 50 pivots without improvement.
     """
     nrows = tab.shape[0] - 1
     bland = False
     stall = 0
     best_obj = math.inf
-    for _ in range(max_iter):
+    for _ in range(LP_MAX_ITER):
         red = tab[-1, var_cols]
         if bland:
-            neg = np.nonzero(red < -tol)[0]
+            neg = np.nonzero(red < -LP_TOL)[0]
             if neg.size == 0:
                 return
             col = int(var_cols[neg[0]])
         else:
             j = int(np.argmin(red))
-            if red[j] >= -tol:
+            if red[j] >= -LP_TOL:
                 return
             col = int(var_cols[j])
         ratios = tab[:nrows, col]
-        ok = ratios > tol
+        ok = ratios > LP_TOL
         if not np.any(ok):
             raise LPUnboundedError("objective unbounded below on the feasible set")
         cand = np.nonzero(ok)[0]
@@ -140,12 +142,12 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, var_cols: np.ndarray,
             stall = 0
         else:
             stall += 1
-            if stall >= stall_limit:
+            if stall >= 50:
                 bland = True
-    raise LPError(f"simplex exceeded {max_iter} pivots")
+    raise LPError(f"simplex exceeded {LP_MAX_ITER} pivots")
 
 
-def _solve_standard_form(lp: LinearProgram, tol: float, max_iter: int):
+def _solve_standard_form(lp: LinearProgram):
     """Two-phase simplex; returns (x, value, basis, kept_rows, duals)."""
     A = lp.A.copy()
     b = lp.b.copy()
@@ -164,7 +166,7 @@ def _solve_standard_form(lp: LinearProgram, tol: float, max_iter: int):
     tab[-1, ncols:ncols + nrows] = 0.0
     basis = np.arange(ncols, ncols + nrows)
     var_cols = np.arange(ncols)
-    _simplex_phase(tab, basis, var_cols, tol, max_iter)
+    _simplex_phase(tab, basis, var_cols)
     if -tab[-1, -1] > 1e-7 * max(1.0, float(np.abs(b).max())):
         raise LPInfeasibleError(f"phase-1 objective {-tab[-1, -1]:.3e} > 0")
 
@@ -174,7 +176,7 @@ def _solve_standard_form(lp: LinearProgram, tol: float, max_iter: int):
         if basis[row] >= ncols:
             entries = np.abs(tab[row, :ncols])
             j = int(np.argmax(entries))
-            if entries[j] > tol:
+            if entries[j] > LP_TOL:
                 _pivot(tab, row, j)
                 basis[row] = j
             else:
@@ -191,7 +193,7 @@ def _solve_standard_form(lp: LinearProgram, tol: float, max_iter: int):
         cb = c[basis[row]]
         if cb != 0.0:
             tab[-1] -= cb * tab[row]
-    _simplex_phase(tab, basis, var_cols, tol, max_iter)
+    _simplex_phase(tab, basis, var_cols)
 
     x = np.zeros(ncols)
     x[basis] = tab[:nrows_kept, -1]
@@ -212,13 +214,12 @@ def _solve_standard_form(lp: LinearProgram, tol: float, max_iter: int):
     return x, float(c @ x), basis, rows_idx, duals
 
 
-def lp_simplex(lp: LinearProgram, tol: float = 1e-9,
-               max_iter: int = 200_000) -> tuple[np.ndarray, float]:
+def lp_simplex(lp: LinearProgram) -> tuple[np.ndarray, float]:
     """Optimal basic feasible solution of a standard-form LP.
 
     Returns (x, value).  Raises LPInfeasibleError / LPUnboundedError.
     """
-    x, value, _, _, _ = _solve_standard_form(lp, tol, max_iter)
+    x, value, _, _, _ = _solve_standard_form(lp)
     return x, value
 
 
@@ -273,16 +274,17 @@ class _OccupationalColumns:
 
 
 def _column_generation(cols: _OccupationalColumns, init_i: np.ndarray,
-                       init_j: np.ndarray, with_slack: bool,
-                       price_tol: float = 1e-9, batch: int = 64,
-                       max_rounds: int = 500):
-    """Exact solve of the occupational LP through restricted masters."""
+                       init_j: np.ndarray, with_slack: bool):
+    """Exact solve of the occupational LP through restricted masters.
+
+    Each round adds up to 64 of the most negative reduced-cost columns.
+    """
     # deduplicate while keeping order
     keys = {}
     for i, j in zip(init_i.tolist(), init_j.tolist()):
         keys.setdefault((i, j), None)
     active = list(keys)
-    for _ in range(max_rounds):
+    for _ in range(500):
         ci = np.array([t[0] for t in active], dtype=int)
         cj = np.array([t[1] for t in active], dtype=int)
         A = cols.matrix(ci, cj, slack=with_slack)
@@ -290,22 +292,22 @@ def _column_generation(cols: _OccupationalColumns, init_i: np.ndarray,
         if with_slack:
             cost = np.concatenate([cost, [0.0]])
         lp = LinearProgram(cost, A, cols.rhs())
-        x, value, _, _, duals = _solve_standard_form(lp, 1e-9, 200_000)
+        x, value, _, _, duals = _solve_standard_form(lp)
         red = cols.reduced_costs(duals)
         red[ci, cj] = 0.0
         flat = np.argsort(red, axis=None)
         worst = red.flat[flat[0]]
         normal = cols.cost[cols.cost < L_CLIP / 2]
         scale = max(1.0, float(np.abs(normal).max()) if normal.size else 1.0)
-        if worst >= -price_tol * scale:
+        if worst >= -LP_TOL * scale:
             weights = np.zeros((cols.n, cols.m))
             weights[ci, cj] = x[:ci.size]
             return weights, value
-        take = flat[:batch]
+        take = flat[:64]
         new_i, new_j = np.unravel_index(take, red.shape)
         added = False
         for i, j in zip(new_i.tolist(), new_j.tolist()):
-            if red[i, j] < -price_tol * scale and (i, j) not in keys:
+            if red[i, j] < -LP_TOL * scale and (i, j) not in keys:
                 keys[(i, j)] = None
                 active.append((i, j))
                 added = True

@@ -206,14 +206,13 @@ class EvolveResult:
 
 
 def evolve(phi: Field, spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt: float,
-           mode: str = "explicit", direction: str = "backward",
-           snap_every: int = 0) -> EvolveResult:
+           direction: str = "backward", snap_every: int = 0) -> EvolveResult:
     """Repeated stepping from phi over steps = ceil(T/dt)."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be 'backward' or 'forward', got {direction!r}")
-    stepper = Stepper(spec, lt, dt, mode)
+    stepper = Stepper(spec, lt, dt)
     advance = stepper.backward_values if direction == "backward" else stepper.forward_values
     steps = math.ceil(T / dt - 1e-12)
     snapshots = []
@@ -239,7 +238,7 @@ class StationaryResult:
 
 
 def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,
-                     tol: float, T_max: float, mode: str = "explicit") -> StationaryResult:
+                     tol: float, T_max: float) -> StationaryResult:
     """Evolve backward until the per-unit-time residual drops below tol.
 
     Returns the last iterate either way; non-convergence within T_max is
@@ -248,7 +247,7 @@ def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    stepper = Stepper(spec, lt, dt, mode)
+    stepper = Stepper(spec, lt, dt)
     rec = iterate(stepper.backward_values, phi0.values, dt, math.ceil(T_max / dt), tol)
     return StationaryResult(Field(phi0.grid, rec.values), rec.residual, rec.converged,
                             rec.steps, rec.steps * dt)

@@ -26,7 +26,8 @@ import numpy as np
 from . import critical as crit
 from .errors import ConfigError
 from .grid import Field
-from .hamiltonian import HamiltonianSpec, LagrangianTable, conjugate_table
+from .expr import Expr
+from .hamiltonian import HamiltonianSpec, LagrangianTable, conjugate_table, frozen_values
 from .mather import extremal_integral, peierls_barrier, solve_occupational
 from .semigroup import Stepper, iterate
 
@@ -35,12 +36,15 @@ __all__ = [
     "check_condition",
     "check_corollary_a",
     "decay_exponent",
+    "DecayFit",
     "instability_probe",
     "ProbeResult",
     "basin_estimate",
 ]
 
 DEFAULT_ZETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+SAMPLE_EVERY = 10       # steps between the samples of a deviation series
+BASIN_ROUNDS = 6        # bisection rounds of basin_estimate
 
 
 @dataclass
@@ -69,15 +73,7 @@ class StabilityReport:
 
 def frozen_potential(spec: HamiltonianSpec, u_minus: Field) -> np.ndarray:
     """W(x, u_-(x)) sampled on the grid."""
-    xs = u_minus.grid.nodes
-    out = np.asarray(spec.W_at(xs, u_minus.values), dtype=float)
-    return np.broadcast_to(out, xs.shape)
-
-
-def frozen_dwu(spec: HamiltonianSpec, u_minus: Field) -> np.ndarray:
-    xs = u_minus.grid.nodes
-    out = np.asarray(spec.dWu_at(xs, u_minus.values), dtype=float)
-    return np.broadcast_to(out, xs.shape)
+    return frozen_values(spec.W, u_minus.grid.nodes, u_minus.values)
 
 
 def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
@@ -91,15 +87,15 @@ def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
     """
     if which not in ("A3", "A4"):
         raise ValueError("which must be 'A3' or 'A4'")
+    if any(zeta <= 0 for zeta in zeta_grid):
+        raise ValueError("zeta grid entries must be positive")
     sign = -1.0 if which == "A3" else +1.0
     base_pot = frozen_potential(spec, u_minus)
-    dwu = frozen_dwu(spec, u_minus)
+    dwu = frozen_values(spec.dWu, u_minus.grid.nodes, u_minus.values)
 
     c_values = {}
     zeta_found = None
     for zeta in zeta_grid:
-        if zeta <= 0:
-            raise ValueError("zeta grid entries must be positive")
         pot = base_pot + sign * zeta * dwu
         result = crit.critical_value(lt.with_potential(pot), dt=dt, tol=tol)
         c_values[float(zeta)] = result.c
@@ -122,29 +118,26 @@ def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
                            extra={"margin": margin})
 
 
-def check_corollary_a(G_part, a_field: Field, dt: float = crit.DEFAULT_DT,
+def check_corollary_a(G_part: Expr, a_field: Field, dt: float = crit.DEFAULT_DT,
                       tol: float = crit.DEFAULT_TOL, margin: float = 1e-2,
                       m: int = 65, k: int = 65, vmax: float = 4.0, pmax: float = 4.0,
-                      aubry_tol: float = 1e-2,
-                      barrier_t_list=(4.0, 8.0, 16.0)) -> StabilityReport:
+                      aubry_tol: float = 1e-2) -> StabilityReport:
     """Constructive global-stability check: a >= 0 and a > 0 on the Aubry set.
 
-    G_part is the u-independent Hamiltonian as an (x,p) expression or
-    callable; a_field is the coefficient of u.
+    G_part is the u-independent Hamiltonian as an expression in (x, p);
+    a_field is the coefficient of u.  The Aubry set comes from
+    peierls_barrier at its default horizons.
     """
     if np.any(a_field.values < 0):
         raise ConfigError("corollary check requires a(x) >= 0 everywhere")
     g = a_field.grid
     xs = g.nodes[:, None]
-    if callable(G_part) and not hasattr(G_part, "evaluate"):
-        gfun = lambda P: G_part(xs, P)
-    else:
-        gfun = lambda P: G_part.evaluate({"x": xs, "p": P})
-    vs, L = conjugate_table(gfun, g.n, m, k, vmax, pmax, warn_label="corollary G")
+    vs, L = conjugate_table(lambda P: G_part.evaluate({"x": xs, "p": P}), g.n, m, k,
+                            vmax, pmax, warn_label="corollary G")
     lt = LagrangianTable(g, vs, L, vmax, pmax)
 
     cres = crit.critical_value(lt, dt=dt, tol=tol)
-    bt = peierls_barrier(lt, cres.c, t_list=barrier_t_list, aubry_tol=aubry_tol)
+    bt = peierls_barrier(lt, cres.c, aubry_tol=aubry_tol)
     nodes = bt.aubry_indices
     a0 = float(a_field.values[nodes].min()) if nodes.size else 0.0
     verdict = "holds" if a0 > margin else "fails"
@@ -156,14 +149,15 @@ def check_corollary_a(G_part, a_field: Field, dt: float = crit.DEFAULT_DT,
 
 
 def deviation_series(spec: HamiltonianSpec, u_minus: Field, phi: Field, T: float,
-                     dt: float, *, lt: LagrangianTable, sample_every: int = 10):
-    """Times and sup-norm deviations from u_- along the evolution of phi."""
+                     dt: float, *, lt: LagrangianTable):
+    """Times and sup-norm deviations from u_- along the evolution of phi,
+    sampled every SAMPLE_EVERY steps and at the last step."""
     times = []
     devs = []
     steps = math.ceil(T / dt - 1e-12)
 
     def sample(kstep, u):
-        if kstep % sample_every == 0 or kstep == steps:
+        if kstep % SAMPLE_EVERY == 0 or kstep == steps:
             times.append(kstep * dt)
             devs.append(float(np.abs(u - u_minus.values).max()))
 
@@ -171,28 +165,34 @@ def deviation_series(spec: HamiltonianSpec, u_minus: Field, phi: Field, T: float
     return np.asarray(times), np.asarray(devs)
 
 
-def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float,
-                   dt: float, fit_window: tuple | None = None, *,
-                   lt: LagrangianTable, sample_every: int = 10) -> float:
-    """Fitted slope of ln ||u(t) - u_-|| on the late window, worse of +/-delta.
+@dataclass
+class DecayFit:
+    slope: float           # worse (larger) fitted slope of the +delta and -delta series
+    times: np.ndarray      # sample times of the +delta series
+    devs: np.ndarray       # sup-norm deviations of the +delta series
 
-    A positive return value reports non-decay; it is not an error.
+
+def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float,
+                   dt: float, *, lt: LagrangianTable) -> DecayFit:
+    """Fitted slope of ln ||u(t) - u_-|| on the window [T/2, T], worse of +/-delta.
+
+    Evolves u_- + delta and u_- - delta once each through deviation_series
+    and returns the slope with the +delta series it was fitted from.  A
+    positive slope reports non-decay; it is not an error.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    t_lo, t_hi = fit_window if fit_window is not None else (T / 2, T)
-    if t_hi > T + 1e-12:
-        raise ValueError("fit window must end by the horizon T")
     noise_floor = 100 * np.finfo(float).eps * max(1.0, float(np.abs(u_minus.values).max()))
 
+    series = []
     slopes = []
     for sgn in (+1.0, -1.0):
         phi = Field(u_minus.grid, u_minus.values + sgn * delta)
-        times, devs = deviation_series(spec, u_minus, phi, T, dt, lt=lt,
-                                       sample_every=sample_every)
-        ok = (times >= t_lo - 1e-12) & (times <= t_hi + 1e-12) & (devs > noise_floor)
+        times, devs = deviation_series(spec, u_minus, phi, T, dt, lt=lt)
+        series.append((times, devs))
+        ok = (times >= T / 2 - 1e-12) & (times <= T + 1e-12) & (devs > noise_floor)
         if np.count_nonzero(ok) < 2:
-            # deviation underflowed on the requested window; shrink it
+            # deviation underflowed on [T/2, T]; shrink the window
             ok = devs > noise_floor
             warnings.warn("decay fit window shrunk: deviation at the noise floor",
                           stacklevel=2)
@@ -202,7 +202,7 @@ def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float
             ok &= times <= times[ok][-1]
         fit = np.polyfit(times[ok], np.log(devs[ok]), 1)
         slopes.append(float(fit[0]))
-    return max(slopes)
+    return DecayFit(max(slopes), *series[0])
 
 
 @dataclass
@@ -239,7 +239,7 @@ def instability_probe(spec: HamiltonianSpec, u_minus: Field, eps: float,
 
 
 def basin_estimate(spec: HamiltonianSpec, u_minus: Field, T: float, dt: float,
-                   delta_hi: float, *, lt: LagrangianTable, rounds: int = 6) -> float:
+                   delta_hi: float, *, lt: LagrangianTable) -> float:
     """Bisection for the largest tested delta whose +/- perturbations re-enter
     a delta/2 neighborhood of u_- by time T.  Returns 0 if every probe fails."""
     if delta_hi <= 0:
@@ -257,7 +257,7 @@ def basin_estimate(spec: HamiltonianSpec, u_minus: Field, T: float, dt: float,
         return delta_hi
     best = 0.0
     lo, hi = 0.0, delta_hi
-    for _ in range(rounds):
+    for _ in range(BASIN_ROUNDS):
         mid = (lo + hi) / 2
         if mid <= 0:
             break

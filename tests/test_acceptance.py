@@ -121,7 +121,7 @@ def test_criterion_05_decay_rate_example():
         rep = st.check_condition(spec, um, "A3", lt=lt)
         assert rep.verdict == "holds"
         assert rep.A_estimate == pytest.approx(0.5, abs=1e-2)
-        slope = st.decay_exponent(spec, um, delta=0.05, T=8.0, dt=1e-3, lt=lt)
+        slope = st.decay_exponent(spec, um, delta=0.05, T=8.0, dt=1e-3, lt=lt).slope
         assert slope <= -rep.A_estimate / 2
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from weakkam import cli
+from weakkam import cli, stability
 from weakkam.errors import ConfigError
 
 
@@ -275,6 +275,29 @@ def test_example_command_runs_stability_pipeline(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["report"]["verdict"] == "holds"
     assert (tmp_path / "out" / "decay.csv").exists()
+
+
+def test_example_command_evolves_each_perturbation_once(tmp_path, monkeypatch):
+    # decay_exponent evolves u_- + delta and u_- - delta; decay.csv reuses the first
+    calls = []
+    series = stability.deviation_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "deviation_series", counted)
+    path = write_config(tmp_path / "c.json", {
+        "command": "example-ex",
+        "numerics": dict(FAST_NUMERICS, T_max=30.0, zeta_grid=[0.5]),
+        "decay_T": 1.0,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["example-ex", "--config", path, "--quiet"]) == 0
+    assert len(calls) == 2
+    rows = [line for line in (tmp_path / "out" / "decay.csv").read_text().splitlines()
+            if line and not line.startswith(("#", "t,"))]
+    assert len(rows) == 100           # 1000 steps, one row every 10
 
 
 def test_homogenize_command(tmp_path, capsys):

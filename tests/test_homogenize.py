@@ -128,7 +128,7 @@ def test_solve_effective_potential_bracket():
     et = _synthetic_table(lambda x, p, c: c + p * p + 0.3 * np.cos(2 * np.pi * x),
                           np.linspace(-2, 2, 17), np.linspace(-1, 1, 5),
                           x_nodes=np.linspace(0, 1, 16, endpoint=False))
-    ubar = hz.solve_effective(et, n_slow=64, tol=1e-6)
+    ubar = hz.solve_effective(et, n_slow=64)
     # comparison with constant sub/supersolutions: |ubar| <= max|V|/Lambda1
     assert np.all(np.abs(ubar.values) <= 0.3 + 5e-2)
 

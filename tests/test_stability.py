@@ -6,6 +6,7 @@ from weakkam import TorusGrid, builtin, legendre
 from weakkam.errors import ConfigError
 from weakkam.expr import parse
 from weakkam.grid import constant_field, field_from_expr
+from weakkam import critical as crit
 from weakkam import stability as st
 
 
@@ -51,6 +52,17 @@ def test_stability_and_instability_never_both_hold(contact_pos, contact_neg):
         assert not (r3.verdict == "holds" and r4.verdict == "holds")
 
 
+def test_check_condition_rejects_negative_zeta_before_solving(contact_pos, monkeypatch):
+    g, spec, lt = contact_pos
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("critical_value ran before the zeta grid was checked")
+
+    monkeypatch.setattr(crit, "critical_value", no_solve)
+    with pytest.raises(ValueError, match="positive"):
+        st.check_condition(spec, constant_field(g, 0.0), "A3", zeta_grid=(0.25, -1.0), lt=lt)
+
+
 def test_example_instance_condition_value(example_setup):
     # the worked computation gives the shifted critical value -zeta*theta
     rep = st.check_condition(example_setup["spec"], example_setup["u_minus"],
@@ -64,7 +76,7 @@ def test_example_instance_condition_value(example_setup):
 def test_decay_exponent_closed_form(contact_pos):
     g, spec, lt = contact_pos
     um = constant_field(g, 0.0)
-    slope = st.decay_exponent(spec, um, delta=0.1, T=6.0, dt=1e-3, lt=lt)
+    slope = st.decay_exponent(spec, um, delta=0.1, T=6.0, dt=1e-3, lt=lt).slope
     assert slope == pytest.approx(-1.0, abs=5e-2)
 
 
@@ -72,7 +84,7 @@ def test_decay_window_shrinks_at_noise_floor(contact_pos):
     g, spec, lt = contact_pos
     um = constant_field(g, 0.0)
     with pytest.warns(UserWarning, match="noise floor"):
-        slope = st.decay_exponent(spec, um, delta=1e-13, T=16.0, dt=2e-3, lt=lt)
+        slope = st.decay_exponent(spec, um, delta=1e-13, T=16.0, dt=2e-3, lt=lt).slope
     assert slope <= 0.0
 
 
@@ -81,7 +93,7 @@ def test_decay_exponent_neutral_for_u_independent():
     spec = builtin("eikonal", {"V": 0})
     lt = legendre(spec, g, 33, 33)
     um = constant_field(g, 0.0)
-    slope = st.decay_exponent(spec, um, delta=0.1, T=4.0, dt=1e-3, lt=lt)
+    slope = st.decay_exponent(spec, um, delta=0.1, T=4.0, dt=1e-3, lt=lt).slope
     assert slope == pytest.approx(0.0, abs=5e-2)
 
 
@@ -144,7 +156,7 @@ def test_a3_implies_half_rate_decay(contact_pos):
     rep = st.check_condition(spec, um, "A3", lt=lt)
     assert rep.verdict == "holds"
     basin = st.basin_estimate(spec, um, T=12.0, dt=2e-3, delta_hi=1.0, lt=lt)
-    slope = st.decay_exponent(spec, um, delta=basin / 2, T=6.0, dt=1e-3, lt=lt)
+    slope = st.decay_exponent(spec, um, delta=basin / 2, T=6.0, dt=1e-3, lt=lt).slope
     assert slope <= -rep.A_estimate / 2 + 5e-2
 
 
