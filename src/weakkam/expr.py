@@ -5,43 +5,48 @@ strings.  The language is deliberately tiny: IEEE doubles, the variables
 x, y, p, u, v, eps, the constant pi, operators + - * / ^ with the usual
 precedence (^ binds tighter than unary minus, which binds tighter than
 * /, which binds tighter than + -), and a fixed whitelist of functions:
-sin, cos, exp, log, abs, sqrt and the two-argument min, max.
+sin, cos, exp, log, abs, sqrt and the two-argument min, max.  Whitespace
+is insignificant.
 
-Expression trees are immutable and evaluation is pure, so expressions are
-safe to evaluate concurrently.  Bindings may be floats or numpy arrays;
-array bindings broadcast elementwise.  Domain violations (log of a
-nonpositive number, division by zero, nonfinite intermediates) raise
-EvalError instead of silently producing NaN.
+The standard library's `ast` parser reads the text, with ^ as Python's **;
+a whitelist of node kinds then admits exactly the grammar above, and
+anything else is a ParseError at the offending character.  The text is
+never executed: evaluation walks the checked tree with numpy operations.
+
+Expressions are immutable and compare by value, and evaluation is pure,
+so expressions are safe to evaluate concurrently.  Bindings may be floats
+or numpy arrays; array bindings broadcast elementwise.  Domain violations
+(log of a nonpositive number, division by zero, nonfinite intermediates)
+raise EvalError instead of silently producing NaN.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
 
-__all__ = [
-    "Expr",
-    "parse",
-    "ExprError",
-    "ParseError",
-    "EvalError",
-    "ALLOWED_VARIABLES",
-]
+__all__ = ["Expr", "parse", "ExprError", "ParseError", "EvalError", "ALLOWED_VARIABLES"]
 
 ALLOWED_VARIABLES = ("x", "y", "p", "u", "v", "eps")
 
 _ARITY = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "abs": 1, "sqrt": 1,
           "min": 2, "max": 2}
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "abs": np.abs,
+          "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum}
+_OPS = {ast.Add: ("+", operator.add), ast.Sub: ("-", operator.sub),
+        ast.Mult: ("*", operator.mul), ast.Div: ("/", operator.truediv),
+        ast.Pow: ("^", np.power)}
 
-_PREC_ADD = 10
-_PREC_MUL = 20
-_PREC_NEG = 30
-_PREC_POW = 40
-_PREC_ATOM = 100
+_BAD_CHAR = r"[^A-Za-z0-9_.+\-*/^(),\s]"
+_LITERAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# Python refuses leading zeros on integer literals ("007"); the grammar allows them
+_LEADING_ZEROS = r"(?<![\w.])(?<![eE][+-])0+(?=\d)"
 
 Value = Union[float, np.ndarray]
 
@@ -66,277 +71,139 @@ def _finite_or_raise(val, what: str):
     return val
 
 
+@dataclass(frozen=True)
 class Expr:
-    """Immutable expression tree node."""
+    """A parsed formula: its text, its checked `ast` tree and the variables it reads."""
+
+    _source: str = field(compare=False)
+    _tree: ast.expr = field(compare=False, repr=False)
+    _names: frozenset = field(compare=False, repr=False)
+    _dump: str = field(repr=False)  # ast.dump of the tree: == and hash are by value
 
     def variables(self) -> frozenset:
-        raise NotImplementedError
-
-    def _eval(self, env):
-        raise NotImplementedError
-
-    def _source(self, parent_prec: int) -> str:
-        raise NotImplementedError
+        return self._names
 
     def evaluate(self, bindings: Mapping[str, Value] | None = None) -> Value:
         """Evaluate with the given variable bindings (floats or arrays)."""
         bindings = bindings or {}
-        missing = self.variables() - set(bindings)
+        missing = self._names.difference(bindings)
         if missing:
             raise EvalError(f"missing binding for {sorted(missing)}")
         env = {}
         for name, val in bindings.items():
             env[name] = np.asarray(val, dtype=float) if isinstance(val, np.ndarray) else float(val)
-        with np.errstate(all="ignore"):
-            out = self._eval(env)
+        env["pi"] = math.pi
+        try:
+            with np.errstate(all="ignore"):
+                out = _value(self._tree, env)
+        except RecursionError:
+            raise EvalError("formula nested too deeply to evaluate") from None
         arr = np.asarray(out)
         if arr.ndim == 0:
             return float(arr)
         return arr
 
     def __str__(self) -> str:
-        return self._source(0)
+        # the text itself: ast.unparse needs several frames per level and
+        # fails on a 400-term sum that parses and evaluates
+        return self._source
 
 
-@dataclass(frozen=True)
-class Num(Expr):
-    value: float
+def _value(node, env):
+    """Value of a checked tree; one frame per level, left operand first."""
+    kind = type(node)
+    if kind is ast.BinOp:
+        a = _value(node.left, env)
+        b = _value(node.right, env)
+        symbol, fn = _OPS[type(node.op)]
+        if symbol == "/" and np.any(b == 0):
+            raise EvalError("division by zero")
+        return _finite_or_raise(fn(a, b), symbol)
+    if kind is ast.Name:
+        return env[node.id]
+    if kind is ast.Constant:
+        return node.value
+    if kind is ast.UnaryOp:
+        return -_value(node.operand, env)
+    name = node.func.id
+    a = _value(node.args[0], env)
+    if name == "log" and np.any(a <= 0):
+        raise EvalError("log of a nonpositive number")
+    if name == "sqrt" and np.any(a < 0):
+        raise EvalError("sqrt of a negative number")
+    if name == "exp":
+        return _finite_or_raise(np.exp(a), "exp")
+    if _ARITY[name] == 2:
+        return _FUNCS[name](a, _value(node.args[1], env))
+    return _FUNCS[name](a)
 
-    def variables(self):
+
+def _check(node, text: str, back: list) -> frozenset:
+    """Raise ParseError unless `node` is in the grammar; return its variables.
+
+    Recursive, one frame per level, so a tree too deep to evaluate is
+    refused here.  Literals are replaced by the float of their own text.
+    """
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _OPS:
+        return _check(node.left, text, back) | _check(node.right, text, back)
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        return _check(node.operand, text, back)
+    at = node.col_offset
+    if kind is ast.Call and type(node.func) is ast.Name and node.func.id in _ARITY:
+        name, args = node.func.id, node.args
+        if node.keywords:
+            raise ParseError("unexpected keyword argument", back[node.keywords[0].col_offset])
+        if args and "," in text[args[-1].end_col_offset:node.end_col_offset]:
+            raise ParseError("unexpected ')' after ','", back[node.end_col_offset - 1])
+        if len(args) != _ARITY[name]:
+            raise ParseError(f"{name} expects {_ARITY[name]} argument(s), got {len(args)}",
+                             back[at])
+        return frozenset().union(*(_check(arg, text, back) for arg in args))
+    if kind is ast.Call:
+        _check(node.func, text, back)  # an unknown callee is reported as such
+    if kind is ast.Name:
+        if node.id in ALLOWED_VARIABLES:
+            return frozenset((node.id,))
+        if node.id == "pi":
+            return frozenset()
+        raise ParseError(f"function {node.id!r} needs arguments" if node.id in _ARITY
+                         else f"unknown identifier {node.id!r}", back[at])
+    if kind is ast.Constant and re.fullmatch(_LITERAL, text[at:node.end_col_offset]):
+        node.value = float(text[at:node.end_col_offset])
         return frozenset()
-
-    def _eval(self, env):
-        return self.value
-
-    def _source(self, parent_prec):
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    name: str
-    value: float
-
-    def variables(self):
-        return frozenset()
-
-    def _eval(self, env):
-        return self.value
-
-    def _source(self, parent_prec):
-        return self.name
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-
-    def variables(self):
-        return frozenset((self.name,))
-
-    def _eval(self, env):
-        return env[self.name]
-
-    def _source(self, parent_prec):
-        return self.name
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-    def variables(self):
-        return self.arg.variables()
-
-    def _eval(self, env):
-        return -self.arg._eval(env)
-
-    def _source(self, parent_prec):
-        inner = self.arg._source(_PREC_NEG)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _PREC_NEG else text
-
-
-@dataclass(frozen=True)
-class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-    def _eval(self, env):
-        a = self.left._eval(env)
-        b = self.right._eval(env)
-        op = self.op
-        if op == "+":
-            return _finite_or_raise(a + b, "+")
-        if op == "-":
-            return _finite_or_raise(a - b, "-")
-        if op == "*":
-            return _finite_or_raise(a * b, "*")
-        if op == "/":
-            if np.any(b == 0):
-                raise EvalError("division by zero")
-            return _finite_or_raise(a / b, "/")
-        if op == "^":
-            return _finite_or_raise(np.power(a, b), "^")
-        raise AssertionError(op)
-
-    def _source(self, parent_prec):
-        prec = _PREC_ADD if self.op in "+-" else (_PREC_MUL if self.op in "*/" else _PREC_POW)
-        if self.op == "^":
-            # right associative
-            lhs = self.left._source(prec + 1)
-            rhs = self.right._source(prec)
-        else:
-            lhs = self.left._source(prec)
-            rhs = self.right._source(prec + 1)
-        text = f"{lhs}{self.op}{rhs}"
-        return f"({text})" if parent_prec > prec else text
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    name: str
-    args: tuple
-
-    def variables(self):
-        out = frozenset()
-        for a in self.args:
-            out |= a.variables()
-        return out
-
-    def _eval(self, env):
-        vals = [a._eval(env) for a in self.args]
-        name = self.name
-        if name == "log":
-            if np.any(vals[0] <= 0):
-                raise EvalError("log of a nonpositive number")
-            return np.log(vals[0])
-        if name == "sqrt":
-            if np.any(vals[0] < 0):
-                raise EvalError("sqrt of a negative number")
-            return np.sqrt(vals[0])
-        if name == "sin":
-            return np.sin(vals[0])
-        if name == "cos":
-            return np.cos(vals[0])
-        if name == "exp":
-            return _finite_or_raise(np.exp(vals[0]), "exp")
-        if name == "abs":
-            return np.abs(vals[0])
-        if name == "min":
-            return np.minimum(vals[0], vals[1])
-        if name == "max":
-            return np.maximum(vals[0], vals[1])
-        raise AssertionError(name)
-
-    def _source(self, parent_prec):
-        inner = ",".join(a._source(0) for a in self.args)
-        return f"{self.name}({inner})"
-
-
-_TOKEN = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),])"
-)
-
-
-def _tokenize(source: str):
-    tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        if source[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group(), pos))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group(), pos))
-        else:
-            tokens.append((m.group(), m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
-    return tokens
-
-
-_LBP = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def expression(self, rbp: int) -> Expr:
-        left = self.nud(self.advance())
-        while rbp < _LBP.get(self.peek()[0], 0):
-            left = self.led(self.advance(), left)
-        return left
-
-    def nud(self, tok) -> Expr:
-        kind, text, off = tok
-        if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            if text == "pi":
-                return Const("pi", math.pi)
-            if text in _ARITY:
-                self.expect("(")
-                args = [self.expression(0)]
-                while self.peek()[0] == ",":
-                    self.advance()
-                    args.append(self.expression(0))
-                self.expect(")")
-                if len(args) != _ARITY[text]:
-                    raise ParseError(
-                        f"{text} expects {_ARITY[text]} argument(s), got {len(args)}", off)
-                return Call(text, tuple(args))
-            if text in ALLOWED_VARIABLES:
-                return Var(text)
-            raise ParseError(f"unknown identifier {text!r}", off)
-        if kind == "(":
-            inner = self.expression(0)
-            self.expect(")")
-            return inner
-        if kind == "-":
-            return Neg(self.expression(_PREC_NEG))
-        raise ParseError(f"unexpected token {text!r}", off)
-
-    def led(self, tok, left: Expr) -> Expr:
-        kind, _, _ = tok
-        if kind == "^":
-            return BinOp("^", left, self.expression(_PREC_POW - 1))
-        return BinOp(kind, left, self.expression(_LBP[kind]))
+    # a node that opens with an operand (x.y, x // y, x(y), x, y) is blamed on what follows it
+    first = next((c for c in ast.iter_child_nodes(node) if getattr(c, "col_offset", -1) == at),
+                 None)
+    if first is not None:
+        rest = text[first.end_col_offset:node.end_col_offset]
+        at = node.end_col_offset - len(rest.lstrip(" )"))
+    raise ParseError(f"unexpected {text[at:node.end_col_offset]!r}", back[at])
 
 
 def parse(source: str) -> Expr:
-    """Parse a formula string into an immutable expression tree."""
-    parser = _Parser(source)
-    tree = parser.expression(0)
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-    return tree
+    """Parse a formula string into an immutable expression.
+
+    Any text outside the grammar, however deeply nested, raises ParseError
+    with the character offset into `source`.
+    """
+    bad = re.search(_BAD_CHAR, source)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    if "**" in source:
+        raise ParseError("unexpected '**' (the power operator is ^)", source.index("**"))
+    # each whitespace character becomes one space and leading ones are dropped;
+    # ^ becomes **, and back[i] is the offset in `source` of text[i]
+    spaced = re.sub(_LEADING_ZEROS, lambda m: " " * len(m.group()), re.sub(r"\s", " ", source))
+    lead = len(spaced) - len(spaced.lstrip())
+    text = spaced[lead:].replace("^", "**")
+    back = [i for i, ch in enumerate(spaced) if i >= lead for _ in range(1 + (ch == "^"))]
+    back.append(len(source))
+    try:
+        tree = ast.parse(text, mode="eval").body
+        names = _check(tree, text, back)
+        return Expr(source, tree, names, ast.dump(tree))
+    except SyntaxError as exc:
+        raise ParseError(exc.msg, back[min(max((exc.offset or 1) - 1, 0), len(text))]) from None
+    except (RecursionError, MemoryError):
+        raise ParseError("formula nested too deeply", 0) from None

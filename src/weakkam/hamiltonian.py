@@ -104,13 +104,13 @@ def _midpoint_convexity_gap(fn, rng, pmax: float) -> float:
     return float(np.max(mid - avg))
 
 
-def validate_spec(spec: HamiltonianSpec, seed: int = 0):
+def validate_spec(spec: HamiltonianSpec):
     """Load-time sanity checks: the derivative bound and sampled convexity of G."""
     bound = _sampled_max_abs(spec.dWu)
     if bound > spec.lambda_bound + 1e-9:
         raise ConfigError(
             f"|dWu| reaches {bound:.6g} on the test lattice, exceeding Lambda={spec.lambda_bound:.6g}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     xs = rng.uniform(0.0, 1.0, SAMPLES)
     worst = _midpoint_convexity_gap(lambda p: spec.G_at(xs, p), rng, spec.pmax)
     if worst > 1e-9:
@@ -241,14 +241,14 @@ def conjugate_table(gfun, nnodes: int, m: int, k: int, vmax: float, pmax: float,
     vs = np.linspace(-vmax, vmax, m)
     ps = np.linspace(-pmax, pmax, k)
 
-    def geval(P):
+    def g_of(P):
         out = np.asarray(gfun(P), dtype=float)
         return np.broadcast_to(out, P.shape)
 
     best = np.full((nnodes, m), -np.inf)
     bidx = np.zeros((nnodes, m), dtype=np.int32)
     for idx, pval in enumerate(ps):
-        g = geval(np.full((nnodes, 1), pval))
+        g = g_of(np.full((nnodes, 1), pval))
         if not np.all(np.isfinite(g)):
             raise ValueError(f"nonfinite {warn_label} values at p={pval}")
         score = pval * vs[None, :] - g
@@ -269,13 +269,13 @@ def conjugate_table(gfun, nnodes: int, m: int, k: int, vmax: float, pmax: float,
     for _ in range(REFINE):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        f1 = m1 * V - geval(m1)
-        f2 = m2 * V - geval(m2)
+        f1 = m1 * V - g_of(m1)
+        f2 = m2 * V - g_of(m2)
         left = f1 >= f2
         hi = np.where(left, m2, hi)
         lo = np.where(left, lo, m1)
     pm = (lo + hi) / 2
-    table = np.maximum(best, pm * V - geval(pm))
+    table = np.maximum(best, pm * V - g_of(pm))
     return vs, table
 
 

@@ -87,6 +87,8 @@ def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
     """
     if which not in ("A3", "A4"):
         raise ValueError("which must be 'A3' or 'A4'")
+    if len(zeta_grid) == 0:
+        raise ValueError("zeta grid is empty")
     if any(zeta <= 0 for zeta in zeta_grid):
         raise ValueError("zeta grid entries must be positive")
     sign = -1.0 if which == "A3" else +1.0

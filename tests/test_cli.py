@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from weakkam import cli, stability
+from weakkam import cli, hamiltonian, stability
 from weakkam.errors import ConfigError
 
 
@@ -298,6 +298,30 @@ def test_example_command_evolves_each_perturbation_once(tmp_path, monkeypatch):
     rows = [line for line in (tmp_path / "out" / "decay.csv").read_text().splitlines()
             if line and not line.startswith(("#", "t,"))]
     assert len(rows) == 100           # 1000 steps, one row every 10
+
+
+def test_load_config_validates_the_hamiltonian_once(tmp_path, monkeypatch):
+    calls = []
+    validate = hamiltonian.validate_spec
+
+    def counted(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    monkeypatch.setattr(hamiltonian, "validate_spec", counted)
+    path = write_config(tmp_path / "c.json", {"command": "example-ex", "seed": 7})
+    cli.load_config(path)
+    assert len(calls) == 1
+
+
+def test_deeply_nested_formula_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", {
+        "command": "critical",
+        "hamiltonian": {"G": "p^2", "W": "-" * 3000 + "u", "dWu": "-1", "Lambda": 1.0},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["critical", "--config", path, "--quiet"]) == 2
+    assert "hamiltonian formula error" in capsys.readouterr().err
 
 
 def test_homogenize_command(tmp_path, capsys):

@@ -63,6 +63,18 @@ def test_check_condition_rejects_negative_zeta_before_solving(contact_pos, monke
         st.check_condition(spec, constant_field(g, 0.0), "A3", zeta_grid=(0.25, -1.0), lt=lt)
 
 
+def test_check_condition_rejects_empty_zeta_grid_before_solving(contact_pos, monkeypatch):
+    # all() over no critical values would read as verdict "fails"
+    g, spec, lt = contact_pos
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("critical_value ran on an empty zeta grid")
+
+    monkeypatch.setattr(crit, "critical_value", no_solve)
+    with pytest.raises(ValueError, match="empty"):
+        st.check_condition(spec, constant_field(g, 0.0), "A3", zeta_grid=(), lt=lt)
+
+
 def test_example_instance_condition_value(example_setup):
     # the worked computation gives the shifted critical value -zeta*theta
     rep = st.check_condition(example_setup["spec"], example_setup["u_minus"],
