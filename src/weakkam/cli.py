@@ -4,9 +4,10 @@ Invocation:  weakkam <command> --config <path> [--out <dir>] [--quiet]
 
 Commands: evolve, stationary, critical, ceps, mather, barrier, stability,
 instability, corollary, homogenize, example-ex.  Configs are JSON; numeric
-defaults are filled at load time and every artifact file begins with
-comment lines recording the fully resolved configuration, so reruns with
-the same config and seed reproduce byte-identical outputs.
+defaults are filled at load time, an unknown numerics key is a
+configuration error, and every artifact file begins with comment lines
+recording the fully resolved configuration, so reruns with the same
+config and seed reproduce byte-identical outputs.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error,
 3 property-check failure (the math disagreed, e.g. the discount and
@@ -41,15 +42,10 @@ NUMERIC_DEFAULTS = {
     "m": 64,
     "dt": 1e-3,
     "tol": 1e-6,
-    "vmax": 4.0,
-    "pmax": 4.0,
     "T": 10.0,
     "T_max": 40.0,
     "snap_every": 0,
     "dt_critical": crit.DEFAULT_DT,
-    "tol_critical": crit.DEFAULT_TOL,
-    "lambda_schedule": list(crit.DEFAULT_SCHEDULE),
-    "T_long": crit.DEFAULT_T_LONG,
     "cross_tol": crit.DEFAULT_CROSS_TOL,
     "zeta_grid": list(stability.DEFAULT_ZETA_GRID),
     "margin": 1e-2,
@@ -62,9 +58,14 @@ NUMERIC_DEFAULTS = {
     "aubry_tol": 1e-2,
 }
 
-_POSITIVE_KEYS = ("n", "m", "dt", "tol", "vmax", "pmax", "T", "T_max",
-                  "dt_critical", "tol_critical", "T_long", "cross_tol",
+# optional keys with no default: effective-table grids and cell-problem options
+TABLE_KEYS = ("x_count", "p_count", "c_count", "p_span")
+CELL_KEYS = ("cell_n_fast", "cell_m", "cell_k", "cell_dt")
+
+_POSITIVE_KEYS = ("n", "m", "dt", "tol", "T", "T_max", "dt_critical", "cross_tol",
                   "margin", "delta", "eps", "Delta", "n_per_period", "aubry_tol")
+# top-level keys that change a command's outputs, recorded in every header
+_HEADER_KEYS = ("phi0", "which", "a", "decay_T", "basin_delta_hi", "direction")
 
 
 @dataclass
@@ -83,7 +84,7 @@ class ExperimentConfig:
             head["hamiltonian"] = json.dumps(self.raw["hamiltonian"], sort_keys=True)
         if "homog" in self.raw:
             head["homog"] = json.dumps(self.raw["homog"], sort_keys=True)
-        for key in ("phi0", "which", "a"):
+        for key in _HEADER_KEYS:
             if key in self.raw:
                 head[key] = self.raw[key]
         return head
@@ -109,6 +110,9 @@ def load_config(path: str) -> ExperimentConfig:
     user_num = raw.get("numerics", {})
     if not isinstance(user_num, dict):
         raise ConfigError("config key 'numerics' must be an object")
+    unknown = sorted(set(user_num) - set(NUMERIC_DEFAULTS) - set(TABLE_KEYS + CELL_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown numerics keys: {', '.join(unknown)}")
     numerics.update(user_num)
     for key in _POSITIVE_KEYS:
         if key in numerics and not (isinstance(numerics[key], (int, float))
@@ -148,14 +152,14 @@ def load_config(path: str) -> ExperimentConfig:
                 f"dt*Lambda exceeds 1/2 (dt={numerics['dt']}, Lambda={spec.lambda_bound})")
         if numerics["dt"] * spec.vmax > 0.5:
             raise ConfigError(
-                f"dt*vmax exceeds period/2 (dt={numerics['dt']}, vmax={spec.vmax})")
+                f"dt*vmax exceeds 1/2 (dt={numerics['dt']}, vmax={spec.vmax})")
     output_dir = raw.get("output_dir", "weakkam-out")
     return ExperimentConfig(command, numerics, output_dir, seed, spec, dict(raw))
 
 
 def _grid_lt(config: ExperimentConfig):
     num = config.numerics
-    g = TorusGrid(num["n"], 1.0)
+    g = TorusGrid(num["n"])
     lt = legendre(config.spec, g, num["m"], num["m"])
     return g, lt
 
@@ -176,19 +180,15 @@ def _u_minus(config: ExperimentConfig, g, lt):
 
 
 def _critical_of_frozen(config: ExperimentConfig, g, lt):
-    """Critical value of G + W(., u_-); for u-independent W no freeze is needed."""
+    """Critical value of G + W(., u_-) and the table with W(., u_-) folded in;
+    for u-independent W no stationary solve is needed."""
     num = config.numerics
     if "u" in config.spec.W.variables():
         um = _u_minus(config, g, lt).field
-        pot = stability.frozen_potential(config.spec, um)
     else:
-        um = None
-        pot = stability.frozen_potential(config.spec, Field(g, np.zeros(g.n)))
-    ltp = lt.with_potential(pot)
-    result = crit.critical_value(
-        ltp, schedule=num["lambda_schedule"], dt=num["dt_critical"],
-        tol=num["tol_critical"], T_long=num["T_long"], cross_tol=num["cross_tol"])
-    return result, um, ltp, pot
+        um = Field(g, np.zeros(g.n))
+    ltp = lt.with_potential(stability.frozen_potential(config.spec, um))
+    return crit.critical_value(ltp, dt=num["dt_critical"], cross_tol=num["cross_tol"]), ltp
 
 
 def run_evolve(config, out):
@@ -216,7 +216,7 @@ def run_stationary(config, out):
 
 
 def run_critical(config, out):
-    result, _, _, _ = _critical_of_frozen(config, *_grid_lt(config))
+    result, _ = _critical_of_frozen(config, *_grid_lt(config))
     diag = result.diagnostics
     rows = list(zip(diag["lambda"], [-v for v in diag["minus_mean_lambda_u"]]))
     write_csv(os.path.join(out, "discount.csv"), config.header(),
@@ -230,10 +230,8 @@ def run_ceps(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
     um = _u_minus(config, g, lt).field
-    curve = crit.c_eps_curve(
-        config.spec, um, num["eps_list"], dt=num["dt_critical"],
-        tol=num["tol_critical"], lt=lt, schedule=num["lambda_schedule"],
-        T_long=num["T_long"], cross_tol=num["cross_tol"])
+    curve = crit.c_eps_curve(config.spec, um, num["eps_list"], dt=num["dt_critical"],
+                             lt=lt, cross_tol=num["cross_tol"])
     write_csv(os.path.join(out, "ceps.csv"), config.header(), "eps,c",
               list(zip(map(float, curve.eps_samples), map(float, curve.c_values))))
     slack = curve.lipschitz_slack(config.spec.lambda_bound)
@@ -244,8 +242,8 @@ def run_ceps(config, out):
 def run_mather(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
-    result, um, ltp, pot = _critical_of_frozen(config, g, lt)
-    measure = mather.solve_occupational(lt, potential=pot)
+    result, ltp = _critical_of_frozen(config, g, lt)
+    measure = mather.solve_occupational(ltp)
     rows = [(float(g.nodes[i]), float(measure.vgrid[j]), float(measure.weights[i, j]))
             for i in range(g.n) for j in range(measure.vgrid.size)
             if measure.weights[i, j] >= 1e-12]
@@ -258,7 +256,7 @@ def run_mather(config, out):
 def run_barrier(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
-    result, um, ltp, pot = _critical_of_frozen(config, g, lt)
+    result, ltp = _critical_of_frozen(config, g, lt)
     bt = mather.peierls_barrier(ltp, result.c, aubry_tol=num["aubry_tol"])
     rows = [(float(g.nodes[i]), float(g.nodes[j]), float(bt.h[i, j]))
             for i in range(g.n) for j in range(g.n)]
@@ -282,7 +280,7 @@ def run_stability(config, out):
     which = config.raw.get("which", "A3")
     report = stability.check_condition(
         config.spec, um, which=which, zeta_grid=num["zeta_grid"],
-        dt=num["dt_critical"], tol=num["tol_critical"], margin=num["margin"], lt=lt)
+        dt=num["dt_critical"], margin=num["margin"], lt=lt)
     T = float(config.raw.get("decay_T", 8.0))
     decay = stability.decay_exponent(config.spec, um, delta=num["delta"], T=T, dt=num["dt"],
                                      lt=lt)
@@ -315,7 +313,7 @@ def run_instability(config, out):
 
 def run_corollary(config, out):
     num = config.numerics
-    g = TorusGrid(num["n"], 1.0)
+    g = TorusGrid(num["n"])
     a_src = config.raw.get("a")
     if a_src is None:
         raise ConfigError("corollary command requires key 'a' (formula in x)")
@@ -324,9 +322,9 @@ def run_corollary(config, out):
     except ExprError as exc:
         raise ConfigError(f"corollary config error: {exc}") from exc
     report = stability.check_corollary_a(
-        config.spec.G, a_field, dt=num["dt_critical"], tol=num["tol_critical"],
-        margin=num["margin"], m=num["m"], k=num["m"],
-        vmax=num["vmax"], pmax=num["pmax"], aubry_tol=num["aubry_tol"])
+        config.spec.G, a_field, dt=num["dt_critical"], margin=num["margin"],
+        m=num["m"], k=num["m"], vmax=config.spec.vmax, pmax=config.spec.pmax,
+        aubry_tol=num["aubry_tol"])
     _write_report(out, config, report)
     return f"verdict={report.verdict} a0={report.A_estimate:.3f}", True
 
@@ -337,13 +335,9 @@ def run_homogenize(config, out):
     if not isinstance(hconf, dict):
         raise ConfigError("homogenize command requires a 'homog' section")
     hp = homog.problem_from_config(hconf)
-    eps_list = num.get("homog_eps_list", NUMERIC_DEFAULTS["homog_eps_list"])
-    table_opts = {key: num[key] for key in ("x_count", "p_count", "c_count", "p_span")
-                  if key in num}
-    cell_opts = {key.removeprefix("cell_"): num[key]
-                 for key in ("cell_n_fast", "cell_m", "cell_k", "cell_dt")
-                 if key in num}
-    result = homog.rate_experiment(hp, eps_list=eps_list,
+    table_opts = {key: num[key] for key in TABLE_KEYS if key in num}
+    cell_opts = {key.removeprefix("cell_"): num[key] for key in CELL_KEYS if key in num}
+    result = homog.rate_experiment(hp, eps_list=num["homog_eps_list"],
                                    n_per_period=num["n_per_period"],
                                    cell_opts=cell_opts or None, **table_opts)
     rows = [(float(e), float(err), float(err / math.sqrt(e)))

@@ -100,9 +100,12 @@ class CriticalValueResult:
 
 
 def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = DEFAULT_DT,
-                   tol: float = DEFAULT_TOL, T_long: float = DEFAULT_T_LONG,
+                   T_long: float = DEFAULT_T_LONG,
                    cross_tol: float = DEFAULT_CROSS_TOL) -> CriticalValueResult:
-    """Critical value by vanishing discount, cross-checked by long-time slope."""
+    """Critical value by vanishing discount, cross-checked by long-time slope.
+
+    Each discounted solve stops at residual DEFAULT_TOL.
+    """
     schedule = tuple(float(s) for s in schedule)
     if len(schedule) < 2 or any(a <= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing with at least 2 entries")
@@ -117,7 +120,7 @@ def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = D
             # warm start: rescale only the mean part, which grows like 1/lam
             mean_prev = u_prev.mean()
             u0 = Field(u_prev.grid, u_prev.values - mean_prev + mean_prev * lam_prev / lam)
-        u_lam = discounted_solve(lt, lam, dt, tol, u0=u0)
+        u_lam = discounted_solve(lt, lam, dt, u0=u0)
         lams.append(lam)
         estimates.append(-lam * u_lam.mean())
         u_prev, lam_prev = u_lam, lam
@@ -191,10 +194,8 @@ def one_sided_derivatives(curve: CEpsCurve) -> tuple[float, float]:
     return curve.D_minus, curve.D_plus
 
 
-def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEFAULT_DT,
-                tol: float = DEFAULT_TOL, *, lt: LagrangianTable, schedule=DEFAULT_SCHEDULE,
-                T_long: float = DEFAULT_T_LONG,
-                cross_tol: float = DEFAULT_CROSS_TOL) -> CEpsCurve:
+def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEFAULT_DT, *,
+                lt: LagrangianTable, cross_tol: float = DEFAULT_CROSS_TOL) -> CEpsCurve:
     """Sample eps -> c(G + W(., u_minus + eps)) and finite-difference D^-, D^+ at 0."""
     eps = np.array(sorted(float(e) for e in eps_list))
     if not np.any(np.abs(eps) < 1e-15):
@@ -204,8 +205,7 @@ def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEF
     cs = []
     for e in eps:
         pot = frozen_values(spec.W, u_minus.grid.nodes, u_minus.values + e)
-        result = critical_value(lt.with_potential(pot), schedule=schedule, dt=dt,
-                                tol=tol, T_long=T_long, cross_tol=cross_tol)
+        result = critical_value(lt.with_potential(pot), dt=dt, cross_tol=cross_tol)
         cs.append(result.c)
     curve = CEpsCurve(eps, np.asarray(cs), 0.0, 0.0)
     one_sided_derivatives(curve)

@@ -1,8 +1,9 @@
 """Periodic 1-D grids, sampled fields, interpolation and sup norms.
 
-The unit circle (period configurable) is the spatial domain for every
-solver in this package.  Fields are immutable samplings on a uniform
-grid; combining two fields requires identical grids.
+The unit circle [0, 1) is the spatial domain for every solver in this
+package, and every formula is written for x in [0, 1).  Fields are
+immutable samplings on a uniform grid; combining two fields requires
+identical grids.
 """
 
 from __future__ import annotations
@@ -33,25 +34,21 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class TorusGrid:
+    """n uniform nodes on the unit circle, spacing h = 1/n."""
+
     n: int
-    period: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 8:
             raise ValueError(f"node count must be an integer >= 8, got {self.n}")
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
     def h(self) -> float:
-        return self.period / self.n
+        return 1.0 / self.n
 
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.n) * self.h
-
-    def wrap(self, x):
-        return np.mod(x, self.period)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The fast-variable cell problem defines the effective Hamiltonian: for
 frozen (x, p, c), Hbar(x,p,c) is the critical value of the Hamiltonian
 q -> H(x, y, p+q, c) on the fast torus in y.  Tabulated over (x, p, c)
-grids with trilinear interpolation, it drives the effective stationary
-solve, while the multiscale solver discretizes the frozen two-scale
-Hamiltonian x -> H(x, x/eps, p, u) directly on a fine grid with eps = 1/k
+grids, it drives the effective stationary solve, which reads the table at
+its own p and c nodes and interpolates linearly in x only, while the
+multiscale solver discretizes the frozen two-scale Hamiltonian
+x -> H(x, x/eps, p, u) directly on a fine grid with eps = 1/k
 commensurate to the slow torus.  Both stationary solvers feed the min-plus
 kernel semigroup.MinPlusStepper a running cost tabulated on a grid of
 u-levels and interpolated at the current values, and iterate it to a fixed
@@ -110,7 +111,7 @@ def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
     for name, val in (("x", x), ("p", p), ("c", c)):
         if not np.isfinite(val):
             raise ValueError(f"cell coordinate {name} must be finite")
-    g = TorusGrid(n_fast, 1.0)
+    g = TorusGrid(n_fast)
     ys = g.nodes[:, None]
     pmax_cell = hp.pmax + abs(p)
 
@@ -133,40 +134,9 @@ class EffectiveTable:
     x_nodes: np.ndarray
     p_nodes: np.ndarray
     c_nodes: np.ndarray
-    values: np.ndarray          # (nx, np, nc)
+    values: np.ndarray          # (nx, np, nc); x_nodes uniform on [0, 1)
     Lambda1: float
     Lambda2: float
-
-    def evaluate(self, x, p, c):
-        """Trilinear interpolation: periodic in x, clamped in p and c."""
-        xn, pn, cn = self.x_nodes, self.p_nodes, self.c_nodes
-        if xn.size > 1:
-            hx = 1.0 / xn.size
-            s = np.mod(np.asarray(x, float), 1.0) / hx
-            i0 = np.floor(s).astype(int) % xn.size
-            i1 = (i0 + 1) % xn.size
-            tx = s - np.floor(s)
-        else:
-            i0 = i1 = np.zeros_like(np.asarray(x, dtype=int))
-            tx = np.zeros_like(np.asarray(x, float))
-
-        def axis_weights(nodes, q):
-            q = np.clip(np.asarray(q, float), nodes[0], nodes[-1])
-            j = np.clip(np.searchsorted(nodes, q) - 1, 0, nodes.size - 2)
-            t = (q - nodes[j]) / (nodes[j + 1] - nodes[j])
-            return j, t
-
-        jp, tp = axis_weights(pn, p) if pn.size > 1 else (np.zeros_like(i0), 0.0 * tx)
-        kc, tc = axis_weights(cn, c) if cn.size > 1 else (np.zeros_like(i0), 0.0 * tx)
-        jp1 = np.minimum(jp + 1, pn.size - 1)
-        kc1 = np.minimum(kc + 1, cn.size - 1)
-        V = self.values
-        out = 0.0
-        for ii, wx in ((i0, 1 - tx), (i1, tx)):
-            for jj, wp in ((jp, 1 - tp), (jp1, tp)):
-                for kk, wc in ((kc, 1 - tc), (kc1, tc)):
-                    out = out + wx * wp * wc * V[ii, jj, kk]
-        return out
 
 
 def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
@@ -231,15 +201,19 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
 
 
 def solve_effective(et: EffectiveTable, n_slow: int = 256) -> Field:
-    """Stationary solve of Hbar(x, Du, u) = 0 from the tabulated values."""
-    g = TorusGrid(n_slow, 1.0)
-    xs = g.nodes
-    nlev = et.c_nodes.size
-    # H values on the fine slow grid, per (p-node, c-node)
-    Hf = np.empty((g.n, et.p_nodes.size, nlev))
-    for j, pv in enumerate(et.p_nodes):
-        for kk, cv in enumerate(et.c_nodes):
-            Hf[:, j, kk] = et.evaluate(xs, pv, cv)
+    """Stationary solve of Hbar(x, Du, u) = 0 from the tabulated values.
+
+    Hbar is read at the table's own p and c nodes, interpolated linearly
+    and periodically in x onto n_slow nodes; the c nodes are the u-levels
+    of the solve.  Nothing is extrapolated in p or c.
+    """
+    g = TorusGrid(n_slow)
+    nx = et.x_nodes.size
+    s = g.nodes / (1.0 / nx) if nx > 1 else np.zeros(g.n)   # one x-node: constant in x
+    i0 = np.floor(s).astype(int) % nx
+    tx = (s - np.floor(s))[:, None, None]
+    # Hbar on the slow grid per (p-node, c-node); the leading 0.0 + turns a -0.0 into +0.0
+    Hf = 0.0 + (1 - tx) * et.values[i0] + tx * et.values[(i0 + 1) % nx]
     # exact conjugate of the piecewise-linear interpolant in p: max over p nodes
     slopes = np.abs(np.diff(Hf, axis=1) / np.diff(et.p_nodes)[None, :, None])
     vmax = float(slopes.max()) if slopes.size else 1.0
@@ -266,7 +240,7 @@ def solve_multiscale(hp: HomogProblem, eps: float, n_per_period: int = 32,
     if k_int < 1 or abs(1.0 / k_int - eps) > 1e-12:
         raise ValueError(f"eps must be the reciprocal of an integer, got {eps}")
     n = k_int * n_per_period
-    g = TorusGrid(n, 1.0)
+    g = TorusGrid(n)
     xs = g.nodes
     ys = np.mod(xs * k_int, 1.0)
     # foot points should not cross a fast cell in one step

@@ -7,9 +7,11 @@ as nonnegative weights w[i,j] on the grid x velocity-grid, subject to
     sum_ij w[i,j] * v_j * De_k(x_i) = 0   for every hat function e_k,
 
 with De_k the centered difference of the hat centered at node k.  The
-minimum of sum w*(L - pot) over that polytope equals -c of the Hamiltonian
-G + pot, and a second-stage program over the optimal face produces the
-extremes of integrals of a given function against minimizing measures.
+minimum of sum w*L over that polytope equals -c of the table's
+Hamiltonian; a potential pot enters as the folded cost L - pot of
+LagrangianTable.with_potential, giving -c of G + pot.  A second-stage
+program over the optimal face produces the extremes of integrals of a
+given function against minimizing measures.
 
 LP solves use a dense two-phase tableau simplex.  Pivots follow Dantzig's
 rule while the objective improves and switch permanently to Bland's rule
@@ -323,7 +325,7 @@ class OccupationalMeasure:
     grid: TorusGrid
     vgrid: np.ndarray
     weights: np.ndarray      # (n, m), nonnegative, sums to 1
-    value: float             # optimal integral of (L - potential)
+    value: float             # optimal integral of the cost
     objective: np.ndarray = field(repr=False)   # cost matrix used, (n, m)
     _lt: LagrangianTable = field(repr=False, default=None)
 
@@ -339,19 +341,10 @@ class OccupationalMeasure:
         return self.weights.sum(axis=1)
 
 
-def occupational_cost(lt: LagrangianTable,
-                      potential: Field | np.ndarray | None = None) -> np.ndarray:
-    L = np.minimum(lt.L, L_CLIP)
-    if potential is not None:
-        pot = potential.values if isinstance(potential, Field) else np.asarray(potential, float)
-        L = L - pot[:, None]
-    return L
-
-
-def solve_occupational(lt: LagrangianTable,
-                       potential: Field | np.ndarray | None = None) -> OccupationalMeasure:
-    """Minimize the action integral over discrete closed probability measures."""
-    cost = occupational_cost(lt, potential)
+def solve_occupational(lt: LagrangianTable) -> OccupationalMeasure:
+    """Minimize the action integral of lt.L, clipped at L_CLIP, over discrete
+    closed probability measures; fold a potential in with lt.with_potential."""
+    cost = np.minimum(lt.L, L_CLIP)
     cols = _OccupationalColumns(lt, cost)
     n, m = lt.grid.n, lt.m
     j0 = int(np.argmin(np.abs(lt.vgrid)))    # v = 0 column per node: always feasible

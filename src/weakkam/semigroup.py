@@ -21,7 +21,7 @@ max_j [a_j - b_j] = -min_j [-a_j + b_j].
 
 The kernel enforces the stability requirements at construction:
     dt * Lambda <= 1/2        (contact term, when a bound is given)
-    dt * vmax   <= period/2   (foot points stay within half the torus)
+    dt * vmax   <= 1/2        (foot points stay within half the unit torus)
 
 The driver `iterate` runs every step loop in the package, the Peierls
 barrier's included: it applies a step map, measures the residual
@@ -99,9 +99,8 @@ class MinPlusStepper:
         if lambda_bound is not None and dt * lambda_bound > 0.5 + 1e-12:
             raise CFLError(f"dt*Lambda = {dt * lambda_bound:.3g} exceeds 1/2")
         vmax = float(np.abs(vgrid).max())
-        if dt * vmax > g.period / 2 + 1e-12:
-            raise CFLError(
-                f"dt*vmax = {dt * vmax:.3g} exceeds period/2 = {g.period / 2:.3g}")
+        if dt * vmax > 0.5 + 1e-12:
+            raise CFLError(f"dt*vmax = {dt * vmax:.3g} exceeds 1/2, half the unit torus")
         self.dt = dt
         self._plan = GatherPlan(g, vgrid, dt, backward)
         self._cost = cost if callable(cost) else None

@@ -72,8 +72,8 @@ def test_criterion_03_lp_critical_cross_check(example_setup):
                       frozen_potential(example_setup["spec"],
                                        example_setup["u_minus"])))
         for lt, pot in cases:
-            measure = mather.solve_occupational(lt, potential=pot)
             table = lt if pot is None else lt.with_potential(pot)
+            measure = mather.solve_occupational(table)
             cres = crit.critical_value(table)
             assert abs(measure.value + cres.c) <= 1e-2
 
@@ -88,7 +88,7 @@ def test_criterion_04_derivative_formula_consistency(example_setup):
             um = constant_field(g, 0.0)
             curve = crit.c_eps_curve(spec, um, eps_list, lt=lt)
             measure = mather.solve_occupational(
-                lt, potential=frozen_potential(spec, um))
+                lt.with_potential(frozen_potential(spec, um)))
             dwu = Field(g, np.broadcast_to(
                 np.asarray(spec.dWu_at(g.nodes, um.values), dtype=float), (g.n,)))
             lo = mather.extremal_integral(measure, dwu, "min")
@@ -101,7 +101,7 @@ def test_criterion_04_derivative_formula_consistency(example_setup):
         um = example_setup["u_minus"]
         lt = example_setup["lt"]
         curve = crit.c_eps_curve(spec, um, eps_list, lt=lt)
-        measure = mather.solve_occupational(lt, potential=frozen_potential(spec, um))
+        measure = mather.solve_occupational(lt.with_potential(frozen_potential(spec, um)))
         dwu = Field(um.grid, np.asarray(spec.dWu_at(um.grid.nodes, um.values)))
         lo = mather.extremal_integral(measure, dwu, "min")
         hi = mather.extremal_integral(measure, dwu, "max")
@@ -259,8 +259,8 @@ def test_criterion_11_mather_support_in_aubry_set(example_setup, eikonal_cos_128
                                        example_setup["u_minus"])))
         for lt, pot in cases:
             n = lt.grid.n
-            measure = mather.solve_occupational(lt, potential=pot)
             table = lt if pot is None else lt.with_potential(pot)
+            measure = mather.solve_occupational(table)
             cres = crit.critical_value(table)
             bt = mather.peierls_barrier(table, cres.c)
             nodes = bt.aubry_indices

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -12,8 +13,7 @@ def write_config(path, payload):
     return str(path)
 
 
-FAST_NUMERICS = {"n": 64, "m": 33, "dt": 1e-3, "tol": 1e-6,
-                 "dt_critical": 0.05, "tol_critical": 1e-4, "T_long": 20.0}
+FAST_NUMERICS = {"n": 64, "m": 33, "dt": 1e-3, "tol": 1e-6, "dt_critical": 0.05}
 
 
 def test_load_config_minimal_defaults(tmp_path):
@@ -26,7 +26,7 @@ def test_load_config_minimal_defaults(tmp_path):
     assert config.numerics["m"] == 64
     assert config.numerics["dt"] == 1e-3
     assert config.numerics["tol"] == 1e-6
-    assert config.numerics["vmax"] == 4.0
+    assert config.spec.vmax == 4.0
     assert config.spec is not None
 
 
@@ -350,11 +350,82 @@ def test_corollary_command(tmp_path, capsys):
         "hamiltonian": {"G": "p^2 + cos(2*pi*x) - 1", "W": "(2+sin(2*pi*x))*u",
                         "dWu": "2+sin(2*pi*x)"},
         "a": "2 + sin(2*pi*x)",
-        "numerics": {"n": 64, "m": 33, "dt_critical": 0.05, "tol_critical": 1e-4,
-                     "T_long": 20.0},
+        "numerics": {"n": 64, "m": 33, "dt_critical": 0.05},
         "output_dir": str(tmp_path / "out"),
     })
     assert cli.main(["corollary", "--config", path]) == 0
     assert "verdict=holds" in capsys.readouterr().out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["report"]["condition"] == "corollary_a"
+
+
+def test_unknown_numerics_keys_are_config_errors(tmp_path, capsys):
+    # a typo, or a key that no command reads, must not be ignored and then recorded
+    path = write_config(tmp_path / "c.json", {
+        "command": "critical",
+        "hamiltonian": {"builtin": "eikonal", "params": {"V": "cos(2*pi*x)"}},
+        "numerics": {"dT": 0.01, "T_long": 20.0, "n": 64},
+        "output_dir": str(tmp_path / "out"),
+    })
+    with pytest.raises(ConfigError, match="unknown numerics keys: T_long, dT"):
+        cli.load_config(path)
+    assert cli.main(["critical", "--config", path, "--quiet"]) == 2
+    assert "dT" in capsys.readouterr().err
+    assert set(cli.NUMERIC_DEFAULTS).isdisjoint(
+        {"vmax", "pmax", "tol_critical", "lambda_schedule", "T_long"})
+
+
+def test_headers_record_decay_T(tmp_path):
+    path = write_config(tmp_path / "c.json", {
+        "command": "stability",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "numerics": dict(FAST_NUMERICS, zeta_grid=[0.25]),
+        "decay_T": 2.0,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["stability", "--config", path, "--quiet"]) == 0
+    lines = (tmp_path / "out" / "decay.csv").read_text().splitlines()
+    assert "# decay_T=2.0" in lines
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["decay_T"] == 2.0
+
+
+def test_stability_command_instability_criterion(tmp_path, capsys):
+    # a = -1: the zeta = 1/4 shift of G + W(., 0) has critical value -1/4, so A4 holds
+    path = write_config(tmp_path / "c.json", {
+        "command": "stability",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": -1.0, "V": 0}},
+        "numerics": FAST_NUMERICS,
+        "which": "A4",
+        "decay_T": 1.0,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["stability", "--config", path]) == 0
+    assert "verdict=holds" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["which"] == "A4"
+    rep = report["report"]
+    assert rep["condition"] == "A4"
+    assert rep["zeta_found"] == 0.25
+    assert rep["c_values"]["0.25"] == pytest.approx(-0.25, abs=5e-3)
+    assert rep["A_estimate"] == pytest.approx(-1.0, abs=1e-6)
+    assert rep["decay_slope"] > 0          # the perturbation grows
+
+
+def test_evolve_command_forward_direction(tmp_path):
+    # with a = 1 the forward semigroup carries constant data 1/2 to exp(T)/2
+    path = write_config(tmp_path / "c.json", {
+        "command": "evolve",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "numerics": {"n": 64, "m": 33, "dt": 1e-3, "T": 0.5},
+        "phi0": "0.5",
+        "direction": "forward",
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["evolve", "--config", path, "--quiet"]) == 0
+    lines = (tmp_path / "out" / "snapshots.csv").read_text().strip().splitlines()
+    assert "# direction=forward" in lines
+    rows = [line.split(",") for line in lines if line[0].isdigit()]
+    final = [float(v) for t, _, v in rows if float(t) == 0.5]
+    assert len(final) == 64
+    assert final == pytest.approx([0.5 * math.exp(0.5)] * 64, rel=1e-3)

@@ -11,10 +11,10 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         TorusGrid(4)
     with pytest.raises(ValueError):
-        TorusGrid(16, period=-1.0)
-    g = TorusGrid(16, period=2.0)
-    assert g.h == 0.125
-    assert g.nodes[3] == pytest.approx(0.375)
+        TorusGrid(16.0)
+    g = TorusGrid(16)
+    assert g.h == 0.0625
+    assert g.nodes[3] == 0.1875
 
 
 def test_field_from_expr_zero():

@@ -86,18 +86,6 @@ def test_table_spot_oracle(small_table):
         assert et.values[0, j, kk] == pytest.approx(c + oracle_effective(p), abs=2e-2)
 
 
-def test_table_trilinear_evaluate(small_table):
-    _, et = small_table
-    # exact at nodes
-    assert et.evaluate(0.0, float(et.p_nodes[3]), float(et.c_nodes[2])) == pytest.approx(
-        et.values[0, 3, 2], abs=1e-12)
-    # between c nodes: linear interpolation
-    cmid = 0.5 * (et.c_nodes[1] + et.c_nodes[2])
-    expect = 0.5 * (et.values[0, 2, 1] + et.values[0, 2, 2])
-    assert et.evaluate(0.0, float(et.p_nodes[2]), float(cmid)) == pytest.approx(
-        expect, abs=1e-12)
-
-
 def _synthetic_table(fn, p_nodes, c_nodes, x_nodes=(0.0,)):
     xn = np.asarray(x_nodes)
     pn = np.asarray(p_nodes)

@@ -137,7 +137,7 @@ def test_extremal_eikonal_atom_value(g64):
 def test_extremal_example_instance(example_setup):
     spec, lt, um = example_setup["spec"], example_setup["lt"], example_setup["u_minus"]
     g = example_setup["grid"]
-    meas = mather.solve_occupational(lt, potential=frozen_potential(spec, um))
+    meas = mather.solve_occupational(lt.with_potential(frozen_potential(spec, um)))
     assert meas.value == pytest.approx(0.0, abs=5e-3)
     f = Field(g, np.asarray(spec.dWu_at(g.nodes, um.values)))
     lo = mather.extremal_integral(meas, f, "min")
@@ -247,7 +247,7 @@ def test_aubry_example_instance(example_setup):
 def test_mather_support_in_aubry_set(example_setup):
     spec, lt, um = example_setup["spec"], example_setup["lt"], example_setup["u_minus"]
     pot = frozen_potential(spec, um)
-    meas = mather.solve_occupational(lt, potential=pot)
+    meas = mather.solve_occupational(lt.with_potential(pot))
     res = crit.critical_value(lt.with_potential(pot))
     bt = mather.peierls_barrier(lt.with_potential(pot), res.c)
     nodes = bt.aubry_indices

@@ -75,6 +75,37 @@ def test_check_condition_rejects_empty_zeta_grid_before_solving(contact_pos, mon
         st.check_condition(spec, constant_field(g, 0.0), "A3", zeta_grid=(), lt=lt)
 
 
+def _critical_values_in_turn(results):
+    """A critical_value stand-in returning the given (c, method) pairs in turn."""
+    pending = iter(results)
+
+    def fake(lt, **kwargs):
+        c, method = next(pending)
+        return crit.CriticalValueResult(c, method, None, {})
+
+    return fake
+
+
+@pytest.mark.parametrize("c", [-1.0, 1.0])
+def test_check_condition_disagreement_is_inconclusive(contact_pos, monkeypatch, c):
+    # a c whose discount and long-time estimates disagree supports neither "holds" nor "fails"
+    g, spec, lt = contact_pos
+    monkeypatch.setattr(st.crit, "critical_value", _critical_values_in_turn([(c, "discount")] * 5))
+    rep = st.check_condition(spec, constant_field(g, 0.0), "A3", lt=lt, with_A_estimate=False)
+    assert rep.verdict == "inconclusive"
+    assert rep.zeta_found is None
+    assert list(rep.c_values) == list(st.DEFAULT_ZETA_GRID)
+
+
+def test_check_condition_holds_at_first_agreeing_zeta(contact_pos, monkeypatch):
+    g, spec, lt = contact_pos
+    monkeypatch.setattr(st.crit, "critical_value",
+                        _critical_values_in_turn([(-1.0, "discount"), (-1.0, "agree")]))
+    rep = st.check_condition(spec, constant_field(g, 0.0), "A3", lt=lt, with_A_estimate=False)
+    assert rep.verdict == "holds"
+    assert rep.zeta_found == 0.5
+
+
 def test_example_instance_condition_value(example_setup):
     # the worked computation gives the shifted critical value -zeta*theta
     rep = st.check_condition(example_setup["spec"], example_setup["u_minus"],
