@@ -59,13 +59,13 @@ NUMERIC_DEFAULTS = {
 }
 
 # optional keys with no default: effective-table grids and cell-problem options
-TABLE_KEYS = ("x_count", "p_count", "c_count", "p_span")
+TABLE_KEYS = ("p_count", "c_count", "p_span")
 CELL_KEYS = ("cell_n_fast", "cell_m", "cell_k", "cell_dt")
 
 _POSITIVE_KEYS = ("n", "m", "dt", "tol", "T", "T_max", "dt_critical", "cross_tol",
                   "margin", "delta", "eps", "Delta", "n_per_period", "aubry_tol")
 # top-level keys that change a command's outputs, recorded in every header
-_HEADER_KEYS = ("phi0", "which", "a", "decay_T", "basin_delta_hi", "direction")
+_HEADER_KEYS = ("phi0", "which", "decay_T", "basin_delta_hi", "direction")
 
 
 @dataclass
@@ -118,6 +118,12 @@ def load_config(path: str) -> ExperimentConfig:
         if key in numerics and not (isinstance(numerics[key], (int, float))
                                     and numerics[key] > 0):
             raise ConfigError(f"numerics key {key!r} must be a positive number")
+    for key, allowed in (("which", ("A3", "A4")), ("direction", ("backward", "forward"))):
+        if raw.get(key, allowed[0]) not in allowed:
+            raise ConfigError(f"config key {key!r} must be one of {allowed}, got {raw[key]!r}")
+    if "a" in raw:
+        raise ConfigError("config key 'a' is not read: the corollary's a(x) is the "
+                          "hamiltonian's dWu, with W = a(x)*u")
     numerics["n"] = int(numerics["n"])
     numerics["m"] = int(numerics["m"])
     if numerics["n"] < 8:
@@ -235,7 +241,7 @@ def run_ceps(config, out):
     write_csv(os.path.join(out, "ceps.csv"), config.header(), "eps,c",
               list(zip(map(float, curve.eps_samples), map(float, curve.c_values))))
     slack = curve.lipschitz_slack(config.spec.lambda_bound)
-    ok = slack <= 4e-2
+    ok = slack <= 4e-2 and curve.agree
     return f"D-={curve.D_minus:.3f} D+={curve.D_plus:.3f}", ok
 
 
@@ -280,7 +286,7 @@ def run_stability(config, out):
     which = config.raw.get("which", "A3")
     report = stability.check_condition(
         config.spec, um, which=which, zeta_grid=num["zeta_grid"],
-        dt=num["dt_critical"], margin=num["margin"], lt=lt)
+        dt=num["dt_critical"], margin=num["margin"], lt=lt, cross_tol=num["cross_tol"])
     T = float(config.raw.get("decay_T", 8.0))
     decay = stability.decay_exponent(config.spec, um, delta=num["delta"], T=T, dt=num["dt"],
                                      lt=lt)
@@ -313,18 +319,10 @@ def run_instability(config, out):
 
 def run_corollary(config, out):
     num = config.numerics
-    g = TorusGrid(num["n"])
-    a_src = config.raw.get("a")
-    if a_src is None:
-        raise ConfigError("corollary command requires key 'a' (formula in x)")
-    try:
-        a_field = field_from_expr(g, parse(str(a_src)))
-    except ExprError as exc:
-        raise ConfigError(f"corollary config error: {exc}") from exc
+    _, lt = _grid_lt(config)
     report = stability.check_corollary_a(
-        config.spec.G, a_field, dt=num["dt_critical"], margin=num["margin"],
-        m=num["m"], k=num["m"], vmax=config.spec.vmax, pmax=config.spec.pmax,
-        aubry_tol=num["aubry_tol"])
+        config.spec, dt=num["dt_critical"], margin=num["margin"], lt=lt,
+        aubry_tol=num["aubry_tol"], cross_tol=num["cross_tol"])
     _write_report(out, config, report)
     return f"verdict={report.verdict} a0={report.A_estimate:.3f}", True
 

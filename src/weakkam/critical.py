@@ -126,9 +126,6 @@ def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = D
         u_prev, lam_prev = u_lam, lam
     fit = np.polyfit(lams, estimates, 1)
     c_discount = float(fit[1])
-    fit_residual = float(np.max(np.abs(np.polyval(fit, lams) - np.asarray(estimates))))
-    spread = abs(estimates[0] - estimates[-1])
-    nonlinear = fit_residual > max(1e-4, 0.1 * spread)
 
     c_longtime = longtime_slope(lt, T_long, dt)
     gap = abs(c_discount - c_longtime)
@@ -138,12 +135,8 @@ def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = D
     diag = {
         "lambda": list(lams),
         "minus_mean_lambda_u": list(map(float, estimates)),
-        "c_discount": c_discount,
         "c_longtime": float(c_longtime),
         "gap": float(gap),
-        "cross_tol": float(cross_tol),
-        "fit_residual": fit_residual,
-        "nonlinear_schedule": bool(nonlinear),
     }
     return CriticalValueResult(c_discount, method, corrector, diag)
 
@@ -154,6 +147,7 @@ class CEpsCurve:
     c_values: np.ndarray
     D_minus: float
     D_plus: float
+    agree: bool = True     # every sample's discount and long-time estimators agreed
 
     def lipschitz_slack(self, lambda_bound: float) -> float:
         """Worst violation of |c(e1)-c(e2)| <= Lambda |e1-e2| over sample pairs."""
@@ -203,10 +197,12 @@ def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEF
     if np.count_nonzero(eps < 0) < 2 or np.count_nonzero(eps > 0) < 2:
         raise ValueError("eps_list needs at least two values of each sign")
     cs = []
+    agree = True
     for e in eps:
         pot = frozen_values(spec.W, u_minus.grid.nodes, u_minus.values + e)
         result = critical_value(lt.with_potential(pot), dt=dt, cross_tol=cross_tol)
         cs.append(result.c)
-    curve = CEpsCurve(eps, np.asarray(cs), 0.0, 0.0)
+        agree = agree and result.method == "agree"
+    curve = CEpsCurve(eps, np.asarray(cs), 0.0, 0.0, agree)
     one_sided_derivatives(curve)
     return curve

@@ -55,6 +55,7 @@ MULTISCALE_K = 49       # momenta of the two-scale Legendre table
 MULTISCALE_TOL = 1e-5   # residual target of the two-scale stationary solve
 N_ULEVELS = 9           # u-levels on which the two-scale cost is tabulated
 NOISE_FLOOR = 1e-3      # rate errors all at or below this report no slope
+X_COUNT = 9             # x-nodes of the effective table of an x-dependent problem
 
 
 @dataclass(frozen=True)
@@ -278,16 +279,15 @@ class RateResult:
 
 def rate_experiment(hp: HomogProblem, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
                     n_per_period: int = 32, table: EffectiveTable | None = None,
-                    x_count: int = 9, p_span: float = 2.0, p_count: int = 17,
-                    c_count: int = 5, n_slow: int = 256,
-                    cell_opts: dict | None = None) -> RateResult:
+                    p_span: float = 2.0, p_count: int = 17, c_count: int = 5,
+                    n_slow: int = 256, cell_opts: dict | None = None) -> RateResult:
     """Solve the eps ladder and fit the log-log error slope against sqrt(eps)."""
     eps_list = sorted(float(e) for e in eps_list)
     if table is None:
         if hp.x_independent():
             x_nodes = np.array([0.0])
         else:
-            x_nodes = np.linspace(0.0, 1.0, x_count, endpoint=False)
+            x_nodes = np.linspace(0.0, 1.0, X_COUNT, endpoint=False)
         p_nodes = np.linspace(-p_span, p_span, p_count)
         span = _default_c_span(hp)
         c_nodes = np.linspace(-span, span, c_count)

@@ -141,15 +141,12 @@ def test_criterion_06_instability_escape_times():
 
 def test_criterion_07_global_stability_corollary():
     with criterion(7, "global-stability-corollary", 60.0):
-        g = TorusGrid(128)
-        a_field = field_from_expr(g, parse("2 + sin(2*pi*x)"))
-        rep = st.check_corollary_a(parse("p^2 + cos(2*pi*x) - 1"), a_field,
-                                   m=49, k=49)
+        spec = builtin("corollary_a", {"a": "2 + sin(2*pi*x)",
+                                       "V": "cos(2*pi*x)", "c": 1.0})
+        rep = st.check_corollary_a(spec, lt=legendre(spec, TorusGrid(128), 49, 49))
         assert rep.verdict == "holds"
 
         g2 = TorusGrid(256)
-        spec = builtin("corollary_a", {"a": "2 + sin(2*pi*x)",
-                                       "V": "cos(2*pi*x)", "c": 1.0})
         lt = legendre(spec, g2, 65, 65)
         up = evolve(constant_field(g2, 2.0), spec, lt, T=40.0, dt=2e-3)
         dn = evolve(constant_field(g2, -2.0), spec, lt, T=40.0, dt=2e-3)

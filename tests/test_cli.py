@@ -82,6 +82,13 @@ def test_load_config_errors(tmp_path):
         "numerics": {"dt": -0.5}})
     with pytest.raises(ConfigError, match="dt"):
         cli.load_config(path)
+    for key, value in (("which", "A5"), ("direction", "sideways")):
+        path = write_config(tmp_path / f"{key}.json", {
+            "command": "stability",
+            "hamiltonian": {"builtin": "eikonal", "params": {"V": "cos(2*pi*x)"}},
+            key: value})
+        with pytest.raises(ConfigError, match=f"'{key}' must be one of"):
+            cli.load_config(path)
 
 
 def test_main_critical_roundtrip(tmp_path, capsys):
@@ -232,6 +239,31 @@ def test_mather_command_cross_check(tmp_path, capsys):
     assert "x,v,weight" in csv
 
 
+def test_stability_estimator_disagreement_is_inconclusive(tmp_path, capsys):
+    # at zeta = 1/4 the two estimators of c = -1/4 differ by about 1e-4
+    path = write_config(tmp_path / "c.json", {
+        "command": "stability",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "numerics": dict(FAST_NUMERICS, zeta_grid=[0.25], cross_tol=1e-9),
+        "decay_T": 1.0,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["stability", "--config", path]) == 0
+    assert "verdict=inconclusive" in capsys.readouterr().out
+
+
+def test_ceps_exit_code_3_on_estimator_disagreement(tmp_path):
+    path = write_config(tmp_path / "c.json", {
+        "command": "ceps",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "numerics": dict(FAST_NUMERICS, cross_tol=1e-9),
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["ceps", "--config", path, "--quiet"]) == 3
+    assert "eps,c" in (tmp_path / "out" / "ceps.csv").read_text()
+    assert (tmp_path / "out" / "diagnostic.txt").exists()
+
+
 def test_ceps_command(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", {
         "command": "ceps",
@@ -349,7 +381,6 @@ def test_corollary_command(tmp_path, capsys):
         "command": "corollary",
         "hamiltonian": {"G": "p^2 + cos(2*pi*x) - 1", "W": "(2+sin(2*pi*x))*u",
                         "dWu": "2+sin(2*pi*x)"},
-        "a": "2 + sin(2*pi*x)",
         "numerics": {"n": 64, "m": 33, "dt_critical": 0.05},
         "output_dir": str(tmp_path / "out"),
     })
@@ -357,6 +388,27 @@ def test_corollary_command(tmp_path, capsys):
     assert "verdict=holds" in capsys.readouterr().out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["report"]["condition"] == "corollary_a"
+
+
+@pytest.mark.parametrize("extra, message", [
+    # a(x) repeated beside the hamiltonian, contradicting its W and dWu
+    ({"a": "sin(pi*x)^2"}, "dWu"),
+    # a stale key that agrees with the hamiltonian is rejected too
+    ({"a": "2+sin(2*pi*x)"}, "dWu"),
+    ({"hamiltonian": {"G": "p^2", "W": "u^2", "dWu": "2*u", "Lambda": 10.0}}, "W = a"),
+    ({"hamiltonian": {"G": "p^2", "W": "1 + u", "dWu": "1"}}, "W = a"),
+], ids=["contradicting-a", "stale-a", "dWu-with-u", "W-nonzero-at-0"])
+def test_corollary_config_errors(tmp_path, capsys, extra, message):
+    path = write_config(tmp_path / "c.json", {
+        "command": "corollary",
+        "hamiltonian": {"G": "p^2 + cos(2*pi*x) - 1", "W": "(2+sin(2*pi*x))*u",
+                        "dWu": "2+sin(2*pi*x)"},
+        "numerics": {"n": 64, "m": 33, "dt_critical": 0.05},
+        "output_dir": str(tmp_path / "out"),
+        **extra,
+    })
+    assert cli.main(["corollary", "--config", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_numerics_keys_are_config_errors(tmp_path, capsys):
@@ -373,6 +425,11 @@ def test_unknown_numerics_keys_are_config_errors(tmp_path, capsys):
     assert "dT" in capsys.readouterr().err
     assert set(cli.NUMERIC_DEFAULTS).isdisjoint(
         {"vmax", "pmax", "tol_critical", "lambda_schedule", "T_long"})
+    path = write_config(tmp_path / "h.json", {
+        "command": "homogenize", "homog": {"H": "u + p^2", "dHu": "1"},
+        "numerics": {"x_count": 3}})
+    with pytest.raises(ConfigError, match="unknown numerics keys: x_count"):
+        cli.load_config(path)
 
 
 def test_headers_record_decay_T(tmp_path):

@@ -4,8 +4,7 @@ import pytest
 
 from weakkam import TorusGrid, builtin, legendre
 from weakkam.errors import ConfigError
-from weakkam.expr import parse
-from weakkam.grid import constant_field, field_from_expr
+from weakkam.grid import constant_field
 from weakkam import critical as crit
 from weakkam import stability as st
 
@@ -203,32 +202,42 @@ def test_a3_implies_half_rate_decay(contact_pos):
     assert slope <= -rep.A_estimate / 2 + 5e-2
 
 
+def _corollary(a, V, c):
+    spec = builtin("corollary_a", {"a": a, "V": V, "c": c})
+    return spec, legendre(spec, TorusGrid(64), 33, 33)
+
+
 def test_corollary_holds():
-    g = TorusGrid(64)
-    a_field = field_from_expr(g, parse("2 + sin(2*pi*x)"))
-    rep = st.check_corollary_a(parse("p^2 + cos(2*pi*x) - 1"), a_field, m=33, k=33)
+    spec, lt = _corollary("2 + sin(2*pi*x)", "cos(2*pi*x)", 1.0)
+    rep = st.check_corollary_a(spec, lt=lt)
     assert rep.verdict == "holds"
     assert rep.A_estimate == pytest.approx(2.0, abs=0.3)  # a near the contact point
 
 
 def test_corollary_fails_when_a_vanishes_on_aubry():
-    g = TorusGrid(64)
-    a_field = field_from_expr(g, parse("sin(pi*x)^2"))   # vanishes at x = 0
-    rep = st.check_corollary_a(parse("p^2"), a_field, m=33, k=33)
+    spec, lt = _corollary("sin(pi*x)^2", 0, 0)   # a vanishes at x = 0
+    rep = st.check_corollary_a(spec, lt=lt)
     assert rep.verdict == "fails"
 
 
 def test_corollary_fails_for_zero_a():
-    g = TorusGrid(64)
-    rep = st.check_corollary_a(parse("p^2 + cos(2*pi*x) - 1"),
-                               constant_field(g, 0.0), m=33, k=33)
+    spec, lt = _corollary(0, "cos(2*pi*x)", 1.0)
+    rep = st.check_corollary_a(spec, lt=lt)
     assert rep.verdict == "fails"
 
 
 def test_corollary_rejects_negative_a():
-    g = TorusGrid(64)
+    spec, lt = _corollary(-0.1, 0, 0)
     with pytest.raises(ConfigError):
-        st.check_corollary_a(parse("p^2"), constant_field(g, -0.1), m=33, k=33)
+        st.check_corollary_a(spec, lt=lt)
+
+
+def test_corollary_disagreement_is_inconclusive(monkeypatch):
+    spec, lt = _corollary("2 + sin(2*pi*x)", "cos(2*pi*x)", 1.0)
+    monkeypatch.setattr(st.crit, "critical_value", _critical_values_in_turn([(0.0, "discount")]))
+    rep = st.check_corollary_a(spec, lt=lt)
+    assert rep.verdict == "inconclusive"
+    assert rep.extra["critical_method"] == "discount"
 
 
 def test_report_serializes(contact_pos):
