@@ -179,10 +179,10 @@ def _phi0(config: ExperimentConfig, g: TorusGrid) -> Field:
 
 
 def _u_minus(config: ExperimentConfig, g, lt):
+    """The stationary solve's record, from phi0 at the run's dt, tol and T_max."""
     num = config.numerics
-    res = stationary_solve(_phi0(config, g), config.spec, lt,
-                           dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
-    return res
+    return stationary_solve(_phi0(config, g), config.spec, lt,
+                            dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
 
 
 def _critical_of_frozen(config: ExperimentConfig, g, lt):
@@ -190,7 +190,7 @@ def _critical_of_frozen(config: ExperimentConfig, g, lt):
     for u-independent W no stationary solve is needed."""
     num = config.numerics
     if "u" in config.spec.W.variables():
-        um = _u_minus(config, g, lt).field
+        um = Field(g, _u_minus(config, g, lt).values)
     else:
         um = Field(g, np.zeros(g.n))
     ltp = lt.with_potential(stability.frozen_potential(config.spec, um))
@@ -216,7 +216,7 @@ def run_stationary(config, out):
     g, lt = _grid_lt(config)
     res = _u_minus(config, g, lt)
     write_csv(os.path.join(out, "stationary.csv"), config.header(), "x,value",
-              zip(g.nodes, res.field.values))
+              zip(g.nodes, res.values))
     return (f"converged={res.converged} residual={res.residual:.3e} steps={res.steps}",
             True)
 
@@ -235,7 +235,7 @@ def run_critical(config, out):
 def run_ceps(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
-    um = _u_minus(config, g, lt).field
+    um = Field(g, _u_minus(config, g, lt).values)
     curve = crit.c_eps_curve(config.spec, um, num["eps_list"], dt=num["dt_critical"],
                              lt=lt, cross_tol=num["cross_tol"])
     write_csv(os.path.join(out, "ceps.csv"), config.header(), "eps,c",
@@ -250,8 +250,8 @@ def run_mather(config, out):
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
     measure = mather.solve_occupational(ltp)
-    rows = [(float(g.nodes[i]), float(measure.vgrid[j]), float(measure.weights[i, j]))
-            for i in range(g.n) for j in range(measure.vgrid.size)
+    rows = [(float(g.nodes[i]), float(ltp.vgrid[j]), float(measure.weights[i, j]))
+            for i in range(g.n) for j in range(ltp.m)
             if measure.weights[i, j] >= 1e-12]
     write_csv(os.path.join(out, "measure.csv"), config.header(), "x,v,weight", rows)
     mismatch = abs(measure.value + result.c)
@@ -282,7 +282,7 @@ def _write_report(out, config, report):
 def run_stability(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
-    um = _u_minus(config, g, lt).field
+    um = Field(g, _u_minus(config, g, lt).values)
     which = config.raw.get("which", "A3")
     report = stability.check_condition(
         config.spec, um, which=which, zeta_grid=num["zeta_grid"],
@@ -306,7 +306,7 @@ def run_stability(config, out):
 def run_instability(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
-    um = _u_minus(config, g, lt).field
+    um = Field(g, _u_minus(config, g, lt).values)
     probe = stability.instability_probe(
         config.spec, um, eps=num["eps"], Delta_target=num["Delta"],
         T=num["T"], dt=num["dt"], lt=lt)
@@ -335,9 +335,10 @@ def run_homogenize(config, out):
     hp = homog.problem_from_config(hconf)
     table_opts = {key: num[key] for key in TABLE_KEYS if key in num}
     cell_opts = {key.removeprefix("cell_"): num[key] for key in CELL_KEYS if key in num}
+    cell_opts["cross_tol"] = num["cross_tol"]
     result = homog.rate_experiment(hp, eps_list=num["homog_eps_list"],
                                    n_per_period=num["n_per_period"],
-                                   cell_opts=cell_opts or None, **table_opts)
+                                   cell_opts=cell_opts, **table_opts)
     rows = [(float(e), float(err), float(err / math.sqrt(e)))
             for e, err in sorted(result.errors.items())]
     write_csv(os.path.join(out, "rate.csv"), config.header(),

@@ -145,9 +145,9 @@ def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = D
 class CEpsCurve:
     eps_samples: np.ndarray
     c_values: np.ndarray
-    D_minus: float
+    D_minus: float         # one-sided derivatives at 0, from one_sided_derivatives
     D_plus: float
-    agree: bool = True     # every sample's discount and long-time estimators agreed
+    agree: bool            # every sample's discount and long-time estimators agreed
 
     def lipschitz_slack(self, lambda_bound: float) -> float:
         """Worst violation of |c(e1)-c(e2)| <= Lambda |e1-e2| over sample pairs."""
@@ -161,31 +161,22 @@ class CEpsCurve:
         return worst
 
 
-def _one_sided(eps: np.ndarray, cs: np.ndarray, side: int) -> float:
-    """Second-order one-sided derivative at 0 from the two nearest samples."""
-    sel = eps < 0 if side < 0 else eps > 0
-    if np.count_nonzero(sel) < 2:
-        raise ValueError("need at least two samples on each side of 0")
-    order = np.argsort(np.abs(eps[sel]))
-    pts = eps[sel][order][:2]
-    vals = cs[sel][order][:2]
-    zero_idx = int(np.argmin(np.abs(eps)))
-    c0 = cs[zero_idx]
-    a, b = float(pts[0]), float(pts[1])
-    fa, fb = float(vals[0]), float(vals[1])
-    # Lagrange derivative at 0 of the parabola through (0,c0), (a,fa), (b,fb)
-    return (c0 * (-a - b) / (a * b)
-            + fa * (-b) / (a * (a - b))
-            + fb * (-a) / (b * (b - a)))
-
-
-def one_sided_derivatives(curve: CEpsCurve) -> tuple[float, float]:
-    """Recompute and record (D_minus, D_plus) from the stored samples."""
-    d_minus = _one_sided(curve.eps_samples, curve.c_values, -1)
-    d_plus = _one_sided(curve.eps_samples, curve.c_values, +1)
-    curve.D_minus = float(d_minus)
-    curve.D_plus = float(d_plus)
-    return curve.D_minus, curve.D_plus
+def one_sided_derivatives(eps: np.ndarray, cs: np.ndarray) -> tuple[float, float]:
+    """(D_minus, D_plus) at 0 of the samples cs = c(eps), eps containing 0: each is the
+    second-order derivative at 0 from c(0) and the two nearest samples on its side."""
+    c0 = cs[int(np.argmin(np.abs(eps)))]
+    derivs = []
+    for sel in (eps < 0, eps > 0):
+        if np.count_nonzero(sel) < 2:
+            raise ValueError("need at least two samples on each side of 0")
+        order = np.argsort(np.abs(eps[sel]))
+        a, b = map(float, eps[sel][order][:2])
+        fa, fb = map(float, cs[sel][order][:2])
+        # Lagrange derivative at 0 of the parabola through (0,c0), (a,fa), (b,fb)
+        derivs.append(float(c0 * (-a - b) / (a * b)
+                            + fa * (-b) / (a * (a - b))
+                            + fb * (-a) / (b * (b - a))))
+    return derivs[0], derivs[1]
 
 
 def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEFAULT_DT, *,
@@ -203,6 +194,5 @@ def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEF
         result = critical_value(lt.with_potential(pot), dt=dt, cross_tol=cross_tol)
         cs.append(result.c)
         agree = agree and result.method == "agree"
-    curve = CEpsCurve(eps, np.asarray(cs), 0.0, 0.0, agree)
-    one_sided_derivatives(curve)
-    return curve
+    cs = np.asarray(cs)
+    return CEpsCurve(eps, cs, *one_sided_derivatives(eps, cs), agree)

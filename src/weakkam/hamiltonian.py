@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,21 +35,39 @@ __all__ = [
 
 BUILTIN_NAMES = ("eikonal", "linear_contact", "example_ex", "corollary_a")
 REFINE = 40         # ternary-search passes refining each sampled Legendre argmax
-SAMPLES = 200       # random points drawn by each sampled load-time check
+SAMPLES = 200       # points of each sampled load-time check
 U_CHECK = 5.0       # load-time checks sample u on [-U_CHECK, U_CHECK]
+# the (x, u) lattice on which |dWu| is bounded and dWu is compared with W
+X_LATTICE = np.linspace(0.0, 1.0, 4096, endpoint=False)[:, None]
+U_LATTICE = np.linspace(-U_CHECK, U_CHECK, 21)[None, :]
+DIFF_H = 1e-3       # half-width of the central difference of W in u
+# allowed |dWu - central difference| per unit of 1 + max|dWu|: for W linear in u (every
+# builtin) the difference is exact up to rounding, eps*max|W|/DIFF_H ~ 2e-13*max|W|;
+# a W smooth in u adds the truncation error DIFF_H^2/6 * max|d3W/du3| ~ 1.7e-7 per unit
+DIFF_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """The pair (G, W) with dW/du supplied explicitly and bounded by lambda_bound."""
+    """The pair (G, W) with dW/du supplied explicitly and bounded by lambda_bound
+    (left out: max |dWu| on the load-time lattice)."""
 
     G: Expr
     W: Expr
     dWu: Expr
-    lambda_bound: float
+    lambda_bound: float | None = None
     vmax: float = 4.0
     pmax: float = 4.0
     name: str = "custom"
+
+    def __post_init__(self):
+        if self.lambda_bound is None:
+            object.__setattr__(self, "lambda_bound", float(np.abs(self._dwu_lattice).max()))
+
+    @cached_property
+    def _dwu_lattice(self) -> np.ndarray:
+        """dWu on X_LATTICE x U_LATTICE, evaluated once per spec."""
+        return _on_lattice(self.dWu, U_LATTICE)
 
     def G_at(self, x, p):
         return self.G.evaluate({"x": x, "p": p})
@@ -74,45 +93,63 @@ def _as_expr(value) -> Expr:
 
 
 def _formula(value) -> str:
-    if isinstance(value, Expr):
-        return f"({value})"
-    if isinstance(value, str):
+    if isinstance(value, (Expr, str)):
         return f"({value})"
     return f"({float(value)!r})"
 
 
-def _sampled_max_abs(e: Expr) -> float:
-    xs = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    names = e.variables()
-    if "u" in names:
-        us = np.linspace(-U_CHECK, U_CHECK, 21)
-        vals = e.evaluate({"x": xs[:, None], "u": us[None, :]})
-    else:
-        vals = e.evaluate({"x": xs}) if "x" in names else e.evaluate({})
-    return float(np.max(np.abs(vals)))
+def _on_lattice(e: Expr, us: np.ndarray) -> np.ndarray:
+    """An (x, u) expression on X_LATTICE x us, as a full (4096, us.size) array."""
+    vals = np.asarray(e.evaluate({"x": X_LATTICE, "u": us}), dtype=float)
+    return np.broadcast_to(vals, (X_LATTICE.size, us.size))
 
 
-def _midpoint_convexity_gap(fn, rng, pmax: float) -> float:
-    """Largest sampled fn((p1+p2)/2) - (fn(p1)+fn(p2))/2, p1, p2 uniform on [-pmax, pmax].
+def _sample_points(dim: int) -> np.ndarray:
+    """SAMPLES points spread evenly over [0, 1)^dim, shape (dim, SAMPLES), drawn from
+    no random generator: frac(1/2 + k*alpha) with alpha_j = g^-(j+1), g^(dim+1) = g + 1
+    (Roberts' R_d additive recurrence)."""
+    g = 2.0
+    for _ in range(60):
+        g = (1.0 + g) ** (1.0 / (dim + 1))
+    alpha = g ** -np.arange(1.0, dim + 1)
+    k = np.arange(1, SAMPLES + 1)[:, None]
+    return np.mod(0.5 + k * alpha, 1.0).T
 
-    fn binds every other sampled variable; a positive gap refutes convexity in p.
+
+def _midpoint_convexity_gap(fn, s: np.ndarray, pmax: float) -> float:
+    """Largest sampled fn((p1+p2)/2) - (fn(p1)+fn(p2))/2 with (p1, p2) = pmax*(2s - 1).
+
+    s is (2, SAMPLES) points of [0, 1)^2 from _sample_points; fn binds every
+    other sampled variable; a positive gap refutes convexity in p.
     """
-    p1 = rng.uniform(-pmax, pmax, SAMPLES)
-    p2 = rng.uniform(-pmax, pmax, SAMPLES)
+    p1, p2 = pmax * (2.0 * s - 1.0)
     mid = np.asarray(fn((p1 + p2) / 2))
     avg = (np.asarray(fn(p1)) + np.asarray(fn(p2))) / 2
     return float(np.max(mid - avg))
 
 
 def validate_spec(spec: HamiltonianSpec):
-    """Load-time sanity checks: the derivative bound and sampled convexity of G."""
-    bound = _sampled_max_abs(spec.dWu)
+    """Load-time sanity checks on the (x, u) lattice and at sampled points.
+
+    |dWu| stays within lambda_bound, dWu matches the central difference of
+    W in u within DIFF_TOL * (1 + max|dWu|), and G passes the sampled
+    midpoint convexity test in p.
+    """
+    dwu = spec._dwu_lattice
+    bound = float(np.abs(dwu).max())
     if bound > spec.lambda_bound + 1e-9:
         raise ConfigError(
             f"|dWu| reaches {bound:.6g} on the test lattice, exceeding Lambda={spec.lambda_bound:.6g}")
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(0.0, 1.0, SAMPLES)
-    worst = _midpoint_convexity_gap(lambda p: spec.G_at(xs, p), rng, spec.pmax)
+    diff = (_on_lattice(spec.W, U_LATTICE + DIFF_H)
+            - _on_lattice(spec.W, U_LATTICE - DIFF_H)) / (2 * DIFF_H)
+    err = np.abs(dwu - diff)
+    i, j = np.unravel_index(np.argmax(err), err.shape)
+    if err[i, j] > DIFF_TOL * (1.0 + bound):
+        raise ConfigError(
+            f"dWu = {spec.dWu} is not dW/du: it differs from the central difference of W "
+            f"by {err[i, j]:.3g} at (x={X_LATTICE[i, 0]:.6g}, u={U_LATTICE[0, j]:.6g})")
+    pts = _sample_points(3)
+    worst = _midpoint_convexity_gap(lambda p: spec.G_at(pts[0], p), pts[1:], spec.pmax)
     if worst > 1e-9:
         raise ConfigError(f"G fails the sampled midpoint convexity test by {worst:.3g}")
     return spec
@@ -128,9 +165,8 @@ def spec_from_config(ham: dict) -> HamiltonianSpec:
         dWu = _as_expr(ham.get("dWu", "0"))
     except KeyError as exc:
         raise ConfigError(f"hamiltonian config missing key {exc}") from exc
-    lam = float(ham.get("Lambda", _sampled_max_abs(dWu)))
     spec = HamiltonianSpec(
-        G=G, W=W, dWu=dWu, lambda_bound=lam,
+        G=G, W=W, dWu=dWu, lambda_bound=float(ham["Lambda"]) if "Lambda" in ham else None,
         vmax=float(ham.get("vmax", 4.0)), pmax=float(ham.get("pmax", 4.0)),
         name=ham.get("name", "custom"))
     return validate_spec(spec)
@@ -178,10 +214,8 @@ def builtin(name: str, params: dict) -> HamiltonianSpec:
     else:
         raise ConfigError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
 
-    dWu = parse(dwu_src)
     spec = HamiltonianSpec(
-        G=parse(g_src), W=parse(w_src), dWu=dWu,
-        lambda_bound=_sampled_max_abs(dWu),
+        G=parse(g_src), W=parse(w_src), dWu=parse(dwu_src),
         vmax=float(params.get("vmax", 4.0)), pmax=float(params.get("pmax", 4.0)),
         name=name)
     return validate_spec(spec)

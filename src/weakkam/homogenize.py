@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from . import critical as crit
 from .errors import ConfigError, ConvergenceError
 from .expr import Expr
 from .grid import Field, TorusGrid, lipschitz
-from .hamiltonian import (SAMPLES, U_CHECK, LagrangianTable, _as_expr, _midpoint_convexity_gap,
-                          conjugate_table)
+from .hamiltonian import (U_CHECK, LagrangianTable, _as_expr, _midpoint_convexity_gap,
+                          _sample_points, conjugate_table)
 from .semigroup import MinPlusStepper, iterate
 
 __all__ = [
@@ -88,27 +88,31 @@ def problem_from_config(conf: dict) -> HomogProblem:
 
 
 def validate_problem(hp: HomogProblem) -> HomogProblem:
-    """Sampled checks of the monotonicity window and convexity in p."""
+    """Checks of the monotonicity window and convexity in p at fixed sample points."""
     if not (0 < hp.Lambda1 <= hp.Lambda2):
         raise ConfigError("need 0 < Lambda1 <= Lambda2")
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(0, 1, SAMPLES)
-    ys = rng.uniform(0, 1, SAMPLES)
-    ps = rng.uniform(-hp.pmax, hp.pmax, SAMPLES)
-    us = rng.uniform(-U_CHECK, U_CHECK, SAMPLES)
+    pts = _sample_points(6)
+    xs, ys = pts[0], pts[1]
+    ps = hp.pmax * (2.0 * pts[2] - 1.0)
+    us = U_CHECK * (2.0 * pts[3] - 1.0)
     dvals = np.asarray(hp.dHu.evaluate({"x": xs, "y": ys, "p": ps, "u": us}))
     if np.any(dvals < hp.Lambda1 - 1e-9) or np.any(dvals > hp.Lambda2 + 1e-9):
         raise ConfigError(
             f"sampled dH/du leaves [{hp.Lambda1}, {hp.Lambda2}]: "
             f"range [{dvals.min():.4g}, {dvals.max():.4g}]")
-    if _midpoint_convexity_gap(lambda p: hp.H_at(xs, ys, p, us), rng, hp.pmax) > 1e-9:
+    if _midpoint_convexity_gap(lambda p: hp.H_at(xs, ys, p, us), pts[4:], hp.pmax) > 1e-9:
         raise ConfigError("H fails the sampled midpoint convexity test in p")
     return hp
 
 
 def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
-                 dt: float = 0.05, n_fast: int = 64, m: int = 49, k: int = 49) -> float:
-    """Effective value Hbar(x,p,c): critical value of q -> H(x,y,p+q,c) in y."""
+                 dt: float = 0.05, n_fast: int = 64, m: int = 49, k: int = 49,
+                 cross_tol: float = crit.DEFAULT_CROSS_TOL) -> float:
+    """Effective value Hbar(x,p,c): critical value of q -> H(x,y,p+q,c) in y.
+
+    Raises ConvergenceError when its discount and long-time estimators
+    differ by more than cross_tol.
+    """
     for name, val in (("x", x), ("p", p), ("c", c)):
         if not np.isfinite(val):
             raise ValueError(f"cell coordinate {name} must be finite")
@@ -121,7 +125,7 @@ def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
 
     vs, L = conjugate_table(gfun, g.n, m, k, hp.vmax, pmax_cell, warn_label="cell H")
     lt = LagrangianTable(g, vs, L, hp.vmax, pmax_cell)
-    res = crit.critical_value(lt, dt=dt)
+    res = crit.critical_value(lt, dt=dt, cross_tol=cross_tol)
     if res.method != "agree":
         raise ConvergenceError(
             f"cell problem at (x={x:.4g}, p={p:.4g}, c={c:.4g}): discount and "
@@ -274,7 +278,6 @@ class RateResult:
     errors: dict                 # eps -> sup-norm error on the fine grid
     ubar: Field
     table: EffectiveTable
-    details: dict = field(default_factory=dict)
 
 
 def rate_experiment(hp: HomogProblem, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
@@ -313,8 +316,7 @@ def rate_experiment(hp: HomogProblem, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
     else:
         slope = float(np.polyfit(np.log(eps_arr), np.log(np.maximum(err_arr, 1e-300)), 1)[0])
     C_fit = float(np.max(err_arr / np.sqrt(eps_arr)))
-    return RateResult(slope, C_fit, errors, ubar, table,
-                      details={"n_per_period": n_per_period, "lip_ubar": lip})
+    return RateResult(slope, C_fit, errors, ubar, table)
 
 
 def _default_c_span(hp: HomogProblem) -> float:

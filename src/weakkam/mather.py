@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, TorusGrid
+from .grid import Field
 from .hamiltonian import LagrangianTable
 from .semigroup import MinPlusStepper, iterate
 
@@ -150,7 +150,7 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, var_cols: np.ndarray):
 
 
 def _solve_standard_form(lp: LinearProgram):
-    """Two-phase simplex; returns (x, value, basis, kept_rows, duals)."""
+    """Two-phase simplex; returns (x, value, duals)."""
     A = lp.A.copy()
     b = lp.b.copy()
     c = lp.c
@@ -213,7 +213,7 @@ def _solve_standard_form(lp: LinearProgram):
         y_kept = np.linalg.lstsq(B.T, c[basis], rcond=None)[0]
     duals = np.zeros(lp.b.size)
     duals[rows_idx] = y_kept * sign[rows_idx]
-    return x, float(c @ x), basis, rows_idx, duals
+    return x, float(c @ x), duals
 
 
 def lp_simplex(lp: LinearProgram) -> tuple[np.ndarray, float]:
@@ -221,7 +221,7 @@ def lp_simplex(lp: LinearProgram) -> tuple[np.ndarray, float]:
 
     Returns (x, value).  Raises LPInfeasibleError / LPUnboundedError.
     """
-    x, value, _, _, _ = _solve_standard_form(lp)
+    x, value, _ = _solve_standard_form(lp)
     return x, value
 
 
@@ -279,63 +279,48 @@ def _column_generation(cols: _OccupationalColumns, init_i: np.ndarray,
                        init_j: np.ndarray, with_slack: bool):
     """Exact solve of the occupational LP through restricted masters.
 
-    Each round adds up to 64 of the most negative reduced-cost columns.
+    The master's columns are flat indices i*m + j in order of entry: the initial
+    ones without repeats, then each round up to 64 of the most negative reduced costs.
     """
-    # deduplicate while keeping order
-    keys = {}
-    for i, j in zip(init_i.tolist(), init_j.tolist()):
-        keys.setdefault((i, j), None)
-    active = list(keys)
+    flat_init = init_i * cols.m + init_j
+    _, first = np.unique(flat_init, return_index=True)
+    active = flat_init[np.sort(first)]
+    normal = cols.cost[cols.cost < L_CLIP / 2]
+    scale = max(1.0, float(np.abs(normal).max()) if normal.size else 1.0)
     for _ in range(500):
-        ci = np.array([t[0] for t in active], dtype=int)
-        cj = np.array([t[1] for t in active], dtype=int)
-        A = cols.matrix(ci, cj, slack=with_slack)
+        ci, cj = np.divmod(active, cols.m)
         cost = cols.cost[ci, cj]
         if with_slack:
             cost = np.concatenate([cost, [0.0]])
-        lp = LinearProgram(cost, A, cols.rhs())
-        x, value, _, _, duals = _solve_standard_form(lp)
+        lp = LinearProgram(cost, cols.matrix(ci, cj, slack=with_slack), cols.rhs())
+        x, value, duals = _solve_standard_form(lp)
         red = cols.reduced_costs(duals)
         red[ci, cj] = 0.0
-        flat = np.argsort(red, axis=None)
-        worst = red.flat[flat[0]]
-        normal = cols.cost[cols.cost < L_CLIP / 2]
-        scale = max(1.0, float(np.abs(normal).max()) if normal.size else 1.0)
-        if worst >= -LP_TOL * scale:
+        take = np.argsort(red, axis=None)[:64]
+        new = take[red.flat[take] < -LP_TOL * scale]
+        if new.size == 0:
             weights = np.zeros((cols.n, cols.m))
             weights[ci, cj] = x[:ci.size]
             return weights, value
-        take = flat[:64]
-        new_i, new_j = np.unravel_index(take, red.shape)
-        added = False
-        for i, j in zip(new_i.tolist(), new_j.tolist()):
-            if red[i, j] < -LP_TOL * scale and (i, j) not in keys:
-                keys[(i, j)] = None
-                active.append((i, j))
-                added = True
-        if not added:
-            weights = np.zeros((cols.n, cols.m))
-            weights[ci, cj] = x[:ci.size]
-            return weights, value
+        active = np.concatenate([active, new])
     raise LPError("column generation did not converge")
 
 
 @dataclass
 class OccupationalMeasure:
-    grid: TorusGrid
-    vgrid: np.ndarray
+    """Optimal weights on lt's (node, velocity) pairs and their action integral."""
+
+    lt: LagrangianTable = field(repr=False)    # the folded table the program was solved on
     weights: np.ndarray      # (n, m), nonnegative, sums to 1
-    value: float             # optimal integral of the cost
-    objective: np.ndarray = field(repr=False)   # cost matrix used, (n, m)
-    _lt: LagrangianTable = field(repr=False, default=None)
+    value: float             # optimal integral of min(lt.L, L_CLIP)
 
     def closedness_residual(self) -> float:
-        flux = self.weights @ (self.vgrid / (2.0 * self.grid.h))
+        flux = self.weights @ (self.lt.vgrid / (2.0 * self.lt.grid.h))
         res = np.roll(flux, -1) - np.roll(flux, 1)
         return float(np.max(np.abs(res)))
 
     def mean_velocity(self) -> float:
-        return float((self.weights @ self.vgrid).sum())
+        return float((self.weights @ self.lt.vgrid).sum())
 
     def node_mass(self) -> np.ndarray:
         return self.weights.sum(axis=1)
@@ -354,7 +339,7 @@ def solve_occupational(lt: LagrangianTable) -> OccupationalMeasure:
     total = weights.sum()
     if abs(total - 1.0) > 1e-9:
         raise LPError(f"measure mass {total} deviates from 1")
-    return OccupationalMeasure(lt.grid, lt.vgrid, weights, value, cost, lt)
+    return OccupationalMeasure(lt, weights, value)
 
 
 def extremal_integral(measure: OccupationalMeasure, f: Field, sense: str = "min",
@@ -369,13 +354,12 @@ def extremal_integral(measure: OccupationalMeasure, f: Field, sense: str = "min"
     if face_tol <= 0:
         raise ValueError("face_tol must be positive")
     sign = 1.0 if sense == "min" else -1.0
-    fmat = np.broadcast_to(sign * f.values[:, None],
-                           measure.objective.shape).copy()
-    lt = measure._lt
-    cols = _OccupationalColumns(lt, fmat, face_row=measure.objective,
+    lt = measure.lt
+    fmat = np.broadcast_to(sign * f.values[:, None], lt.L.shape).copy()
+    cols = _OccupationalColumns(lt, fmat, face_row=np.minimum(lt.L, L_CLIP),
                                 face_rhs=measure.value + face_tol)
-    n = measure.grid.n
-    j0 = int(np.argmin(np.abs(measure.vgrid)))
+    n = lt.grid.n
+    j0 = int(np.argmin(np.abs(lt.vgrid)))
     sup_i, sup_j = np.nonzero(measure.weights > 0)
     init_i = np.concatenate([np.arange(n), sup_i])
     init_j = np.concatenate([np.full(n, j0, dtype=int), sup_j])
@@ -385,12 +369,11 @@ def extremal_integral(measure: OccupationalMeasure, f: Field, sense: str = "min"
 
 @dataclass
 class BarrierTable:
+    """The drift-corrected barrier of one table, with the Aubry set read off its diagonal."""
+
     h: np.ndarray              # (n, n): normalized barrier from x to y
     c_used: float              # normalization constant after drift correction
     aubry_indices: np.ndarray  # nodes with h[y,y] <= aubry_tol
-    aubry_tol: float
-    grid: TorusGrid
-    t_list: tuple
 
 
 def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
@@ -441,4 +424,4 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
         barrier = corrected if barrier is None else np.minimum(barrier, corrected)
 
     indices = np.nonzero(np.diag(barrier) <= aubry_tol)[0]
-    return BarrierTable(barrier, c - drift, indices, aubry_tol, g, t_list)
+    return BarrierTable(barrier, c - drift, indices)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, TorusGrid, lipschitz
+from .grid import Field, TorusGrid
 from .hamiltonian import HamiltonianSpec, LagrangianTable
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "evolve",
     "EvolveResult",
     "stationary_solve",
-    "StationaryResult",
 ]
 
 
@@ -133,7 +132,6 @@ class Stepper:
         self._fwd = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L, spec.lambda_bound,
                                    backward=False)
         self.spec = spec
-        self.lt = lt
         self.dt = dt
         self.mode = mode
         self.xs = lt.grid.nodes
@@ -164,6 +162,8 @@ class Stepper:
 
 @dataclass
 class SolveRecord:
+    """What every step loop returns: the last iterate and how the loop ended."""
+
     values: np.ndarray
     steps: int
     residual: float        # sup|u_k - u_{k-1}| / dt at the last step (inf if none)
@@ -196,17 +196,18 @@ def iterate(step, u0: np.ndarray, dt: float, max_steps: int, tol: float | None =
 
 @dataclass
 class EvolveResult:
+    """The snapshots of one evolution and how its step loop ended."""
+
     snapshots: list          # [(t, Field)], strictly increasing times
     final: Field
-    dt: float
     steps: int
-    lipschitz: list          # discrete Lipschitz constant of each snapshot
     final_residual: float    # sup|u_k - u_{k-1}| / dt at the last step
 
 
 def evolve(phi: Field, spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt: float,
            direction: str = "backward", snap_every: int = 0) -> EvolveResult:
-    """Repeated stepping from phi over steps = ceil(T/dt)."""
+    """Repeated stepping from phi over steps = ceil(T/dt), snapshotting every
+    snap_every steps (when positive) and at the last step."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if direction not in ("backward", "forward"):
@@ -215,38 +216,25 @@ def evolve(phi: Field, spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt:
     advance = stepper.backward_values if direction == "backward" else stepper.forward_values
     steps = math.ceil(T / dt - 1e-12)
     snapshots = []
-    lip = []
 
     def snapshot(k, u):
         if (snap_every and k % snap_every == 0) or k == steps:
-            f = Field(phi.grid, u)
-            snapshots.append((k * dt, f))
-            lip.append(lipschitz(f))
+            snapshots.append((k * dt, Field(phi.grid, u)))
 
     rec = iterate(advance, phi.values, dt, steps, observe=snapshot)
-    return EvolveResult(snapshots, snapshots[-1][1], dt, rec.steps, lip, rec.residual)
-
-
-@dataclass
-class StationaryResult:
-    field: Field
-    residual: float        # sup|u_{k+1} - u_k| / dt at the final iterate
-    converged: bool
-    steps: int
-    t_elapsed: float
+    return EvolveResult(snapshots, snapshots[-1][1], rec.steps, rec.residual)
 
 
 def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,
-                     tol: float, T_max: float) -> StationaryResult:
+                     tol: float, T_max: float) -> SolveRecord:
     """Evolve backward until the per-unit-time residual drops below tol.
 
-    Returns the last iterate either way; non-convergence within T_max is
-    reported through the flag, not raised, since a residual stall at the
-    scheme consistency level is a meaningful outcome.
+    Returns the driver's record, whose values are the last iterate on
+    phi0's grid either way; non-convergence within T_max is reported
+    through the flag, not raised, since a residual stall at the scheme
+    consistency level is a meaningful outcome.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     stepper = Stepper(spec, lt, dt)
-    rec = iterate(stepper.backward_values, phi0.values, dt, math.ceil(T_max / dt), tol)
-    return StationaryResult(Field(phi0.grid, rec.values), rec.residual, rec.converged,
-                            rec.steps, rec.steps * dt)
+    return iterate(stepper.backward_values, phi0.values, dt, math.ceil(T_max / dt), tol)

@@ -56,4 +56,4 @@ def example_setup(g128):
     phi = field_from_expr(g128, parse(PHI_SRC))
     res = stationary_solve(phi, spec, lt, dt=1e-3, tol=1e-6, T_max=40.0)
     assert res.converged
-    return {"spec": spec, "lt": lt, "phi": phi, "u_minus": res.field, "grid": g128}
+    return {"spec": spec, "lt": lt, "phi": phi, "u_minus": Field(g128, res.values), "grid": g128}

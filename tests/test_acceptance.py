@@ -117,7 +117,7 @@ def test_criterion_05_decay_rate_example():
                                       "theta": 0.5, "zeta": 1.0})
         lt = legendre(spec, g, 49, 49)
         phi = field_from_expr(g, parse(PHI_SRC))
-        um = stationary_solve(phi, spec, lt, dt=1e-3, tol=1e-6, T_max=40.0).field
+        um = Field(g, stationary_solve(phi, spec, lt, dt=1e-3, tol=1e-6, T_max=40.0).values)
         rep = st.check_condition(spec, um, "A3", lt=lt)
         assert rep.verdict == "holds"
         assert rep.A_estimate == pytest.approx(0.5, abs=1e-2)

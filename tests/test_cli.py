@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -346,10 +348,29 @@ def test_load_config_validates_the_hamiltonian_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_load_time_checks_draw_no_random_numbers(tmp_path):
+    # importing numpy.random alone costs more than the checks it fed
+    code = "\n".join([
+        "import json, sys",
+        "from weakkam import cli, homogenize",
+        "cli.load_config(sys.argv[1])",
+        "homogenize.problem_from_config({'H': 'u + p^2 + 0.5*cos(2*pi*y)', 'dHu': '1',",
+        "                                'Lambda1': 1.0, 'Lambda2': 1.0})",
+        "print(json.dumps('numpy.random' in sys.modules))",
+    ])
+    path = write_config(tmp_path / "c.json", {"command": "example-ex", "seed": 7})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code, path], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) is False
+
+
 def test_deeply_nested_formula_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", {
         "command": "critical",
-        "hamiltonian": {"G": "p^2", "W": "-" * 3000 + "u", "dWu": "-1", "Lambda": 1.0},
+        "hamiltonian": {"G": "p^2", "W": "-" * 3000 + "u", "dWu": "1", "Lambda": 1.0},
         "output_dir": str(tmp_path / "out"),
     })
     assert cli.main(["critical", "--config", path, "--quiet"]) == 2
@@ -376,6 +397,23 @@ def test_homogenize_command(tmp_path, capsys):
     assert "x,p,c,Hbar" in table
 
 
+def test_homogenize_cells_read_cross_tol(tmp_path, capsys):
+    # the cell estimators of test_homogenize_command differ by about 1e-4
+    path = write_config(tmp_path / "c.json", {
+        "command": "homogenize",
+        "homog": {"H": "u + p^2 + 0.5*cos(2*pi*y)", "dHu": "1",
+                  "Lambda1": 1.0, "Lambda2": 1.0},
+        "numerics": {"homog_eps_list": [0.25, 0.125], "n_per_period": 8,
+                     "p_count": 7, "c_count": 3, "p_span": 1.5,
+                     "cell_n_fast": 32, "cell_m": 33, "cell_k": 33,
+                     "cell_dt": 0.05, "cross_tol": 1e-9},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["homogenize", "--config", path]) == 1
+    assert "estimators disagree" in capsys.readouterr().err
+    assert "estimators disagree" in (tmp_path / "out" / "diagnostic.txt").read_text()
+
+
 def test_corollary_command(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", {
         "command": "corollary",
@@ -397,7 +435,10 @@ def test_corollary_command(tmp_path, capsys):
     ({"a": "2+sin(2*pi*x)"}, "dWu"),
     ({"hamiltonian": {"G": "p^2", "W": "u^2", "dWu": "2*u", "Lambda": 10.0}}, "W = a"),
     ({"hamiltonian": {"G": "p^2", "W": "1 + u", "dWu": "1"}}, "W = a"),
-], ids=["contradicting-a", "stale-a", "dWu-with-u", "W-nonzero-at-0"])
+    # a dWu that is not dW/du: a vanishes at x = 0, on the Aubry set, but dWu does not
+    ({"hamiltonian": {"G": "p^2 + cos(2*pi*x) - 1", "W": "sin(pi*x)^2*u",
+                      "dWu": "2+sin(2*pi*x)"}}, "dWu = 2+sin(2*pi*x) is not dW/du"),
+], ids=["contradicting-a", "stale-a", "dWu-with-u", "W-nonzero-at-0", "dWu-not-dW-du"])
 def test_corollary_config_errors(tmp_path, capsys, extra, message):
     path = write_config(tmp_path / "c.json", {
         "command": "corollary",

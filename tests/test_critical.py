@@ -130,12 +130,9 @@ def test_parameter_validation(free_table):
 
 def test_one_sided_derivatives_synthetic():
     eps = np.array([-0.02, -0.01, 0.0, 0.01, 0.02])
-    linear = crit.CEpsCurve(eps, 3 * eps, 0.0, 0.0)
-    assert crit.one_sided_derivatives(linear) == pytest.approx((3.0, 3.0))
-    kink = crit.CEpsCurve(eps, np.abs(eps), 0.0, 0.0)
-    assert crit.one_sided_derivatives(kink) == pytest.approx((-1.0, 1.0))
-    quad = crit.CEpsCurve(eps, eps - eps ** 2, 0.0, 0.0)
-    dm, dp = crit.one_sided_derivatives(quad)
+    assert crit.one_sided_derivatives(eps, 3 * eps) == pytest.approx((3.0, 3.0))
+    assert crit.one_sided_derivatives(eps, np.abs(eps)) == pytest.approx((-1.0, 1.0))
+    dm, dp = crit.one_sided_derivatives(eps, eps - eps ** 2)
     assert dm == pytest.approx(1.0, abs=1e-3)
     assert dp == pytest.approx(1.0, abs=1e-3)
 

@@ -135,6 +135,15 @@ def test_validate_rejects_bad_lambda():
         validate_spec(spec)
 
 
+def test_validate_rejects_dWu_that_is_not_dW_du():
+    with pytest.raises(ConfigError, match=r"dWu = 2\*u\+1 is not dW/du.*at \(x=0, u=-5\)"):
+        spec_from_config({"G": "p^2", "W": "u^2", "dWu": "2*u+1", "Lambda": 11.0})
+    # nonlinear in u: the central difference agrees to its truncation error
+    spec = spec_from_config({"G": "p^2", "W": "0.1*sin(u)*cos(2*pi*x)",
+                             "dWu": "0.1*cos(u)*cos(2*pi*x)"})
+    assert spec.lambda_bound == pytest.approx(0.1)
+
+
 def test_validate_rejects_concave_G():
     with pytest.raises(ConfigError, match="convexity"):
         spec_from_config({"G": "-(p^2)", "W": "0", "dWu": "0"})

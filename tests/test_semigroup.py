@@ -110,7 +110,6 @@ def test_evolve_snapshots_contract(free_64):
     times = [t for t, _ in res.snapshots]
     assert times == sorted(times) and len(set(times)) == len(times)
     assert res.final is res.snapshots[-1][1]
-    assert len(res.lipschitz) == len(res.snapshots)
 
 
 def test_nonexpansion_with_lambda_inflation():
@@ -222,10 +221,10 @@ def test_stationary_linear_contact(contact_64):
     res = stationary_solve(constant_field(g, 0.7), spec, lt, dt=1e-3, tol=1e-6,
                            T_max=40.0)
     assert res.converged
-    assert np.max(np.abs(res.field.values)) <= 1e-6 / 1.0  # tol / a
+    assert np.max(np.abs(res.values)) <= 1e-6 / 1.0  # tol / a
     # residual contract
-    after = Field(g, Stepper(spec, lt, 1e-3).backward_values(res.field.values))
-    assert sup_diff(after, res.field) / 1e-3 <= 1e-6
+    after = Field(g, Stepper(spec, lt, 1e-3).backward_values(res.values))
+    assert sup_diff(after, Field(g, res.values)) / 1e-3 <= 1e-6
 
 
 def test_stationary_example_recovers_phi(example_setup):
@@ -253,7 +252,7 @@ def test_stationary_critical_normalization_settles():
     assert res.residual < 5e-2
     # analytic oscillation of the weak KAM solution: integral of
     # sqrt(2) sin(pi s) over half a period = sqrt(2)/pi ~ 0.45
-    osc = float(res.field.values.max() - res.field.values.min())
+    osc = float(res.values.max() - res.values.min())
     assert osc == pytest.approx(np.sqrt(2) / np.pi, abs=5e-2)
 
 
