@@ -3,11 +3,12 @@
 Invocation:  weakkam <command> --config <path> [--out <dir>] [--quiet]
 
 Commands: evolve, stationary, critical, ceps, mather, barrier, stability,
-instability, corollary, homogenize, example-ex.  Configs are JSON; numeric
-defaults are filled at load time, an unknown numerics key is a
-configuration error, and every artifact file begins with comment lines
-recording the fully resolved configuration, so reruns with the same
-config and seed reproduce byte-identical outputs.
+instability, corollary, homogenize, example-ex.  Configs are JSON; every
+section is read by config.read_section from a table of its keys, so an
+unknown key or a malformed value is a configuration error at load, and
+every artifact file begins with comment lines recording the fully resolved
+configuration, so reruns with the same config and seed reproduce
+byte-identical outputs.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error,
 3 property-check failure (the math disagreed, e.g. the discount and
@@ -21,49 +22,46 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import critical as crit
 from . import homogenize as homog
 from . import mather, stability
+from .config import (REQUIRED, choice, count, formula, integer, numbers, positive,
+                     read_section, section, text)
 from .errors import ConfigError
-from .expr import ExprError, parse
+from .expr import ExprError
 from .grid import Field, TorusGrid, field_from_expr, fmt17, write_csv
 from .hamiltonian import HamiltonianSpec, builtin, legendre, spec_from_config
 from .semigroup import evolve, stationary_solve
 
-COMMANDS = ("evolve", "stationary", "critical", "ceps", "mather", "barrier",
-            "stability", "instability", "corollary", "homogenize", "example-ex")
-
-NUMERIC_DEFAULTS = {
-    "n": 256,
-    "m": 64,
-    "dt": 1e-3,
-    "tol": 1e-6,
-    "T": 10.0,
-    "T_max": 40.0,
-    "snap_every": 0,
-    "dt_critical": crit.DEFAULT_DT,
-    "cross_tol": crit.DEFAULT_CROSS_TOL,
-    "zeta_grid": list(stability.DEFAULT_ZETA_GRID),
-    "margin": 1e-2,
-    "eps_list": [-0.04, -0.02, 0.0, 0.02, 0.04],
-    "delta": 0.05,
-    "eps": 0.01,
-    "Delta": 0.5,
-    "n_per_period": 32,
-    "homog_eps_list": [1 / 8, 1 / 16, 1 / 32, 1 / 64],
-    "aubry_tol": 1e-2,
+# every numerics key with its kind and default, by the commands that read it; the
+# homogenize table grids and cell options have none (absent: the library's own)
+NUMERIC_KEYS = {
+    "n": (count(8), 256), "m": (count(), 64), "dt": (positive, 1e-3), "tol": (positive, 1e-6),
+    "T": (positive, 10.0), "T_max": (positive, 40.0), "snap_every": (count(0), 0),
+    "dt_critical": (positive, crit.DEFAULT_DT), "cross_tol": (positive, crit.DEFAULT_CROSS_TOL),
+    "zeta_grid": (numbers, list(stability.DEFAULT_ZETA_GRID)), "margin": (positive, 1e-2),
+    "eps_list": (numbers, [-0.04, -0.02, 0.0, 0.02, 0.04]), "aubry_tol": (positive, 1e-2),
+    "delta": (positive, 0.05), "eps": (positive, 0.01), "Delta": (positive, 0.5),
+    "n_per_period": (count(), 32), "homog_eps_list": (numbers, [1 / 8, 1 / 16, 1 / 32, 1 / 64]),
+    "p_count": (count(), None), "c_count": (count(), None), "p_span": (positive, None),
+    "cell_n_fast": (count(), None), "cell_m": (count(), None), "cell_k": (count(), None),
+    "cell_dt": (positive, None),
 }
-
-# optional keys with no default: effective-table grids and cell-problem options
-TABLE_KEYS = ("p_count", "c_count", "p_span")
-CELL_KEYS = ("cell_n_fast", "cell_m", "cell_k", "cell_dt")
-
-_POSITIVE_KEYS = ("n", "m", "dt", "tol", "T", "T_max", "dt_critical", "cross_tol",
-                  "margin", "delta", "eps", "Delta", "n_per_period", "aubry_tol")
+# top-level keys of every command; each command adds the section of its problem
+TOP_KEYS = {
+    "command": (text, REQUIRED),    # checked against COMMANDS first: it picks the section
+    "numerics": (section, {}), "output_dir": (text, "weakkam-out"), "seed": (integer, 0),
+    "phi0": (formula, "0"), "which": (choice("A3", "A4"), "A3"), "decay_T": (positive, 8.0),
+    "basin_delta_hi": (positive, None), "direction": (choice("backward", "forward"), "backward"),
+}
+# the section each command reads its problem from, with its default
+PROBLEM_KEYS = {"example-ex": ("params", {}), "homogenize": ("homog", REQUIRED)}
+EXAMPLE_PARAMS = {"phi": "sin(2*pi*x)/(2*pi)", "dphi": "cos(2*pi*x)", "theta": 0.5,
+                  "zeta": 1.0}
 # top-level keys that change a command's outputs, recorded in every header
 _HEADER_KEYS = ("phi0", "which", "decay_T", "basin_delta_hi", "direction")
 
@@ -74,16 +72,16 @@ class ExperimentConfig:
     numerics: dict
     output_dir: str
     seed: int
-    spec: HamiltonianSpec | None = None
-    raw: dict = field(default_factory=dict)
+    spec: HamiltonianSpec | homog.HomogProblem    # the latter for homogenize
+    options: dict       # the checked top-level keys, phi0 as a Field on the run's grid
+    raw: dict           # the config as read, example-ex's builtin filled in: for headers
 
     def header(self) -> dict:
         head = {"command": self.command, "seed": self.seed,
                 "numerics": json.dumps(self.numerics, sort_keys=True)}
-        if "hamiltonian" in self.raw:
-            head["hamiltonian"] = json.dumps(self.raw["hamiltonian"], sort_keys=True)
-        if "homog" in self.raw:
-            head["homog"] = json.dumps(self.raw["homog"], sort_keys=True)
+        for key in ("hamiltonian", "homog"):
+            if key in self.raw:
+                head[key] = json.dumps(self.raw[key], sort_keys=True)
         for key in _HEADER_KEYS:
             if key in self.raw:
                 head[key] = self.raw[key]
@@ -91,7 +89,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read, validate and default-fill a JSON experiment config."""
+    """Read and check a JSON experiment config, every section through read_section."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -105,83 +103,48 @@ def load_config(path: str) -> ExperimentConfig:
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"config key 'command' must be one of {COMMANDS}, got {command!r}")
-
-    numerics = dict(NUMERIC_DEFAULTS)
-    user_num = raw.get("numerics", {})
-    if not isinstance(user_num, dict):
-        raise ConfigError("config key 'numerics' must be an object")
-    unknown = sorted(set(user_num) - set(NUMERIC_DEFAULTS) - set(TABLE_KEYS + CELL_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown numerics keys: {', '.join(unknown)}")
-    numerics.update(user_num)
-    for key in _POSITIVE_KEYS:
-        if key in numerics and not (isinstance(numerics[key], (int, float))
-                                    and numerics[key] > 0):
-            raise ConfigError(f"numerics key {key!r} must be a positive number")
-    for key, allowed in (("which", ("A3", "A4")), ("direction", ("backward", "forward"))):
-        if raw.get(key, allowed[0]) not in allowed:
-            raise ConfigError(f"config key {key!r} must be one of {allowed}, got {raw[key]!r}")
     if "a" in raw:
         raise ConfigError("config key 'a' is not read: the corollary's a(x) is the "
                           "hamiltonian's dWu, with W = a(x)*u")
-    numerics["n"] = int(numerics["n"])
-    numerics["m"] = int(numerics["m"])
-    if numerics["n"] < 8:
-        raise ConfigError("numerics key 'n' must be >= 8")
-
-    spec = None
-    if command == "example-ex":
-        params = dict(raw.get("params", {}))
-        params.setdefault("phi", "sin(2*pi*x)/(2*pi)")
-        params.setdefault("dphi", "cos(2*pi*x)")
-        params.setdefault("theta", 0.5)
-        params.setdefault("zeta", 1.0)
-        raw = dict(raw)
-        raw["hamiltonian"] = {"builtin": "example_ex", "params": params}
-        raw.setdefault("phi0", params["phi"])
-        spec = builtin("example_ex", params)
-    elif "hamiltonian" in raw:
-        ham = raw["hamiltonian"]
-        if not isinstance(ham, dict):
-            raise ConfigError("config key 'hamiltonian' must be an object")
-        try:
-            spec = spec_from_config(ham)
-        except ExprError as exc:
-            raise ConfigError(f"hamiltonian formula error: {exc}") from exc
-    elif command not in ("homogenize",):
-        raise ConfigError(f"command {command!r} requires a 'hamiltonian' section")
-
-    seed = int(raw.get("seed", 0))
-    if spec is not None:
+    key, default = PROBLEM_KEYS.get(command, ("hamiltonian", REQUIRED))
+    top = read_section("config", raw, {**TOP_KEYS, key: (section, default)})
+    numerics = read_section("numerics", top["numerics"], NUMERIC_KEYS)
+    try:
+        if command == "example-ex":
+            params = {**EXAMPLE_PARAMS, **top["params"]}
+            spec = builtin("example_ex", params)
+            raw = dict(raw, hamiltonian={"builtin": "example_ex", "params": params})
+            raw.setdefault("phi0", params["phi"])
+            top["phi0"] = formula(raw["phi0"])
+        elif command == "homogenize":
+            spec = homog.problem_from_config(top["homog"])
+        else:
+            spec = spec_from_config(top["hamiltonian"])
+    except ExprError as exc:
+        raise ConfigError(f"{key} formula error: {exc}") from exc
+    try:
+        top["phi0"] = field_from_expr(TorusGrid(numerics["n"]), top["phi0"])
+    except ValueError as exc:
+        raise ConfigError(f"phi0 formula error: {exc}") from exc
+    if isinstance(spec, HamiltonianSpec):
         if numerics["dt"] * spec.lambda_bound > 0.5:
             raise ConfigError(
                 f"dt*Lambda exceeds 1/2 (dt={numerics['dt']}, Lambda={spec.lambda_bound})")
         if numerics["dt"] * spec.vmax > 0.5:
             raise ConfigError(
                 f"dt*vmax exceeds 1/2 (dt={numerics['dt']}, vmax={spec.vmax})")
-    output_dir = raw.get("output_dir", "weakkam-out")
-    return ExperimentConfig(command, numerics, output_dir, seed, spec, dict(raw))
+    return ExperimentConfig(command, numerics, top["output_dir"], top["seed"], spec, top, raw)
 
 
 def _grid_lt(config: ExperimentConfig):
-    num = config.numerics
-    g = TorusGrid(num["n"])
-    lt = legendre(config.spec, g, num["m"], num["m"])
-    return g, lt
-
-
-def _phi0(config: ExperimentConfig, g: TorusGrid) -> Field:
-    src = config.raw.get("phi0", "0")
-    try:
-        return field_from_expr(g, parse(str(src)))
-    except ExprError as exc:
-        raise ConfigError(f"phi0 formula error: {exc}") from exc
+    g, m = TorusGrid(config.numerics["n"]), config.numerics["m"]
+    return g, legendre(config.spec, g, m, m)
 
 
 def _u_minus(config: ExperimentConfig, g, lt):
     """The stationary solve's record, from phi0 at the run's dt, tol and T_max."""
     num = config.numerics
-    return stationary_solve(_phi0(config, g), config.spec, lt,
+    return stationary_solve(config.options["phi0"], config.spec, lt,
                             dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
 
 
@@ -201,8 +164,8 @@ def run_evolve(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
     snap = num["snap_every"] or max(1, math.ceil(num["T"] / num["dt"]) // 10)
-    res = evolve(_phi0(config, g), config.spec, lt, T=num["T"], dt=num["dt"],
-                 direction=config.raw.get("direction", "backward"), snap_every=snap)
+    res = evolve(config.options["phi0"], config.spec, lt, T=num["T"], dt=num["dt"],
+                 direction=config.options["direction"], snap_every=snap)
     rows = [(float(t), float(x), float(v))
             for t, f in res.snapshots for x, v in zip(g.nodes, f.values)]
     path = os.path.join(out, "snapshots.csv")
@@ -283,18 +246,16 @@ def run_stability(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
     um = Field(g, _u_minus(config, g, lt).values)
-    which = config.raw.get("which", "A3")
     report = stability.check_condition(
-        config.spec, um, which=which, zeta_grid=num["zeta_grid"],
+        config.spec, um, which=config.options["which"], zeta_grid=num["zeta_grid"],
         dt=num["dt_critical"], margin=num["margin"], lt=lt, cross_tol=num["cross_tol"])
-    T = float(config.raw.get("decay_T", 8.0))
-    decay = stability.decay_exponent(config.spec, um, delta=num["delta"], T=T, dt=num["dt"],
-                                     lt=lt)
+    decay = stability.decay_exponent(config.spec, um, delta=num["delta"],
+                                     T=float(config.options["decay_T"]), dt=num["dt"], lt=lt)
     report.decay_slope = decay.slope
-    if "basin_delta_hi" in config.raw:
+    if "basin_delta_hi" in config.options:
         report.Delta_estimate = stability.basin_estimate(
             config.spec, um, T=num["T_max"], dt=num["dt"],
-            delta_hi=float(config.raw["basin_delta_hi"]), lt=lt)
+            delta_hi=float(config.options["basin_delta_hi"]), lt=lt)
     write_csv(os.path.join(out, "decay.csv"), config.header(), "t,sup_dev",
               list(zip(map(float, decay.times), map(float, decay.devs))))
     _write_report(out, config, report)
@@ -329,14 +290,11 @@ def run_corollary(config, out):
 
 def run_homogenize(config, out):
     num = config.numerics
-    hconf = config.raw.get("homog")
-    if not isinstance(hconf, dict):
-        raise ConfigError("homogenize command requires a 'homog' section")
-    hp = homog.problem_from_config(hconf)
-    table_opts = {key: num[key] for key in TABLE_KEYS if key in num}
-    cell_opts = {key.removeprefix("cell_"): num[key] for key in CELL_KEYS if key in num}
+    table_opts = {key: num[key] for key in ("p_count", "c_count", "p_span") if key in num}
+    cell_opts = {key.removeprefix("cell_"): val for key, val in num.items()
+                 if key.startswith("cell_")}
     cell_opts["cross_tol"] = num["cross_tol"]
-    result = homog.rate_experiment(hp, eps_list=num["homog_eps_list"],
+    result = homog.rate_experiment(config.spec, eps_list=num["homog_eps_list"],
                                    n_per_period=num["n_per_period"],
                                    cell_opts=cell_opts, **table_opts)
     rows = [(float(e), float(err), float(err / math.sqrt(e)))
@@ -353,19 +311,11 @@ def run_homogenize(config, out):
     return f"slope={slope_txt} C_fit={result.C_fit:.3f}", True
 
 
-RUNNERS = {
-    "evolve": run_evolve,
-    "stationary": run_stationary,
-    "critical": run_critical,
-    "ceps": run_ceps,
-    "mather": run_mather,
-    "barrier": run_barrier,
-    "stability": run_stability,
-    "instability": run_instability,
-    "corollary": run_corollary,
-    "homogenize": run_homogenize,
-    "example-ex": run_stability,
-}
+RUNNERS = {"evolve": run_evolve, "stationary": run_stationary, "critical": run_critical,
+           "ceps": run_ceps, "mather": run_mather, "barrier": run_barrier,
+           "stability": run_stability, "instability": run_instability,
+           "corollary": run_corollary, "homogenize": run_homogenize, "example-ex": run_stability}
+COMMANDS = tuple(RUNNERS)
 
 
 def run(config: ExperimentConfig, quiet: bool = False) -> int:

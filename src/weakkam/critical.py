@@ -29,7 +29,6 @@ from .hamiltonian import HamiltonianSpec, LagrangianTable, frozen_values
 from .semigroup import CFLError, MinPlusStepper, iterate
 
 __all__ = [
-    "DivergenceError",
     "CriticalValueResult",
     "CEpsCurve",
     "discounted_solve",
@@ -43,11 +42,6 @@ DEFAULT_DT = 0.02
 DEFAULT_TOL = 1e-4
 DEFAULT_CROSS_TOL = 2e-2
 DEFAULT_T_LONG = 40.0
-DIVERGENCE = 1e6        # a discounted iterate beyond this magnitude has diverged
-
-
-class DivergenceError(RuntimeError):
-    """Discounted iteration left the admissible range."""
 
 
 def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
@@ -64,14 +58,9 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
         raise CFLError(f"dt*lam = {dt * lam:.3g} must be below 1")
     stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
     factor = 1.0 / (1.0 + lam * dt)
-
-    def diverged(k, u):
-        if np.abs(u).max() > DIVERGENCE:
-            raise DivergenceError(f"discounted iterate exceeded {DIVERGENCE:g} in magnitude")
-
     start = u0.values if u0 is not None else np.zeros(lt.grid.n)
     rec = iterate(lambda u: factor * stepper.step(u), start, dt,
-                  int(math.ceil(60.0 / (lam * dt))), tol, diverged)
+                  int(math.ceil(60.0 / (lam * dt))), tol)
     if not rec.converged:
         raise ConvergenceError(
             f"discounted solve stalled at residual {rec.residual:.3e} (tol {tol:.1e})",

@@ -14,14 +14,16 @@ min_v L(x,v) = -G(x,0) hold exactly for the built-in Hamiltonians.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .config import REQUIRED, constant, formula, number, positive, read_section, section, text
 from .errors import ConfigError
-from .expr import Expr, parse
+from .expr import Expr
 from .grid import Field, TorusGrid
 
 __all__ = [
@@ -33,14 +35,29 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-BUILTIN_NAMES = ("eikonal", "linear_contact", "example_ex", "corollary_a")
+# (G, W, dWu) formula templates: each {field} is a required parameter, substituted in
+# parentheses; a parameter is a formula in x, or a number where NUMBER_PARAMS says so
+BUILTINS = {
+    "eikonal": ("p^2 + {V}", "0", "0"),
+    "linear_contact": ("p^2 + {V}", "{a}*u", "{a}"),
+    "example_ex": ("{zeta}*p^2", "({dphi}^2 - {theta})*({phi} - u) - {zeta}*{dphi}^2",
+                   "{theta} - {dphi}^2"),
+    "corollary_a": ("p^2 + {V} - {c}", "{a}*u", "{a}"),
+}
+BUILTIN_NAMES = tuple(BUILTINS)
+NUMBER_PARAMS = {"linear_contact": ("a",)}
+DEFAULT_BOUND = 4.0     # vmax and pmax of a Hamiltonian that declares neither
+# the velocity and momentum bounds, keys of `hamiltonian`, builtin params and `homog`
+BOUND_KEYS = {"vmax": (positive, DEFAULT_BOUND), "pmax": (positive, DEFAULT_BOUND)}
+SPEC_KEYS = {"G": (formula, REQUIRED), "W": (formula, "0"), "dWu": (formula, "0"),
+             "Lambda": (number, None), **BOUND_KEYS, "name": (text, "custom")}
 REFINE = 40         # ternary-search passes refining each sampled Legendre argmax
 SAMPLES = 200       # points of each sampled load-time check
 U_CHECK = 5.0       # load-time checks sample u on [-U_CHECK, U_CHECK]
 # the (x, u) lattice on which |dWu| is bounded and dWu is compared with W
 X_LATTICE = np.linspace(0.0, 1.0, 4096, endpoint=False)[:, None]
 U_LATTICE = np.linspace(-U_CHECK, U_CHECK, 21)[None, :]
-DIFF_H = 1e-3       # half-width of the central difference of W in u
+DIFF_H = 1e-3       # half-width of the central difference in u of W (and of a two-scale H)
 # allowed |dWu - central difference| per unit of 1 + max|dWu|: for W linear in u (every
 # builtin) the difference is exact up to rounding, eps*max|W|/DIFF_H ~ 2e-13*max|W|;
 # a W smooth in u adds the truncation error DIFF_H^2/6 * max|d3W/du3| ~ 1.7e-7 per unit
@@ -56,8 +73,8 @@ class HamiltonianSpec:
     W: Expr
     dWu: Expr
     lambda_bound: float | None = None
-    vmax: float = 4.0
-    pmax: float = 4.0
+    vmax: float = DEFAULT_BOUND
+    pmax: float = DEFAULT_BOUND
     name: str = "custom"
 
     def __post_init__(self):
@@ -67,7 +84,8 @@ class HamiltonianSpec:
     @cached_property
     def _dwu_lattice(self) -> np.ndarray:
         """dWu on X_LATTICE x U_LATTICE, evaluated once per spec."""
-        return _on_lattice(self.dWu, U_LATTICE)
+        vals = np.asarray(self.dWu.evaluate({"x": X_LATTICE, "u": U_LATTICE}), dtype=float)
+        return np.broadcast_to(vals, (X_LATTICE.size, U_LATTICE.size))
 
     def G_at(self, x, p):
         return self.G.evaluate({"x": x, "p": p})
@@ -82,26 +100,6 @@ class HamiltonianSpec:
 def frozen_values(e: Expr, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """An (x, u) expression frozen at u = us(x), sampled on the nodes xs."""
     return np.broadcast_to(np.asarray(e.evaluate({"x": xs, "u": us}), dtype=float), xs.shape)
-
-
-def _as_expr(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, str):
-        return parse(value)
-    return parse(repr(float(value)))
-
-
-def _formula(value) -> str:
-    if isinstance(value, (Expr, str)):
-        return f"({value})"
-    return f"({float(value)!r})"
-
-
-def _on_lattice(e: Expr, us: np.ndarray) -> np.ndarray:
-    """An (x, u) expression on X_LATTICE x us, as a full (4096, us.size) array."""
-    vals = np.asarray(e.evaluate({"x": X_LATTICE, "u": us}), dtype=float)
-    return np.broadcast_to(vals, (X_LATTICE.size, us.size))
 
 
 def _sample_points(dim: int) -> np.ndarray:
@@ -128,26 +126,33 @@ def _midpoint_convexity_gap(fn, s: np.ndarray, pmax: float) -> float:
     return float(np.max(mid - avg))
 
 
+def _check_u_derivative(name: str, f: Expr, df: Expr, d: np.ndarray, at: dict):
+    """Raise ConfigError unless df, the declared u-derivative of f with values d at the
+    points `at` (arrays broadcasting to d's shape), matches the central difference
+    (f(u + DIFF_H) - f(u - DIFF_H)) / (2 DIFF_H) within DIFF_TOL * (1 + max|d|)."""
+    diff = (np.asarray(f.evaluate({**at, "u": at["u"] + DIFF_H}))
+            - np.asarray(f.evaluate({**at, "u": at["u"] - DIFF_H}))) / (2 * DIFF_H)
+    err = np.broadcast_to(np.abs(d - diff), d.shape)
+    k = np.unravel_index(np.argmax(err), err.shape)
+    if err[k] > DIFF_TOL * (1.0 + float(np.abs(d).max())):
+        where = ", ".join(f"{v}={np.broadcast_to(a, d.shape)[k]:.6g}" for v, a in at.items())
+        raise ConfigError(f"d{name}u = {df} is not d{name}/du: it differs from the central "
+                          f"difference of {name} by {err[k]:.3g} at ({where})")
+
+
 def validate_spec(spec: HamiltonianSpec):
     """Load-time sanity checks on the (x, u) lattice and at sampled points.
 
     |dWu| stays within lambda_bound, dWu matches the central difference of
-    W in u within DIFF_TOL * (1 + max|dWu|), and G passes the sampled
-    midpoint convexity test in p.
+    W in u (_check_u_derivative), and G passes the sampled midpoint
+    convexity test in p.
     """
     dwu = spec._dwu_lattice
     bound = float(np.abs(dwu).max())
     if bound > spec.lambda_bound + 1e-9:
         raise ConfigError(
             f"|dWu| reaches {bound:.6g} on the test lattice, exceeding Lambda={spec.lambda_bound:.6g}")
-    diff = (_on_lattice(spec.W, U_LATTICE + DIFF_H)
-            - _on_lattice(spec.W, U_LATTICE - DIFF_H)) / (2 * DIFF_H)
-    err = np.abs(dwu - diff)
-    i, j = np.unravel_index(np.argmax(err), err.shape)
-    if err[i, j] > DIFF_TOL * (1.0 + bound):
-        raise ConfigError(
-            f"dWu = {spec.dWu} is not dW/du: it differs from the central difference of W "
-            f"by {err[i, j]:.3g} at (x={X_LATTICE[i, 0]:.6g}, u={U_LATTICE[0, j]:.6g})")
+    _check_u_derivative("W", spec.W, spec.dWu, dwu, {"x": X_LATTICE, "u": U_LATTICE})
     pts = _sample_points(3)
     worst = _midpoint_convexity_gap(lambda p: spec.G_at(pts[0], p), pts[1:], spec.pmax)
     if worst > 1e-9:
@@ -156,69 +161,31 @@ def validate_spec(spec: HamiltonianSpec):
 
 
 def spec_from_config(ham: dict) -> HamiltonianSpec:
-    """Build a spec from a config mapping: inline G/W/dWu or builtin+params."""
-    if "builtin" in ham:
-        return builtin(ham["builtin"], ham.get("params", {}))
-    try:
-        G = _as_expr(ham["G"])
-        W = _as_expr(ham.get("W", "0"))
-        dWu = _as_expr(ham.get("dWu", "0"))
-    except KeyError as exc:
-        raise ConfigError(f"hamiltonian config missing key {exc}") from exc
-    spec = HamiltonianSpec(
-        G=G, W=W, dWu=dWu, lambda_bound=float(ham["Lambda"]) if "Lambda" in ham else None,
-        vmax=float(ham.get("vmax", 4.0)), pmax=float(ham.get("pmax", 4.0)),
-        name=ham.get("name", "custom"))
+    """Build a spec from a `hamiltonian` section: inline (SPEC_KEYS) or builtin+params."""
+    if isinstance(ham, dict) and "builtin" in ham:
+        sec = read_section("hamiltonian", ham, {"builtin": (text, REQUIRED),
+                                                "params": (section, {})})
+        return builtin(sec["builtin"], sec["params"])
+    sec = read_section("hamiltonian", ham, SPEC_KEYS)
+    lam = sec.get("Lambda")
+    spec = HamiltonianSpec(sec["G"], sec["W"], sec["dWu"], None if lam is None else float(lam),
+                           float(sec["vmax"]), float(sec["pmax"]), sec["name"])
     return validate_spec(spec)
 
 
 def builtin(name: str, params: dict) -> HamiltonianSpec:
-    """Named problem instances.
-
-    eikonal(V):              G = p^2 + V(x),        W = 0
-    linear_contact(a, V):    G = p^2 + V(x),        W = a*u        (a constant, may be negative)
-    example_ex(phi, dphi, theta, zeta):
-                             G = zeta*p^2,
-                             W = (dphi^2 - theta)*(phi - u) - zeta*dphi^2
-    corollary_a(a, V, c):    G = p^2 + V(x) - c,    W = a(x)*u
-    """
-    params = dict(params or {})
-
-    def need(key):
-        if key not in params:
-            raise ConfigError(f"builtin {name!r} requires parameter {key!r}")
-        return params[key]
-
-    if name == "eikonal":
-        V = _formula(need("V"))
-        g_src, w_src, dwu_src = f"p^2 + {V}", "0", "0"
-    elif name == "linear_contact":
-        a = float(need("a"))
-        V = _formula(need("V"))
-        g_src, w_src, dwu_src = f"p^2 + {V}", f"({a!r})*u", f"({a!r})"
-    elif name == "example_ex":
-        phi = _formula(need("phi"))
-        dphi = _formula(need("dphi"))
-        theta = _formula(need("theta"))
-        zeta = _formula(need("zeta"))
-        g_src = f"{zeta}*p^2"
-        w_src = f"({dphi}^2 - {theta})*({phi} - u) - {zeta}*{dphi}^2"
-        dwu_src = f"{theta} - {dphi}^2"
-    elif name == "corollary_a":
-        a = _formula(need("a"))
-        V = _formula(need("V"))
-        c = _formula(need("c"))
-        g_src = f"p^2 + {V} - {c}"
-        w_src = f"{a}*u"
-        dwu_src = f"{a}"
-    else:
+    """A named problem instance: its BUILTINS templates with each field replaced by the
+    parameter, built as an inline Hamiltonian.  example_ex has the exact stationary
+    solution u = phi; linear_contact's a is a number (NUMBER_PARAMS)."""
+    if name not in BUILTINS:
         raise ConfigError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
-
-    spec = HamiltonianSpec(
-        G=parse(g_src), W=parse(w_src), dWu=parse(dwu_src),
-        vmax=float(params.get("vmax", 4.0)), pmax=float(params.get("pmax", 4.0)),
-        name=name)
-    return validate_spec(spec)
+    fields = sorted(set(re.findall(r"\{(\w+)\}", " ".join(BUILTINS[name]))))
+    keys = {f: (constant if f in NUMBER_PARAMS.get(name, ()) else formula, REQUIRED)
+            for f in fields}
+    par = read_section(f"builtin {name!r}", params or {}, {**keys, **BOUND_KEYS})
+    G, W, dWu = (t.format(**{f: f"({par[f]})" for f in fields}) for t in BUILTINS[name])
+    return spec_from_config({"G": G, "W": W, "dWu": dWu, "vmax": par["vmax"],
+                             "pmax": par["pmax"], "name": name})
 
 
 @dataclass(frozen=True)

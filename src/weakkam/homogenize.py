@@ -28,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical as crit
+from .config import REQUIRED, formula, number, read_section
 from .errors import ConfigError, ConvergenceError
 from .expr import Expr
 from .grid import Field, TorusGrid, lipschitz
-from .hamiltonian import (U_CHECK, LagrangianTable, _as_expr, _midpoint_convexity_gap,
-                          _sample_points, conjugate_table)
+from .hamiltonian import (BOUND_KEYS, DEFAULT_BOUND, U_CHECK, LagrangianTable,
+                          _check_u_derivative, _midpoint_convexity_gap, _sample_points,
+                          conjugate_table)
 from .semigroup import MinPlusStepper, iterate
 
 __all__ = [
@@ -56,6 +58,8 @@ MULTISCALE_TOL = 1e-5   # residual target of the two-scale stationary solve
 N_ULEVELS = 9           # u-levels on which the two-scale cost is tabulated
 NOISE_FLOOR = 1e-3      # rate errors all at or below this report no slope
 X_COUNT = 9             # x-nodes of the effective table of an x-dependent problem
+HOMOG_KEYS = {"H": (formula, REQUIRED), "dHu": (formula, REQUIRED),
+              "Lambda1": (number, REQUIRED), "Lambda2": (number, REQUIRED), **BOUND_KEYS}
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,8 @@ class HomogProblem:
     dHu: Expr
     Lambda1: float
     Lambda2: float
-    vmax: float = 4.0
-    pmax: float = 4.0
+    vmax: float = DEFAULT_BOUND
+    pmax: float = DEFAULT_BOUND
 
     def H_at(self, x, y, p, u):
         return self.H.evaluate({"x": x, "y": y, "p": p, "u": u})
@@ -77,18 +81,16 @@ class HomogProblem:
 
 
 def problem_from_config(conf: dict) -> HomogProblem:
-    try:
-        hp = HomogProblem(
-            H=_as_expr(conf["H"]), dHu=_as_expr(conf["dHu"]),
-            Lambda1=float(conf["Lambda1"]), Lambda2=float(conf["Lambda2"]),
-            vmax=float(conf.get("vmax", 4.0)), pmax=float(conf.get("pmax", 4.0)))
-    except KeyError as exc:
-        raise ConfigError(f"homogenization config missing key {exc}") from exc
-    return validate_problem(hp)
+    """Build a problem from a `homog` section (HOMOG_KEYS)."""
+    sec = read_section("homog", conf, HOMOG_KEYS)
+    return validate_problem(HomogProblem(
+        sec["H"], sec["dHu"], float(sec["Lambda1"]), float(sec["Lambda2"]),
+        float(sec["vmax"]), float(sec["pmax"])))
 
 
 def validate_problem(hp: HomogProblem) -> HomogProblem:
-    """Checks of the monotonicity window and convexity in p at fixed sample points."""
+    """Checks at fixed sample points: the monotonicity window, dHu against the
+    central difference of H in u (as validate_spec checks dWu), and convexity in p."""
     if not (0 < hp.Lambda1 <= hp.Lambda2):
         raise ConfigError("need 0 < Lambda1 <= Lambda2")
     pts = _sample_points(6)
@@ -100,6 +102,8 @@ def validate_problem(hp: HomogProblem) -> HomogProblem:
         raise ConfigError(
             f"sampled dH/du leaves [{hp.Lambda1}, {hp.Lambda2}]: "
             f"range [{dvals.min():.4g}, {dvals.max():.4g}]")
+    _check_u_derivative("H", hp.H, hp.dHu, np.broadcast_to(dvals, xs.shape),
+                       {"x": xs, "y": ys, "p": ps, "u": us})
     if _midpoint_convexity_gap(lambda p: hp.H_at(xs, ys, p, us), pts[4:], hp.pmax) > 1e-9:
         raise ConfigError("H fails the sampled midpoint convexity test in p")
     return hp
@@ -140,7 +144,6 @@ class EffectiveTable:
     p_nodes: np.ndarray
     c_nodes: np.ndarray
     values: np.ndarray          # (nx, np, nc); x_nodes uniform on [0, 1)
-    Lambda1: float
     Lambda2: float
 
 
@@ -174,7 +177,7 @@ def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
             raise ConfigError(
                 f"effective table fails convexity in p at "
                 f"(x={xn[i]:.4g}, p={pn[j + 1]:.4g}, c={cn[kk]:.4g})")
-    return EffectiveTable(xn, pn, cn, values, hp.Lambda1, hp.Lambda2)
+    return EffectiveTable(xn, pn, cn, values, hp.Lambda2)
 
 
 def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -150,15 +152,16 @@ def test_load_config_rejects_foot_point_overrun(tmp_path):
         cli.load_config(path)
 
 
-def test_exit_code_1_on_solver_divergence(tmp_path):
+def test_large_critical_value_is_not_a_solver_failure(tmp_path, capsys):
+    # a discounted iterate is bounded by max|L|/lam, so a large |c| is no divergence
     path = write_config(tmp_path / "c.json", {
         "command": "critical",
         "hamiltonian": {"G": "p^2 - 200000", "W": "0", "dWu": "0"},
         "numerics": FAST_NUMERICS,
         "output_dir": str(tmp_path / "out"),
     })
-    assert cli.main(["critical", "--config", path, "--quiet"]) == 1
-    assert "Divergence" in (tmp_path / "out" / "diagnostic.txt").read_text()
+    assert cli.main(["critical", "--config", path]) == 0
+    assert "c=-200000.00" in capsys.readouterr().out
 
 
 def test_exit_code_3_on_estimator_disagreement(tmp_path):
@@ -464,7 +467,7 @@ def test_unknown_numerics_keys_are_config_errors(tmp_path, capsys):
         cli.load_config(path)
     assert cli.main(["critical", "--config", path, "--quiet"]) == 2
     assert "dT" in capsys.readouterr().err
-    assert set(cli.NUMERIC_DEFAULTS).isdisjoint(
+    assert set(cli.NUMERIC_KEYS).isdisjoint(
         {"vmax", "pmax", "tol_critical", "lambda_schedule", "T_long"})
     path = write_config(tmp_path / "h.json", {
         "command": "homogenize", "homog": {"H": "u + p^2", "dHu": "1"},
@@ -527,3 +530,67 @@ def test_evolve_command_forward_direction(tmp_path):
     final = [float(v) for t, _, v in rows if float(t) == 0.5]
     assert len(final) == 64
     assert final == pytest.approx([0.5 * math.exp(0.5)] * 64, rel=1e-3)
+
+
+STABILITY = {"command": "stability",
+             "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+             "numerics": FAST_NUMERICS}
+HOMOG = {"command": "homogenize",
+         "homog": {"H": "u + p^2 + 0.5*cos(2*pi*y)", "dHu": "1", "Lambda1": 1, "Lambda2": 1}}
+
+
+@pytest.mark.parametrize("config, message", [
+    (dict(STABILITY, seed="abc"), "config key 'seed' must be an integer"),
+    (dict(STABILITY, numerics=dict(FAST_NUMERICS, zeta_grid="abc")),
+     "numerics key 'zeta_grid' must be a list of finite numbers"),
+    (dict(STABILITY, decay_T=-1), "config key 'decay_T' must be a finite positive number"),
+    (dict(STABILITY, decay_T="abc"), "config key 'decay_T' must be a finite positive number"),
+    (dict(STABILITY, basin_delta_hi=-1), "'basin_delta_hi' must be a finite positive number"),
+    (dict(STABILITY, numerics=dict(FAST_NUMERICS, n=32.7)),
+     "numerics key 'n' must be an integer >= 8, got 32.7"),
+    (dict(STABILITY, numerics=dict(FAST_NUMERICS, snap_every=-1)), "'snap_every' must be"),
+    (dict(STABILITY, numerics=dict(FAST_NUMERICS, m=True)), "'m' must be an integer"),
+    (dict(STABILITY, numerics=dict(FAST_NUMERICS, eps=float("inf"))), "'eps' must be a finite"),
+    (dict(HOMOG, homog=dict(HOMOG["homog"], H="u + p^2 + (")), "homog formula error in 'H'"),
+    (dict(HOMOG, homog=dict(HOMOG["homog"], Lambda1="abc")),
+     "homog key 'Lambda1' must be a finite number"),
+    (dict(HOMOG, homog=dict(HOMOG["homog"], pmx=4)), "unknown homog keys: pmx"),
+    (dict(HOMOG, homog=dict(HOMOG["homog"], H="3*u + p^2 + 0.5*cos(2*pi*y)")),
+     "dHu = 1 is not dH/du"),
+    ({"command": "homogenize"}, "config requires parameter 'homog'"),
+    (dict(STABILITY, hamiltonian={"G": "p^2", "W": "u", "dWu": "1", "Lamda": 1}),
+     "unknown hamiltonian keys: Lamda"),
+    (dict(STABILITY, hamiltonian={"builtin": "eikonal", "params": {"V": 0, "Vmax": 2}}),
+     "unknown builtin 'eikonal' keys: Vmax"),
+    (dict(STABILITY, hamiltonian={"builtin": "linear_contact", "params": {"a": "x", "V": 0}}),
+     "builtin 'linear_contact' key 'a' must be a finite number"),
+    (dict(STABILITY, foo=1), "unknown config keys: foo"),
+    ({"command": "example-ex", "hamiltonian": STABILITY["hamiltonian"]},
+     "unknown config keys: hamiltonian"),
+    (dict(STABILITY, phi0="p"), "phi0 formula error"),
+    (dict(STABILITY, hamiltonian={"G": ["p^2"]}),
+     "hamiltonian key 'G' must be a formula string or a finite number"),
+    (dict(HOMOG, homog=dict(HOMOG["homog"], H="u + p^2 + sqrt(p)")),
+     "homog formula error: sqrt of a negative number"),
+], ids=["seed", "zeta_grid", "decay_T-negative", "decay_T-text", "basin_delta_hi", "n-float",
+        "snap_every", "m-bool", "eps-inf", "homog-H", "homog-Lambda1", "homog-unknown",
+        "homog-dHu-not-dH-du", "homog-missing", "hamiltonian-unknown", "builtin-unknown",
+        "linear_contact-a", "top-unknown", "example-ex-hamiltonian", "phi0-variable",
+        "formula-kind", "homog-H-domain"])
+def test_malformed_configs_fail_at_load(tmp_path, capsys, config, message):
+    path = write_config(tmp_path / "c.json", dict(config, output_dir=str(tmp_path / "out")))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli.load_config(path)
+    assert cli.main([config["command"], "--config", path, "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_configs_load(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), flags=re.S)
+    assert len(blocks) >= 3
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"readme-{k}.json"
+        path.write_text(block)
+        cli.load_config(str(path))

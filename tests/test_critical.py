@@ -102,10 +102,14 @@ def test_disagreement_is_diagnostic_not_fatal(eikonal_cos_128):
     assert res.diagnostics["gap"] > 1e-4
 
 
-def test_divergence_guard(free_table):
-    huge = free_table.with_potential(constant_field(free_table.grid, -2e5))
-    with pytest.raises(crit.DivergenceError):
-        crit.discounted_solve(huge, lam=1e-2, tol=1e-10)
+def test_large_shift_of_the_critical_value():
+    # value iteration on a finite table cannot diverge: |u_k| <= f^k sup|u_0| + max|L|/lam
+    g = TorusGrid(64)
+    lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), g, 33, 33)
+    base = crit.critical_value(lt)
+    shifted = crit.critical_value(lt.with_potential(constant_field(g, -2e5)))
+    assert base.method == shifted.method == "agree"
+    assert shifted.c == pytest.approx(base.c - 2e5, abs=1e-3)
 
 
 def test_nan_cost_entry_raises_at_first_step(free_table):

@@ -31,6 +31,16 @@ def test_validate_rejects_bad_windows():
         hz.validate_problem(hz.HomogProblem(parse("u-p^2"), parse("1"), 1.0, 1.0))
 
 
+def test_validate_rejects_dHu_that_is_not_dH_du():
+    # dH/du = 3 sits outside the declared window, which the stationary solves rely on
+    with pytest.raises(ConfigError, match=r"dHu = 1 is not dH/du.*at \(x=.*, y=.*, p=.*, u="):
+        hz.validate_problem(hz.HomogProblem(parse("3*u + p^2 + 0.5*cos(2*pi*y)"),
+                                            parse("1"), 1.0, 1.0))
+    # nonlinear in u: the central difference agrees to its truncation error
+    hz.validate_problem(hz.HomogProblem(parse("u + 0.1*sin(u)*cos(2*pi*y) + p^2"),
+                                        parse("1 + 0.1*cos(u)*cos(2*pi*y)"), 0.8, 1.2))
+
+
 def test_cell_problem_no_oscillation():
     hp = make_problem(b=0.0)
     for (x, p, c) in [(0.0, 0.0, 0.0), (0.3, 1.0, 0.5), (0.0, -2.0, -1.0)]:
@@ -49,6 +59,16 @@ def test_cell_problem_quadrature_oracle():
     for p in (1.0, 2.0):
         val = hz.cell_problem(hp, 0.0, p, 0.0)
         assert val == pytest.approx(oracle_effective(p), abs=2e-2)
+
+
+def test_cell_problems_read_the_slow_variable():
+    # H depends on x only through 0.2*cos(2 pi x), which shifts each cell's value by it
+    hp = hz.HomogProblem(H=parse("u + p^2 + 0.5*cos(2*pi*y) + 0.2*cos(2*pi*x)"),
+                         dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
+    xs = np.array([0.0, 0.25, 0.5])
+    et = hz.build_effective_table(hp, xs, [0.0, 0.5], [0.0], n_fast=16, m=17, k=17)
+    shift = 0.2 * (np.cos(2 * np.pi * xs) - 1.0)
+    assert np.allclose(et.values - et.values[0], shift[:, None, None], atol=1e-6)
 
 
 def test_cell_problem_rejects_nonfinite():
@@ -95,7 +115,7 @@ def _synthetic_table(fn, p_nodes, c_nodes, x_nodes=(0.0,)):
         for j, p in enumerate(pn):
             for kk, c in enumerate(cn):
                 vals[i, j, kk] = fn(x, p, c)
-    return hz.EffectiveTable(xn, pn, cn, vals, 1.0, 1.0)
+    return hz.EffectiveTable(xn, pn, cn, vals, 1.0)
 
 
 def test_solve_effective_trivial_quadratic():
@@ -192,3 +212,5 @@ def test_problem_from_config_roundtrip():
     assert hp.x_independent()
     with pytest.raises(ConfigError):
         hz.problem_from_config({"H": "u + p^2"})
+    with pytest.raises(ConfigError, match="homog must be an object"):
+        hz.problem_from_config("u + p^2")

@@ -103,6 +103,38 @@ def test_occupational_shifted_momentum(g64):
     assert meas.mean_velocity() == pytest.approx(1.4, abs=float(np.diff(lt.vgrid)[0]))
 
 
+@pytest.mark.parametrize("G", ["(p + 0.7 + 0.3*sin(2*pi*x))^2", "(p + 0.7)^2 + cos(2*pi*x)"])
+def test_column_generation_past_the_first_master(monkeypatch, G):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    masters = []
+    solve = mather._solve_standard_form
+
+    def counted(lp):
+        masters.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(mather, "_solve_standard_form", counted)
+    g = TorusGrid(32)
+    spec = HamiltonianSpec(G=parse(G), W=parse("0"), dWu=parse("0"), lambda_bound=0.0)
+    lt = legendre(spec, g, 33, 33)
+    meas = mather.solve_occupational(lt)
+    assert len(masters) > 1
+    # the full program over all n*m weights: total mass 1, and for every node k the
+    # flux w @ v of node k-1 equals that of node k+1 (closedness)
+    n, m = lt.L.shape
+    A = np.zeros((1 + n, n, m))
+    A[0] = 1.0
+    for k in range(n):
+        A[1 + k, (k - 1) % n] += lt.vgrid
+        A[1 + k, (k + 1) % n] -= lt.vgrid
+    b = np.zeros(1 + n)
+    b[0] = 1.0
+    full = linprog(np.minimum(lt.L, mather.L_CLIP).ravel(), A_eq=A.reshape(1 + n, n * m),
+                   b_eq=b, bounds=(0, None), method="highs")
+    assert full.status == 0
+    assert meas.value == pytest.approx(full.fun, abs=1e-9)
+
+
 def test_measure_invariants(g64):
     spec = builtin("eikonal", {"V": "cos(2*pi*x)"})
     lt = legendre(spec, g64, 33, 33)
