@@ -237,9 +237,11 @@ def run_barrier(config, out):
 
 
 def _write_report(out, config, report):
+    # allow_nan=False: a nonfinite value raises here instead of writing invalid JSON
+    text = json.dumps({"config": config.header(), "report": report.to_dict()},
+                      indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump({"config": config.header(), "report": report.to_dict()},
-                  fh, indent=2, sort_keys=True)
+        fh.write(text)
 
 
 def run_stability(config, out):
@@ -260,8 +262,8 @@ def run_stability(config, out):
               list(zip(map(float, decay.times), map(float, decay.devs))))
     _write_report(out, config, report)
     a_txt = "n/a" if report.A_estimate is None else f"{report.A_estimate:.3f}"
-    return (f"verdict={report.verdict} A_estimate={a_txt} "
-            f"decay_slope={report.decay_slope:.3f}"), True
+    slope_txt = "n/a" if decay.slope is None else f"{decay.slope:.3f}"
+    return f"verdict={report.verdict} A_estimate={a_txt} decay_slope={slope_txt}", True
 
 
 def run_instability(config, out):

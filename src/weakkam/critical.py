@@ -2,23 +2,28 @@
 
 Two independent estimators with a mandatory agreement check:
 
-  * vanishing discount: iterate the discounted semi-Lagrangian update
-        u <- (1 + lam*dt)^{-1} min_j [ u(x_i - v_j dt) + dt L'(x_i, v_j) ]
-    to a fixed point for each lam in a decreasing schedule, then remove
-    the first-order lam-bias by a linear fit of -mean(lam*u_lam) in lam;
+  * vanishing discount: for each lam in a decreasing schedule, solve the
+    discounted semi-Lagrangian fixed point
+        u = (1 + lam*dt)^{-1} min_j [ u(x_i - v_j dt) + dt L'(x_i, v_j) ]
+    exactly by policy iteration (Howard): a dense linear solve per velocity
+    policy, the policy improved to the kernel's argmin until it repeats,
+    at most MAX_POLICY_ITERATIONS times; one kernel step then certifies
+    the fixed point to DEFAULT_TOL.  The first-order lam-bias is removed by
+    a linear fit of -mean(lam*u_lam) in lam;
   * long-time slope: evolve 0 under the variational semigroup of the same
     Hamiltonian and read -d/dt of the spatial mean between T/2 and T.
 
 Each estimator has a distinct bias (lam-bias versus finite-T bias), so
 agreement within cross_tol is the working certificate of correctness.
 The W-part of a Hamiltonian G(x,p) + pot(x) is folded into the cost as
-L' = L - pot via LagrangianTable.with_potential.  Both estimators step the
-min-plus kernel semigroup.MinPlusStepper under the driver semigroup.iterate.
+L' = L - pot via LagrangianTable.with_potential.  Both estimators use the
+min-plus kernel semigroup.MinPlusStepper: the long-time slope steps it
+under the driver semigroup.iterate, the discounted solve reads its argmin
+policy and gather matrix and takes its certificate step under iterate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,15 +47,21 @@ DEFAULT_DT = 0.02
 DEFAULT_TOL = 1e-4
 DEFAULT_CROSS_TOL = 2e-2
 DEFAULT_T_LONG = 40.0
+MAX_POLICY_ITERATIONS = 50     # the benchmark workloads and the n=256 eikonal need at most 10
 
 
 def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
                      tol: float = DEFAULT_TOL, u0: Field | None = None) -> Field:
-    """Fixed point of the discounted update, iterated until sup|du|/dt <= tol.
+    """Exact fixed point u = f T(u) of the discounted update, f = 1/(1 + lam*dt).
 
-    At that stopping level the extracted values lam*u are accurate to about
-    tol, since the iteration contracts by 1/(1 + lam*dt) per step.  The
-    iteration is capped at 60/lam of simulated time.
+    Policy iteration (Howard): for the velocity policy pi the update is
+    linear, (I - f P_pi) u = f dt L_pi, with P_pi the interpolation rows
+    of the kernel's gather plan; I - f P_pi is strictly diagonally dominant,
+    so each dense solve is well posed.  The policy is then improved to the
+    kernel's argmin at u (ties keep the current velocity) until it repeats,
+    within MAX_POLICY_ITERATIONS.  u0, when given, seeds the first policy.
+    One kernel step certifies the result: sup|f T(u) - u|/dt above tol
+    raises ConvergenceError.
     """
     if lam <= 0:
         raise ValueError("discount rate lam must be positive")
@@ -58,14 +69,28 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
         raise CFLError(f"dt*lam = {dt * lam:.3g} must be below 1")
     stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
     factor = 1.0 / (1.0 + lam * dt)
-    start = u0.values if u0 is not None else np.zeros(lt.grid.n)
-    rec = iterate(lambda u: factor * stepper.step(u), start, dt,
-                  int(math.ceil(60.0 / (lam * dt))), tol)
-    if not rec.converged:
+    n = lt.grid.n
+    rows = np.arange(n)
+    u = u0.values if u0 is not None else np.zeros(n)
+    policy = None
+    for k in range(1, MAX_POLICY_ITERATIONS + 1):
+        new = stepper.policy(u, policy)
+        if policy is not None and np.array_equal(new, policy):
+            break
+        policy = new
+        u = np.linalg.solve(np.eye(n) - factor * stepper.plan.matrix(policy),
+                            factor * dt * lt.L[rows, policy])
+        if not np.isfinite(u).all():
+            raise ValueError(f"nonfinite values at step {k} (policy iteration)")
+    else:
+        raise ConvergenceError(
+            f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} iterations")
+    rec = iterate(lambda v: factor * stepper.step(v), u, dt, 1)
+    if rec.residual > tol:
         raise ConvergenceError(
             f"discounted solve stalled at residual {rec.residual:.3e} (tol {tol:.1e})",
             rec.residual)
-    return Field(lt.grid, rec.values)
+    return Field(lt.grid, u)
 
 
 def longtime_slope(lt: LagrangianTable, T: float, dt: float) -> float:
@@ -93,7 +118,7 @@ def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = D
                    cross_tol: float = DEFAULT_CROSS_TOL) -> CriticalValueResult:
     """Critical value by vanishing discount, cross-checked by long-time slope.
 
-    Each discounted solve stops at residual DEFAULT_TOL.
+    Each discounted solve is exact, certified to residual DEFAULT_TOL.
     """
     schedule = tuple(float(s) for s in schedule)
     if len(schedule) < 2 or any(a <= b for a, b in zip(schedule, schedule[1:])):
@@ -101,18 +126,11 @@ def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = D
     lams = []
     estimates = []
     u_prev = None
-    lam_prev = None
     for lam in schedule:
-        if u_prev is None:
-            u0 = None
-        else:
-            # warm start: rescale only the mean part, which grows like 1/lam
-            mean_prev = u_prev.mean()
-            u0 = Field(u_prev.grid, u_prev.values - mean_prev + mean_prev * lam_prev / lam)
-        u_lam = discounted_solve(lt, lam, dt, u0=u0)
+        # warm start: the previous solution's policy is nearly optimal at the next lam
+        u_prev = discounted_solve(lt, lam, dt, u0=u_prev)
         lams.append(lam)
-        estimates.append(-lam * u_lam.mean())
-        u_prev, lam_prev = u_lam, lam
+        estimates.append(-lam * u_prev.mean())
     fit = np.polyfit(lams, estimates, 1)
     c_discount = float(fit[1])
 

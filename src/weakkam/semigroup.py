@@ -79,6 +79,15 @@ class GatherPlan:
     def apply(self, u: np.ndarray) -> np.ndarray:
         return u[self.idx0] * self.w0 + u[self.idx1] * self.w1
 
+    def matrix(self, policy: np.ndarray) -> np.ndarray:
+        """The dense (n, n) interpolation matrix P with (P u)_i = apply(u)[policy[i], i]."""
+        rows = np.arange(policy.size)
+        P = np.zeros((policy.size, policy.size))
+        P[rows, self.idx0[policy, rows]] = self.w0[policy, 0]
+        # += keeps both weights when the two stencil nodes coincide (n = 1)
+        P[rows, self.idx1[policy, rows]] += self.w1[policy, 0]
+        return P
+
 
 class MinPlusStepper:
     """The min-plus kernel u'_i = min_j [ u(x_i -+ v_j dt) + dt L(x_i, v_j) ].
@@ -88,7 +97,8 @@ class MinPlusStepper:
     derivative bound of a contact term applied on top of the kernel.
     step takes one function of shape (n,) or, with a fixed cost table, a
     batch of shape (n, B), one function per column, each column stepped
-    exactly as if alone.
+    exactly as if alone.  policy reads the minimizing velocity index of a
+    single function.
     """
 
     def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, cost,
@@ -101,16 +111,19 @@ class MinPlusStepper:
         if dt * vmax > 0.5 + 1e-12:
             raise CFLError(f"dt*vmax = {dt * vmax:.3g} exceeds 1/2, half the unit torus")
         self.dt = dt
-        self._plan = GatherPlan(g, vgrid, dt, backward)
+        self.plan = GatherPlan(g, vgrid, dt, backward)
         self._cost = cost if callable(cost) else None
         self._dtLT = None if self._cost else np.ascontiguousarray(dt * cost.T)
 
+    def _dt_cost(self, u: np.ndarray) -> np.ndarray:
+        return self._dtLT if self._cost is None else self.dt * self._cost(u).T
+
     def step(self, u: np.ndarray) -> np.ndarray:
-        dtLT = self._dtLT if self._cost is None else self.dt * self._cost(u).T
+        dtLT = self._dt_cost(u)
         if u.ndim == 1:
-            return (self._plan.apply(u) + dtLT).min(axis=0)
+            return (self.plan.apply(u) + dtLT).min(axis=0)
         # a batch (n, B) goes one velocity at a time, keeping (n, B) temporaries
-        p = self._plan
+        p = self.plan
         best = None
         for j in range(dtLT.shape[0]):
             cand = u[p.idx0[j]] * p.w0[j]
@@ -118,6 +131,22 @@ class MinPlusStepper:
             cand += dtLT[j][:, None]
             best = cand if best is None else np.minimum(best, cand, out=best)
         return best
+
+    def policy(self, u: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
+        """Index j_i of the minimizing velocity at each node for one function u.
+
+        With a current policy, node i keeps current[i] unless the argmin
+        candidate is lower by more than rounding (16 eps relative): exact
+        ties would otherwise let a policy iteration cycle.
+        """
+        cand = self.plan.apply(u) + self._dt_cost(u)
+        best = cand.argmin(axis=0)
+        if current is None:
+            return best
+        cols = np.arange(u.size)
+        kept = cand[current, cols]
+        better = cand[best, cols] < kept - 16 * np.finfo(float).eps * np.abs(kept)
+        return np.where(better, best, current)
 
 
 class Stepper:

@@ -181,7 +181,8 @@ def deviation_series(spec: HamiltonianSpec, u_minus: Field, phi: Field, T: float
 
 @dataclass
 class DecayFit:
-    slope: float           # worse (larger) fitted slope of the +delta and -delta series
+    slope: float | None    # worse (larger) fitted slope of the +delta and -delta series;
+                           # None when neither series has two samples above the noise floor
     times: np.ndarray      # sample times of the +delta series
     devs: np.ndarray       # sup-norm deviations of the +delta series
 
@@ -192,7 +193,8 @@ def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float
 
     Evolves u_- + delta and u_- - delta once each through deviation_series
     and returns the slope with the +delta series it was fitted from.  A
-    positive slope reports non-decay; it is not an error.
+    positive slope reports non-decay; it is not an error.  The slope is
+    None when neither series has two samples above the noise floor.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -211,12 +213,11 @@ def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float
             warnings.warn("decay fit window shrunk: deviation at the noise floor",
                           stacklevel=2)
             if np.count_nonzero(ok) < 2:
-                slopes.append(-math.inf)
                 continue
             ok &= times <= times[ok][-1]
         fit = np.polyfit(times[ok], np.log(devs[ok]), 1)
         slopes.append(float(fit[0]))
-    return DecayFit(max(slopes), *series[0])
+    return DecayFit(max(slopes, default=None), *series[0])
 
 
 @dataclass

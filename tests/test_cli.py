@@ -245,10 +245,12 @@ def test_mather_command_cross_check(tmp_path, capsys):
 
 
 def test_stability_estimator_disagreement_is_inconclusive(tmp_path, capsys):
-    # at zeta = 1/4 the two estimators of c = -1/4 differ by about 1e-4
+    # for a nonconstant potential the biases of the discount fit and of the long-time
+    # slope leave the two estimators about 1e-5 apart, far above cross_tol = 1e-9
     path = write_config(tmp_path / "c.json", {
         "command": "stability",
-        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "hamiltonian": {"builtin": "linear_contact",
+                        "params": {"a": 1.0, "V": "0.5*cos(2*pi*x)"}},
         "numerics": dict(FAST_NUMERICS, zeta_grid=[0.25], cross_tol=1e-9),
         "decay_T": 1.0,
         "output_dir": str(tmp_path / "out"),
@@ -260,7 +262,8 @@ def test_stability_estimator_disagreement_is_inconclusive(tmp_path, capsys):
 def test_ceps_exit_code_3_on_estimator_disagreement(tmp_path):
     path = write_config(tmp_path / "c.json", {
         "command": "ceps",
-        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "hamiltonian": {"builtin": "linear_contact",
+                        "params": {"a": 1.0, "V": "0.5*cos(2*pi*x)"}},
         "numerics": dict(FAST_NUMERICS, cross_tol=1e-9),
         "output_dir": str(tmp_path / "out"),
     })
@@ -401,7 +404,7 @@ def test_homogenize_command(tmp_path, capsys):
 
 
 def test_homogenize_cells_read_cross_tol(tmp_path, capsys):
-    # the cell estimators of test_homogenize_command differ by about 1e-4
+    # the cell estimators of test_homogenize_command differ by about 1e-6 to 1e-5
     path = write_config(tmp_path / "c.json", {
         "command": "homogenize",
         "homog": {"H": "u + p^2 + 0.5*cos(2*pi*y)", "dHu": "1",
@@ -489,6 +492,26 @@ def test_headers_record_decay_T(tmp_path):
     assert "# decay_T=2.0" in lines
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["decay_T"] == 2.0
+
+
+def test_stability_report_is_strict_json_without_a_decay_fit(tmp_path, capsys):
+    # decay_T of one step leaves a single deviation sample: no slope can be fitted
+    path = write_config(tmp_path / "c.json", {
+        "command": "stability",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "numerics": FAST_NUMERICS,
+        "decay_T": 0.001,
+        "output_dir": str(tmp_path / "out"),
+    })
+    with pytest.warns(UserWarning, match="noise floor"):
+        assert cli.main(["stability", "--config", path]) == 0
+    assert "decay_slope=n/a" in capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"nonfinite JSON constant {token}")
+
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert json.loads(text, parse_constant=reject)["report"]["decay_slope"] is None
 
 
 def test_stability_command_instability_criterion(tmp_path, capsys):

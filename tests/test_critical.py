@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakkam import TorusGrid, builtin, legendre
 from weakkam import critical as crit
 from weakkam.expr import parse
+from weakkam.errors import ConvergenceError
 from weakkam.grid import constant_field
 from weakkam.hamiltonian import HamiltonianSpec, LagrangianTable
-from weakkam.semigroup import CFLError
+from weakkam.semigroup import CFLError, MinPlusStepper, iterate
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +21,7 @@ def free_table():
 
 def test_discounted_zero_fixed_point(free_table):
     u = crit.discounted_solve(free_table, lam=0.1)
-    assert np.max(np.abs(u.values)) <= 1e-3
+    assert np.max(np.abs(u.values)) <= 1e-12
 
 
 def test_discounted_constant_shift_exact(free_table):
@@ -26,7 +29,31 @@ def test_discounted_constant_shift_exact(free_table):
     # potential +c0 folds into the cost as L - c0, i.e. the Hamiltonian G + c0
     shifted = free_table.with_potential(constant_field(free_table.grid, c0))
     u = crit.discounted_solve(shifted, lam=0.05, tol=1e-8)
-    assert np.allclose(0.05 * u.values, -c0, atol=1e-6)
+    assert np.allclose(0.05 * u.values, -c0, atol=1e-10)
+
+
+FREE_TABLES = {n: legendre(builtin("eikonal", {"V": 0}), TorusGrid(n), 17, 17) for n in (16, 32)}
+
+
+@settings(max_examples=3, deadline=None)
+@given(n=st.sampled_from(sorted(FREE_TABLES)),
+       coef=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7))
+def test_policy_iteration_matches_value_iteration(n, coef):
+    x = FREE_TABLES[n].grid.nodes
+    pot = coef[0] + sum(coef[2 * k - 1] * np.cos(2 * np.pi * k * x)
+                        + coef[2 * k] * np.sin(2 * np.pi * k * x) for k in (1, 2, 3))
+    lt = FREE_TABLES[n].with_potential(pot)
+    dt = crit.DEFAULT_DT
+    stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
+    for lam in crit.DEFAULT_SCHEDULE:
+        factor = 1.0 / (1.0 + lam * dt)
+        u = crit.discounted_solve(lt, lam, dt).values
+        assert np.abs(factor * stepper.step(u) - u).max() / dt <= 1e-9
+        ref = iterate(lambda v: factor * stepper.step(v), np.zeros(n), dt, 10 ** 6, tol=1e-10)
+        assert ref.converged
+        # value iteration stopped at residual r lies within r/lam of the fixed point
+        # (1e-8 at lam = 1e-2), up to its own rounding accumulated over ~1e5 steps
+        assert np.abs(u - ref.values).max() <= ref.residual / lam + 1e-10
 
 
 def test_discounted_eikonal_window(eikonal_cos_256):
@@ -103,7 +130,7 @@ def test_disagreement_is_diagnostic_not_fatal(eikonal_cos_128):
 
 
 def test_large_shift_of_the_critical_value():
-    # value iteration on a finite table cannot diverge: |u_k| <= f^k sup|u_0| + max|L|/lam
+    # the discounted fixed point of a finite table is bounded: |u| <= max|L|/lam
     g = TorusGrid(64)
     lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), g, 33, 33)
     base = crit.critical_value(lt)
@@ -163,3 +190,10 @@ def test_c_eps_curve_sample_validation():
         crit.c_eps_curve(spec, um, [-0.02, -0.01, 0.01, 0.02], lt=lt)
     with pytest.raises(ValueError, match="each sign"):
         crit.c_eps_curve(spec, um, [-0.01, 0.0, 0.01, 0.02], lt=lt)
+
+
+def test_policy_iteration_cap_raises(free_table, monkeypatch):
+    eik = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), free_table.grid, 33, 33)
+    monkeypatch.setattr(crit, "MAX_POLICY_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match="did not settle in 1 iterations"):
+        crit.discounted_solve(eik, lam=4e-2)

@@ -304,3 +304,26 @@ def test_batch_step_equals_columnwise(backward):
     assert out.shape == batch.shape
     for b in range(batch.shape[1]):
         assert np.array_equal(out[:, b], stepper.step(np.ascontiguousarray(batch[:, b])))
+
+
+def test_policy_matrix_reproduces_the_step():
+    g = TorusGrid(32)
+    lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), g, 17, 17)
+    stepper = MinPlusStepper(g, lt.vgrid, 0.02, lt.L)
+    u = np.random.default_rng(3).normal(size=g.n)
+    policy = stepper.policy(u)
+    P = stepper.plan.matrix(policy)
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    step = P @ u + 0.02 * lt.L[np.arange(g.n), policy]
+    assert np.allclose(step, stepper.step(u), rtol=0, atol=1e-14)
+    # the argmin policy is kept; a worse current velocity is replaced
+    assert np.array_equal(stepper.policy(u, policy), policy)
+    assert np.array_equal(stepper.policy(u, (policy + 1) % lt.vgrid.size), policy)
+
+
+def test_policy_keeps_current_velocity_on_ties():
+    g = TorusGrid(16)
+    vgrid = np.linspace(-2.0, 2.0, 9)
+    stepper = MinPlusStepper(g, vgrid, 0.05, np.zeros((g.n, vgrid.size)))
+    current = np.arange(g.n) % vgrid.size
+    assert np.array_equal(stepper.policy(np.zeros(g.n), current), current)
