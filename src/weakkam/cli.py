@@ -34,8 +34,8 @@ from .config import (REQUIRED, choice, count, formula, integer, numbers, positiv
 from .errors import ConfigError
 from .expr import ExprError
 from .grid import Field, TorusGrid, field_from_expr, fmt17, write_csv
-from .hamiltonian import HamiltonianSpec, builtin, legendre, spec_from_config
-from .semigroup import evolve, stationary_solve
+from .hamiltonian import HamiltonianSpec, builtin, frozen_values, legendre, spec_from_config
+from .semigroup import CFLError, _check_step, evolve, stationary_solve
 
 # every numerics key with its kind and default, by the commands that read it; the
 # homogenize table grids and cell options have none (absent: the library's own)
@@ -127,12 +127,10 @@ def load_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"phi0 formula error: {exc}") from exc
     if isinstance(spec, HamiltonianSpec):
-        if numerics["dt"] * spec.lambda_bound > 0.5:
-            raise ConfigError(
-                f"dt*Lambda exceeds 1/2 (dt={numerics['dt']}, Lambda={spec.lambda_bound})")
-        if numerics["dt"] * spec.vmax > 0.5:
-            raise ConfigError(
-                f"dt*vmax exceeds 1/2 (dt={numerics['dt']}, vmax={spec.vmax})")
+        try:
+            _check_step(numerics["dt"], spec.vmax, spec.lambda_bound)
+        except CFLError as exc:
+            raise ConfigError(f"numerics key 'dt': {exc}") from exc
     return ExperimentConfig(command, numerics, top["output_dir"], top["seed"], spec, top, raw)
 
 
@@ -156,7 +154,7 @@ def _critical_of_frozen(config: ExperimentConfig, g, lt):
         um = Field(g, _u_minus(config, g, lt).values)
     else:
         um = Field(g, np.zeros(g.n))
-    ltp = lt.with_potential(stability.frozen_potential(config.spec, um))
+    ltp = lt.with_potential(frozen_values(config.spec.W, g.nodes, um.values))
     return crit.critical_value(ltp, dt=num["dt_critical"], cross_tol=num["cross_tol"]), ltp
 
 
@@ -328,8 +326,14 @@ def run(config: ExperimentConfig, quiet: bool = False) -> int:
     try:
         lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise ConfigError(f"output dir {out!r} is locked by another run "
-                          f"(remove {lock_path} if stale)")
+        try:
+            with open(lock_path) as fh:
+                owner = fh.read().strip() or "unknown"
+        except OSError:     # the owner removed it meanwhile
+            owner = "unknown"
+        raise ConfigError(f"output dir {out!r} is locked by another run (pid {owner}; "
+                          f"remove {lock_path} if stale)")
+    os.write(lock_fd, str(os.getpid()).encode())
     try:
         summary, prop_ok = RUNNERS[config.command](config, out)
         if not quiet:

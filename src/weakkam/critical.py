@@ -7,7 +7,8 @@ Two independent estimators with a mandatory agreement check:
         u = (1 + lam*dt)^{-1} min_j [ u(x_i - v_j dt) + dt L'(x_i, v_j) ]
     exactly by policy iteration (Howard): a dense linear solve per velocity
     policy, the policy improved to the kernel's argmin until it repeats,
-    at most MAX_POLICY_ITERATIONS times; one kernel step then certifies
+    each improvement one step of the driver semigroup.iterate, at most
+    MAX_POLICY_ITERATIONS times; one kernel step then certifies
     the fixed point to DEFAULT_TOL.  The first-order lam-bias is removed by
     a linear fit of -mean(lam*u_lam) in lam;
   * long-time slope: evolve 0 under the variational semigroup of the same
@@ -18,8 +19,9 @@ agreement within cross_tol is the working certificate of correctness.
 The W-part of a Hamiltonian G(x,p) + pot(x) is folded into the cost as
 L' = L - pot via LagrangianTable.with_potential.  Both estimators use the
 min-plus kernel semigroup.MinPlusStepper: the long-time slope steps it
-under the driver semigroup.iterate, the discounted solve reads its argmin
-policy and gather matrix and takes its certificate step under iterate.
+under the driver semigroup.iterate; the discounted solve reads its argmin
+policy and gather matrix, and runs its policy iteration and certificate
+step under iterate too.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     of the kernel's gather plan; I - f P_pi is strictly diagonally dominant,
     so each dense solve is well posed.  The policy is then improved to the
     kernel's argmin at u (ties keep the current velocity) until it repeats,
-    within MAX_POLICY_ITERATIONS.  u0, when given, seeds the first policy.
-    One kernel step certifies the result: sup|f T(u) - u|/dt above tol
-    raises ConvergenceError.
+    within MAX_POLICY_ITERATIONS.  Each improvement is one step of the
+    driver semigroup.iterate, and a repeated policy returns u unchanged, so
+    the driver stops at residual 0; a nonfinite solve raises its ValueError.
+    u0, when given, seeds the first policy.  One kernel step certifies the
+    result: sup|f T(u) - u|/dt above tol raises ConvergenceError.
     """
     if lam <= 0:
         raise ValueError("discount rate lam must be positive")
@@ -71,20 +75,24 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     factor = 1.0 / (1.0 + lam * dt)
     n = lt.grid.n
     rows = np.arange(n)
-    u = u0.values if u0 is not None else np.zeros(n)
     policy = None
-    for k in range(1, MAX_POLICY_ITERATIONS + 1):
+
+    def improve(u):
+        # a repeated policy returns u itself: residual 0 stops the driver
+        nonlocal policy
         new = stepper.policy(u, policy)
         if policy is not None and np.array_equal(new, policy):
-            break
+            return u
         policy = new
-        u = np.linalg.solve(np.eye(n) - factor * stepper.plan.matrix(policy),
-                            factor * dt * lt.L[rows, policy])
-        if not np.isfinite(u).all():
-            raise ValueError(f"nonfinite values at step {k} (policy iteration)")
-    else:
+        return np.linalg.solve(np.eye(n) - factor * stepper.plan.matrix(policy),
+                               factor * dt * lt.L[rows, policy])
+
+    rec = iterate(improve, u0.values if u0 is not None else np.zeros(n), 1.0,
+                  MAX_POLICY_ITERATIONS, tol=0.0)
+    if not rec.converged:
         raise ConvergenceError(
             f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} iterations")
+    u = rec.values
     rec = iterate(lambda v: factor * stepper.step(v), u, dt, 1)
     if rec.residual > tol:
         raise ConvergenceError(

@@ -85,28 +85,6 @@ class Field:
             return float(out)
         return out
 
-    def __add__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            return Field(self.grid, self.values + other.values)
-        return Field(self.grid, self.values + float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            return Field(self.grid, self.values - other.values)
-        return Field(self.grid, self.values - float(other))
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
-    def __mul__(self, scalar):
-        return Field(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
     def mean(self) -> float:
         return float(self.values.mean())
 

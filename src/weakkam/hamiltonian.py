@@ -87,18 +87,10 @@ class HamiltonianSpec:
         vals = np.asarray(self.dWu.evaluate({"x": X_LATTICE, "u": U_LATTICE}), dtype=float)
         return np.broadcast_to(vals, (X_LATTICE.size, U_LATTICE.size))
 
-    def G_at(self, x, p):
-        return self.G.evaluate({"x": x, "p": p})
-
-    def W_at(self, x, u):
-        return self.W.evaluate({"x": x, "u": u})
-
-    def dWu_at(self, x, u):
-        return self.dWu.evaluate({"x": x, "u": u})
-
 
 def frozen_values(e: Expr, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """An (x, u) expression frozen at u = us(x), sampled on the nodes xs."""
+    """An (x, u) expression frozen at u = us(x), sampled on the nodes xs: the one
+    sampler of W and dWu on the nodes (the contact step, the frozen potentials)."""
     return np.broadcast_to(np.asarray(e.evaluate({"x": xs, "u": us}), dtype=float), xs.shape)
 
 
@@ -154,7 +146,8 @@ def validate_spec(spec: HamiltonianSpec):
             f"|dWu| reaches {bound:.6g} on the test lattice, exceeding Lambda={spec.lambda_bound:.6g}")
     _check_u_derivative("W", spec.W, spec.dWu, dwu, {"x": X_LATTICE, "u": U_LATTICE})
     pts = _sample_points(3)
-    worst = _midpoint_convexity_gap(lambda p: spec.G_at(pts[0], p), pts[1:], spec.pmax)
+    worst = _midpoint_convexity_gap(lambda p: spec.G.evaluate({"x": pts[0], "p": p}),
+                                    pts[1:], spec.pmax)
     if worst > 1e-9:
         raise ConfigError(f"G fails the sampled midpoint convexity test by {worst:.3g}")
     return spec

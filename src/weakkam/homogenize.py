@@ -187,7 +187,9 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
 
     L_table has shape (n, nlevels, m); per step the cost at each node is the
     linear interpolation of L_table along the level axis at the current
-    value u_i.
+    value u_i, clamped to the end levels.  A last iterate outside the level
+    range (with more than one level) raises ConvergenceError, before the
+    stall check: nothing is extrapolated silently.
     """
     rows = np.arange(g.n)
     dlev = levels[1] - levels[0] if levels.size > 1 else 1.0
@@ -202,6 +204,11 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
 
     stepper = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2)
     rec = iterate(stepper.step, u0, dt, math.ceil(T_MAX / dt), tol)
+    outside = np.count_nonzero((rec.values < levels[0]) | (rec.values > levels[-1]))
+    if levels.size > 1 and outside:
+        raise ConvergenceError(
+            f"{what} left the u-level range [{levels[0]:.4g}, {levels[-1]:.4g}] at "
+            f"{outside} of {g.n} nodes, where the cost is clamped", rec.residual)
     if not rec.converged:
         raise ConvergenceError(
             f"{what} stalled at residual {rec.residual:.3e} (tol {tol:.1e})", rec.residual)

@@ -60,6 +60,7 @@ BIG = L_CLIP        # barrier value of an unreached (start, arrival) pair
 SAFETY = 4.0        # dt*vmax may span at most SAFETY cells in the barrier
 LP_TOL = 1e-9       # simplex pivot and optimality tolerance
 LP_MAX_ITER = 200_000   # simplex pivots per phase before LPError
+FACE_TOL = 1e-6     # slack of the optimal face in extremal_integral
 
 
 class LPError(RuntimeError):
@@ -342,22 +343,19 @@ def solve_occupational(lt: LagrangianTable) -> OccupationalMeasure:
     return OccupationalMeasure(lt, weights, value)
 
 
-def extremal_integral(measure: OccupationalMeasure, f: Field, sense: str = "min",
-                      face_tol: float = 1e-6) -> float:
+def extremal_integral(measure: OccupationalMeasure, f: Field, sense: str = "min") -> float:
     """Optimize the integral of f over the optimal face of the base program.
 
-    The base objective is constrained to value + face_tol through a slack
+    The base objective is constrained to value + FACE_TOL through a slack
     variable, then sum_ij w[i,j] f(x_i) is minimized or maximized.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    if face_tol <= 0:
-        raise ValueError("face_tol must be positive")
     sign = 1.0 if sense == "min" else -1.0
     lt = measure.lt
     fmat = np.broadcast_to(sign * f.values[:, None], lt.L.shape).copy()
     cols = _OccupationalColumns(lt, fmat, face_row=np.minimum(lt.L, L_CLIP),
-                                face_rhs=measure.value + face_tol)
+                                face_rhs=measure.value + FACE_TOL)
     n = lt.grid.n
     j0 = int(np.argmin(np.abs(lt.vgrid)))
     sup_i, sup_j = np.nonzero(measure.weights > 0)
@@ -377,7 +375,7 @@ class BarrierTable:
 
 
 def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
-                    dt: float | None = None, aubry_tol: float = 1e-2) -> BarrierTable:
+                    aubry_tol: float = 1e-2) -> BarrierTable:
     """Min-plus dynamic programming for the normalized minimal action.
 
     h_t(x, .) = T_t delta_x for every start node x at once: column x of the
@@ -386,8 +384,9 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
 
         H_{t+dt}[y, x] = min_j ( H_t[y - v_j dt, x] + dt (L[y,j] + c) ),
 
-    seeded with 0 on the diagonal and BIG elsewhere, and clamped at BIG.
-    The barrier is the min over the horizon list of the drift-corrected
+    seeded with 0 on the diagonal and BIG elsewhere, and clamped at BIG,
+    with dt = min(0.02, SAFETY*h/vmax), so a foot point spans at most SAFETY
+    cells.  The barrier is the min over the horizon list of the drift-corrected
     tables; the Aubry set is the nodes y with h[y,y] <= aubry_tol.
     """
     if aubry_tol <= 0:
@@ -396,10 +395,7 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
     t_list = tuple(sorted(float(t) for t in t_list))
     if len(t_list) < 1 or any(t <= 0 for t in t_list):
         raise ValueError("t_list must contain positive horizons")
-    if dt is None:
-        dt = min(0.02, SAFETY * g.h / lt.vmax)
-    if dt * lt.vmax > SAFETY * g.h + 1e-12:
-        raise ValueError(f"dt*vmax = {dt * lt.vmax:.3g} exceeds {SAFETY:g}*h = {SAFETY * g.h:.3g}")
+    dt = min(0.02, SAFETY * g.h / lt.vmax)
     stepper = MinPlusStepper(g, lt.vgrid, dt, np.minimum(lt.L, BIG) + c)
     snap_steps = sorted({max(1, int(round(t / dt))) for t in t_list})
     snaps = []

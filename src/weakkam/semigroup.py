@@ -2,7 +2,7 @@
 
 Every time-stepping solve in the package is built from two pieces defined
 here.  The min-plus kernel `MinPlusStepper` pulls values from the foot
-points x -+ v*dt along straight characteristics and charges the running
+points x - v*dt along straight characteristics and charges the running
 cost dt*L(x,v):
 
     u'(x_i) = min_j [ u(x_i - v_j dt) + dt L(x_i, v_j) ]
@@ -14,19 +14,22 @@ start node).  The velocity search is exhaustive over the velocity grid
 (L may be nonsmooth) and foot points use monotone periodic linear
 interpolation.  `Stepper` adds the contact correction -dt*W(x,u) of a
 split Hamiltonian, explicitly by default; "picard" mode re-evaluates W at
-the updated value by scalar fixed-point iteration, which contracts
-because dt*Lambda <= 1/2.  The forward step is the mirror image (max,
-+dt W), taken through the kernel by the identity
+the updated value by scalar fixed-point iteration under `iterate`, which
+contracts because dt*Lambda <= 1/2.  The forward step is the mirror image
+(max, +dt W), taken through a kernel on the negated velocity grid, whose
+foot points x_i + v_j dt are the forward ones, by the identity
 max_j [a_j - b_j] = -min_j [-a_j + b_j].
 
-The kernel enforces the stability requirements at construction:
+One rule (_check_step) bounds the time step, in the kernel and at config
+load alike:
     dt * Lambda <= 1/2        (contact term, when a bound is given)
     dt * vmax   <= 1/2        (foot points stay within half the unit torus)
 
-The driver `iterate` runs every step loop in the package, the Peierls
-barrier's included: it applies a step map, measures the residual
-sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite iterate, and
-stops at a tolerance or when an observer asks it to.
+The driver `iterate` runs every loop in the package: the time-stepping
+loops (the Peierls barrier's included), the Picard correction and the
+discounted solve's policy iteration.  It applies a step map, measures the
+residual sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite
+iterate, and stops at a tolerance or when an observer asks it to.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .grid import Field, TorusGrid
-from .hamiltonian import HamiltonianSpec, LagrangianTable
+from .hamiltonian import HamiltonianSpec, LagrangianTable, frozen_values
 
 __all__ = [
     "CFLError",
-    "PicardError",
     "MinPlusStepper",
     "Stepper",
     "SolveRecord",
@@ -56,18 +59,22 @@ class CFLError(ValueError):
     """Time step too large for the declared bounds."""
 
 
-class PicardError(RuntimeError):
-    def __init__(self, node: int, delta: float):
-        super().__init__(f"picard iteration did not converge at node {node} (|delta|={delta:.3e})")
-        self.node = node
+def _check_step(dt: float, vmax: float, lambda_bound: float | None):
+    """Raise CFLError unless dt > 0, dt*lambda_bound <= 1/2 (when a bound is
+    given) and dt*vmax <= 1/2, each up to 1e-12 of rounding."""
+    if dt <= 0:
+        raise CFLError("dt must be positive")
+    if lambda_bound is not None and dt * lambda_bound > 0.5 + 1e-12:
+        raise CFLError(f"dt*Lambda = {dt * lambda_bound:.3g} exceeds 1/2")
+    if dt * vmax > 0.5 + 1e-12:
+        raise CFLError(f"dt*vmax = {dt * vmax:.3g} exceeds 1/2, half the unit torus")
 
 
 class GatherPlan:
-    """Precomputed periodic interpolation stencil for foot points x_i -+ v_j*dt."""
+    """Precomputed periodic interpolation stencil for foot points x_i - v_j*dt."""
 
-    def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, backward: bool):
-        sign = -1.0 if backward else 1.0
-        shift = sign * vgrid * dt / g.h
+    def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float):
+        shift = -vgrid * dt / g.h
         base = np.floor(shift)
         theta = (shift - base)[:, None]
         idx0 = (np.arange(g.n)[None, :] + base.astype(np.int64)[:, None]) % g.n
@@ -90,7 +97,7 @@ class GatherPlan:
 
 
 class MinPlusStepper:
-    """The min-plus kernel u'_i = min_j [ u(x_i -+ v_j dt) + dt L(x_i, v_j) ].
+    """The min-plus kernel u'_i = min_j [ u(x_i - v_j dt) + dt L(x_i, v_j) ].
 
     cost is the (n, m) table L, or a callable u -> (n, m) table for a cost
     that depends on the current values.  lambda_bound, when given, is the
@@ -98,31 +105,30 @@ class MinPlusStepper:
     step takes one function of shape (n,) or, with a fixed cost table, a
     batch of shape (n, B), one function per column, each column stepped
     exactly as if alone.  policy reads the minimizing velocity index of a
-    single function.
+    single function.  A negated velocity grid gives the forward foot points
+    x_i + v_j dt with the same cost columns.
     """
 
     def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, cost,
-                 lambda_bound: float | None = None, backward: bool = True):
-        if dt <= 0:
-            raise CFLError("dt must be positive")
-        if lambda_bound is not None and dt * lambda_bound > 0.5 + 1e-12:
-            raise CFLError(f"dt*Lambda = {dt * lambda_bound:.3g} exceeds 1/2")
-        vmax = float(np.abs(vgrid).max())
-        if dt * vmax > 0.5 + 1e-12:
-            raise CFLError(f"dt*vmax = {dt * vmax:.3g} exceeds 1/2, half the unit torus")
+                 lambda_bound: float | None = None):
+        _check_step(dt, float(np.abs(vgrid).max()), lambda_bound)
         self.dt = dt
-        self.plan = GatherPlan(g, vgrid, dt, backward)
+        self.plan = GatherPlan(g, vgrid, dt)
         self._cost = cost if callable(cost) else None
         self._dtLT = None if self._cost else np.ascontiguousarray(dt * cost.T)
 
     def _dt_cost(self, u: np.ndarray) -> np.ndarray:
         return self._dtLT if self._cost is None else self.dt * self._cost(u).T
 
+    def _candidates(self, u: np.ndarray) -> np.ndarray:
+        """The (m, n) table u(x_i - v_j dt) + dt L(x_i, v_j) of one function u."""
+        return self.plan.apply(u) + self._dt_cost(u)
+
     def step(self, u: np.ndarray) -> np.ndarray:
-        dtLT = self._dt_cost(u)
         if u.ndim == 1:
-            return (self.plan.apply(u) + dtLT).min(axis=0)
+            return self._candidates(u).min(axis=0)
         # a batch (n, B) goes one velocity at a time, keeping (n, B) temporaries
+        dtLT = self._dt_cost(u)
         p = self.plan
         best = None
         for j in range(dtLT.shape[0]):
@@ -139,7 +145,7 @@ class MinPlusStepper:
         candidate is lower by more than rounding (16 eps relative): exact
         ties would otherwise let a policy iteration cycle.
         """
-        cand = self.plan.apply(u) + self._dt_cost(u)
+        cand = self._candidates(u)
         best = cand.argmin(axis=0)
         if current is None:
             return best
@@ -158,28 +164,26 @@ class Stepper:
         if mode not in ("explicit", "picard"):
             raise ValueError(f"mode must be 'explicit' or 'picard', got {mode!r}")
         self._back = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L, spec.lambda_bound)
-        self._fwd = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L, spec.lambda_bound,
-                                   backward=False)
+        # x_i + v_j dt is the backward foot point of -v_j
+        self._fwd = MinPlusStepper(lt.grid, -lt.vgrid, dt, lt.L, spec.lambda_bound)
         self.spec = spec
         self.dt = dt
         self.mode = mode
         self.xs = lt.grid.nodes
 
-    def _contact(self, u: np.ndarray) -> np.ndarray:
-        out = self.spec.W.evaluate({"x": self.xs, "u": u})
-        return np.broadcast_to(np.asarray(out, dtype=float), u.shape)
-
     def _resolve(self, base: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
+        def corrected(z):
+            return base + sign * self.dt * frozen_values(self.spec.W, self.xs, z)
+
+        z = corrected(u)
         if self.mode == "explicit":
-            return base + sign * self.dt * self._contact(u)
-        z = base + sign * self.dt * self._contact(u)
-        for _ in range(50):
-            z_new = base + sign * self.dt * self._contact(z)
-            delta = np.abs(z_new - z)
-            z = z_new
-            if delta.max() <= 1e-13:
-                return z
-        raise PicardError(int(np.argmax(delta)), float(delta.max()))
+            return z
+        # unit dt: the driver's residual is the plain sup-norm change
+        rec = iterate(corrected, z, 1.0, 50, tol=1e-13)
+        if not rec.converged:
+            raise ConvergenceError(
+                f"picard iteration did not converge (|delta|={rec.residual:.3e})", rec.residual)
+        return rec.values
 
     def backward_values(self, u: np.ndarray) -> np.ndarray:
         return self._resolve(self._back.step(u), u, -1.0)

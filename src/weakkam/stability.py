@@ -72,11 +72,6 @@ class StabilityReport:
         }
 
 
-def frozen_potential(spec: HamiltonianSpec, u_minus: Field) -> np.ndarray:
-    """W(x, u_-(x)) sampled on the grid."""
-    return frozen_values(spec.W, u_minus.grid.nodes, u_minus.values)
-
-
 def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
                     zeta_grid=DEFAULT_ZETA_GRID, dt: float = crit.DEFAULT_DT,
                     margin: float = 1e-2, *, lt: LagrangianTable, with_A_estimate: bool = True,
@@ -97,7 +92,7 @@ def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
     if any(zeta <= 0 for zeta in zeta_grid):
         raise ValueError("zeta grid entries must be positive")
     sign = -1.0 if which == "A3" else +1.0
-    base_pot = frozen_potential(spec, u_minus)
+    base_pot = frozen_values(spec.W, u_minus.grid.nodes, u_minus.values)
     dwu = frozen_values(spec.dWu, u_minus.grid.nodes, u_minus.values)
 
     c_values = {}

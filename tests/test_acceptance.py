@@ -23,7 +23,7 @@ from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr, sup_diff
 from weakkam.hamiltonian import HamiltonianSpec
 from weakkam.semigroup import Stepper, evolve, stationary_solve
-from weakkam.stability import frozen_potential
+from weakkam.hamiltonian import frozen_values
 
 
 @contextmanager
@@ -69,8 +69,8 @@ def test_criterion_03_lp_critical_cross_check(example_setup):
                                   dWu=parse("0"), lambda_bound=0.0)
         cases.append((legendre(shifted, g, 48, 48), None))
         cases.append((example_setup["lt"],
-                      frozen_potential(example_setup["spec"],
-                                       example_setup["u_minus"])))
+                      frozen_values(example_setup["spec"].W, example_setup["grid"].nodes,
+                                    example_setup["u_minus"].values)))
         for lt, pot in cases:
             table = lt if pot is None else lt.with_potential(pot)
             measure = mather.solve_occupational(table)
@@ -88,9 +88,10 @@ def test_criterion_04_derivative_formula_consistency(example_setup):
             um = constant_field(g, 0.0)
             curve = crit.c_eps_curve(spec, um, eps_list, lt=lt)
             measure = mather.solve_occupational(
-                lt.with_potential(frozen_potential(spec, um)))
+                lt.with_potential(frozen_values(spec.W, um.grid.nodes, um.values)))
             dwu = Field(g, np.broadcast_to(
-                np.asarray(spec.dWu_at(g.nodes, um.values), dtype=float), (g.n,)))
+                np.asarray(spec.dWu.evaluate({"x": g.nodes, "u": um.values}), dtype=float),
+                (g.n,)))
             lo = mather.extremal_integral(measure, dwu, "min")
             hi = mather.extremal_integral(measure, dwu, "max")
             assert abs(curve.D_minus - lo) <= 5e-2
@@ -101,8 +102,9 @@ def test_criterion_04_derivative_formula_consistency(example_setup):
         um = example_setup["u_minus"]
         lt = example_setup["lt"]
         curve = crit.c_eps_curve(spec, um, eps_list, lt=lt)
-        measure = mather.solve_occupational(lt.with_potential(frozen_potential(spec, um)))
-        dwu = Field(um.grid, np.asarray(spec.dWu_at(um.grid.nodes, um.values)))
+        measure = mather.solve_occupational(
+            lt.with_potential(frozen_values(spec.W, um.grid.nodes, um.values)))
+        dwu = Field(um.grid, np.asarray(spec.dWu.evaluate({"x": um.grid.nodes, "u": um.values})))
         lo = mather.extremal_integral(measure, dwu, "min")
         hi = mather.extremal_integral(measure, dwu, "max")
         assert abs(curve.D_minus - lo) <= 5e-2
@@ -186,7 +188,7 @@ def test_criterion_09_semigroup_property_suite():
             picard = Stepper(spec, lt, dt, "picard")
             lam = spec.lambda_bound
             dwu_nonpos = bool(np.all(np.asarray(
-                spec.dWu_at(g.nodes, np.zeros(g.n))) <= 1e-12))
+                spec.dWu.evaluate({"x": g.nodes, "u": np.zeros(g.n)})) <= 1e-12))
 
             pairs = [(random_field(g, rng), random_field(g, rng))
                      for _ in range(50)]
@@ -252,8 +254,8 @@ def test_criterion_11_mather_support_in_aubry_set(example_setup, eikonal_cos_128
         spec_e, lt_e = eikonal_cos_128
         cases.append((lt_e, None))
         cases.append((example_setup["lt"],
-                      frozen_potential(example_setup["spec"],
-                                       example_setup["u_minus"])))
+                      frozen_values(example_setup["spec"].W, example_setup["grid"].nodes,
+                                    example_setup["u_minus"].values)))
         for lt, pot in cases:
             n = lt.grid.n
             table = lt if pot is None else lt.with_potential(pot)

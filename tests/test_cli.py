@@ -58,13 +58,13 @@ def test_load_config_example_expansion(tmp_path):
     import numpy as np
     xs = np.linspace(0, 1, 9)
     ps = np.linspace(-2, 2, 9)
-    assert np.allclose(np.asarray(spec.G_at(xs, ps)), ps ** 2)
-    assert np.allclose(np.asarray(spec.dWu_at(xs, 0 * xs)),
+    assert np.allclose(np.asarray(spec.G.evaluate({"x": xs, "p": ps})), ps ** 2)
+    assert np.allclose(np.asarray(spec.dWu.evaluate({"x": xs, "u": 0 * xs})),
                        0.5 - np.cos(2 * np.pi * xs) ** 2)
     phi = np.sin(2 * np.pi * xs) / (2 * np.pi)
     dphi = np.cos(2 * np.pi * xs)
     expected_W = (dphi ** 2 - 0.5) * (phi - 0.3) - dphi ** 2
-    assert np.allclose(np.asarray(spec.W_at(xs, 0.3 + 0 * xs)), expected_W)
+    assert np.allclose(np.asarray(spec.W.evaluate({"x": xs, "u": 0.3 + 0 * xs})), expected_W)
 
 
 def test_load_config_errors(tmp_path):
@@ -177,10 +177,11 @@ def test_exit_code_3_on_estimator_disagreement(tmp_path):
     assert (tmp_path / "out3" / "diagnostic.txt").exists()
 
 
-def test_lock_file_blocks_concurrent_runs(tmp_path):
+def test_lock_file_blocks_concurrent_runs(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".weakkam.lock").touch()
+    lock = out / ".weakkam.lock"
+    lock.touch()
     path = write_config(tmp_path / "c.json", {
         "command": "critical",
         "hamiltonian": {"builtin": "eikonal", "params": {"V": "0"}},
@@ -188,6 +189,32 @@ def test_lock_file_blocks_concurrent_runs(tmp_path):
         "output_dir": str(out),
     })
     assert cli.main(["critical", "--config", path, "--quiet"]) == 2
+    assert "locked by another run (pid unknown;" in capsys.readouterr().err
+    # the lock names its owner
+    lock.write_text("4242")
+    assert cli.main(["critical", "--config", path, "--quiet"]) == 2
+    assert "locked by another run (pid 4242;" in capsys.readouterr().err
+
+
+def test_lock_file_holds_the_owner_pid(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", {
+        "command": "critical",
+        "hamiltonian": {"builtin": "eikonal", "params": {"V": "0"}},
+        "numerics": FAST_NUMERICS,
+        "output_dir": str(out),
+    })
+    seen = []
+    runner = cli.RUNNERS["critical"]
+
+    def spy(config, out_dir):
+        seen.append((out / ".weakkam.lock").read_text())
+        return runner(config, out_dir)
+
+    monkeypatch.setitem(cli.RUNNERS, "critical", spy)
+    assert cli.main(["critical", "--config", path, "--quiet"]) == 0
+    assert seen == [str(os.getpid())]
+    assert not (out / ".weakkam.lock").exists()
 
 
 def test_evolve_command_artifacts(tmp_path):

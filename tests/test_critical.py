@@ -112,11 +112,11 @@ def test_estimators_agree_on_every_builtin(example_setup):
         lt = legendre(spec, g, 33, 33)
         um = constant_field(g, 0.0)
         pot = np.broadcast_to(np.asarray(
-            spec.W_at(g.nodes, um.values), dtype=float), (g.n,))
+            spec.W.evaluate({"x": g.nodes, "u": um.values}), dtype=float), (g.n,))
         instances.append(lt.with_potential(pot))
     # the worked stability instance, frozen at its stationary solution
     ex = example_setup
-    pot = np.asarray(ex["spec"].W_at(ex["grid"].nodes, ex["u_minus"].values))
+    pot = np.asarray(ex["spec"].W.evaluate({"x": ex["grid"].nodes, "u": ex["u_minus"].values}))
     instances.append(ex["lt"].with_potential(pot))
     for table in instances:
         assert crit.critical_value(table).method == "agree"

@@ -96,7 +96,7 @@ def test_sup_diff_trivials():
     rng = np.random.default_rng(2)
     f = random_field(g, rng)
     assert sup_diff(f, f) == 0.0
-    assert sup_diff(f, f + 0.3) == pytest.approx(0.3)
+    assert sup_diff(f, Field(g, f.values + 0.3)) == pytest.approx(0.3)
 
 
 def test_sup_diff_enumerated():
@@ -122,8 +122,6 @@ def test_grid_mismatch():
     g = constant_field(TorusGrid(16), 1.0)
     with pytest.raises(GridMismatchError):
         sup_diff(f, g)
-    with pytest.raises(GridMismatchError):
-        f + g
 
 
 def test_field_rejects_nonfinite():

@@ -74,7 +74,7 @@ def test_biconjugacy_at_zero_momentum(g32):
                                           "V": "cos(2*pi*x)", "c": 1.0})]:
         spec = builtin(name, params)
         lt = legendre(spec, g32, 33, 33)
-        g0 = np.asarray(spec.G_at(g32.nodes, 0.0 * g32.nodes))
+        g0 = np.asarray(spec.G.evaluate({"x": g32.nodes, "p": 0.0 * g32.nodes}))
         assert np.max(np.abs(lt.L.min(axis=1) + g0)) < 1e-6
 
 
@@ -90,7 +90,7 @@ def test_builtin_linear_contact():
     spec = builtin("linear_contact", {"a": 1.0, "V": 0})
     assert spec.lambda_bound == pytest.approx(1.0)
     xs = np.linspace(0, 1, 7)
-    assert np.allclose(np.asarray(spec.dWu_at(xs, xs)), 1.0)
+    assert np.allclose(np.asarray(spec.dWu.evaluate({"x": xs, "u": xs})), 1.0)
 
 
 def test_builtin_example_derivative():
@@ -99,7 +99,7 @@ def test_builtin_example_derivative():
                                   "dphi": "cos(2*pi*x)", "theta": 0.5, "zeta": 1.0})
     xs = np.linspace(0, 1, 33)
     expected = 0.5 - np.cos(2 * np.pi * xs) ** 2
-    assert np.allclose(np.asarray(spec.dWu_at(xs, 0 * xs)), expected, atol=1e-12)
+    assert np.allclose(np.asarray(spec.dWu.evaluate({"x": xs, "u": 0 * xs})), expected, atol=1e-12)
     assert spec.lambda_bound == pytest.approx(0.5)
 
 
@@ -110,7 +110,8 @@ def test_builtin_example_stationary_identity():
     xs = np.linspace(0, 1, 65)
     phi = np.sin(2 * np.pi * xs) / (2 * np.pi)
     dphi = np.cos(2 * np.pi * xs)
-    total = np.asarray(spec.G_at(xs, dphi)) + np.asarray(spec.W_at(xs, phi))
+    total = (np.asarray(spec.G.evaluate({"x": xs, "p": dphi}))
+             + np.asarray(spec.W.evaluate({"x": xs, "u": phi})))
     assert np.allclose(total, 0.0, atol=1e-12)
 
 
@@ -118,7 +119,8 @@ def test_builtin_corollary_lambda():
     spec = builtin("corollary_a", {"a": "2+sin(2*pi*x)", "V": "cos(2*pi*x)", "c": 1.0})
     assert spec.lambda_bound == pytest.approx(3.0)
     xs = np.linspace(0, 1, 9)
-    assert np.allclose(np.asarray(spec.dWu_at(xs, 0 * xs)), 2 + np.sin(2 * np.pi * xs))
+    assert np.allclose(np.asarray(spec.dWu.evaluate({"x": xs, "u": 0 * xs})),
+                       2 + np.sin(2 * np.pi * xs))
 
 
 def test_builtin_unknown_name_and_missing_param():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from weakkam.errors import ConfigError
+from weakkam.errors import ConfigError, ConvergenceError
 from weakkam.expr import parse
 from weakkam import homogenize as hz
 
@@ -214,3 +214,16 @@ def test_problem_from_config_roundtrip():
         hz.problem_from_config({"H": "u + p^2"})
     with pytest.raises(ConfigError, match="homog must be an object"):
         hz.problem_from_config("u + p^2")
+
+
+def test_effective_solve_outside_the_level_range_raises():
+    # Hbar = c + p^2 + 0.5 has the solution u = -0.5, below the c-range [-0.2, 0.2]
+    # on which the table was read; the clamped cost must not pass silently
+    p_nodes = np.linspace(-2.0, 2.0, 9)
+    c_nodes = np.linspace(-0.2, 0.2, 5)
+    values = c_nodes[None, None, :] + p_nodes[None, :, None] ** 2 + 0.5
+    et = hz.EffectiveTable(np.array([0.0]), p_nodes, c_nodes, values, 1.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"effective stationary solve left the u-level range "
+                             r"\[-0.2, 0.2\] at 32 of 32 nodes"):
+        hz.solve_effective(et, n_slow=32)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_field
 from weakkam import TorusGrid, builtin, legendre
+from weakkam.errors import ConvergenceError
 from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr, sup_diff
 from weakkam.hamiltonian import HamiltonianSpec
@@ -99,7 +100,7 @@ def test_u_independent_commutes_with_constants(free_64):
     rng = np.random.default_rng(4)
     phi = random_field(g, rng)
     r1 = evolve(phi, spec, lt, T=0.1, dt=1e-3)
-    r2 = evolve(phi + 0.37, spec, lt, T=0.1, dt=1e-3)
+    r2 = evolve(Field(g, phi.values + 0.37), spec, lt, T=0.1, dt=1e-3)
     assert np.allclose(r2.final.values - r1.final.values, 0.37, atol=1e-13)
 
 
@@ -206,6 +207,18 @@ def test_picard_close_to_explicit():
     assert gaps[5e-3] <= gaps[1e-2] / 3  # second-order scaling
 
 
+def test_picard_divergence_raises_convergence_error():
+    # W = 30u declared with Lambda = 1: dt*Lambda passes, but the correction
+    # z -> base - 3z expands, so the Picard loop must fail loudly
+    g = TorusGrid(16)
+    spec = HamiltonianSpec(G=parse("p^2"), W=parse("30*u"), dWu=parse("30"),
+                           lambda_bound=1.0)
+    stepper = Stepper(spec, legendre(spec, g, 17, 17), 0.1, "picard")
+    with pytest.raises(ConvergenceError, match="picard iteration did not converge") as err:
+        stepper.backward_values(np.sin(2 * np.pi * g.nodes))
+    assert err.value.residual == pytest.approx(3.154e24, rel=1e-3)
+
+
 def test_cfl_guards():
     g = TorusGrid(64)
     spec = builtin("linear_contact", {"a": 1.0, "V": 0})
@@ -298,7 +311,8 @@ def test_iterate_nonfinite_names_the_step():
 def test_batch_step_equals_columnwise(backward):
     g = TorusGrid(32)
     lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), g, 17, 17)
-    stepper = MinPlusStepper(g, lt.vgrid, 0.02, lt.L, backward=backward)
+    # the forward kernel is the backward one on the negated velocity grid
+    stepper = MinPlusStepper(g, lt.vgrid if backward else -lt.vgrid, 0.02, lt.L)
     batch = np.random.default_rng(5).normal(size=(g.n, 7))
     out = stepper.step(batch)
     assert out.shape == batch.shape
