@@ -31,7 +31,7 @@ from . import homogenize as homog
 from . import mather, stability
 from .config import (REQUIRED, choice, count, formula, integer, numbers, positive,
                      read_section, section, text)
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .expr import ExprError
 from .grid import Field, TorusGrid, field_from_expr, fmt17, write_csv
 from .hamiltonian import HamiltonianSpec, builtin, frozen_values, legendre, spec_from_config
@@ -139,22 +139,25 @@ def _grid_lt(config: ExperimentConfig):
     return g, legendre(config.spec, g, m, m)
 
 
-def _u_minus(config: ExperimentConfig, g, lt):
-    """The stationary solve's record, from phi0 at the run's dt, tol and T_max."""
+def _u_minus(config: ExperimentConfig, lt) -> Field:
+    """u_- from phi0 at the run's dt, tol and T_max; ConvergenceError (exit 1)
+    unless the solve reached tol, as nothing built on u_- holds otherwise."""
     num = config.numerics
-    return stationary_solve(config.options["phi0"], config.spec, lt,
-                            dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
+    rec = stationary_solve(config.options["phi0"], config.spec, lt,
+                           dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
+    if not rec.converged:
+        raise ConvergenceError(
+            f"stationary solve for u_- stopped at residual {rec.residual:.3e} after "
+            f"{rec.steps} steps, above tol {num['tol']:.3g}", rec.residual)
+    return Field(lt.grid, rec.values)
 
 
 def _critical_of_frozen(config: ExperimentConfig, g, lt):
     """Critical value of G + W(., u_-) and the table with W(., u_-) folded in;
     for u-independent W no stationary solve is needed."""
     num = config.numerics
-    if "u" in config.spec.W.variables():
-        um = Field(g, _u_minus(config, g, lt).values)
-    else:
-        um = Field(g, np.zeros(g.n))
-    ltp = lt.with_potential(frozen_values(config.spec.W, g.nodes, um.values))
+    u = _u_minus(config, lt).values if "u" in config.spec.W.variables() else np.zeros(g.n)
+    ltp = lt.with_potential(frozen_values(config.spec.W, g.nodes, u))
     return crit.critical_value(ltp, dt=num["dt_critical"], cross_tol=num["cross_tol"]), ltp
 
 
@@ -162,20 +165,30 @@ def run_evolve(config, out):
     num = config.numerics
     g, lt = _grid_lt(config)
     snap = num["snap_every"] or max(1, math.ceil(num["T"] / num["dt"]) // 10)
-    res = evolve(config.options["phi0"], config.spec, lt, T=num["T"], dt=num["dt"],
-                 direction=config.options["direction"], snap_every=snap)
-    rows = [(float(t), float(x), float(v))
-            for t, f in res.snapshots for x, v in zip(g.nodes, f.values)]
+    rows = []
+
+    def snapshot(k, u):
+        rows.extend((float(k * num["dt"]), float(x), float(v)) for x, v in zip(g.nodes, u))
+
+    # snapshots every snap steps and at the last step; the observer returns None
+    rec = evolve(config.options["phi0"], config.spec, lt, T=num["T"], dt=num["dt"],
+                 direction=config.options["direction"],
+                 observe=lambda k, u: snapshot(k, u) if k % snap == 0 else None)
+    if rec.steps % snap:
+        snapshot(rec.steps, rec.values)
     path = os.path.join(out, "snapshots.csv")
     write_csv(path, config.header(), "t,x,value", rows)
     with open(path, "a") as fh:
-        fh.write(f"# summary steps={res.steps},final_residual={fmt17(res.final_residual)}\n")
-    return f"steps={res.steps} final_residual={res.final_residual:.3e}", True
+        fh.write(f"# summary steps={rec.steps},final_residual={fmt17(rec.residual)}\n")
+    return f"steps={rec.steps} final_residual={rec.residual:.3e}", True
 
 
 def run_stationary(config, out):
+    num = config.numerics
     g, lt = _grid_lt(config)
-    res = _u_minus(config, g, lt)
+    # a residual stall is reported, not raised: converged=False with exit 0
+    res = stationary_solve(config.options["phi0"], config.spec, lt,
+                           dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
     write_csv(os.path.join(out, "stationary.csv"), config.header(), "x,value",
               zip(g.nodes, res.values))
     return (f"converged={res.converged} residual={res.residual:.3e} steps={res.steps}",
@@ -195,8 +208,8 @@ def run_critical(config, out):
 
 def run_ceps(config, out):
     num = config.numerics
-    g, lt = _grid_lt(config)
-    um = Field(g, _u_minus(config, g, lt).values)
+    _, lt = _grid_lt(config)
+    um = _u_minus(config, lt)
     curve = crit.c_eps_curve(config.spec, um, num["eps_list"], dt=num["dt_critical"],
                              lt=lt, cross_tol=num["cross_tol"])
     write_csv(os.path.join(out, "ceps.csv"), config.header(), "eps,c",
@@ -244,8 +257,8 @@ def _write_report(out, config, report):
 
 def run_stability(config, out):
     num = config.numerics
-    g, lt = _grid_lt(config)
-    um = Field(g, _u_minus(config, g, lt).values)
+    _, lt = _grid_lt(config)
+    um = _u_minus(config, lt)
     report = stability.check_condition(
         config.spec, um, which=config.options["which"], zeta_grid=num["zeta_grid"],
         dt=num["dt_critical"], margin=num["margin"], lt=lt, cross_tol=num["cross_tol"])
@@ -259,23 +272,23 @@ def run_stability(config, out):
     write_csv(os.path.join(out, "decay.csv"), config.header(), "t,sup_dev",
               list(zip(map(float, decay.times), map(float, decay.devs))))
     _write_report(out, config, report)
-    a_txt = "n/a" if report.A_estimate is None else f"{report.A_estimate:.3f}"
     slope_txt = "n/a" if decay.slope is None else f"{decay.slope:.3f}"
-    return f"verdict={report.verdict} A_estimate={a_txt} decay_slope={slope_txt}", True
+    return (f"verdict={report.verdict} A_estimate={report.A_estimate:.3f} "
+            f"decay_slope={slope_txt}", True)
 
 
 def run_instability(config, out):
     num = config.numerics
-    g, lt = _grid_lt(config)
-    um = Field(g, _u_minus(config, g, lt).values)
+    _, lt = _grid_lt(config)
+    um = _u_minus(config, lt)
     probe = stability.instability_probe(
         config.spec, um, eps=num["eps"], Delta_target=num["Delta"],
         T=num["T"], dt=num["dt"], lt=lt)
     write_csv(os.path.join(out, "probe.csv"), config.header(), "t,sup_dev",
               list(zip(map(float, probe.times), map(float, probe.devs))))
-    if probe.escaped:
+    if probe.t_escape is not None:
         return f"escaped t≈{probe.t_escape:.1f}", True
-    return f"not escaped sup_dev={probe.sup_dev:.3e}", True
+    return f"not escaped sup_dev={probe.devs.max():.3e}", True
 
 
 def run_corollary(config, out):

@@ -188,8 +188,6 @@ class LagrangianTable:
     grid: TorusGrid
     vgrid: np.ndarray
     L: np.ndarray
-    vmax: float
-    pmax: float
 
     def __post_init__(self):
         L = np.array(self.L, dtype=float, copy=True)
@@ -210,8 +208,7 @@ class LagrangianTable:
         vals = pot.values if isinstance(pot, Field) else np.asarray(pot, dtype=float)
         if vals.shape != (self.grid.n,):
             raise ValueError("potential shape does not match the grid")
-        return LagrangianTable(self.grid, self.vgrid, self.L - vals[:, None],
-                               self.vmax, self.pmax)
+        return LagrangianTable(self.grid, self.vgrid, self.L - vals[:, None])
 
 
 def _odd(count: int) -> int:
@@ -281,4 +278,4 @@ def legendre(spec: HamiltonianSpec, g: TorusGrid, m: int = 65, k: int = 65) -> L
         return spec.G.evaluate({"x": xs, "p": P})
 
     vs, L = conjugate_table(gfun, g.n, m, k, spec.vmax, spec.pmax, warn_label=spec.name)
-    return LagrangianTable(g, vs, L, spec.vmax, spec.pmax)
+    return LagrangianTable(g, vs, L)

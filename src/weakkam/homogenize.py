@@ -122,13 +122,12 @@ def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
             raise ValueError(f"cell coordinate {name} must be finite")
     g = TorusGrid(n_fast)
     ys = g.nodes[:, None]
-    pmax_cell = hp.pmax + abs(p)
 
     def gfun(Q):
         return hp.H.evaluate({"x": float(x), "y": ys, "p": p + Q, "u": float(c)})
 
-    vs, L = conjugate_table(gfun, g.n, m, k, hp.vmax, pmax_cell, warn_label="cell H")
-    lt = LagrangianTable(g, vs, L, hp.vmax, pmax_cell)
+    vs, L = conjugate_table(gfun, g.n, m, k, hp.vmax, hp.pmax + abs(p), warn_label="cell H")
+    lt = LagrangianTable(g, vs, L)
     res = crit.critical_value(lt, dt=dt, cross_tol=cross_tol)
     if res.method != "agree":
         raise ConvergenceError(

@@ -385,8 +385,8 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
         H_{t+dt}[y, x] = min_j ( H_t[y - v_j dt, x] + dt (L[y,j] + c) ),
 
     seeded with 0 on the diagonal and BIG elsewhere, and clamped at BIG,
-    with dt = min(0.02, SAFETY*h/vmax), so a foot point spans at most SAFETY
-    cells.  The barrier is the min over the horizon list of the drift-corrected
+    with dt = min(0.02, SAFETY*h/vmax), vmax the largest |v| of the velocity
+    grid, so a foot point spans at most SAFETY cells.  The barrier is the min over the horizon list of the drift-corrected
     tables; the Aubry set is the nodes y with h[y,y] <= aubry_tol.
     """
     if aubry_tol <= 0:
@@ -395,7 +395,7 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
     t_list = tuple(sorted(float(t) for t in t_list))
     if len(t_list) < 1 or any(t <= 0 for t in t_list):
         raise ValueError("t_list must contain positive horizons")
-    dt = min(0.02, SAFETY * g.h / lt.vmax)
+    dt = min(0.02, SAFETY * g.h / float(np.abs(lt.vgrid).max()))
     stepper = MinPlusStepper(g, lt.vgrid, dt, np.minimum(lt.L, BIG) + c)
     snap_steps = sorted({max(1, int(round(t / dt))) for t in t_list})
     snaps = []

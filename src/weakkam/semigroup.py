@@ -29,7 +29,10 @@ The driver `iterate` runs every loop in the package: the time-stepping
 loops (the Peierls barrier's included), the Picard correction and the
 discounted solve's policy iteration.  It applies a step map, measures the
 residual sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite
-iterate, and stops at a tolerance or when an observer asks it to.
+iterate, and stops at a tolerance or when an observer asks it to.  Every
+contact evolution over a horizon (the evolve command and the stability
+probes) goes through `evolve`, which returns the `SolveRecord` of `iterate`;
+`stationary_solve` steps backward until a tolerance instead.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "SolveRecord",
     "iterate",
     "evolve",
-    "EvolveResult",
     "stationary_solve",
 ]
 
@@ -227,35 +229,22 @@ def iterate(step, u0: np.ndarray, dt: float, max_steps: int, tol: float | None =
     return SolveRecord(u, max_steps, residual, False)
 
 
-@dataclass
-class EvolveResult:
-    """The snapshots of one evolution and how its step loop ended."""
-
-    snapshots: list          # [(t, Field)], strictly increasing times
-    final: Field
-    steps: int
-    final_residual: float    # sup|u_k - u_{k-1}| / dt at the last step
-
-
 def evolve(phi: Field, spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt: float,
-           direction: str = "backward", snap_every: int = 0) -> EvolveResult:
-    """Repeated stepping from phi over steps = ceil(T/dt), snapshotting every
-    snap_every steps (when positive) and at the last step."""
+           direction: str = "backward", observe=None) -> SolveRecord:
+    """Step phi by the backward or forward semigroup over ceil(T/dt) steps.
+
+    This is the one entry point for a contact evolution: it builds the
+    Stepper, turns the horizon into a step count and returns the record of
+    iterate.  observe(k, u_k) is iterate's own callback, seeing every step
+    k = 1, 2, ...; a true return stops the evolution there.
+    """
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be 'backward' or 'forward', got {direction!r}")
     stepper = Stepper(spec, lt, dt)
     advance = stepper.backward_values if direction == "backward" else stepper.forward_values
-    steps = math.ceil(T / dt - 1e-12)
-    snapshots = []
-
-    def snapshot(k, u):
-        if (snap_every and k % snap_every == 0) or k == steps:
-            snapshots.append((k * dt, Field(phi.grid, u)))
-
-    rec = iterate(advance, phi.values, dt, steps, observe=snapshot)
-    return EvolveResult(snapshots, snapshots[-1][1], rec.steps, rec.residual)
+    return iterate(advance, phi.values, dt, math.ceil(T / dt - 1e-12), observe=observe)
 
 
 def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,

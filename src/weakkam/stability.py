@@ -13,14 +13,15 @@ The zeta search walks a finite grid and stops at the first conclusive
 value; a critical value whose two estimators disagree concludes nothing.
 Each report also records the extremal minimum of dWu(., u_-) against
 minimizing occupational measures, which lower-bounds the decay rate that
-the direct probes then measure empirically.
+the direct probes then measure empirically.  The probes (decay exponent,
+escape time, basin) follow orbits of the backward semigroup near u_-, each
+run by `semigroup.evolve` with an observer that records the deviation.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .grid import Field
 # conjugate_table is not called here; bench/tests check that the tracer patches it here too
 from .hamiltonian import HamiltonianSpec, LagrangianTable, conjugate_table, frozen_values
 from .mather import extremal_integral, peierls_barrier, solve_occupational
-from .semigroup import Stepper, iterate
+from .semigroup import evolve
 
 __all__ = [
     "StabilityReport",
@@ -54,27 +55,18 @@ class StabilityReport:
     verdict: str                      # "holds" | "fails" | "inconclusive"
     zeta_found: float | None
     c_values: dict
-    A_estimate: float | None
+    A_estimate: float
     Delta_estimate: float | None = None
     decay_slope: float | None = None
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "zeta_found": self.zeta_found,
-            "c_values": {str(k): v for k, v in self.c_values.items()},
-            "A_estimate": self.A_estimate,
-            "Delta_estimate": self.Delta_estimate,
-            "decay_slope": self.decay_slope,
-            "extra": self.extra,
-        }
+        return {**asdict(self), "c_values": {str(k): v for k, v in self.c_values.items()}}
 
 
 def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
                     zeta_grid=DEFAULT_ZETA_GRID, dt: float = crit.DEFAULT_DT,
-                    margin: float = 1e-2, *, lt: LagrangianTable, with_A_estimate: bool = True,
+                    margin: float = 1e-2, *, lt: LagrangianTable,
                     cross_tol: float = crit.DEFAULT_CROSS_TOL) -> StabilityReport:
     """Walk the zeta grid testing the shifted critical values.
 
@@ -114,11 +106,8 @@ def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
     else:
         verdict = "inconclusive"
 
-    A_estimate = None
-    if with_A_estimate:
-        measure = solve_occupational(lt.with_potential(base_pot))
-        A_estimate = extremal_integral(measure, Field(u_minus.grid, dwu), sense="min")
-
+    measure = solve_occupational(lt.with_potential(base_pot))
+    A_estimate = extremal_integral(measure, Field(u_minus.grid, dwu), sense="min")
     return StabilityReport(which, verdict, zeta_found, c_values, A_estimate,
                            extra={"margin": margin})
 
@@ -163,14 +152,16 @@ def deviation_series(spec: HamiltonianSpec, u_minus: Field, phi: Field, T: float
     sampled every SAMPLE_EVERY steps and at the last step."""
     times = []
     devs = []
-    steps = math.ceil(T / dt - 1e-12)
 
     def sample(kstep, u):
-        if kstep % SAMPLE_EVERY == 0 or kstep == steps:
-            times.append(kstep * dt)
-            devs.append(float(np.abs(u - u_minus.values).max()))
+        times.append(kstep * dt)
+        devs.append(float(np.abs(u - u_minus.values).max()))
 
-    iterate(Stepper(spec, lt, dt).backward_values, phi.values, dt, steps, observe=sample)
+    # the observer returns None: a true value would stop the evolution
+    rec = evolve(phi, spec, lt, T, dt,
+                 observe=lambda k, u: sample(k, u) if k % SAMPLE_EVERY == 0 else None)
+    if rec.steps % SAMPLE_EVERY:
+        sample(rec.steps, rec.values)
     return np.asarray(times), np.asarray(devs)
 
 
@@ -217,9 +208,7 @@ def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float
 
 @dataclass
 class ProbeResult:
-    escaped: bool
-    sup_dev: float
-    t_escape: float | None
+    t_escape: float | None     # None when the deviation never reached the target
     times: np.ndarray
     devs: np.ndarray
 
@@ -240,12 +229,9 @@ def instability_probe(spec: HamiltonianSpec, u_minus: Field, eps: float,
         devs.append(float(np.abs(u - u_minus.values).max()))
         return devs[-1] >= Delta_target
 
-    iterate(Stepper(spec, lt, dt).backward_values, u_minus.values - eps, dt,
-            math.ceil(T / dt - 1e-12), observe=watch)
+    evolve(Field(u_minus.grid, u_minus.values - eps), spec, lt, T, dt, observe=watch)
     t_escape = times[-1] if devs[-1] >= Delta_target else None
-    devs = np.asarray(devs)
-    return ProbeResult(t_escape is not None, float(devs.max()), t_escape,
-                       np.asarray(times), devs)
+    return ProbeResult(t_escape, np.asarray(times), np.asarray(devs))
 
 
 def basin_estimate(spec: HamiltonianSpec, u_minus: Field, T: float, dt: float,
@@ -265,15 +251,11 @@ def basin_estimate(spec: HamiltonianSpec, u_minus: Field, T: float, dt: float,
 
     if recovers(delta_hi):
         return delta_hi
-    best = 0.0
     lo, hi = 0.0, delta_hi
     for _ in range(BASIN_ROUNDS):
         mid = (lo + hi) / 2
-        if mid <= 0:
-            break
         if recovers(mid):
-            best = mid
             lo = mid
         else:
             hi = mid
-    return best
+    return lo

@@ -644,3 +644,78 @@ def test_readme_configs_load(tmp_path):
         path = tmp_path / f"readme-{k}.json"
         path.write_text(block)
         cli.load_config(str(path))
+
+
+# u_- of this Hamiltonian needs about 13 time units to reach tol = 1e-6; T_max = 1 stops short
+UNCONVERGED = {"hamiltonian": {"builtin": "linear_contact",
+                               "params": {"a": 1.0, "V": "0.3*cos(2*pi*x)"}},
+               "numerics": dict(FAST_NUMERICS, T_max=1.0)}
+
+
+@pytest.mark.parametrize("command", ["stability", "ceps", "instability", "critical"])
+def test_unconverged_u_minus_is_a_solver_failure(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", dict(UNCONVERGED, command=command,
+                                                  output_dir=str(out)))
+    assert cli.main([command, "--config", path]) == 1
+    message = "stationary solve for u_- stopped at residual 1.104e-01 after 1000 steps"
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["diagnostic.txt"]
+    assert message in (out / "diagnostic.txt").read_text()
+
+
+def test_stationary_command_reports_unconverged_solve(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", dict(UNCONVERGED, command="stationary",
+                                                  output_dir=str(tmp_path / "out")))
+    assert cli.main(["stationary", "--config", path]) == 0
+    assert "converged=False residual=1.104e-01 steps=1000" in capsys.readouterr().out
+    assert (tmp_path / "out" / "stationary.csv").exists()
+
+
+def test_frozen_hamiltonian_is_critical_at_zero(tmp_path):
+    # u_- solves G + W(., u_-) = 0, so G + W(., u_-) frozen at u_- has critical value 0
+    path = write_config(tmp_path / "c.json", dict(
+        UNCONVERGED, command="critical", numerics=dict(FAST_NUMERICS)))
+    config = cli.load_config(path)
+    result, _ = cli._critical_of_frozen(config, *cli._grid_lt(config))
+    assert result.method == "agree"
+    assert abs(result.c) <= 1e-2
+
+
+def test_stability_command_basin_estimate(tmp_path, capsys):
+    # a = 1 contracts every perturbation, so the basin estimate is basin_delta_hi itself
+    path = write_config(tmp_path / "c.json", dict(
+        STABILITY, numerics=dict(FAST_NUMERICS, dt=5e-3, T_max=4.0, zeta_grid=[0.25]),
+        decay_T=1.0, basin_delta_hi=0.5, output_dir=str(tmp_path / "out")))
+    assert cli.main(["stability", "--config", path]) == 0
+    assert "verdict=holds" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["basin_delta_hi"] == 0.5
+    assert report["report"]["Delta_estimate"] == 0.5
+
+
+def test_instability_command_not_escaped(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", {
+        "command": "instability",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "numerics": {"n": 64, "m": 33, "dt": 1e-3, "T": 1.0, "eps": 0.01, "Delta": 0.5},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["instability", "--config", path]) == 0
+    # the deviation decays from eps, so its largest value is eps at t = 0
+    assert "not escaped sup_dev=1.000e-02" in capsys.readouterr().out
+
+
+def test_evolve_command_snapshot_times(tmp_path):
+    path = write_config(tmp_path / "c.json", {
+        "command": "evolve",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "numerics": {"n": 64, "m": 33, "dt": 1e-3, "T": 0.05, "snap_every": 7},
+        "phi0": "1",
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["evolve", "--config", path, "--quiet"]) == 0
+    lines = (tmp_path / "out" / "snapshots.csv").read_text().strip().splitlines()
+    times = sorted({float(line.split(",")[0]) for line in lines if line[0].isdigit()})
+    assert times == pytest.approx([k * 1e-3 for k in (7, 14, 21, 28, 35, 42, 49, 50)])
+    assert lines[-1].startswith("# summary steps=50,final_residual=")

@@ -142,8 +142,7 @@ def test_large_shift_of_the_critical_value():
 def test_nan_cost_entry_raises_at_first_step(free_table):
     L = free_table.L.copy()
     L[5, 3] = np.nan
-    bad = LagrangianTable(free_table.grid, free_table.vgrid, L, free_table.vmax,
-                          free_table.pmax)
+    bad = LagrangianTable(free_table.grid, free_table.vgrid, L)
     with pytest.raises(ValueError, match="nonfinite values at step 1 "):
         crit.longtime_slope(bad, T=4.0, dt=0.02)
     with pytest.raises(ValueError, match="nonfinite values at step 1 "):

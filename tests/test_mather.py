@@ -313,6 +313,6 @@ def test_barrier_nan_cost_raises_at_first_step(g64):
     lt = legendre(builtin("eikonal", {"V": 0}), g64, 33, 33)
     L = lt.L.copy()
     L[5, 3] = np.nan
-    bad = LagrangianTable(lt.grid, lt.vgrid, L, lt.vmax, lt.pmax)
+    bad = LagrangianTable(lt.grid, lt.vgrid, L)
     with pytest.raises(ValueError, match="nonfinite values at step 1 "):
         mather.peierls_barrier(bad, 0.0, t_list=(1.0,))

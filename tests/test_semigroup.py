@@ -76,7 +76,7 @@ def test_one_step_against_velocity_refinement_oracle():
 def test_evolve_contact_ode(contact_64):
     g, spec, lt = contact_64
     res = evolve(constant_field(g, 1.0), spec, lt, T=1.0, dt=1e-3)
-    assert abs(res.final.values[0] - math.exp(-1)) <= abs(math.exp(-1)) * 1e-3
+    assert abs(res.values[0] - math.exp(-1)) <= abs(math.exp(-1)) * 1e-3
     assert res.steps == 1000
 
 
@@ -85,14 +85,14 @@ def test_evolve_growth_when_decreasing_in_u():
     spec = builtin("linear_contact", {"a": -1.0, "V": 0})
     lt = legendre(spec, g, 33, 33)
     res = evolve(constant_field(g, -0.01), spec, lt, T=3.0, dt=1e-3)
-    assert res.final.values[0] == pytest.approx(-0.01 * math.exp(3), rel=5e-3)
+    assert res.values[0] == pytest.approx(-0.01 * math.exp(3), rel=5e-3)
 
 
 def test_evolve_forward_direction(contact_64):
     g, spec, lt = contact_64
     res = evolve(constant_field(g, 0.5), spec, lt, T=0.5, dt=1e-3,
                  direction="forward")
-    assert res.final.values[0] == pytest.approx(0.5 * math.exp(0.5), rel=1e-3)
+    assert res.values[0] == pytest.approx(0.5 * math.exp(0.5), rel=1e-3)
 
 
 def test_u_independent_commutes_with_constants(free_64):
@@ -101,16 +101,18 @@ def test_u_independent_commutes_with_constants(free_64):
     phi = random_field(g, rng)
     r1 = evolve(phi, spec, lt, T=0.1, dt=1e-3)
     r2 = evolve(Field(g, phi.values + 0.37), spec, lt, T=0.1, dt=1e-3)
-    assert np.allclose(r2.final.values - r1.final.values, 0.37, atol=1e-13)
+    assert np.allclose(r2.values - r1.values, 0.37, atol=1e-13)
 
 
-def test_evolve_snapshots_contract(free_64):
+def test_evolve_observe_sees_every_step(free_64):
     g, spec, lt = free_64
     rng = np.random.default_rng(5)
-    res = evolve(random_field(g, rng), spec, lt, T=0.05, dt=1e-3, snap_every=10)
-    times = [t for t, _ in res.snapshots]
-    assert times == sorted(times) and len(set(times)) == len(times)
-    assert res.final is res.snapshots[-1][1]
+    seen = []
+    res = evolve(random_field(g, rng), spec, lt, T=0.05, dt=1e-3,
+                 observe=lambda k, u: seen.append((k, u)))
+    assert [k for k, _ in seen] == list(range(1, 51))
+    assert res.steps == 50
+    assert np.array_equal(seen[-1][1], res.values)
 
 
 def test_nonexpansion_with_lambda_inflation():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from weakkam import TorusGrid, builtin, legendre
@@ -46,8 +47,8 @@ def test_check_condition_constant_shift_unstable(contact_neg):
 def test_stability_and_instability_never_both_hold(contact_pos, contact_neg):
     for g, spec, lt in (contact_pos, contact_neg):
         um = constant_field(g, 0.0)
-        r3 = st.check_condition(spec, um, "A3", lt=lt, with_A_estimate=False)
-        r4 = st.check_condition(spec, um, "A4", lt=lt, with_A_estimate=False)
+        r3 = st.check_condition(spec, um, "A3", lt=lt)
+        r4 = st.check_condition(spec, um, "A4", lt=lt)
         assert not (r3.verdict == "holds" and r4.verdict == "holds")
 
 
@@ -90,7 +91,7 @@ def test_check_condition_disagreement_is_inconclusive(contact_pos, monkeypatch, 
     # a c whose discount and long-time estimates disagree supports neither "holds" nor "fails"
     g, spec, lt = contact_pos
     monkeypatch.setattr(st.crit, "critical_value", _critical_values_in_turn([(c, "discount")] * 5))
-    rep = st.check_condition(spec, constant_field(g, 0.0), "A3", lt=lt, with_A_estimate=False)
+    rep = st.check_condition(spec, constant_field(g, 0.0), "A3", lt=lt)
     assert rep.verdict == "inconclusive"
     assert rep.zeta_found is None
     assert list(rep.c_values) == list(st.DEFAULT_ZETA_GRID)
@@ -100,7 +101,7 @@ def test_check_condition_holds_at_first_agreeing_zeta(contact_pos, monkeypatch):
     g, spec, lt = contact_pos
     monkeypatch.setattr(st.crit, "critical_value",
                         _critical_values_in_turn([(-1.0, "discount"), (-1.0, "agree")]))
-    rep = st.check_condition(spec, constant_field(g, 0.0), "A3", lt=lt, with_A_estimate=False)
+    rep = st.check_condition(spec, constant_field(g, 0.0), "A3", lt=lt)
     assert rep.verdict == "holds"
     assert rep.zeta_found == 0.5
 
@@ -144,7 +145,7 @@ def test_instability_probe_escape_times(contact_neg):
     um = constant_field(g, 0.0)
     pr = st.instability_probe(spec, um, eps=0.01, Delta_target=0.5, T=8.0,
                               dt=1e-3, lt=lt)
-    assert pr.escaped
+    assert pr.t_escape is not None
     assert pr.t_escape == pytest.approx(math.log(50), abs=0.1)
 
 
@@ -153,7 +154,7 @@ def test_instability_probe_negative_result(contact_pos):
     um = constant_field(g, 0.0)
     pr = st.instability_probe(spec, um, eps=0.01, Delta_target=0.5, T=4.0,
                               dt=1e-3, lt=lt)
-    assert not pr.escaped
+    assert pr.t_escape is None
     assert pr.devs[-1] < 0.01  # deviation decays
 
 
@@ -161,7 +162,7 @@ def test_instability_probe_stable_example(example_setup):
     pr = st.instability_probe(example_setup["spec"], example_setup["u_minus"],
                               eps=0.01, Delta_target=0.1, T=6.0, dt=1e-3,
                               lt=example_setup["lt"])
-    assert not pr.escaped
+    assert pr.t_escape is None
 
 
 def test_probe_validation(contact_pos):
@@ -246,3 +247,17 @@ def test_report_serializes(contact_pos):
     doc = rep.to_dict()
     assert doc["verdict"] == "holds"
     assert isinstance(doc["c_values"], dict)
+
+
+def test_basin_bisection_keeps_recovering_midpoints(contact_pos, monkeypatch):
+    # a stand-in deviation series that recovers exactly when delta <= 0.3
+    g, spec, lt = contact_pos
+    um = constant_field(g, 0.0)
+
+    def series(spec, u_minus, phi, T, dt, *, lt):
+        delta = float(np.abs(phi.values - u_minus.values).max())
+        return np.array([T]), np.array([0.0 if delta <= 0.3 else delta])
+
+    monkeypatch.setattr(st, "deviation_series", series)
+    # delta_hi = 1 fails; the six rounds test 1/2, 1/4, 3/8, 5/16, 9/32 and 19/64
+    assert st.basin_estimate(spec, um, T=1.0, dt=1e-3, delta_hi=1.0, lt=lt) == 0.296875

@@ -1,0 +1,95 @@
+"""SHA-256 digests of every artifact of a fixed set of weakkam configs.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/artifacts.py OUT
+
+OUT must not exist or must be empty.  Each config is written to
+OUT/<id>.json and run by `weakkam.cli.main` with its artifacts in OUT/<id>/;
+the script then prints one line per config with its exit code, followed by
+`<sha256>  <id>/<file>` for each file the run wrote.  The set is the three
+benchmark workloads at seeds 1 and 2 (from bench/workloads.py, imported
+without writing bytecode) plus one small config per further command path, each
+at n=64, m=33.  Two runs on different checkouts are byte-identical exactly
+when their printouts are, so a byte-identity check is a `diff`.  The script
+checks no bound: it exits 0 whatever the configs' exit codes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2)
+
+_SMALL = {"n": 64, "m": 33, "dt_critical": 0.05}
+_CONTACT = {"builtin": "linear_contact", "params": {"a": 1.0, "V": "0.3*cos(2*pi*x)"}}
+_EXTRA = {
+    # default snapshot rule: 123 steps, one snapshot every 12 and the last
+    "evolve-backward": {"command": "evolve", "hamiltonian": _CONTACT, "phi0": "sin(2*pi*x)",
+                        "numerics": dict(_SMALL, T=0.123)},
+    "evolve-forward": {"command": "evolve", "hamiltonian": _CONTACT, "phi0": "sin(2*pi*x)",
+                       "direction": "forward", "numerics": dict(_SMALL, T=0.05, snap_every=7)},
+    "stationary": {"command": "stationary", "hamiltonian": _CONTACT, "numerics": _SMALL},
+    "critical": {"command": "critical", "numerics": _SMALL,
+                 "hamiltonian": {"builtin": "eikonal", "params": {"V": "cos(2*pi*x)"}}},
+    "ceps": {"command": "ceps", "hamiltonian": _CONTACT, "numerics": _SMALL},
+    "corollary": {"command": "corollary", "numerics": _SMALL,
+                  "hamiltonian": {"G": "p^2 + cos(2*pi*x) - 1", "W": "(2+sin(2*pi*x))*u",
+                                  "dWu": "2+sin(2*pi*x)"}},
+    "instability": {"command": "instability", "numerics": dict(_SMALL, T=5.0),
+                    "hamiltonian": {"builtin": "linear_contact", "params": {"a": -1.0, "V": 0}}},
+    "stability-basin": {"command": "stability", "hamiltonian": _CONTACT, "decay_T": 2.0,
+                        "basin_delta_hi": 0.5,
+                        "numerics": dict(_SMALL, dt=5e-3, T_max=20.0, zeta_grid=[0.25, 0.5])},
+    "mather-u-dependent": {"command": "mather", "hamiltonian": _CONTACT, "numerics": _SMALL},
+}
+
+
+def configs() -> dict:
+    """Every config of the set, keyed by its id."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(ROOT / "bench"))
+    out = {}
+    for seed in SEEDS:
+        for name in workloads.NAMES:
+            for cmd in workloads.make(name, seed).commands:
+                out[f"{name}-s{seed}-{cmd.name}"] = cmd.config
+    out.update(_EXTRA)
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: tools/artifacts.py OUT", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists() and any(out.iterdir()):
+        print(f"tools/artifacts.py: {out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    from weakkam import cli
+
+    for cid, config in configs().items():
+        path = out / f"{cid}.json"
+        path.write_text(json.dumps(config))
+        code = cli.main([config["command"], "--config", str(path), "--out", str(out / cid),
+                         "--quiet"])
+        print(f"{cid}: exit {code}", flush=True)
+        for artifact in sorted((out / cid).iterdir()):
+            digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+            print(f"{digest}  {cid}/{artifact.name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
