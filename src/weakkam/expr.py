@@ -18,6 +18,18 @@ so expressions are safe to evaluate concurrently.  Bindings may be floats
 or numpy arrays; array bindings broadcast elementwise.  Domain violations
 (log of a nonpositive number, division by zero, nonfinite intermediates)
 raise EvalError instead of silently producing NaN.
+
+`fold` partially evaluates an expression at fixed bindings, for a formula
+re-evaluated many times on the same nodes (W on the grid at every contact
+step, G and H on the nodes of a Legendre table): every subtree reading only
+fixed names (or none) becomes one constant holding its value.  The folded
+expression reads the remaining names only, and evaluating it performs the
+same numpy operations in the same order on the same operands as `evaluate`
+with all the bindings, so its values are bit-identical.  A domain error in
+a fixed-only subtree is raised by `fold` itself, as the EvalError the first
+`evaluate` would have raised (evaluation never short-circuits).  A folded
+expression compares equal only to a fold of the same formula at the same
+values (shape and bytes) of the fixed names it reads.
 """
 
 from __future__ import annotations
@@ -79,6 +91,8 @@ class Expr:
     _tree: ast.expr = field(compare=False, repr=False)
     _names: frozenset = field(compare=False, repr=False)
     _dump: str = field(repr=False)  # ast.dump of the tree: == and hash are by value
+    # (name, shape, bytes) of each folded binding the formula reads, in folding order
+    _fixed: tuple = field(default=(), repr=False)
 
     def variables(self) -> frozenset:
         return self._names
@@ -89,10 +103,7 @@ class Expr:
         missing = self._names.difference(bindings)
         if missing:
             raise EvalError(f"missing binding for {sorted(missing)}")
-        env = {}
-        for name, val in bindings.items():
-            env[name] = np.asarray(val, dtype=float) if isinstance(val, np.ndarray) else float(val)
-        env["pi"] = math.pi
+        env = _env(bindings, np.asarray)
         try:
             with np.errstate(all="ignore"):
                 out = _value(self._tree, env)
@@ -103,10 +114,66 @@ class Expr:
             return float(arr)
         return arr
 
+    def fold(self, fixed: Mapping[str, Value]) -> "Expr":
+        """This expression with the names in `fixed` bound once: each subtree
+        reading only fixed names becomes a constant, computed as `evaluate`
+        computes it.  The result reads variables() minus the fixed names and
+        evaluates bit-identically; its text is this expression's."""
+        env = {name: _held(val) for name, val in _env(fixed, np.array).items()}
+        try:
+            with np.errstate(all="ignore"):
+                tree = _fold(self._tree, env)
+        except RecursionError:
+            raise EvalError("formula nested too deeply to fold") from None
+        held = tuple((name, np.shape(env[name]), np.asarray(env[name]).tobytes())
+                     for name in sorted(self._names.intersection(fixed)))
+        return Expr(self._source, tree, self._names.difference(fixed), self._dump,
+                    self._fixed + held)
+
     def __str__(self) -> str:
         # the text itself: ast.unparse needs several frames per level and
         # fails on a 400-term sum that parses and evaluates
         return self._source
+
+
+def _env(bindings, as_array) -> dict:
+    """The evaluation environment: array bindings through as_array as float
+    arrays, every other binding as a float, and pi."""
+    env = {}
+    for name, val in bindings.items():
+        env[name] = as_array(val, dtype=float) if isinstance(val, np.ndarray) else float(val)
+    env["pi"] = math.pi
+    return env
+
+
+def _fold(node, env):
+    """`node` with each subtree reading only names bound in env replaced by a
+    constant holding its `_value`; one frame per level, each node's value
+    computed once from its children's constants."""
+    kind = type(node)
+    if kind is ast.Name:
+        return ast.Constant(value=env[node.id]) if node.id in env else node
+    if kind is ast.Constant:
+        return node
+    if kind is ast.BinOp:
+        new = ast.BinOp(left=_fold(node.left, env), op=node.op, right=_fold(node.right, env))
+        args = (new.left, new.right)
+    elif kind is ast.UnaryOp:
+        new = ast.UnaryOp(op=node.op, operand=_fold(node.operand, env))
+        args = (new.operand,)
+    else:
+        new = ast.Call(func=node.func, args=[_fold(a, env) for a in node.args], keywords=[])
+        args = new.args
+    if any(type(a) is not ast.Constant for a in args):
+        return new
+    return ast.Constant(value=_held(_value(new, env)))
+
+
+def _held(value):
+    """value, read-only if it is an array: every evaluation of a fold shares it."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    return value
 
 
 def _value(node, env):

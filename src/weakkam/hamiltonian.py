@@ -272,10 +272,10 @@ def conjugate_table(gfun, nnodes: int, m: int, k: int, vmax: float, pmax: float,
 
 def legendre(spec: HamiltonianSpec, g: TorusGrid, m: int = 65, k: int = 65) -> LagrangianTable:
     """Build the discrete Lagrangian table for the convex part of a spec."""
-    xs = g.nodes[:, None]
+    G = spec.G.fold({"x": g.nodes[:, None]})
 
     def gfun(P):
-        return spec.G.evaluate({"x": xs, "p": P})
+        return G.evaluate({"p": P})
 
     vs, L = conjugate_table(gfun, g.n, m, k, spec.vmax, spec.pmax, warn_label=spec.name)
     return LagrangianTable(g, vs, L)

@@ -121,10 +121,10 @@ def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
         if not np.isfinite(val):
             raise ValueError(f"cell coordinate {name} must be finite")
     g = TorusGrid(n_fast)
-    ys = g.nodes[:, None]
+    H = hp.H.fold({"x": float(x), "y": g.nodes[:, None], "u": float(c)})
 
     def gfun(Q):
-        return hp.H.evaluate({"x": float(x), "y": ys, "p": p + Q, "u": float(c)})
+        return H.evaluate({"p": p + Q})
 
     vs, L = conjugate_table(gfun, g.n, m, k, hp.vmax, hp.pmax + abs(p), warn_label="cell H")
     lt = LagrangianTable(g, vs, L)
@@ -267,9 +267,10 @@ def solve_multiscale(hp: HomogProblem, eps: float, n_per_period: int = 32,
     xf = np.repeat(xs[:cells], levels.size)[:, None]
     yf = np.repeat(ys[:cells], levels.size)[:, None]
     uf = np.tile(levels, cells)[:, None]
+    H = hp.H.fold({"x": xf, "y": yf, "u": uf})
 
     def gfun(Q):
-        return hp.H.evaluate({"x": xf, "y": yf, "p": Q, "u": uf})
+        return H.evaluate({"p": Q})
 
     vs, Lflat = conjugate_table(gfun, cells * levels.size, STATIONARY_M, MULTISCALE_K,
                                 hp.vmax, hp.pmax, warn_label="two-scale H")

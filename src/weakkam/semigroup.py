@@ -15,10 +15,12 @@ start node).  The velocity search is exhaustive over the velocity grid
 interpolation.  `Stepper` adds the contact correction -dt*W(x,u) of a
 split Hamiltonian, explicitly by default; "picard" mode re-evaluates W at
 the updated value by scalar fixed-point iteration under `iterate`, which
-contracts because dt*Lambda <= 1/2.  The forward step is the mirror image
-(max, +dt W), taken through a kernel on the negated velocity grid, whose
-foot points x_i + v_j dt are the forward ones, by the identity
-max_j [a_j - b_j] = -min_j [-a_j + b_j].
+contracts because dt*Lambda <= 1/2.  Each Stepper folds W at the grid
+nodes once (`Expr.fold`), so a step evaluates only the u-dependent rest of
+W, with values bit-identical to evaluating all of W.  The forward step is
+the mirror image (max, +dt W), taken through a kernel on the negated
+velocity grid, whose foot points x_i + v_j dt are the forward ones, by the
+identity max_j [a_j - b_j] = -min_j [-a_j + b_j].
 
 One rule (_check_step) bounds the time step, in the kernel and at config
 load alike:
@@ -168,14 +170,15 @@ class Stepper:
         self._back = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L, spec.lambda_bound)
         # x_i + v_j dt is the backward foot point of -v_j
         self._fwd = MinPlusStepper(lt.grid, -lt.vgrid, dt, lt.L, spec.lambda_bound)
-        self.spec = spec
         self.dt = dt
         self.mode = mode
         self.xs = lt.grid.nodes
+        # W's x-only part is evaluated here once; each step evaluates the u-dependent rest
+        self.W = spec.W.fold({"x": self.xs})
 
     def _resolve(self, base: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
         def corrected(z):
-            return base + sign * self.dt * frozen_values(self.spec.W, self.xs, z)
+            return base + sign * self.dt * frozen_values(self.W, self.xs, z)
 
         z = corrected(u)
         if self.mode == "explicit":

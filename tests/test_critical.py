@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakkam import TorusGrid, builtin, legendre
@@ -35,9 +35,20 @@ def test_discounted_constant_shift_exact(free_table):
 FREE_TABLES = {n: legendre(builtin("eikonal", {"V": 0}), TorusGrid(n), 17, 17) for n in (16, 32)}
 
 
+# the value-iteration rounding allowance, in units of eps * max|ref| / (lam * dt):
+# each value-iteration step rounds the interpolation (two products, one sum), the
+# cost sum and the discount product, about 2 eps max|u| in all; each later step damps
+# that error by f = 1/(1 + lam dt), so the errors sum to 2 eps max|u| / (1 - f)
+# ~ 2 eps max|u| / (lam dt); policy iteration's dense solve of (I - f P) u = f dt L,
+# condition ~1/(1 - f), adds as much again
+ROUNDING_K = 4
+
+
 @settings(max_examples=3, deadline=None)
 @given(n=st.sampled_from(sorted(FREE_TABLES)),
        coef=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7))
+# drew |u - ref| = 1.0067e-8 against the earlier allowance residual/lam + 1e-10 = 1.0048e-8
+@example(n=16, coef=[0.0, 0.703125, 0.0, 0.6016147602967279, 0.0, 0.0, 0.0])
 def test_policy_iteration_matches_value_iteration(n, coef):
     x = FREE_TABLES[n].grid.nodes
     pot = coef[0] + sum(coef[2 * k - 1] * np.cos(2 * np.pi * k * x)
@@ -52,8 +63,9 @@ def test_policy_iteration_matches_value_iteration(n, coef):
         ref = iterate(lambda v: factor * stepper.step(v), np.zeros(n), dt, 10 ** 6, tol=1e-10)
         assert ref.converged
         # value iteration stopped at residual r lies within r/lam of the fixed point
-        # (1e-8 at lam = 1e-2), up to its own rounding accumulated over ~1e5 steps
-        assert np.abs(u - ref.values).max() <= ref.residual / lam + 1e-10
+        # (1e-8 at lam = 1e-2), up to the rounding both solves accumulate (ROUNDING_K)
+        rounding = ROUNDING_K * np.finfo(float).eps * np.abs(ref.values).max() / (lam * dt)
+        assert np.abs(u - ref.values).max() <= ref.residual / lam + rounding
 
 
 def test_discounted_eikonal_window(eikonal_cos_256):

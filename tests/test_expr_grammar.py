@@ -1,6 +1,7 @@
 """The formula grammar, checked against random trees, random text and fixed cases."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +131,64 @@ def test_random_trees_parse_evaluate_and_print_back(data):
     else:
         np.testing.assert_array_equal(again, got, err_msg=str(e))
     assert back.variables() == e.variables()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([(), ("x",), ("x", "u"), ("x", "y", "u"),
+                                   ("p", "v", "eps"), tuple(ENV)]))
+def test_fold_evaluates_bit_identically(data, fixed):
+    e = parse(render(data.draw(trees), data.draw))
+    want = outcome(lambda: e.evaluate(ENV))
+    folded = outcome(lambda: e.fold({name: ENV[name] for name in fixed}))
+    if isinstance(folded, str):    # a fixed-only subtree's domain error surfaces at fold
+        assert want == folded, str(e)
+        return
+    assert folded.variables() == e.variables() - set(fixed)
+    got = outcome(lambda: folded.evaluate(ENV))
+    if isinstance(want, str):
+        assert got == want, str(e)
+    else:
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), str(e)
+    # equal exactly when no fixed value is read: then every evaluation is the same
+    assert (folded == e) == e.variables().isdisjoint(fixed)
+
+
+def test_fold_reads_only_the_remaining_names():
+    e = parse("sin(2*pi*x)*u + log(y)")
+    folded = e.fold({"x": np.array([0.0, 0.25]), "y": 2.0})
+    assert folded.variables() == {"u"}
+    assert np.array_equal(folded.evaluate({"u": 3.0}),
+                          e.evaluate({"x": np.array([0.0, 0.25]), "y": 2.0, "u": 3.0}))
+    with pytest.raises(EvalError, match="missing"):
+        folded.evaluate({"x": 1.0})
+    with pytest.raises(EvalError, match="log"):
+        e.fold({"y": 0.0})
+    assert e.fold({"y": 2.0}) == e.fold({"y": 2.0, "v": 5.0})   # v is not read
+    assert e.fold({"y": 2.0}) != e.fold({"y": 3.0})
+
+
+def test_fold_holds_its_values_read_only():
+    xs = np.array([0.0, 0.5])
+    folded = parse("x + 1").fold({"x": xs})
+    xs[0] = 9.0                                             # the binding is copied
+    out = folded.evaluate()
+    assert np.array_equal(out, [1.0, 1.5])
+    with pytest.raises(ValueError):
+        out[0] = 0.0
+
+
+def test_fold_too_deep_is_an_eval_error():
+    e = parse("+".join(["x"] * 800))
+    assert e.fold({"x": 1.0}).evaluate() == 800.0
+    assert e.fold({}).evaluate({"x": 1.0}) == 800.0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        with pytest.raises(EvalError, match="deep"):
+            e.fold({"x": 1.0})
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @settings(max_examples=400, deadline=None)

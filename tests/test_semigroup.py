@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_field
+from conftest import DPHI_SRC, PHI_SRC, random_field
 from weakkam import TorusGrid, builtin, legendre
 from weakkam.errors import ConvergenceError
 from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr, sup_diff
-from weakkam.hamiltonian import HamiltonianSpec
+from weakkam.hamiltonian import HamiltonianSpec, frozen_values
 from weakkam.semigroup import (CFLError, MinPlusStepper, Stepper, evolve, iterate,
                                stationary_solve)
 
@@ -45,6 +45,52 @@ def test_constant_data_one_step_exact(contact_64):
     assert np.allclose(out.values, fwd_euler, atol=1e-15)
     out_f = Field(g, st.forward_values(u.values))
     assert np.allclose(out_f.values, delta * (1 + 1.0 * dt), atol=1e-15)
+
+
+BUILTIN_PARAMS = {
+    "eikonal": {"V": "cos(2*pi*x)"},
+    "linear_contact": {"a": 1.0, "V": "0.3*cos(2*pi*x)"},
+    "example_ex": {"phi": PHI_SRC, "dphi": DPHI_SRC, "theta": 0.5, "zeta": 1.0},
+    "corollary_a": {"V": "cos(2*pi*x)", "a": "2 + sin(2*pi*x)", "c": 1.0},
+}
+
+
+def _unfolded(spec, lt, dt, mode, u, sign):
+    """One contact step from a bare kernel and the whole of W, as before folding."""
+    kernel = MinPlusStepper(lt.grid, -sign * lt.vgrid, dt, lt.L, spec.lambda_bound)
+    base = kernel.step(u) if sign < 0 else -kernel.step(-u)
+
+    def corrected(z):
+        return base + sign * dt * frozen_values(spec.W, lt.grid.nodes, z)
+
+    z = corrected(u)
+    return iterate(corrected, z, 1.0, 50, tol=1e-13).values if mode == "picard" else z
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PARAMS))
+@pytest.mark.parametrize("mode", ["explicit", "picard"])
+def test_folded_W_steps_bit_identically(name, mode):
+    g = TorusGrid(64)
+    spec = builtin(name, BUILTIN_PARAMS[name])
+    lt = legendre(spec, g, 33, 33)
+    dt = 1e-3
+    st = Stepper(spec, lt, dt, mode)
+    u = random_field(g, np.random.default_rng(7)).values
+    assert np.array_equal(st.backward_values(u), _unfolded(spec, lt, dt, mode, u, -1.0))
+    assert np.array_equal(st.forward_values(u), _unfolded(spec, lt, dt, mode, u, +1.0))
+
+
+@pytest.mark.parametrize("name", ["example_ex", "corollary_a"])
+def test_folded_W_equals_only_a_fold_at_the_same_nodes(name):
+    spec = builtin(name, BUILTIN_PARAMS[name])
+    lt = legendre(spec, TorusGrid(64), 33, 33)
+    W = Stepper(spec, lt, 1e-3).W
+    assert W.variables() == {"u"}
+    assert W == spec.W.fold({"x": lt.grid.nodes.copy()})
+    assert hash(W) == hash(spec.W.fold({"x": lt.grid.nodes.copy()}))
+    assert W != spec.W
+    assert W != spec.W.fold({"x": TorusGrid(32).nodes})
+    assert W != spec.W.fold({"x": lt.grid.nodes + 1e-3})
 
 
 def test_constant_data_exactness_with_x_dependent_W():
