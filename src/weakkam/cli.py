@@ -37,8 +37,8 @@ from .grid import Field, TorusGrid, field_from_expr, fmt17, write_csv
 from .hamiltonian import HamiltonianSpec, builtin, frozen_values, legendre, spec_from_config
 from .semigroup import CFLError, _check_step, evolve, stationary_solve
 
-# every numerics key with its kind and default, by the commands that read it; the
-# homogenize table grids and cell options have none (absent: the library's own)
+# every numerics key with its kind and default, by the commands that read it; the homogenize
+# table grids (>= 3 p nodes, >= 2 c levels) and cell options have none (the library's own)
 NUMERIC_KEYS = {
     "n": (count(8), 256), "m": (count(), 64), "dt": (positive, 1e-3), "tol": (positive, 1e-6),
     "T": (positive, 10.0), "T_max": (positive, 40.0), "snap_every": (count(0), 0),
@@ -47,7 +47,7 @@ NUMERIC_KEYS = {
     "eps_list": (numbers, [-0.04, -0.02, 0.0, 0.02, 0.04]), "aubry_tol": (positive, 1e-2),
     "delta": (positive, 0.05), "eps": (positive, 0.01), "Delta": (positive, 0.5),
     "n_per_period": (count(), 32), "homog_eps_list": (numbers, [1 / 8, 1 / 16, 1 / 32, 1 / 64]),
-    "p_count": (count(), None), "c_count": (count(), None), "p_span": (positive, None),
+    "p_count": (count(3), None), "c_count": (count(2), None), "p_span": (positive, None),
     "cell_n_fast": (count(), None), "cell_m": (count(), None), "cell_k": (count(), None),
     "cell_dt": (positive, None),
 }

@@ -9,8 +9,9 @@ multiscale solver discretizes the frozen two-scale Hamiltonian
 x -> H(x, x/eps, p, u) directly on a fine grid with eps = 1/k
 commensurate to the slow torus.  Both stationary solvers feed the min-plus
 kernel semigroup.MinPlusStepper a running cost tabulated on a grid of
-u-levels and interpolated at the current values, and iterate it to a fixed
-point with semigroup.iterate; the monotonicity window
+u-levels (at least 2) and interpolated at the current values, and iterate
+it to a fixed point with semigroup.iterate, whose observer stops at the
+first iterate off the level table; the monotonicity window
 Lambda1 <= dH/du <= Lambda2 gives contraction at rate Lambda1.
 
 The rate experiment solves the ladder eps in {1/8, ..., 1/64}, measures
@@ -147,14 +148,14 @@ class EffectiveTable:
 
 
 def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
-                          dt: float = 0.05, **cell_opts) -> EffectiveTable:
-    """Tabulate the cell problem on the given grids and verify monotonicity."""
+                          **cell_opts) -> EffectiveTable:
+    """Tabulate cell_problem(**cell_opts) on the given grids and verify monotonicity."""
     xn = np.asarray(list(x_nodes), dtype=float)
     pn = np.asarray(list(p_nodes), dtype=float)
     cn = np.asarray(list(c_nodes), dtype=float)
     if xn.size == 0 or pn.size == 0 or cn.size == 0:
         raise ValueError("table grids must be nonempty")
-    flat = [cell_problem(hp, float(x), float(p), float(c), dt=dt, **cell_opts)
+    flat = [cell_problem(hp, float(x), float(p), float(c), **cell_opts)
             for x in xn for p in pn for c in cn]
     values = np.asarray(flat).reshape(xn.size, pn.size, cn.size)
 
@@ -184,30 +185,36 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
                              u0: np.ndarray, tol: float, what: str) -> Field:
     """Fixed point of u' = min_j [ u(x_i - v_j dt) + dt L(x_i, v_j, u_i) ].
 
-    L_table has shape (n, nlevels, m); per step the cost at each node is the
-    linear interpolation of L_table along the level axis at the current
-    value u_i, clamped to the end levels.  A last iterate outside the level
-    range (with more than one level) raises ConvergenceError, before the
-    stall check: nothing is extrapolated silently.
+    L_table has shape (n, nlevels, m) on nlevels >= 2 uniform levels; the cost at
+    node i is its linear interpolation along the level axis at the current u_i.
+    A u0 outside the levels raises ConvergenceError, and so does the first
+    iterate that leaves them, naming its step (the driver's observer stops
+    there): nothing off the table is read, clamped or extrapolated.
     """
+    if levels.size < 2:
+        raise ValueError(f"{what} needs at least 2 u-levels, got {levels.size}")
     rows = np.arange(g.n)
-    dlev = levels[1] - levels[0] if levels.size > 1 else 1.0
+    dlev = levels[1] - levels[0]
+
+    def outside(u):
+        return np.count_nonzero((u < levels[0]) | (u > levels[-1]))
 
     def cost_at(u):
-        if levels.size == 1:
-            return L_table[:, 0, :]
-        pos = np.clip((u - levels[0]) / dlev, 0.0, levels.size - 1 - 1e-12)
-        i0 = pos.astype(int)
+        pos = (u - levels[0]) / dlev
+        i0 = np.minimum(np.floor(pos).astype(int), levels.size - 2)
         th = (pos - i0)[:, None]
         return L_table[rows, i0] * (1 - th) + L_table[rows, i0 + 1] * th
 
-    stepper = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2)
-    rec = iterate(stepper.step, u0, dt, math.ceil(T_MAX / dt), tol)
-    outside = np.count_nonzero((rec.values < levels[0]) | (rec.values > levels[-1]))
-    if levels.size > 1 and outside:
+    span = f"the u-level range [{levels[0]:.4g}, {levels[-1]:.4g}]"
+    if outside(u0):
+        raise ConvergenceError(f"{what} starts outside {span} at {outside(u0)} of {g.n} nodes")
+    step = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2).step
+    rec = iterate(step, u0, dt, math.ceil(T_MAX / dt), tol, observe=lambda k, u: outside(u) > 0)
+    # the observer does not see an iterate that meets tol, so the last one is checked here
+    off = outside(rec.values)
+    if off:
         raise ConvergenceError(
-            f"{what} left the u-level range [{levels[0]:.4g}, {levels[-1]:.4g}] at "
-            f"{outside} of {g.n} nodes, where the cost is clamped", rec.residual)
+            f"{what} left {span} at step {rec.steps}, at {off} of {g.n} nodes", rec.residual)
     if not rec.converged:
         raise ConvergenceError(
             f"{what} stalled at residual {rec.residual:.3e} (tol {tol:.1e})", rec.residual)
@@ -219,8 +226,10 @@ def solve_effective(et: EffectiveTable, n_slow: int = 256) -> Field:
 
     Hbar is read at the table's own p and c nodes, interpolated linearly
     and periodically in x onto n_slow nodes; the c nodes are the u-levels
-    of the solve.  Nothing is extrapolated in p or c.
+    of the solve (at least 2 of each).  Nothing is extrapolated in p or c.
     """
+    if et.p_nodes.size < 2 or et.c_nodes.size < 2:
+        raise ValueError("the effective table needs at least 2 p nodes and 2 c nodes")
     g = TorusGrid(n_slow)
     nx = et.x_nodes.size
     s = g.nodes / (1.0 / nx) if nx > 1 else np.zeros(g.n)   # one x-node: constant in x
@@ -230,8 +239,7 @@ def solve_effective(et: EffectiveTable, n_slow: int = 256) -> Field:
     Hf = 0.0 + (1 - tx) * et.values[i0] + tx * et.values[(i0 + 1) % nx]
     # exact conjugate of the piecewise-linear interpolant in p: max over p nodes
     slopes = np.abs(np.diff(Hf, axis=1) / np.diff(et.p_nodes)[None, :, None])
-    vmax = float(slopes.max()) if slopes.size else 1.0
-    vmax = max(vmax, 1e-6)
+    vmax = max(float(slopes.max()), 1e-6)
     vs = np.linspace(-vmax, vmax, STATIONARY_M)
     # L_table[i, kc, j] = max_jp (p_jp * v_j - Hf[i, jp, kc])
     scores = (et.p_nodes[None, :, None, None] * vs[None, None, None, :]

@@ -94,9 +94,9 @@ class GatherPlan:
         """The dense (n, n) interpolation matrix P with (P u)_i = apply(u)[policy[i], i]."""
         rows = np.arange(policy.size)
         P = np.zeros((policy.size, policy.size))
+        # the two stencil nodes of a row differ: a TorusGrid has n >= 8
         P[rows, self.idx0[policy, rows]] = self.w0[policy, 0]
-        # += keeps both weights when the two stencil nodes coincide (n = 1)
-        P[rows, self.idx1[policy, rows]] += self.w1[policy, 0]
+        P[rows, self.idx1[policy, rows]] = self.w1[policy, 0]
         return P
 
 

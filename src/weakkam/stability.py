@@ -14,8 +14,9 @@ value; a critical value whose two estimators disagree concludes nothing.
 Each report also records the extremal minimum of dWu(., u_-) against
 minimizing occupational measures, which lower-bounds the decay rate that
 the direct probes then measure empirically.  The probes (decay exponent,
-escape time, basin) follow orbits of the backward semigroup near u_-, each
-run by `semigroup.evolve` with an observer that records the deviation.
+escape time, basin) follow orbits of the backward semigroup from u_- plus a
+constant through `deviation_series`, whose observer on `semigroup.evolve`
+ends each orbit at the first sample that decides its probe, or at the horizon.
 """
 
 from __future__ import annotations
@@ -146,21 +147,22 @@ def check_corollary_a(spec: HamiltonianSpec, dt: float = crit.DEFAULT_DT,
                "critical_method": cres.method})
 
 
-def deviation_series(spec: HamiltonianSpec, u_minus: Field, phi: Field, T: float,
-                     dt: float, *, lt: LagrangianTable):
-    """Times and sup-norm deviations from u_- along the evolution of phi,
-    sampled every SAMPLE_EVERY steps and at the last step."""
+def deviation_series(spec: HamiltonianSpec, u_minus: Field, offset: float, T: float,
+                     dt: float, *, lt: LagrangianTable, every: int = SAMPLE_EVERY, stop=None):
+    """Times and sup-norm deviations from u_- along the evolution of u_- + offset,
+    sampled every `every` steps and at the last step; with stop, the evolution
+    ends at the first sample whose deviation d has stop(d) true."""
     times = []
     devs = []
 
     def sample(kstep, u):
         times.append(kstep * dt)
         devs.append(float(np.abs(u - u_minus.values).max()))
+        return stop is not None and stop(devs[-1])
 
-    # the observer returns None: a true value would stop the evolution
-    rec = evolve(phi, spec, lt, T, dt,
-                 observe=lambda k, u: sample(k, u) if k % SAMPLE_EVERY == 0 else None)
-    if rec.steps % SAMPLE_EVERY:
+    rec = evolve(Field(u_minus.grid, u_minus.values + offset), spec, lt, T, dt,
+                 observe=lambda k, u: k % every == 0 and sample(k, u))
+    if rec.steps % every:
         sample(rec.steps, rec.values)
     return np.asarray(times), np.asarray(devs)
 
@@ -189,8 +191,7 @@ def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float
     series = []
     slopes = []
     for sgn in (+1.0, -1.0):
-        phi = Field(u_minus.grid, u_minus.values + sgn * delta)
-        times, devs = deviation_series(spec, u_minus, phi, T, dt, lt=lt)
+        times, devs = deviation_series(spec, u_minus, sgn * delta, T, dt, lt=lt)
         series.append((times, devs))
         ok = (times >= T / 2 - 1e-12) & (times <= T + 1e-12) & (devs > noise_floor)
         if np.count_nonzero(ok) < 2:
@@ -200,7 +201,6 @@ def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float
                           stacklevel=2)
             if np.count_nonzero(ok) < 2:
                 continue
-            ok &= times <= times[ok][-1]
         fit = np.polyfit(times[ok], np.log(devs[ok]), 1)
         slopes.append(float(fit[0]))
     return DecayFit(max(slopes, default=None), *series[0])
@@ -216,38 +216,29 @@ class ProbeResult:
 def instability_probe(spec: HamiltonianSpec, u_minus: Field, eps: float,
                       Delta_target: float, T: float, dt: float, *,
                       lt: LagrangianTable) -> ProbeResult:
-    """Evolve u_- - eps and watch whether the deviation reaches Delta_target."""
+    """Evolve u_- - eps, sampled every step, until the deviation reaches Delta_target."""
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0,1)")
     if Delta_target <= eps:
         raise ValueError("Delta_target must exceed eps")
-    times = [0.0]
-    devs = [eps]
-
-    def watch(kstep, u):
-        times.append(kstep * dt)
-        devs.append(float(np.abs(u - u_minus.values).max()))
-        return devs[-1] >= Delta_target
-
-    evolve(Field(u_minus.grid, u_minus.values - eps), spec, lt, T, dt, observe=watch)
-    t_escape = times[-1] if devs[-1] >= Delta_target else None
-    return ProbeResult(t_escape, np.asarray(times), np.asarray(devs))
+    times, devs = deviation_series(spec, u_minus, -eps, T, dt, lt=lt, every=1,
+                                   stop=lambda d: d >= Delta_target)
+    t_escape = float(times[-1]) if devs[-1] >= Delta_target else None
+    return ProbeResult(t_escape, np.r_[0.0, times], np.r_[eps, devs])
 
 
 def basin_estimate(spec: HamiltonianSpec, u_minus: Field, T: float, dt: float,
                    delta_hi: float, *, lt: LagrangianTable) -> float:
     """Bisection for the largest tested delta whose +/- perturbations re-enter
-    a delta/2 neighborhood of u_- by time T.  Returns 0 if every probe fails."""
+    a delta/2 neighborhood of u_- by time T.  Returns 0 if every probe fails.
+    Each orbit stops at its first sample within delta/2, which decides it."""
     if delta_hi <= 0:
         raise ValueError("delta_hi must be positive")
 
     def recovers(delta: float) -> bool:
-        for sgn in (+1.0, -1.0):
-            phi = Field(u_minus.grid, u_minus.values + sgn * delta)
-            _, devs = deviation_series(spec, u_minus, phi, T, dt, lt=lt)
-            if devs.min() > delta / 2:
-                return False
-        return True
+        return all(deviation_series(spec, u_minus, sgn * delta, T, dt, lt=lt,
+                                    stop=lambda d: d <= delta / 2)[1].min() <= delta / 2
+                   for sgn in (+1.0, -1.0))
 
     if recovers(delta_hi):
         return delta_hi

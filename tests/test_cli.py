@@ -622,11 +622,14 @@ HOMOG = {"command": "homogenize",
      "hamiltonian key 'G' must be a formula string or a finite number"),
     (dict(HOMOG, homog=dict(HOMOG["homog"], H="u + p^2 + sqrt(p)")),
      "homog formula error: sqrt of a negative number"),
+    # one c node is one u-level; the effective table's convexity check needs 3 p nodes
+    (dict(HOMOG, numerics={"c_count": 1}), "numerics key 'c_count' must be an integer >= 2"),
+    (dict(HOMOG, numerics={"p_count": 2}), "numerics key 'p_count' must be an integer >= 3"),
 ], ids=["seed", "zeta_grid", "decay_T-negative", "decay_T-text", "basin_delta_hi", "n-float",
         "snap_every", "m-bool", "eps-inf", "homog-H", "homog-Lambda1", "homog-unknown",
         "homog-dHu-not-dH-du", "homog-missing", "hamiltonian-unknown", "builtin-unknown",
         "linear_contact-a", "top-unknown", "example-ex-hamiltonian", "phi0-variable",
-        "formula-kind", "homog-H-domain"])
+        "formula-kind", "homog-H-domain", "c_count-1", "p_count-2"])
 def test_malformed_configs_fail_at_load(tmp_path, capsys, config, message):
     path = write_config(tmp_path / "c.json", dict(config, output_dir=str(tmp_path / "out")))
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -5,6 +5,7 @@ from scipy.optimize import brentq
 
 from weakkam.errors import ConfigError, ConvergenceError
 from weakkam.expr import parse
+from weakkam.grid import TorusGrid
 from weakkam import homogenize as hz
 
 
@@ -218,12 +219,41 @@ def test_problem_from_config_roundtrip():
 
 def test_effective_solve_outside_the_level_range_raises():
     # Hbar = c + p^2 + 0.5 has the solution u = -0.5, below the c-range [-0.2, 0.2]
-    # on which the table was read; the clamped cost must not pass silently
+    # on which the table was read; the solve stops at the first iterate below it
     p_nodes = np.linspace(-2.0, 2.0, 9)
     c_nodes = np.linspace(-0.2, 0.2, 5)
     values = c_nodes[None, None, :] + p_nodes[None, :, None] ** 2 + 0.5
     et = hz.EffectiveTable(np.array([0.0]), p_nodes, c_nodes, values, 1.0)
     with pytest.raises(ConvergenceError,
                        match=r"effective stationary solve left the u-level range "
-                             r"\[-0.2, 0.2\] at 32 of 32 nodes"):
+                             r"\[-0.2, 0.2\] at step 102, at 32 of 32 nodes"):
         hz.solve_effective(et, n_slow=32)
+
+
+def _no_steps(*args, **kwargs):
+    raise AssertionError("the level-table solve stepped before its checks")
+
+
+def test_level_table_solve_needs_two_levels(monkeypatch):
+    monkeypatch.setattr(hz, "iterate", _no_steps)
+    g = TorusGrid(16)
+    vs = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="needs at least 2 u-levels, got 1"):
+        hz._level_table_fixed_point(g, vs, np.array([0.0]), np.zeros((g.n, 1, vs.size)),
+                                    1e-2, 1.0, np.zeros(g.n), 1e-6, "one-level solve")
+    et = _synthetic_table(lambda x, p, c: c + p * p, np.linspace(-2, 2, 9), [0.0])
+    with pytest.raises(ValueError, match="at least 2 p nodes and 2 c nodes"):
+        hz.solve_effective(et, n_slow=32)
+
+
+def test_level_table_solve_rejects_a_start_outside_the_levels(monkeypatch):
+    monkeypatch.setattr(hz, "iterate", _no_steps)
+    g = TorusGrid(16)
+    vs = np.linspace(-1.0, 1.0, 5)
+    levels = np.linspace(-1.0, 1.0, 3)
+    u0 = np.zeros(g.n)
+    u0[3] = 1.5
+    with pytest.raises(ConvergenceError,
+                       match=r"solve starts outside the u-level range \[-1, 1\] at 1 of 16"):
+        hz._level_table_fixed_point(g, vs, levels, np.zeros((g.n, 3, vs.size)),
+                                    1e-2, 1.0, u0, 1e-6, "solve")

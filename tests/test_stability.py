@@ -5,7 +5,8 @@ import pytest
 
 from weakkam import TorusGrid, builtin, legendre
 from weakkam.errors import ConfigError
-from weakkam.grid import constant_field
+from weakkam.grid import Field, constant_field
+from weakkam.semigroup import evolve
 from weakkam import critical as crit
 from weakkam import stability as st
 
@@ -254,10 +255,70 @@ def test_basin_bisection_keeps_recovering_midpoints(contact_pos, monkeypatch):
     g, spec, lt = contact_pos
     um = constant_field(g, 0.0)
 
-    def series(spec, u_minus, phi, T, dt, *, lt):
-        delta = float(np.abs(phi.values - u_minus.values).max())
+    def series(spec, u_minus, offset, T, dt, *, lt, every=st.SAMPLE_EVERY, stop=None):
+        delta = abs(offset)
         return np.array([T]), np.array([0.0 if delta <= 0.3 else delta])
 
     monkeypatch.setattr(st, "deviation_series", series)
     # delta_hi = 1 fails; the six rounds test 1/2, 1/4, 3/8, 5/16, 9/32 and 19/64
     assert st.basin_estimate(spec, um, T=1.0, dt=1e-3, delta_hi=1.0, lt=lt) == 0.296875
+
+
+def _basin_and_steps(monkeypatch, setup, honour_stop):
+    """basin_estimate of setup with the total steps of its orbits; the probe
+    either honours the stop rule or evolves every orbit over the whole horizon."""
+    spec, um, lt, T, dt, delta_hi = setup
+    series = st.deviation_series
+    steps = []
+
+    def probe(*args, stop=None, **kwargs):
+        times, devs = series(*args, stop=stop if honour_stop else None, **kwargs)
+        steps.append(round(times[-1] / dt))
+        return times, devs
+
+    monkeypatch.setattr(st, "deviation_series", probe)
+    basin = st.basin_estimate(spec, um, T=T, dt=dt, delta_hi=delta_hi, lt=lt)
+    monkeypatch.undo()
+    return basin, sum(steps)
+
+
+# the horizons of the basin tests above, but 4 for contact_neg: its orbits never recover
+@pytest.mark.parametrize("which, T", [("contact_pos", 12.0), ("contact_neg", 4.0),
+                                      ("example_setup", 16.0)])
+def test_basin_orbits_stop_at_the_deciding_sample(request, monkeypatch, which, T):
+    # the first sample within delta/2 decides an orbit: stopping there changes no answer
+    fix = request.getfixturevalue(which)
+    if which == "example_setup":
+        setup = (fix["spec"], fix["u_minus"], fix["lt"], T, 2e-3, 0.4)
+    else:
+        g, spec, lt = fix
+        setup = (spec, constant_field(g, 0.0), lt, T, 2e-3, 1.0)
+    basin, steps = _basin_and_steps(monkeypatch, setup, honour_stop=True)
+    full_basin, full_steps = _basin_and_steps(monkeypatch, setup, honour_stop=False)
+    assert basin == full_basin
+    if basin > 0:
+        assert steps < full_steps
+    else:
+        # an orbit that never recovers runs the whole horizon either way
+        assert steps == full_steps
+
+
+@pytest.mark.parametrize("which, T", [("contact_neg", 8.0), ("contact_pos", 2.0)])
+def test_instability_probe_matches_a_per_step_evolution(request, which, T):
+    g, spec, lt = request.getfixturevalue(which)
+    um = constant_field(g, 0.0)
+    eps, target, dt = 0.01, 0.5, 1e-3
+    times, devs = [0.0], [eps]
+
+    def watch(k, u):
+        times.append(k * dt)
+        devs.append(float(np.abs(u - um.values).max()))
+        return devs[-1] >= target
+
+    evolve(Field(g, um.values - eps), spec, lt, T, dt, observe=watch)
+    pr = st.instability_probe(spec, um, eps=eps, Delta_target=target, T=T, dt=dt, lt=lt)
+    assert np.array_equal(pr.times, times)
+    assert np.array_equal(pr.devs, devs)
+    escaped = devs[-1] >= target
+    assert escaped == (which == "contact_neg")
+    assert pr.t_escape == (times[-1] if escaped else None)

@@ -10,9 +10,10 @@ the script then prints one line per config with its exit code, followed by
 `<sha256>  <id>/<file>` for each file the run wrote.  The set is the three
 benchmark workloads at seeds 1 and 2 (from bench/workloads.py, imported
 without writing bytecode) plus one small config per further command path, each
-at n=64, m=33.  Two runs on different checkouts are byte-identical exactly
-when their printouts are, so a byte-identity check is a `diff`.  The script
-checks no bound: it exits 0 whatever the configs' exit codes.
+at n=64, m=33 (the x-dependent homogenize config at small cell and fine grids).
+Two runs on different checkouts are byte-identical exactly when their
+printouts are, so a byte-identity check is a `diff`.  The script checks no
+bound: it exits 0 whatever the configs' exit codes.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ _EXTRA = {
                         "basin_delta_hi": 0.5,
                         "numerics": dict(_SMALL, dt=5e-3, T_max=20.0, zeta_grid=[0.25, 0.5])},
     "mather-u-dependent": {"command": "mather", "hamiltonian": _CONTACT, "numerics": _SMALL},
+    # H depends on x: the effective table has homogenize.X_COUNT x-nodes and the
+    # two-scale cost is built on every node, not tiled from one fast period
+    "homogenize-x-dependent": {
+        "command": "homogenize",
+        "homog": {"H": "u + p^2 + 0.5*cos(2*pi*y) + 0.2*cos(2*pi*x)", "dHu": "1",
+                  "Lambda1": 1.0, "Lambda2": 1.0},
+        "numerics": {"p_count": 5, "c_count": 3, "homog_eps_list": [0.25, 0.125],
+                     "n_per_period": 16, "cell_n_fast": 16, "cell_m": 17, "cell_k": 17}},
 }
 
 
