@@ -33,7 +33,7 @@ from .config import (REQUIRED, choice, count, formula, integer, numbers, positiv
                      read_section, section, text)
 from .errors import ConfigError, ConvergenceError
 from .expr import ExprError
-from .grid import Field, TorusGrid, field_from_expr, fmt17, write_csv
+from .grid import Field, TorusGrid, field_from_expr
 from .hamiltonian import HamiltonianSpec, builtin, frozen_values, legendre, spec_from_config
 from .semigroup import CFLError, _check_step, evolve, stationary_solve
 
@@ -127,10 +127,14 @@ def load_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"phi0 formula error: {exc}") from exc
     if isinstance(spec, HamiltonianSpec):
+        steps = {"dt": spec.lambda_bound, "dt_critical": None}
+    else:
+        steps = {"cell_dt": None} if "cell_dt" in numerics else {}
+    for key, bound in steps.items():
         try:
-            _check_step(numerics["dt"], spec.vmax, spec.lambda_bound)
+            _check_step(numerics[key], spec.vmax, bound)
         except CFLError as exc:
-            raise ConfigError(f"numerics key 'dt': {exc}") from exc
+            raise ConfigError(f"numerics key {key!r}: {exc}") from exc
     return ExperimentConfig(command, numerics, top["output_dir"], top["seed"], spec, top, raw)
 
 
@@ -161,7 +165,7 @@ def _critical_of_frozen(config: ExperimentConfig, g, lt):
     return crit.critical_value(ltp, dt=num["dt_critical"], cross_tol=num["cross_tol"]), ltp
 
 
-def run_evolve(config, out):
+def run_evolve(config):
     num = config.numerics
     g, lt = _grid_lt(config)
     snap = num["snap_every"] or max(1, math.ceil(num["T"] / num["dt"]) // 10)
@@ -176,50 +180,42 @@ def run_evolve(config, out):
                  observe=lambda k, u: snapshot(k, u) if k % snap == 0 else None)
     if rec.steps % snap:
         snapshot(rec.steps, rec.values)
-    path = os.path.join(out, "snapshots.csv")
-    write_csv(path, config.header(), "t,x,value", rows)
-    with open(path, "a") as fh:
-        fh.write(f"# summary steps={rec.steps},final_residual={fmt17(rec.residual)}\n")
-    return f"steps={rec.steps} final_residual={rec.residual:.3e}", True
+    last = {"steps": rec.steps, "final_residual": rec.residual}
+    return (f"steps={rec.steps} final_residual={rec.residual:.3e}", True,
+            {"snapshots.csv": ("t,x,value", rows, last)})
 
 
-def run_stationary(config, out):
+def run_stationary(config):
     num = config.numerics
     g, lt = _grid_lt(config)
     # a residual stall is reported, not raised: converged=False with exit 0
     res = stationary_solve(config.options["phi0"], config.spec, lt,
                            dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
-    write_csv(os.path.join(out, "stationary.csv"), config.header(), "x,value",
-              zip(g.nodes, res.values))
     return (f"converged={res.converged} residual={res.residual:.3e} steps={res.steps}",
-            True)
+            True, {"stationary.csv": ("x,value", zip(g.nodes, res.values))})
 
 
-def run_critical(config, out):
+def run_critical(config):
     result, _ = _critical_of_frozen(config, *_grid_lt(config))
     diag = result.diagnostics
     rows = list(zip(diag["lambda"], [-v for v in diag["minus_mean_lambda_u"]]))
-    write_csv(os.path.join(out, "discount.csv"), config.header(),
-              "lambda,mean_lambda_u", rows)
-    gap = diag["gap"]
-    summary = f"c={result.c:.2f}±{max(gap, 0.01):.2f}"
-    return summary, result.method == "agree"
+    summary = f"c={result.c:.2f}±{max(diag['gap'], 0.01):.2f}"
+    return summary, result.method == "agree", {"discount.csv": ("lambda,mean_lambda_u", rows)}
 
 
-def run_ceps(config, out):
+def run_ceps(config):
     num = config.numerics
     _, lt = _grid_lt(config)
     um = _u_minus(config, lt)
     curve = crit.c_eps_curve(config.spec, um, num["eps_list"], dt=num["dt_critical"],
                              lt=lt, cross_tol=num["cross_tol"])
-    write_csv(os.path.join(out, "ceps.csv"), config.header(), "eps,c",
-              list(zip(map(float, curve.eps_samples), map(float, curve.c_values))))
+    rows = list(zip(map(float, curve.eps_samples), map(float, curve.c_values)))
     slack = curve.lipschitz_slack(config.spec.lambda_bound)
     ok = slack <= 4e-2 and curve.agree
-    return f"D-={curve.D_minus:.3f} D+={curve.D_plus:.3f}", ok
+    return f"D-={curve.D_minus:.3f} D+={curve.D_plus:.3f}", ok, {"ceps.csv": ("eps,c", rows)}
 
 
-def run_mather(config, out):
+def run_mather(config):
     num = config.numerics
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
@@ -227,35 +223,26 @@ def run_mather(config, out):
     rows = [(float(g.nodes[i]), float(ltp.vgrid[j]), float(measure.weights[i, j]))
             for i in range(g.n) for j in range(ltp.m)
             if measure.weights[i, j] >= 1e-12]
-    write_csv(os.path.join(out, "measure.csv"), config.header(), "x,v,weight", rows)
     mismatch = abs(measure.value + result.c)
     ok = mismatch <= max(2 * num["cross_tol"], 1e-2) and result.method == "agree"
-    return f"lp_value={measure.value:.4f} c={result.c:.4f} mismatch={mismatch:.3e}", ok
+    return (f"lp_value={measure.value:.4f} c={result.c:.4f} mismatch={mismatch:.3e}", ok,
+            {"measure.csv": ("x,v,weight", rows)})
 
 
-def run_barrier(config, out):
+def run_barrier(config):
     num = config.numerics
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
     bt = mather.peierls_barrier(ltp, result.c, aubry_tol=num["aubry_tol"])
     rows = [(float(g.nodes[i]), float(g.nodes[j]), float(bt.h[i, j]))
             for i in range(g.n) for j in range(g.n)]
-    write_csv(os.path.join(out, "barrier.csv"), config.header(), "x,y,h", rows)
-    write_csv(os.path.join(out, "aubry.csv"), config.header(), "index,x",
-              [(int(i), float(g.nodes[i])) for i in bt.aubry_indices])
+    aubry = [(int(i), float(g.nodes[i])) for i in bt.aubry_indices]
     return (f"aubry_nodes={bt.aubry_indices.size} c_used={bt.c_used:.4f}",
-            result.method == "agree")
+            result.method == "agree",
+            {"barrier.csv": ("x,y,h", rows), "aubry.csv": ("index,x", aubry)})
 
 
-def _write_report(out, config, report):
-    # allow_nan=False: a nonfinite value raises here instead of writing invalid JSON
-    text = json.dumps({"config": config.header(), "report": report.to_dict()},
-                      indent=2, sort_keys=True, allow_nan=False)
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        fh.write(text)
-
-
-def run_stability(config, out):
+def run_stability(config):
     num = config.numerics
     _, lt = _grid_lt(config)
     um = _u_minus(config, lt)
@@ -269,39 +256,38 @@ def run_stability(config, out):
         report.Delta_estimate = stability.basin_estimate(
             config.spec, um, T=num["T_max"], dt=num["dt"],
             delta_hi=float(config.options["basin_delta_hi"]), lt=lt)
-    write_csv(os.path.join(out, "decay.csv"), config.header(), "t,sup_dev",
-              list(zip(map(float, decay.times), map(float, decay.devs))))
-    _write_report(out, config, report)
+    rows = list(zip(map(float, decay.times), map(float, decay.devs)))
     slope_txt = "n/a" if decay.slope is None else f"{decay.slope:.3f}"
     return (f"verdict={report.verdict} A_estimate={report.A_estimate:.3f} "
-            f"decay_slope={slope_txt}", True)
+            f"decay_slope={slope_txt}", True,
+            {"decay.csv": ("t,sup_dev", rows), "report.json": report})
 
 
-def run_instability(config, out):
+def run_instability(config):
     num = config.numerics
     _, lt = _grid_lt(config)
     um = _u_minus(config, lt)
     probe = stability.instability_probe(
         config.spec, um, eps=num["eps"], Delta_target=num["Delta"],
         T=num["T"], dt=num["dt"], lt=lt)
-    write_csv(os.path.join(out, "probe.csv"), config.header(), "t,sup_dev",
-              list(zip(map(float, probe.times), map(float, probe.devs))))
+    files = {"probe.csv": ("t,sup_dev", list(zip(map(float, probe.times),
+                                                 map(float, probe.devs))))}
     if probe.t_escape is not None:
-        return f"escaped t≈{probe.t_escape:.1f}", True
-    return f"not escaped sup_dev={probe.devs.max():.3e}", True
+        return f"escaped t≈{probe.t_escape:.1f}", True, files
+    return f"not escaped sup_dev={probe.devs.max():.3e}", True, files
 
 
-def run_corollary(config, out):
+def run_corollary(config):
     num = config.numerics
     _, lt = _grid_lt(config)
     report = stability.check_corollary_a(
         config.spec, dt=num["dt_critical"], margin=num["margin"], lt=lt,
         aubry_tol=num["aubry_tol"], cross_tol=num["cross_tol"])
-    _write_report(out, config, report)
-    return f"verdict={report.verdict} a0={report.A_estimate:.3f}", True
+    return (f"verdict={report.verdict} a0={report.A_estimate:.3f}", True,
+            {"report.json": report})
 
 
-def run_homogenize(config, out):
+def run_homogenize(config):
     num = config.numerics
     table_opts = {key: num[key] for key in ("p_count", "c_count", "p_span") if key in num}
     cell_opts = {key.removeprefix("cell_"): val for key, val in num.items()
@@ -312,16 +298,14 @@ def run_homogenize(config, out):
                                    cell_opts=cell_opts, **table_opts)
     rows = [(float(e), float(err), float(err / math.sqrt(e)))
             for e, err in sorted(result.errors.items())]
-    write_csv(os.path.join(out, "rate.csv"), config.header(),
-              "eps,error,sqrt_eps_ratio", rows)
     et = result.table
     trows = [(float(x), float(p), float(c), float(et.values[i, j, kk]))
              for i, x in enumerate(et.x_nodes) for j, p in enumerate(et.p_nodes)
              for kk, c in enumerate(et.c_nodes)]
-    write_csv(os.path.join(out, "effective_table.csv"), config.header(),
-              "x,p,c,Hbar", trows)
     slope_txt = "noise" if result.slope is None else f"{result.slope:.3f}"
-    return f"slope={slope_txt} C_fit={result.C_fit:.3f}", True
+    return (f"slope={slope_txt} C_fit={result.C_fit:.3f}", True,
+            {"rate.csv": ("eps,error,sqrt_eps_ratio", rows),
+             "effective_table.csv": ("x,p,c,Hbar", trows)})
 
 
 RUNNERS = {"evolve": run_evolve, "stationary": run_stationary, "critical": run_critical,
@@ -348,18 +332,18 @@ def run(config: ExperimentConfig, quiet: bool = False) -> int:
                           f"remove {lock_path} if stale)")
     os.write(lock_fd, str(os.getpid()).encode())
     try:
-        summary, prop_ok = RUNNERS[config.command](config, out)
+        summary, prop_ok, files = RUNNERS[config.command](config)
+        if not prop_ok:
+            files["diagnostic.txt"] = f"property check failed: {summary}"
+        _write(out, config, files)
         if not quiet:
             print(f"weakkam {config.command}: {summary}")
-        if not prop_ok:
-            _diagnostic(out, config, f"property check failed: {summary}")
-            return 3
-        return 0
+        return 0 if prop_ok else 3
     except ConfigError as exc:
-        _diagnostic(out, config, f"ConfigError: {exc}")
+        _write(out, config, {"diagnostic.txt": f"ConfigError: {exc}"})
         raise
     except (ValueError, RuntimeError) as exc:  # every solver error subclasses one of these
-        _diagnostic(out, config, f"{type(exc).__name__}: {exc}")
+        _write(out, config, {"diagnostic.txt": f"{type(exc).__name__}: {exc}"})
         if not quiet:
             print(f"weakkam {config.command}: failed: {exc}", file=sys.stderr)
         return 1
@@ -368,10 +352,35 @@ def run(config: ExperimentConfig, quiet: bool = False) -> int:
         os.unlink(lock_path)
 
 
-def _diagnostic(out, config, message):
-    with open(os.path.join(out, "diagnostic.txt"), "w") as fh:
-        fh.write(message + "\n")
-        fh.write(json.dumps(config.header(), indent=2, sort_keys=True) + "\n")
+def _cell(value) -> str:
+    return format(float(value), ".17g") if isinstance(value, float) else str(value)
+
+
+def _write(out, config, files):
+    """Write the files of one run into out: `files` maps each name, in write order,
+    to (columns, rows) or (columns, rows, summary) for a CSV, the StabilityReport for
+    report.json, or the message for diagnostic.txt.  Every text is rendered before the
+    first file is opened, so a run that fails to render one leaves only its diagnostic.
+    CSVs begin with sorted "# key=value" lines of config.header() and end with a
+    "# summary" line if given; floats get 17 significant digits, so doubles round-trip."""
+    head = config.header()
+    texts = {}
+    for name, content in files.items():
+        if name == "report.json":   # allow_nan=False: a nonfinite value raises, not bad JSON
+            texts[name] = json.dumps({"config": head, "report": content.to_dict()},
+                                     indent=2, sort_keys=True, allow_nan=False)
+        elif name == "diagnostic.txt":
+            texts[name] = f"{content}\n{json.dumps(head, indent=2, sort_keys=True)}\n"
+        else:
+            columns, rows, *last = content
+            lines = [f"# {key}={head[key]}" for key in sorted(head)] + [columns]
+            lines += [",".join(map(_cell, row)) for row in rows]
+            lines += ["# summary " + ",".join(f"{k}={_cell(v)}" for k, v in s.items())
+                      for s in last]
+            texts[name] = "\n".join(lines) + "\n"
+    for name, body in texts.items():
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(body)
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,7 @@
 
 Hamiltonians, potentials and initial data are declared as small formula
 strings.  The language is deliberately tiny: IEEE doubles, the variables
-x, y, p, u, v, eps, the constant pi, operators + - * / ^ with the usual
+x, y, p, u, the constant pi, operators + - * / ^ with the usual
 precedence (^ binds tighter than unary minus, which binds tighter than
 * /, which binds tighter than + -), and a fixed whitelist of functions:
 sin, cos, exp, log, abs, sqrt and the two-argument min, max.  Whitespace
@@ -45,7 +45,7 @@ import numpy as np
 
 __all__ = ["Expr", "parse", "ExprError", "ParseError", "EvalError", "ALLOWED_VARIABLES"]
 
-ALLOWED_VARIABLES = ("x", "y", "p", "u", "v", "eps")
+ALLOWED_VARIABLES = ("x", "y", "p", "u")
 
 _ARITY = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "abs": 1, "sqrt": 1,
           "min": 2, "max": 2}

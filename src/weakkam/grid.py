@@ -9,7 +9,6 @@ identical grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -23,8 +22,6 @@ __all__ = [
     "constant_field",
     "sup_diff",
     "lipschitz",
-    "write_csv",
-    "fmt17",
 ]
 
 
@@ -113,20 +110,3 @@ def lipschitz(f: Field) -> float:
     """Discrete Lipschitz constant max |f_{i+1} - f_i| / h (periodic)."""
     d = np.abs(np.diff(f.values, append=f.values[0]))
     return float(d.max() / f.grid.h)
-
-
-def fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_csv(path, header: Mapping[str, object], columns: str, rows):
-    """Write sorted "# key=value" header lines, the column line, then the rows.
-
-    Floats get 17 significant digits, so doubles round-trip exactly.
-    """
-    lines = [f"# {key}={header[key]}" for key in sorted(header)]
-    lines.append(columns)
-    for row in rows:
-        lines.append(",".join(fmt17(v) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -252,19 +252,18 @@ class _OccupationalColumns:
             b[-1] = self.face_rhs
         return b
 
-    def matrix(self, cols_i: np.ndarray, cols_j: np.ndarray,
-               slack: bool = False) -> np.ndarray:
-        ncols = cols_i.size + (1 if slack else 0)
-        A = np.zeros((self.nrows, ncols))
+    def matrix(self, cols_i: np.ndarray, cols_j: np.ndarray) -> np.ndarray:
+        """The columns' constraint rows; a face row gets one more column, its slack."""
+        slack = self.face_row is not None
+        A = np.zeros((self.nrows, cols_i.size + slack))
         t = np.arange(cols_i.size)
         A[0, t] = 1.0
         coeff = self.vs[cols_j] * self.scale
         np.add.at(A, ((cols_i + 1) % self.n + 1, t), coeff)
         np.add.at(A, ((cols_i - 1) % self.n + 1, t), -coeff)
-        if self.face_row is not None:
+        if slack:
             A[-1, t] = self.face_row[cols_i, cols_j]
-            if slack:
-                A[-1, -1] = 1.0
+            A[-1, -1] = 1.0
         return A
 
     def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
@@ -276,8 +275,7 @@ class _OccupationalColumns:
         return red
 
 
-def _column_generation(cols: _OccupationalColumns, init_i: np.ndarray,
-                       init_j: np.ndarray, with_slack: bool):
+def _column_generation(cols: _OccupationalColumns, init_i: np.ndarray, init_j: np.ndarray):
     """Exact solve of the occupational LP through restricted masters.
 
     The master's columns are flat indices i*m + j in order of entry: the initial
@@ -291,9 +289,9 @@ def _column_generation(cols: _OccupationalColumns, init_i: np.ndarray,
     for _ in range(500):
         ci, cj = np.divmod(active, cols.m)
         cost = cols.cost[ci, cj]
-        if with_slack:
+        if cols.face_row is not None:     # the face row's slack costs nothing
             cost = np.concatenate([cost, [0.0]])
-        lp = LinearProgram(cost, cols.matrix(ci, cj, slack=with_slack), cols.rhs())
+        lp = LinearProgram(cost, cols.matrix(ci, cj), cols.rhs())
         x, value, duals = _solve_standard_form(lp)
         red = cols.reduced_costs(duals)
         red[ci, cj] = 0.0
@@ -336,7 +334,7 @@ def solve_occupational(lt: LagrangianTable) -> OccupationalMeasure:
     j0 = int(np.argmin(np.abs(lt.vgrid)))    # v = 0 column per node: always feasible
     init_i = np.concatenate([np.arange(n), np.arange(n)])
     init_j = np.concatenate([np.full(n, j0, dtype=int), np.argmin(cost, axis=1)])
-    weights, value = _column_generation(cols, init_i, init_j, with_slack=False)
+    weights, value = _column_generation(cols, init_i, init_j)
     total = weights.sum()
     if abs(total - 1.0) > 1e-9:
         raise LPError(f"measure mass {total} deviates from 1")
@@ -361,7 +359,7 @@ def extremal_integral(measure: OccupationalMeasure, f: Field, sense: str = "min"
     sup_i, sup_j = np.nonzero(measure.weights > 0)
     init_i = np.concatenate([np.arange(n), sup_i])
     init_j = np.concatenate([np.full(n, j0, dtype=int), sup_j])
-    _, value = _column_generation(cols, init_i, init_j, with_slack=True)
+    _, value = _column_generation(cols, init_i, init_j)
     return float(sign * value)
 
 

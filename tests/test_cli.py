@@ -5,7 +5,9 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
 from weakkam import cli, hamiltonian, stability
@@ -207,14 +209,48 @@ def test_lock_file_holds_the_owner_pid(tmp_path, monkeypatch):
     seen = []
     runner = cli.RUNNERS["critical"]
 
-    def spy(config, out_dir):
+    def spy(config):
         seen.append((out / ".weakkam.lock").read_text())
-        return runner(config, out_dir)
+        return runner(config)
 
     monkeypatch.setitem(cli.RUNNERS, "critical", spy)
     assert cli.main(["critical", "--config", path, "--quiet"]) == 0
     assert seen == [str(os.getpid())]
     assert not (out / ".weakkam.lock").exists()
+
+
+def test_failed_run_leaves_only_its_diagnostic(tmp_path, monkeypatch):
+    # decay.csv's rows are computed, but report.json cannot hold a NaN slope: no artifact
+    # is written when one of them fails to render
+    def nan_fit(*args, **kwargs):
+        return stability.DecayFit(math.nan, np.array([0.0, 1.0]), np.array([0.05, 0.01]))
+
+    monkeypatch.setattr(cli.stability, "decay_exponent", nan_fit)
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", {
+        "command": "stability",
+        "hamiltonian": {"builtin": "linear_contact", "params": {"a": 1.0, "V": 0}},
+        "numerics": FAST_NUMERICS,
+        "output_dir": str(out),
+    })
+    assert cli.main(["stability", "--config", path, "--quiet"]) == 1
+    assert os.listdir(out) == ["diagnostic.txt"]
+    assert (out / "diagnostic.txt").read_text().startswith("ValueError: Out of range float")
+
+
+def test_write_field_csv(tmp_path):
+    g = cli.TorusGrid(8)
+    config = types.SimpleNamespace(header=lambda: {"run": "test"})
+    cli._write(tmp_path, config, {"f.csv": ("x,value", zip(g.nodes, np.full(g.n, 1 / 3)),
+                                            {"steps": 3, "last": 0.1})})
+    lines = (tmp_path / "f.csv").read_text().strip().splitlines()
+    assert lines[0] == "# run=test"
+    assert lines[1] == "x,value"
+    assert len(lines) == 3 + g.n
+    # 17 significant digits round-trip the double exactly
+    x_txt, v_txt = lines[2].split(",")
+    assert float(v_txt) == 1 / 3
+    assert lines[-1] == "# summary steps=3,last=0.10000000000000001"
 
 
 def test_evolve_command_artifacts(tmp_path):
@@ -625,11 +661,18 @@ HOMOG = {"command": "homogenize",
     # one c node is one u-level; the effective table's convexity check needs 3 p nodes
     (dict(HOMOG, numerics={"c_count": 1}), "numerics key 'c_count' must be an integer >= 2"),
     (dict(HOMOG, numerics={"p_count": 2}), "numerics key 'p_count' must be an integer >= 3"),
+    # the critical and cell solves step at their own dt: vmax = 4 here, so dt 0.2 overruns
+    (dict(STABILITY, command="critical", numerics=dict(FAST_NUMERICS, dt_critical=0.2)),
+     "numerics key 'dt_critical': dt*vmax = 0.8 exceeds 1/2"),
+    (dict(HOMOG, numerics={"cell_dt": 0.2}), "numerics key 'cell_dt': dt*vmax = 0.8 exceeds 1/2"),
+    (dict(STABILITY, hamiltonian={"G": "p^2 + v", "W": "u", "dWu": "1"}),
+     "unknown identifier 'v'"),
 ], ids=["seed", "zeta_grid", "decay_T-negative", "decay_T-text", "basin_delta_hi", "n-float",
         "snap_every", "m-bool", "eps-inf", "homog-H", "homog-Lambda1", "homog-unknown",
         "homog-dHu-not-dH-du", "homog-missing", "hamiltonian-unknown", "builtin-unknown",
         "linear_contact-a", "top-unknown", "example-ex-hamiltonian", "phi0-variable",
-        "formula-kind", "homog-H-domain", "c_count-1", "p_count-2"])
+        "formula-kind", "homog-H-domain", "c_count-1", "p_count-2", "dt_critical-cfl",
+        "cell_dt-cfl", "formula-v"])
 def test_malformed_configs_fail_at_load(tmp_path, capsys, config, message):
     path = write_config(tmp_path / "c.json", dict(config, output_dir=str(tmp_path / "out")))
     with pytest.raises(ConfigError, match=re.escape(message)):

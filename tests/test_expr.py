@@ -62,7 +62,7 @@ def test_numeric_literal_forms():
     "min(x, 1-x) * max(p, u)",
     "x/(1+y^2) - 2^-x",
     "sqrt(abs(p)) + log(2+u^2)",
-    "-x^2 + eps*v",
+    "-x^2 + y*u",
     "((x))",
     "1e-3*x + 2.5E2",
 ])

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_field
 from weakkam.expr import parse
 from weakkam.grid import (Field, GridMismatchError, TorusGrid, constant_field,
-                          field_from_expr, lipschitz, sup_diff, write_csv)
+                          field_from_expr, lipschitz, sup_diff)
 
 
 def test_grid_validation():
@@ -142,17 +142,3 @@ def test_lipschitz():
     vals = np.zeros(8)
     vals[3] = 0.5
     assert lipschitz(Field(g, vals)) == pytest.approx(0.5 / g.h)
-
-
-def test_write_field_csv(tmp_path):
-    g = TorusGrid(8)
-    f = constant_field(g, 1 / 3)
-    path = tmp_path / "f.csv"
-    write_csv(path, {"run": "test"}, "x,value", zip(g.nodes, f.values))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# run=test"
-    assert lines[1] == "x,value"
-    assert len(lines) == 2 + g.n
-    # 17 significant digits round-trip the double exactly
-    x_txt, v_txt = lines[2].split(",")
-    assert float(v_txt) == 1 / 3
