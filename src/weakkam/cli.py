@@ -220,9 +220,9 @@ def run_mather(config):
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
     measure = mather.solve_occupational(ltp)
-    rows = [(float(g.nodes[i]), float(ltp.vgrid[j]), float(measure.weights[i, j]))
-            for i in range(g.n) for j in range(ltp.m)
-            if measure.weights[i, j] >= 1e-12]
+    i, j = np.nonzero(measure.weights >= 1e-12)
+    rows = list(zip(g.nodes[i].tolist(), ltp.vgrid[j].tolist(),
+                    measure.weights[i, j].tolist()))
     mismatch = abs(measure.value + result.c)
     ok = mismatch <= max(2 * num["cross_tol"], 1e-2) and result.method == "agree"
     return (f"lp_value={measure.value:.4f} c={result.c:.4f} mismatch={mismatch:.3e}", ok,
@@ -234,8 +234,8 @@ def run_barrier(config):
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
     bt = mather.peierls_barrier(ltp, result.c, aubry_tol=num["aubry_tol"])
-    rows = [(float(g.nodes[i]), float(g.nodes[j]), float(bt.h[i, j]))
-            for i in range(g.n) for j in range(g.n)]
+    nodes = g.nodes.tolist()     # each node's float is shared by its n rows
+    rows = [(x, y, h) for x, hx in zip(nodes, bt.h.tolist()) for y, h in zip(nodes, hx)]
     aubry = [(int(i), float(g.nodes[i])) for i in bt.aubry_indices]
     return (f"aubry_nodes={bt.aubry_indices.size} c_used={bt.c_used:.4f}",
             result.method == "agree",

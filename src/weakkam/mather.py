@@ -23,12 +23,15 @@ which certifies global optimality at the same 1e-9 tolerance while
 keeping every tableau small.
 
 The Peierls barrier is computed by min-plus dynamic programming on the
-normalized running cost L + c: the shared kernel semigroup.MinPlusStepper
+normalized running cost L + c.  The shared kernel semigroup.MinPlusStepper
 steps one function per start node as a batch, seeded from the diagonal,
-under the driver semigroup.iterate.  The liminf over horizons is realized
-as a min over a finite horizon list.  A residual drift of the diagonal
-minimum between the two largest distinct horizons estimates any error in
-the supplied normalization constant and is subtracted.
+under the driver semigroup.iterate, for a base block of BASE_T only; longer
+horizons are min-plus powers of that table, by the semigroup identity
+h_{s+t}(x,y) = min_z [h_s(x,z) + h_t(z,y)] and repeated squaring in row
+chunks of at most CHUNK_BYTES.  The liminf over horizons is realized as a
+min over a finite horizon list.  A residual drift of the diagonal minimum between the
+two largest distinct horizons estimates any error in the supplied
+normalization constant and is subtracted.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ __all__ = [
 L_CLIP = 1e6
 BIG = L_CLIP        # barrier value of an unreached (start, arrival) pair
 SAFETY = 4.0        # dt*vmax may span at most SAFETY cells in the barrier
+BASE_T = 0.5        # the barrier steps this long; longer horizons are min-plus products
+CHUNK_BYTES = 512 * 1024    # temporary of one row chunk of a min-plus product
 LP_TOL = 1e-9       # simplex pivot and optimality tolerance
 LP_MAX_ITER = 200_000   # simplex pivots per phase before LPError
 FACE_TOL = 1e-6     # slack of the optimal face in extremal_integral
@@ -372,6 +377,21 @@ class BarrierTable:
     aubry_indices: np.ndarray  # nodes with h[y,y] <= aubry_tol
 
 
+def _minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The min-plus product min_z A[y, z] + B[z, x], clamped at BIG.
+
+    With tables indexed [arrival, start], _minplus(A, B) is B's horizon
+    followed by A's.  Rows go in chunks whose (rows, n, n) temporary is at
+    most CHUNK_BYTES, and never less than one row.
+    """
+    n = A.shape[0]
+    rows = max(1, CHUNK_BYTES // (8 * n * n))
+    out = np.empty((n, n))
+    for i in range(0, n, rows):
+        np.min(A[i:i + rows, :, None] + B[None, :, :], axis=1, out=out[i:i + rows])
+    return np.minimum(out, BIG, out=out)
+
+
 def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
                     aubry_tol: float = 1e-2) -> BarrierTable:
     """Min-plus dynamic programming for the normalized minimal action.
@@ -384,8 +404,16 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
 
     seeded with 0 on the diagonal and BIG elsewhere, and clamped at BIG,
     with dt = min(0.02, SAFETY*h/vmax), vmax the largest |v| of the velocity
-    grid, so a foot point spans at most SAFETY cells.  The barrier is the min over the horizon list of the drift-corrected
-    tables; the Aubry set is the nodes y with h[y,y] <= aubry_tol.
+    grid, so a foot point spans at most SAFETY cells.  Each horizon t is
+    N = round(t/dt) steps, but only the base block of B = min(round(BASE_T/dt),
+    largest N) steps is stepped from the seed: a horizon N <= B is its
+    stepped table, and a longer one N = q*B + r is the min-plus power H_B^q,
+    stepped on by its remainder r.  The powers H_B^(2^i) are formed by
+    repeated squaring with _minplus and shared by all horizons.  Neither
+    undercuts stepping from the seed: the kernel's interpolation is a convex
+    combination, so T(min_z g_z) <= min_z T(g_z), and T is monotone.  The
+    barrier is the min over the horizon list of the drift-corrected tables;
+    the Aubry set is the nodes y with h[y,y] <= aubry_tol.
     """
     if aubry_tol <= 0:
         raise ValueError("aubry_tol must be positive")
@@ -395,16 +423,33 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
         raise ValueError("t_list must contain positive horizons")
     dt = min(0.02, SAFETY * g.h / float(np.abs(lt.vgrid).max()))
     stepper = MinPlusStepper(g, lt.vgrid, dt, np.minimum(lt.L, BIG) + c)
+
+    def step(H):
+        return np.minimum(stepper.step(H), BIG)
+
     snap_steps = sorted({max(1, int(round(t / dt))) for t in t_list})
-    snaps = []
+    base = min(round(BASE_T / dt), snap_steps[-1])
+    stepped = {}
 
     def keep(k, H):
         if k in snap_steps:
-            snaps.append(H.T)
+            stepped[k] = H
 
     H0 = np.full((g.n, g.n), BIG)
     np.fill_diagonal(H0, 0.0)
-    iterate(lambda H: np.minimum(stepper.step(H), BIG), H0, dt, snap_steps[-1], observe=keep)
+    powers = [iterate(step, H0, dt, base, observe=keep).values]     # H_B^(2^i)
+    while 2 ** len(powers) <= snap_steps[-1] // base:
+        powers.append(_minplus(powers[-1], powers[-1]))
+    snaps = []
+    for N in snap_steps:
+        q, r = divmod(N, base)
+        H = None
+        for i, power in enumerate(powers):
+            if q >> i & 1:
+                H = power if H is None else _minplus(power, H)
+        if r:       # stepped on from the power, or kept from the block
+            H = stepped[r] if H is None else iterate(step, H, dt, r).values
+        snaps.append(H.T)
 
     # estimate the residual normalization drift from the diagonal minimum
     drift = 0.0

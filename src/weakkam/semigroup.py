@@ -10,8 +10,9 @@ cost dt*L(x,v):
 The cost is a fixed table, or is recomputed from the current values when
 it depends on u (the two-scale solvers).  The kernel steps one function
 or a batch of them, one per column (the Peierls barrier steps one per
-start node).  The velocity search is exhaustive over the velocity grid
-(L may be nonsmooth) and foot points use monotone periodic linear
+start node, over a base block only: its longer horizons are min-plus
+products).  The velocity search is exhaustive over the velocity grid (L
+may be nonsmooth) and foot points use monotone periodic linear
 interpolation.  `Stepper` adds the contact correction -dt*W(x,u) of a
 split Hamiltonian, explicitly by default; "picard" mode re-evaluates W at
 the updated value by scalar fixed-point iteration under `iterate`, which
@@ -28,13 +29,13 @@ load alike:
     dt * vmax   <= 1/2        (foot points stay within half the unit torus)
 
 The driver `iterate` runs every loop in the package: the time-stepping
-loops (the Peierls barrier's included), the Picard correction and the
-discounted solve's policy iteration.  It applies a step map, measures the
-residual sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite
-iterate, and stops at a tolerance or when an observer asks it to.  Every
-contact evolution over a horizon (the evolve command and the stability
-probes) goes through `evolve`, which returns the `SolveRecord` of `iterate`;
-`stationary_solve` steps backward until a tolerance instead.
+loops (the Peierls barrier's base block included), the Picard correction
+and the discounted solve's policy iteration.  It applies a step map,
+measures the residual sup|u_{k+1} - u_k|/dt once per step, raises on a
+nonfinite iterate, and stops at a tolerance or when an observer asks it
+to.  Every contact evolution over a horizon (the evolve command and the
+stability probes) goes through `evolve`, which returns the `SolveRecord`
+of `iterate`; `stationary_solve` steps backward until a tolerance instead.
 """
 
 from __future__ import annotations

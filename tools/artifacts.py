@@ -10,7 +10,9 @@ the script then prints one line per config with its exit code, followed by
 `<sha256>  <id>/<file>` for each file the run wrote.  The set is the three
 benchmark workloads at seeds 1 and 2 (from bench/workloads.py, imported
 without writing bytecode) plus one small config per further command path, each
-at n=64, m=33 (the x-dependent homogenize config at small cell and fine grids).
+at n=64, m=33 (the x-dependent homogenize config at small cell and fine grids,
+and the barrier-remainder config at n=100, whose horizons are not power-of-two
+multiples of the barrier's base block).
 Two runs on different checkouts are byte-identical exactly when their
 printouts are, so a byte-identity check is a `diff`.  The script checks no
 bound: it exits 0 whatever the configs' exit codes.
@@ -47,6 +49,11 @@ _EXTRA = {
                         "basin_delta_hi": 0.5,
                         "numerics": dict(_SMALL, dt=5e-3, T_max=20.0, zeta_grid=[0.25, 0.5])},
     "mather-u-dependent": {"command": "mather", "hamiltonian": _CONTACT, "numerics": _SMALL},
+    # barrier dt = 0.016: a base block of 31 steps, horizons of 250, 500 and 1,000
+    # steps = 31*{8, 16, 32} + {2, 4, 8}, each a power of the block plus a remainder
+    "barrier-remainder": {"command": "barrier",
+                          "hamiltonian": {"G": "p^2 + cos(2*pi*x)", "vmax": 2.5},
+                          "numerics": {"n": 100, "m": 33, "dt_critical": 0.05}},
     # H depends on x: the effective table has homogenize.X_COUNT x-nodes and the
     # two-scale cost is built on every node, not tiled from one fast period
     "homogenize-x-dependent": {
