@@ -78,7 +78,7 @@ class EvalError(ExprError):
 
 
 def _finite_or_raise(val, what: str):
-    if not np.all(np.isfinite(val)):
+    if not np.isfinite(val).all():
         raise EvalError(f"nonfinite result in '{what}'")
     return val
 

@@ -13,10 +13,11 @@ LagrangianTable.with_potential, giving -c of G + pot.  A second-stage
 program over the optimal face produces the extremes of integrals of a
 given function against minimizing measures.
 
-LP solves use a dense two-phase tableau simplex.  Pivots follow Dantzig's
-rule while the objective improves and switch permanently to Bland's rule
-after a stall, which precludes cycling; leaving-variable ties always break
-by smallest basis index.  The occupational programs have few rows but
+LP solves use a dense two-phase simplex on one tableau, whose kept
+artificial block gives the duals.  Pivots follow Dantzig's rule while the
+objective improves and switch permanently to Bland's rule after a stall,
+which precludes cycling; leaving-variable ties always break by smallest
+basis index.  The occupational programs have few rows but
 n*m columns, so they are solved through restricted masters with exact
 pricing over all columns (each column has three structural nonzeros),
 which certifies global optimality at the same 1e-9 tolerance while
@@ -110,8 +111,8 @@ def _pivot(tab: np.ndarray, row: int, col: int):
     tab[row] = piv
 
 
-def _simplex_phase(tab: np.ndarray, basis: np.ndarray, var_cols: np.ndarray):
-    """Run pivots until the reduced costs over var_cols are nonnegative.
+def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ncols: int):
+    """Run pivots until the reduced costs of the first ncols columns are nonnegative.
 
     tab carries the constraint rows, a trailing rhs column, and a final
     reduced-cost row whose rhs entry is minus the current objective.
@@ -122,17 +123,16 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, var_cols: np.ndarray):
     stall = 0
     best_obj = math.inf
     for _ in range(LP_MAX_ITER):
-        red = tab[-1, var_cols]
+        red = tab[-1, :ncols]
         if bland:
             neg = np.nonzero(red < -LP_TOL)[0]
             if neg.size == 0:
                 return
-            col = int(var_cols[neg[0]])
+            col = int(neg[0])
         else:
-            j = int(np.argmin(red))
-            if red[j] >= -LP_TOL:
+            col = int(np.argmin(red))
+            if red[col] >= -LP_TOL:
                 return
-            col = int(var_cols[j])
         ratios = tab[:nrows, col]
         ok = ratios > LP_TOL
         if not np.any(ok):
@@ -155,31 +155,33 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, var_cols: np.ndarray):
     raise LPError(f"simplex exceeded {LP_MAX_ITER} pivots")
 
 
-def _solve_standard_form(lp: LinearProgram):
-    """Two-phase simplex; returns (x, value, duals)."""
-    A = lp.A.copy()
-    b = lp.b.copy()
-    c = lp.c
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    nrows, ncols = A.shape
+def lp_simplex(lp: LinearProgram) -> tuple[np.ndarray, float, np.ndarray]:
+    """Optimal basic feasible solution of a standard-form LP and its duals.
+
+    Returns (x, value, y): y.b = value, A^T y <= c and equality on the basic
+    columns.  Both phases run on the one tableau [A | I | b], rows with b < 0
+    negated; phase 2 never enters the artificial identity block, whose
+    reduced costs are then minus the row-signed duals.  A redundant row is
+    zeroed and keeps its artificial basic at zero: no ratio test picks it,
+    and its dual is 0.  Raises LPInfeasibleError / LPUnboundedError, and
+    LPError when x misses A x = b or y misses c on the basic columns.
+    """
+    nrows, ncols = lp.A.shape
+    sign = np.where(lp.b < 0, -1.0, 1.0)
+    tab = np.zeros((nrows + 1, ncols + nrows + 1))
+    tab[:nrows, :ncols] = lp.A * sign[:, None]
+    tab[:nrows, ncols:-1] = np.eye(nrows)
+    tab[:nrows, -1] = lp.b * sign
 
     # phase 1: drive artificial variables out
-    tab = np.zeros((nrows + 1, ncols + nrows + 1))
-    tab[:nrows, :ncols] = A
-    tab[:nrows, ncols:ncols + nrows] = np.eye(nrows)
-    tab[:nrows, -1] = b
-    tab[-1, :] = -tab[:nrows, :].sum(axis=0)
-    tab[-1, ncols:ncols + nrows] = 0.0
+    tab[-1] = -tab[:nrows].sum(axis=0)
+    tab[-1, ncols:-1] = 0.0
     basis = np.arange(ncols, ncols + nrows)
-    var_cols = np.arange(ncols)
-    _simplex_phase(tab, basis, var_cols)
-    if -tab[-1, -1] > 1e-7 * max(1.0, float(np.abs(b).max())):
+    _simplex_phase(tab, basis, ncols)
+    if -tab[-1, -1] > 1e-7 * max(1.0, float(np.abs(lp.b).max())):
         raise LPInfeasibleError(f"phase-1 objective {-tab[-1, -1]:.3e} > 0")
 
     # pivot out artificials still basic (at zero); rows with no pivot are redundant
-    keep = np.ones(nrows, dtype=bool)
     for row in range(nrows):
         if basis[row] >= ncols:
             entries = np.abs(tab[row, :ncols])
@@ -188,47 +190,30 @@ def _solve_standard_form(lp: LinearProgram):
                 _pivot(tab, row, j)
                 basis[row] = j
             else:
-                keep[row] = False
-    rows_idx = np.nonzero(keep)[0]
-    tab = np.vstack([tab[rows_idx][:, list(range(ncols)) + [ncols + nrows]],
-                     np.zeros(ncols + 1)])
-    basis = basis[rows_idx]
-    nrows_kept = rows_idx.size
+                tab[row, :ncols] = 0.0
 
     # phase 2: reduced costs for the true objective
-    tab[-1, :ncols] = c
-    for row in range(nrows_kept):
-        cb = c[basis[row]]
-        if cb != 0.0:
-            tab[-1] -= cb * tab[row]
-    _simplex_phase(tab, basis, var_cols)
+    tab[-1] = 0.0
+    tab[-1, :ncols] = lp.c
+    for row, j in enumerate(basis):
+        if j < ncols and lp.c[j] != 0.0:
+            tab[-1] -= lp.c[j] * tab[row]
+    _simplex_phase(tab, basis, ncols)
 
-    x = np.zeros(ncols)
-    x[basis] = tab[:nrows_kept, -1]
+    x = np.zeros(ncols + nrows)
+    x[basis] = tab[:nrows, -1]
+    x = x[:ncols]
     x[x < 0] = 0.0  # clip pivot dust
+    scale = max(1.0, float(np.abs(lp.A).max()))
     feas = float(np.max(np.abs(lp.A @ x - lp.b)))
-    if feas > 1e-9 * max(1.0, float(np.abs(lp.b).max()), float(np.abs(lp.A).max())):
+    if feas > 1e-9 * max(scale, float(np.abs(lp.b).max())):
         raise LPError(f"primal feasibility residual {feas:.3e} too large")
-
-    # duals from B^T y = c_B on the kept rows; dropped (redundant) rows get 0
-    sign = np.where(neg, -1.0, 1.0)
-    B = lp.A[rows_idx][:, basis] * sign[rows_idx, None]
-    try:
-        y_kept = np.linalg.solve(B.T, c[basis])
-    except np.linalg.LinAlgError:
-        y_kept = np.linalg.lstsq(B.T, c[basis], rcond=None)[0]
-    duals = np.zeros(lp.b.size)
-    duals[rows_idx] = y_kept * sign[rows_idx]
-    return x, float(c @ x), duals
-
-
-def lp_simplex(lp: LinearProgram) -> tuple[np.ndarray, float]:
-    """Optimal basic feasible solution of a standard-form LP.
-
-    Returns (x, value).  Raises LPInfeasibleError / LPUnboundedError.
-    """
-    x, value, _ = _solve_standard_form(lp)
-    return x, value
+    duals = -tab[-1, ncols:-1] * sign
+    basic = basis[basis < ncols]
+    miss = float(np.max(np.abs(lp.c[basic] - duals @ lp.A[:, basic]), initial=0.0))
+    if miss > 1e-9 * max(scale, float(np.abs(lp.c).max())):
+        raise LPError(f"dual residual {miss:.3e} on the basic columns too large")
+    return x, float(lp.c @ x), duals
 
 
 class _OccupationalColumns:
@@ -297,7 +282,7 @@ def _column_generation(cols: _OccupationalColumns, init_i: np.ndarray, init_j: n
         if cols.face_row is not None:     # the face row's slack costs nothing
             cost = np.concatenate([cost, [0.0]])
         lp = LinearProgram(cost, cols.matrix(ci, cj), cols.rhs())
-        x, value, duals = _solve_standard_form(lp)
+        x, value, duals = lp_simplex(lp)
         red = cols.reduced_costs(duals)
         red[ci, cj] = 0.0
         take = np.argsort(red, axis=None)[:64]
@@ -429,15 +414,9 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
 
     snap_steps = sorted({max(1, int(round(t / dt))) for t in t_list})
     base = min(round(BASE_T / dt), snap_steps[-1])
-    stepped = {}
-
-    def keep(k, H):
-        if k in snap_steps:
-            stepped[k] = H
-
     H0 = np.full((g.n, g.n), BIG)
     np.fill_diagonal(H0, 0.0)
-    powers = [iterate(step, H0, dt, base, observe=keep).values]     # H_B^(2^i)
+    powers = [iterate(step, H0, dt, base).values]     # H_B^(2^i)
     while 2 ** len(powers) <= snap_steps[-1] // base:
         powers.append(_minplus(powers[-1], powers[-1]))
     snaps = []
@@ -447,8 +426,8 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
         for i, power in enumerate(powers):
             if q >> i & 1:
                 H = power if H is None else _minplus(power, H)
-        if r:       # stepped on from the power, or kept from the block
-            H = stepped[r] if H is None else iterate(step, H, dt, r).values
+        if r:       # stepped on from the power, or from the seed
+            H = iterate(step, H0 if H is None else H, dt, r).values
         snaps.append(H.T)
 
     # estimate the residual normalization drift from the diagonal minimum

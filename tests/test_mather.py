@@ -17,14 +17,14 @@ from weakkam.semigroup import MinPlusStepper, iterate
 
 def test_lp_simplex_trivial():
     lp = mather.LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0])
-    x, value = mather.lp_simplex(lp)
+    x, value, _ = mather.lp_simplex(lp)
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(x, [0.0, 1.0])
 
 
 def test_lp_simplex_degenerate_face():
     lp = mather.LinearProgram([-1.0, -1.0], [[1.0, 1.0]], [1.0])
-    _, value = mather.lp_simplex(lp)
+    _, value, _ = mather.lp_simplex(lp)
     assert value == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -56,7 +56,7 @@ def test_lp_simplex_matches_vertex_enumeration():
         A = np.vstack([A, np.ones(6)])
         b = np.concatenate([b, [x_feas.sum() + 1.0]])
         oracle = _enumerate_vertices(c, A, b)
-        _, value = mather.lp_simplex(mather.LinearProgram(c, A, b))
+        _, value, _ = mather.lp_simplex(mather.LinearProgram(c, A, b))
         assert value == pytest.approx(oracle, abs=1e-8)
 
 
@@ -67,6 +67,33 @@ def test_lp_simplex_infeasible_and_unbounded():
     with pytest.raises(mather.LPUnboundedError):
         mather.lp_simplex(mather.LinearProgram(
             [-1.0, 0.0], [[1.0, -1.0]], [0.0]))
+
+
+def _random_lp(rng):
+    """A feasible, bounded LP with a row of negative rhs, a duplicated row and a
+    total-mass row that bounds the feasible set."""
+    k = int(rng.integers(2, 5))
+    n = int(rng.integers(k + 3, 10))
+    A = rng.normal(size=(k, n))
+    x_feas = rng.uniform(0.5, 1.5, n) * (rng.uniform(size=n) < 0.7)
+    if A[0] @ x_feas > 0:
+        A[0] *= -1.0
+    A = np.vstack([A, A[-1], np.ones(n)])
+    return mather.LinearProgram(rng.normal(size=n), A, A @ x_feas)
+
+
+def test_lp_simplex_duals():
+    # strong duality, dual feasibility and complementary slackness
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        lp = _random_lp(rng)
+        x, value, y = mather.lp_simplex(lp)
+        scale = max(1.0, float(np.abs(lp.c).max()), float(np.abs(lp.A).max()))
+        assert lp.b[0] < 0
+        assert lp.b @ y == pytest.approx(value, abs=1e-9 * scale)
+        red = lp.c - lp.A.T @ y
+        assert red.min() >= -1e-9 * scale
+        assert np.all(np.abs(red[x > 0]) <= 1e-9 * scale)
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +137,13 @@ def test_occupational_shifted_momentum(g64):
 def test_column_generation_past_the_first_master(monkeypatch, G):
     linprog = pytest.importorskip("scipy.optimize").linprog
     masters = []
-    solve = mather._solve_standard_form
+    solve = mather.lp_simplex
 
     def counted(lp):
         masters.append(lp)
         return solve(lp)
 
-    monkeypatch.setattr(mather, "_solve_standard_form", counted)
+    monkeypatch.setattr(mather, "lp_simplex", counted)
     g = TorusGrid(32)
     spec = HamiltonianSpec(G=parse(G), W=parse("0"), dWu=parse("0"), lambda_bound=0.0)
     lt = legendre(spec, g, 33, 33)
@@ -255,6 +282,23 @@ def test_barrier_semigroup_property(g64):
     h4, h8 = bt4.h, bt8.h
     composed = np.min(h4[:, :, None] + h4[None, :, :], axis=1)
     assert np.max(np.abs(composed - h8)) <= 1e-3
+
+
+def test_barrier_matches_closed_form():
+    # p^2 + cos(2 pi x) at its critical value c = 1 has the Aubry set {0} and the
+    # barrier h(x, y) = d(x) + d(y), with d(x) = (sqrt(2)/pi)(1 - |cos(pi x)|) the
+    # distance to 0 in the metric sqrt(1 - cos(2 pi x))|dx|; the error is first order
+    # in h (1.35h at n = 64, 1.44h at n = 128, 1.51h at n = 256 with m = 65)
+    errors = []
+    for n in (64, 128):
+        g = TorusGrid(n)
+        lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), g, 49, 49)
+        bt = mather.peierls_barrier(lt, crit.critical_value(lt).c)
+        d = np.sqrt(2.0) / np.pi * (1.0 - np.abs(np.cos(np.pi * g.nodes)))
+        errors.append(float(np.max(np.abs(bt.h - (d[:, None] + d[None, :])))))
+        assert errors[-1] <= 2 * g.h
+        assert 0 in bt.aubry_indices
+    assert errors[1] <= 0.6 * errors[0]
 
 
 def _barrier_dt(lt):

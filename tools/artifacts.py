@@ -11,8 +11,8 @@ the script then prints one line per config with its exit code, followed by
 benchmark workloads at seeds 1 and 2 (from bench/workloads.py, imported
 without writing bytecode) plus one small config per further command path, each
 at n=64, m=33 (the x-dependent homogenize config at small cell and fine grids,
-and the barrier-remainder config at n=100, whose horizons are not power-of-two
-multiples of the barrier's base block).
+the barrier-remainder config at n=100, whose horizons are not power-of-two
+multiples of the barrier's base block, and the |p| mather config at n=32, m=17).
 Two runs on different checkouts are byte-identical exactly when their
 printouts are, so a byte-identity check is a `diff`.  The script checks no
 bound: it exits 0 whatever the configs' exit codes.
@@ -54,6 +54,10 @@ _EXTRA = {
     "barrier-remainder": {"command": "barrier",
                           "hamiltonian": {"G": "p^2 + cos(2*pi*x)", "vmax": 2.5},
                           "numerics": {"n": 100, "m": 33, "dt_critical": 0.05}},
+    # a flat, non-Tonelli Lagrangian: the first config whose restricted masters
+    # price in new columns (13 masters)
+    "mather-abs-p": {"command": "mather", "hamiltonian": {"G": "abs(p) + cos(2*pi*x)"},
+                     "numerics": {"n": 32, "m": 17, "dt_critical": 0.05}},
     # H depends on x: the effective table has homogenize.X_COUNT x-nodes and the
     # two-scale cost is built on every node, not tiled from one fast period
     "homogenize-x-dependent": {
