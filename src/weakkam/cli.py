@@ -152,7 +152,8 @@ def _u_minus(config: ExperimentConfig, lt) -> Field:
     if not rec.converged:
         raise ConvergenceError(
             f"stationary solve for u_- stopped at residual {rec.residual:.3e} after "
-            f"{rec.steps} steps, above tol {num['tol']:.3g}", rec.residual)
+            f"{rec.steps} steps and {rec.newton} Newton iterations, above tol "
+            f"{num['tol']:.3g}", rec.residual)
     return Field(lt.grid, rec.values)
 
 
@@ -191,7 +192,8 @@ def run_stationary(config):
     # a residual stall is reported, not raised: converged=False with exit 0
     res = stationary_solve(config.options["phi0"], config.spec, lt,
                            dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
-    return (f"converged={res.converged} residual={res.residual:.3e} steps={res.steps}",
+    return (f"converged={res.converged} residual={res.residual:.3e} steps={res.steps} "
+            f"newton={res.newton}",
             True, {"stationary.csv": ("x,value", zip(g.nodes, res.values))})
 
 

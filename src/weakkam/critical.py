@@ -5,12 +5,12 @@ Two independent estimators with a mandatory agreement check:
   * vanishing discount: for each lam in a decreasing schedule, solve the
     discounted semi-Lagrangian fixed point
         u = (1 + lam*dt)^{-1} min_j [ u(x_i - v_j dt) + dt L'(x_i, v_j) ]
-    exactly by policy iteration (Howard): a dense linear solve per velocity
-    policy, the policy improved to the kernel's argmin until it repeats,
-    each improvement one step of the driver semigroup.iterate, at most
-    MAX_POLICY_ITERATIONS times; one kernel step then certifies
-    the fixed point to DEFAULT_TOL.  The first-order lam-bias is removed by
-    a linear fit of -mean(lam*u_lam) in lam;
+    exactly by semigroup.fixed_point with no march (Newton-Howard from the
+    warm start: a dense solve per velocity policy until the policy
+    repeats, at most semigroup.MAX_NEWTON times, certified to DEFAULT_TOL
+    by one real step; a cap or a missed certificate raises).  The
+    first-order lam-bias is removed by a linear fit of -mean(lam*u_lam) in
+    lam;
   * long-time slope: evolve 0 under the variational semigroup of the same
     Hamiltonian and read -d/dt of the spatial mean between T/2 and T.
 
@@ -19,9 +19,8 @@ agreement within cross_tol is the working certificate of correctness.
 The W-part of a Hamiltonian G(x,p) + pot(x) is folded into the cost as
 L' = L - pot via LagrangianTable.with_potential.  Both estimators use the
 min-plus kernel semigroup.MinPlusStepper: the long-time slope steps it
-under the driver semigroup.iterate; the discounted solve reads its argmin
-policy and gather matrix, and runs its policy iteration and certificate
-step under iterate too.
+under the driver semigroup.iterate; fixed_point reads its argmin policy
+and gather matrix for the discounted solve.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .grid import Field
 from .hamiltonian import HamiltonianSpec, LagrangianTable, frozen_values
-from .semigroup import CFLError, MinPlusStepper, iterate
+from . import semigroup
+from .semigroup import CFLError, MinPlusStepper, fixed_point, iterate
 
 __all__ = [
     "CriticalValueResult",
@@ -49,56 +49,31 @@ DEFAULT_DT = 0.02
 DEFAULT_TOL = 1e-4
 DEFAULT_CROSS_TOL = 2e-2
 DEFAULT_T_LONG = 40.0
-MAX_POLICY_ITERATIONS = 50     # the benchmark workloads and the n=256 eikonal need at most 10
 
 
 def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
                      tol: float = DEFAULT_TOL, u0: Field | None = None) -> Field:
-    """Exact fixed point u = f T(u) of the discounted update, f = 1/(1 + lam*dt).
+    """Exact fixed point u = K(u)/(1 + lam*dt) of the discounted update, K the kernel.
 
-    Policy iteration (Howard): for the velocity policy pi the update is
-    linear, (I - f P_pi) u = f dt L_pi, with P_pi the interpolation rows
-    of the kernel's gather plan; I - f P_pi is strictly diagonally dominant,
-    so each dense solve is well posed.  The policy is then improved to the
-    kernel's argmin at u (ties keep the current velocity) until it repeats,
-    within MAX_POLICY_ITERATIONS.  Each improvement is one step of the
-    driver semigroup.iterate, and a repeated policy returns u unchanged, so
-    the driver stops at residual 0; a nonfinite solve raises its ValueError.
-    u0, when given, seeds the first policy.  One kernel step certifies the
-    result: sup|f T(u) - u|/dt above tol raises ConvergenceError.
+    semigroup.fixed_point solves (1 + lam*dt) u = K(u) by Newton from u0
+    (zero when not given), with no march: slope lam*dt makes each Newton
+    matrix strictly diagonally dominant.  A policy that does not repeat
+    within semigroup.MAX_NEWTON iterations, or a certified residual above
+    tol, raises ConvergenceError.
     """
     if lam <= 0:
         raise ValueError("discount rate lam must be positive")
     if dt * lam >= 1:
         raise CFLError(f"dt*lam = {dt * lam:.3g} must be below 1")
-    stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
-    factor = 1.0 / (1.0 + lam * dt)
-    n = lt.grid.n
-    rows = np.arange(n)
-    policy = None
-
-    def improve(u):
-        # a repeated policy returns u itself: residual 0 stops the driver
-        nonlocal policy
-        new = stepper.policy(u, policy)
-        if policy is not None and np.array_equal(new, policy):
-            return u
-        policy = new
-        return np.linalg.solve(np.eye(n) - factor * stepper.plan.matrix(policy),
-                               factor * dt * lt.L[rows, policy])
-
-    rec = iterate(improve, u0.values if u0 is not None else np.zeros(n), 1.0,
-                  MAX_POLICY_ITERATIONS, tol=0.0)
-    if not rec.converged:
-        raise ConvergenceError(
-            f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} iterations")
-    u = rec.values
-    rec = iterate(lambda v: factor * stepper.step(v), u, dt, 1)
-    if rec.residual > tol:
-        raise ConvergenceError(
-            f"discounted solve stalled at residual {rec.residual:.3e} (tol {tol:.1e})",
-            rec.residual)
-    return Field(lt.grid, u)
+    kernel = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
+    rec = fixed_point(lambda u: kernel.step(u) - lam * dt * u, kernel, lambda u, pi: lam * dt,
+                      u0.values if u0 is not None else np.zeros(lt.grid.n), dt, tol, 0)
+    if rec.converged:
+        return Field(lt.grid, rec.values)
+    if rec.newton == semigroup.MAX_NEWTON:
+        raise ConvergenceError(f"policy iteration did not settle in {rec.newton} iterations")
+    raise ConvergenceError(
+        f"discounted solve stalled at residual {rec.residual:.3e} (tol {tol:.1e})", rec.residual)
 
 
 def longtime_slope(lt: LagrangianTable, T: float, dt: float) -> float:

@@ -9,10 +9,13 @@ multiscale solver discretizes the frozen two-scale Hamiltonian
 x -> H(x, x/eps, p, u) directly on a fine grid with eps = 1/k
 commensurate to the slow torus.  Both stationary solvers feed the min-plus
 kernel semigroup.MinPlusStepper a running cost tabulated on a grid of
-u-levels (at least 2) and interpolated at the current values, and iterate
-it to a fixed point with semigroup.iterate, whose observer stops at the
-first iterate off the level table; the monotonicity window
-Lambda1 <= dH/du <= Lambda2 gives contraction at rate Lambda1.
+u-levels (at least 2) and interpolated at the current values, and find
+its fixed point with semigroup.fixed_point: march, then Newton-Howard on
+grids of at most semigroup.NEWTON_MAX_N = 256 nodes (the default effective
+solve, the two-scale solve at eps = 1/8 with 32 nodes a period); finer
+grids only march.  Both raise at the first iterate off the level table;
+the monotonicity window Lambda1 <= dH/du <= Lambda2 gives contraction at
+rate Lambda1.
 
 The rate experiment solves the ladder eps in {1/8, ..., 1/64}, measures
 sup-norm distances to the effective solution on each fine grid, and fits
@@ -36,7 +39,7 @@ from .grid import Field, TorusGrid, lipschitz
 from .hamiltonian import (BOUND_KEYS, DEFAULT_BOUND, U_CHECK, LagrangianTable,
                           _check_u_derivative, _midpoint_convexity_gap, _sample_points,
                           conjugate_table)
-from .semigroup import MinPlusStepper, iterate
+from .semigroup import MinPlusStepper, fixed_point
 
 __all__ = [
     "HomogProblem",
@@ -187,9 +190,11 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
 
     L_table has shape (n, nlevels, m) on nlevels >= 2 uniform levels; the cost at
     node i is its linear interpolation along the level axis at the current u_i.
-    A u0 outside the levels raises ConvergenceError, and so does the first
-    iterate that leaves them, naming its step (the driver's observer stops
-    there): nothing off the table is read, clamped or extrapolated.
+    semigroup.fixed_point solves it with slope -dt*dL_pi/du (a grid over
+    NEWTON_MAX_N nodes only marches).  A u0 outside the levels raises
+    ConvergenceError, and so does the first iterate that leaves them,
+    naming its step or Newton iteration: nothing off the table is read,
+    clamped or extrapolated.
     """
     if levels.size < 2:
         raise ValueError(f"{what} needs at least 2 u-levels, got {levels.size}")
@@ -199,25 +204,35 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
     def outside(u):
         return np.count_nonzero((u < levels[0]) | (u > levels[-1]))
 
-    def cost_at(u):
+    def bracket(u):
         pos = (u - levels[0]) / dlev
         i0 = np.minimum(np.floor(pos).astype(int), levels.size - 2)
-        th = (pos - i0)[:, None]
+        return i0, (pos - i0)[:, None]
+
+    def cost_at(u):
+        i0, th = bracket(u)
         return L_table[rows, i0] * (1 - th) + L_table[rows, i0 + 1] * th
 
+    def slope(u, policy):
+        i0 = bracket(u)[0]
+        return -dt * (L_table[rows, i0 + 1, policy] - L_table[rows, i0, policy]) / dlev
+
     span = f"the u-level range [{levels[0]:.4g}, {levels[-1]:.4g}]"
+
+    def guard(u, at):
+        off = outside(u)
+        if off:
+            raise ConvergenceError(f"{what} left {span} at {at}, at {off} of {g.n} nodes")
+
     if outside(u0):
         raise ConvergenceError(f"{what} starts outside {span} at {outside(u0)} of {g.n} nodes")
-    step = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2).step
-    rec = iterate(step, u0, dt, math.ceil(T_MAX / dt), tol, observe=lambda k, u: outside(u) > 0)
-    # the observer does not see an iterate that meets tol, so the last one is checked here
-    off = outside(rec.values)
-    if off:
-        raise ConvergenceError(
-            f"{what} left {span} at step {rec.steps}, at {off} of {g.n} nodes", rec.residual)
+    kernel = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2)
+    rec = fixed_point(kernel.step, kernel, slope, u0, dt, tol, math.ceil(T_MAX / dt),
+                      guard=guard)
     if not rec.converged:
         raise ConvergenceError(
-            f"{what} stalled at residual {rec.residual:.3e} (tol {tol:.1e})", rec.residual)
+            f"{what} stalled at residual {rec.residual:.3e} (tol {tol:.1e}) after "
+            f"{rec.steps} steps and {rec.newton} Newton iterations", rec.residual)
     return Field(g, rec.values)
 
 
@@ -241,10 +256,10 @@ def solve_effective(et: EffectiveTable, n_slow: int = 256) -> Field:
     slopes = np.abs(np.diff(Hf, axis=1) / np.diff(et.p_nodes)[None, :, None])
     vmax = max(float(slopes.max()), 1e-6)
     vs = np.linspace(-vmax, vmax, STATIONARY_M)
-    # L_table[i, kc, j] = max_jp (p_jp * v_j - Hf[i, jp, kc])
-    scores = (et.p_nodes[None, :, None, None] * vs[None, None, None, :]
-              - Hf[:, :, :, None])
-    L_table = scores.max(axis=1)
+    # L_table[i, kc, j] = max_jp (p_jp * v_j - Hf[i, jp, kc]), one p node at a time
+    L_table = np.full((g.n, et.c_nodes.size, vs.size), -np.inf)
+    for jp, p in enumerate(et.p_nodes):
+        np.maximum(L_table, p * vs - Hf[:, jp, :, None], out=L_table)
     return _level_table_fixed_point(g, vs, et.c_nodes, L_table, EFFECTIVE_DT, et.Lambda2,
                                     np.zeros(g.n), EFFECTIVE_TOL, "effective stationary solve")
 

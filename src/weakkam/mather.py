@@ -97,6 +97,9 @@ class LinearProgram:
             raise ValueError("A must be a matrix, c and b vectors")
         if A.shape != (b.size, c.size):
             raise ValueError(f"inconsistent LP dimensions: A{A.shape}, c{c.shape}, b{b.shape}")
+        for dim, size in (("rows (constraints)", b.size), ("columns (variables)", c.size)):
+            if size == 0:
+                raise ValueError(f"LP has no {dim}: A{A.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
             raise ValueError("LP data must be finite")
         object.__setattr__(self, "c", c)

@@ -28,14 +28,28 @@ load alike:
     dt * Lambda <= 1/2        (contact term, when a bound is given)
     dt * vmax   <= 1/2        (foot points stay within half the unit torus)
 
-The driver `iterate` runs every loop in the package: the time-stepping
-loops (the Peierls barrier's base block included), the Picard correction
-and the discounted solve's policy iteration.  It applies a step map,
-measures the residual sup|u_{k+1} - u_k|/dt once per step, raises on a
-nonfinite iterate, and stops at a tolerance or when an observer asks it
-to.  Every contact evolution over a horizon (the evolve command and the
-stability probes) goes through `evolve`, which returns the `SolveRecord`
-of `iterate`; `stationary_solve` steps backward until a tolerance instead.
+The driver `iterate` runs every step loop in the package: the
+time-stepping loops (the Peierls barrier's base block included) and the
+Picard correction.  It applies a step map, measures the residual
+sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite iterate, and
+stops at a tolerance or when an observer asks it to.  Every contact
+evolution over a horizon (the evolve command and the stability probes)
+goes through `evolve`, which returns the `SolveRecord` of `iterate`.
+
+`fixed_point` is the one solver of a stationary fixed point u = T(u):
+u_- (`stationary_solve`), the effective solve and the discounted solve.
+It is Newton-Howard on F(u) = u - T(u) (Bokanowski, Maroso & Zidani
+2009): J = diag(1 + d) - P_pi, pi the kernel's argmin, P_pi its gather
+rows, d the caller's (dt*dWu, -dt*dL_pi/du on a level table, lam*dt).
+The march runs first, to residual 1e-1, so Newton starts near the
+solution the march would reach (Alla, Falcone & Kalise 2015); a singular
+J (the W-free eikonal), a cycling policy (theta < 0 in the worked
+example) or any failed Newton step resumes the march where it stopped.
+One real step certifies Newton's result against tol.  J is dense, so
+only grids of at most NEWTON_MAX_N = 256 nodes get a Newton stage; a
+larger one (the two-scale solves at 512 and 1,024 nodes) marches to tol.
+The discounted solve has no march (it contracts by only lam*dt a
+step): Newton alone, at any n.
 """
 
 from __future__ import annotations
@@ -56,8 +70,16 @@ __all__ = [
     "SolveRecord",
     "iterate",
     "evolve",
+    "fixed_point",
     "stationary_solve",
 ]
+
+
+MARCH_TO = 1e-1         # march residual at which Newton takes over
+MAX_NEWTON = 50         # Newton iterations before the march resumes (or the solve fails)
+NEWTON_MAX_N = 256      # largest grid with a Newton stage: a dense J of 512 KB
+NEWTON_ROUNDING = 1e-12 # settled: sup|u - step(u)| <= this * (1 + sup|u|)
+MAX_GAIN = 1e10         # sup|delta| above this * sup|F|: J is numerically singular
 
 
 class CFLError(ValueError):
@@ -204,33 +226,101 @@ class SolveRecord:
     """What every step loop returns: the last iterate and how the loop ended."""
 
     values: np.ndarray
-    steps: int
-    residual: float        # sup|u_k - u_{k-1}| / dt at the last step (inf if none)
+    steps: int             # kernel steps of the march
+    residual: float        # sup|step(u) - u| / dt of the last step taken (inf if none)
     converged: bool        # the residual reached tol
+    newton: int = 0        # Newton iterations (fixed_point only; 0 for a pure march)
 
 
 def iterate(step, u0: np.ndarray, dt: float, max_steps: int, tol: float | None = None,
-            observe=None) -> SolveRecord:
-    """Apply step up to max_steps times from u0.
+            observe=None, start: int = 0) -> SolveRecord:
+    """Apply step to u0 until step max_steps, counting on from step start.
 
-    Stops early once the residual sup|u_k - u_{k-1}|/dt is at most tol, or
-    when observe(k, u_k) returns true.  The residual is also the finiteness
-    guard: a NaN or inf iterate makes it nonfinite, which raises ValueError
-    naming the step.
+    start > 0 resumes a march that has taken that many steps: the steps it
+    names and returns count from its beginning.  Stops early once the
+    residual sup|u_k - u_{k-1}|/dt is at most tol, or when observe(k, u_k),
+    which sees every iterate, returns true.  The residual is also the
+    finiteness guard: a NaN or inf iterate makes it nonfinite, which raises
+    ValueError naming the step.
     """
     u = np.array(u0, dtype=float)
     residual = math.inf
-    for k in range(1, max_steps + 1):
+    for k in range(start + 1, max_steps + 1):
         nu = step(u)
         residual = float(np.abs(nu - u).max()) / dt
         if not math.isfinite(residual):
             raise ValueError(f"nonfinite values at step {k} (t={k * dt:.6g})")
         u = nu
-        if tol is not None and residual <= tol:
-            return SolveRecord(u, k, residual, True)
-        if observe is not None and observe(k, u):
-            return SolveRecord(u, k, residual, False)
+        converged = tol is not None and residual <= tol
+        stop = observe is not None and observe(k, u)
+        if converged or stop:
+            return SolveRecord(u, k, residual, converged)
     return SolveRecord(u, max_steps, residual, False)
+
+
+def fixed_point(step, kernel: MinPlusStepper, slope, u0: np.ndarray, dt: float, tol: float,
+                max_steps: int, guard=None) -> SolveRecord:
+    """Solve u = step(u): march, Newton-Howard, and the march again if need be.
+
+    The march (iterate, max_steps steps in all) runs to residual max(tol,
+    MARCH_TO); Newton then solves (diag(1 + slope(u, pi)) - P_pi) delta = -F
+    until the policy repeats with F at rounding, and the step that gave F
+    certifies u against tol.  A singular J, a nonfinite iterate, a residual
+    raised on one policy, a missed certificate or MAX_NEWTON iterations
+    resume the march from its last iterate.  A grid of more than
+    NEWTON_MAX_N nodes only marches, to tol.  max_steps = 0 means no march
+    at all: Newton starts at u0, at any n; a nonfinite step raises
+    ValueError, and any other failure returns its last iterate and
+    residual, unconverged.  guard(u, at) sees every iterate, `at` naming
+    it ("step 102", "Newton iteration 3"), and raises to refuse it.
+    """
+    observe = None if guard is None else (lambda k, u: guard(u, f"step {k}"))
+    march = SolveRecord(np.array(u0, dtype=float), 0, math.inf, True)
+    if max_steps:
+        newton_to = max(tol, MARCH_TO) if march.values.size <= NEWTON_MAX_N else tol
+        march = iterate(step, u0, dt, max_steps, newton_to, observe)
+        if not march.converged or march.residual <= tol:
+            return march
+    u, policy, prev, newton = march.values, None, math.inf, 0
+    nodes = np.arange(u.size)
+    while True:
+        F = u - step(u)
+        residual = float(np.abs(F).max()) / dt
+        if not math.isfinite(residual):
+            if max_steps:
+                break
+            # no march to resume: raise as the march would, at this iterate's step
+            raise ValueError(f"nonfinite values at step {newton + 1} (Newton iteration {newton})")
+        new = kernel.policy(u, policy)
+        same = policy is not None and np.array_equal(new, policy)
+        # a policy switch may raise the residual; a Newton step on one policy may not
+        if same and residual > prev:
+            break
+        if same and residual * dt <= NEWTON_ROUNDING * (1.0 + float(np.abs(u).max())):
+            if residual <= tol:
+                return SolveRecord(u, march.steps, residual, True, newton)
+            break
+        if newton == MAX_NEWTON:
+            break
+        J = kernel.plan.matrix(new)
+        J *= -1.0
+        J[nodes, nodes] += 1.0 + slope(u, new)
+        try:
+            delta = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            break
+        newton += 1
+        # also false for a nonfinite delta; a huge gain bounds |J^-1| from below
+        if not float(np.abs(delta).max()) <= MAX_GAIN * residual * dt:
+            break
+        policy, prev, u = new, residual, u + delta
+        if guard is not None:
+            guard(u, f"Newton iteration {newton}")
+    rest = iterate(step, march.values, dt, max_steps, tol, observe, start=march.steps)
+    if rest.steps == march.steps:
+        # no march left to resume: Newton's last iterate and its residual
+        return SolveRecord(u, march.steps, residual, False, newton)
+    return SolveRecord(rest.values, rest.steps, rest.residual, rest.converged, newton)
 
 
 def evolve(phi: Field, spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt: float,
@@ -253,14 +343,18 @@ def evolve(phi: Field, spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt:
 
 def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,
                      tol: float, T_max: float) -> SolveRecord:
-    """Evolve backward until the per-unit-time residual drops below tol.
+    """Fixed point of the explicit backward step from phi0, to residual tol.
 
-    Returns the driver's record, whose values are the last iterate on
-    phi0's grid either way; non-convergence within T_max is reported
-    through the flag, not raised, since a residual stall at the scheme
-    consistency level is a meaningful outcome.
+    fixed_point marches backward, hands over to Newton with slope
+    dt*dWu(x, u), and marches on within T_max if Newton does not settle.
+    Non-convergence is reported through the record's flag, not raised,
+    since a residual stall at the scheme consistency level is a meaningful
+    outcome.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     stepper = Stepper(spec, lt, dt)
-    return iterate(stepper.backward_values, phi0.values, dt, math.ceil(T_max / dt), tol)
+    dWu = spec.dWu.fold({"x": stepper.xs})
+    return fixed_point(stepper.backward_values, stepper._back,
+                       lambda u, policy: dt * frozen_values(dWu, stepper.xs, u),
+                       phi0.values, dt, tol, math.ceil(T_max / dt))

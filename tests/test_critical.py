@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from weakkam import TorusGrid, builtin, legendre
 from weakkam import critical as crit
+from weakkam import semigroup
 from weakkam.expr import parse
 from weakkam.errors import ConvergenceError
 from weakkam.grid import constant_field
@@ -66,6 +67,41 @@ def test_policy_iteration_matches_value_iteration(n, coef):
         # (1e-8 at lam = 1e-2), up to the rounding both solves accumulate (ROUNDING_K)
         rounding = ROUNDING_K * np.finfo(float).eps * np.abs(ref.values).max() / (lam * dt)
         assert np.abs(u - ref.values).max() <= ref.residual / lam + rounding
+
+
+def _howard_loop(lt, lam, dt, u0):
+    """The policy iteration discounted_solve ran before semigroup.fixed_point: one dense
+    solve of (I - f P_pi) u = f dt L_pi per policy, from the policy of u0, until the
+    policy repeats (kept here as the reference)."""
+    stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
+    factor = 1.0 / (1.0 + lam * dt)
+    n = lt.grid.n
+    rows = np.arange(n)
+    u, policy = u0, None
+    for _ in range(semigroup.MAX_NEWTON):
+        new = stepper.policy(u, policy)
+        if policy is not None and np.array_equal(new, policy):
+            return u
+        policy = new
+        u = np.linalg.solve(np.eye(n) - factor * stepper.plan.matrix(policy),
+                            factor * dt * lt.L[rows, policy])
+    raise AssertionError("the reference policy iteration did not settle")
+
+
+@pytest.mark.parametrize("V", ["cos(2*pi*x)", "0.7*sin(2*pi*x) + 0.3*cos(6*pi*x)",
+                               "1e-4*cos(2*pi*x)"])
+def test_newton_discount_matches_the_policy_loop(V):
+    # both are the exact fixed point, up to the rounding of a dense solve with condition
+    # ~1/(lam dt), about eps max|u| / (lam dt); |u| ~ c/lam is 25 to 100 here, so the
+    # agreement is read per unit of max|u|
+    lt = legendre(builtin("eikonal", {"V": V}), TorusGrid(64), 33, 33)
+    dt = crit.DEFAULT_DT
+    u_new = u_old = None
+    for lam in crit.DEFAULT_SCHEDULE:
+        u_new = crit.discounted_solve(lt, lam, dt, u0=u_new)
+        u_old = _howard_loop(lt, lam, dt, np.zeros(lt.grid.n) if u_old is None else u_old)
+        scale = max(1.0, float(np.abs(u_old).max()))
+        assert np.abs(u_new.values - u_old).max() <= 1e-12 * scale
 
 
 def test_discounted_eikonal_window(eikonal_cos_256):
@@ -203,8 +239,25 @@ def test_c_eps_curve_sample_validation():
         crit.c_eps_curve(spec, um, [-0.01, 0.0, 0.01, 0.02], lt=lt)
 
 
+def test_discount_certificate_miss_names_its_residual(free_table):
+    # the policy settles with a residual at rounding, above a tol of 1e-20
+    eik = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), free_table.grid, 33, 33)
+    with pytest.raises(ConvergenceError, match="discounted solve stalled at residual") as err:
+        crit.discounted_solve(eik, lam=4e-2, tol=1e-20)
+    assert 1e-20 < err.value.residual < 1e-9
+
+
+def test_discount_is_newton_alone_on_any_grid(free_table, monkeypatch):
+    # NEWTON_MAX_N bounds the stationary solves' Newton stage; the discount has no march
+    monkeypatch.setattr(semigroup, "NEWTON_MAX_N", 8)
+    eik = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), free_table.grid, 33, 33)
+    u = crit.discounted_solve(eik, lam=4e-2)
+    ref = _howard_loop(eik, 4e-2, crit.DEFAULT_DT, np.zeros(eik.grid.n))
+    assert np.abs(u.values - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
+
+
 def test_policy_iteration_cap_raises(free_table, monkeypatch):
     eik = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), free_table.grid, 33, 33)
-    monkeypatch.setattr(crit, "MAX_POLICY_ITERATIONS", 1)
+    monkeypatch.setattr(semigroup, "MAX_NEWTON", 1)
     with pytest.raises(ConvergenceError, match="did not settle in 1 iterations"):
         crit.discounted_solve(eik, lam=4e-2)

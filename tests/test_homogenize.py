@@ -7,6 +7,7 @@ from weakkam.errors import ConfigError, ConvergenceError
 from weakkam.expr import parse
 from weakkam.grid import TorusGrid
 from weakkam import homogenize as hz
+from weakkam import semigroup
 
 
 def make_problem(b=0.5):
@@ -142,6 +143,31 @@ def test_solve_effective_potential_bracket():
     assert np.all(np.abs(ubar.values) <= 0.3 + 5e-2)
 
 
+@pytest.mark.parametrize("x_nodes", [(0.0,), np.linspace(0, 1, 16, endpoint=False)])
+def test_solve_effective_newton_matches_the_march(monkeypatch, x_nodes):
+    # Lambda1 = 1: the march stopped at residual EFFECTIVE_TOL lies within EFFECTIVE_TOL
+    # of the fixed point, which Newton returns; MARCH_TO = 0 makes fixed_point a pure march
+    et = _synthetic_table(lambda x, p, c: c + p * p + 0.3 * np.cos(2 * np.pi * x),
+                          np.linspace(-2, 2, 17), np.linspace(-1, 1, 5), x_nodes=x_nodes)
+    newton = hz.solve_effective(et, n_slow=64)
+    monkeypatch.setattr(semigroup, "MARCH_TO", 0.0)
+    march = hz.solve_effective(et, n_slow=64)
+    assert np.abs(newton.values - march.values).max() <= hz.EFFECTIVE_TOL
+
+
+def test_effective_newton_iterate_outside_the_level_range_raises():
+    # Hbar = c + p^2 + 0.5 again, on the c-range [-0.45, 0.2]: the march hands over at
+    # u ~ -0.4, inside it, and Newton's first iterate is the solution -0.5, outside it
+    p_nodes = np.linspace(-2.0, 2.0, 9)
+    c_nodes = np.linspace(-0.45, 0.2, 5)
+    values = c_nodes[None, None, :] + p_nodes[None, :, None] ** 2 + 0.5
+    et = hz.EffectiveTable(np.array([0.0]), p_nodes, c_nodes, values, 1.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"effective stationary solve left the u-level range "
+                             r"\[-0.45, 0.2\] at Newton iteration 1, at 32 of 32 nodes"):
+        hz.solve_effective(et, n_slow=32)
+
+
 def test_solve_multiscale_no_fast_scale():
     hp = make_problem(b=0.0)
     ue = hz.solve_multiscale(hp, eps=1 / 8, n_per_period=16)
@@ -235,7 +261,7 @@ def _no_steps(*args, **kwargs):
 
 
 def test_level_table_solve_needs_two_levels(monkeypatch):
-    monkeypatch.setattr(hz, "iterate", _no_steps)
+    monkeypatch.setattr(hz, "fixed_point", _no_steps)
     g = TorusGrid(16)
     vs = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="needs at least 2 u-levels, got 1"):
@@ -247,7 +273,7 @@ def test_level_table_solve_needs_two_levels(monkeypatch):
 
 
 def test_level_table_solve_rejects_a_start_outside_the_levels(monkeypatch):
-    monkeypatch.setattr(hz, "iterate", _no_steps)
+    monkeypatch.setattr(hz, "fixed_point", _no_steps)
     g = TorusGrid(16)
     vs = np.linspace(-1.0, 1.0, 5)
     levels = np.linspace(-1.0, 1.0, 3)

@@ -69,6 +69,14 @@ def test_lp_simplex_infeasible_and_unbounded():
             [-1.0, 0.0], [[1.0, -1.0]], [0.0]))
 
 
+def test_empty_lp_is_refused_at_construction():
+    # both used to reach lp_simplex and fail there with a bare numpy error
+    with pytest.raises(ValueError, match=r"LP has no rows \(constraints\): A\(0, 2\)"):
+        mather.LinearProgram([1.0, 2.0], np.zeros((0, 2)), [])
+    with pytest.raises(ValueError, match=r"LP has no columns \(variables\): A\(1, 0\)"):
+        mather.LinearProgram([], np.zeros((1, 0)), [0.0])
+
+
 def _random_lp(rng):
     """A feasible, bounded LP with a row of negative rhs, a duplicated row and a
     total-mass row that bounds the feasible set."""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DPHI_SRC, PHI_SRC, random_field
 from weakkam import TorusGrid, builtin, legendre
@@ -9,6 +11,7 @@ from weakkam.errors import ConvergenceError
 from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr, sup_diff
 from weakkam.hamiltonian import HamiltonianSpec, frozen_values
+from weakkam import semigroup
 from weakkam.semigroup import (CFLError, MinPlusStepper, Stepper, evolve, iterate,
                                stationary_solve)
 
@@ -315,6 +318,156 @@ def test_stationary_critical_normalization_settles():
     # sqrt(2) sin(pi s) over half a period = sqrt(2)/pi ~ 0.45
     osc = float(res.values.max() - res.values.min())
     assert osc == pytest.approx(np.sqrt(2) / np.pi, abs=5e-2)
+
+
+def _march(phi0, spec, lt, dt, tol, T_max):
+    """The pure march of the explicit backward step: iterate to tol within T_max."""
+    return iterate(Stepper(spec, lt, dt).backward_values, phi0.values, dt,
+                   math.ceil(T_max / dt), tol)
+
+
+@settings(max_examples=5, deadline=None)
+@given(a=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 16))
+def test_newton_matches_a_tight_march_on_linear_contact(a, seed):
+    # W = a*u with a >= 1/2 makes the step a contraction by 1 - a*dt: the march stopped at
+    # residual r lies within r/a of the fixed point, which Newton returns to rounding
+    g = TorusGrid(32)
+    rng = np.random.default_rng(seed)
+    V = " + ".join(f"{rng.uniform(-0.5, 0.5):.6f}*cos({k}*2*pi*x)" for k in (1, 2, 3))
+    spec = builtin("linear_contact", {"a": a, "V": V})
+    lt = legendre(spec, g, 17, 17)
+    phi0 = random_field(g, rng)
+    rec = stationary_solve(phi0, spec, lt, dt=1e-2, tol=1e-6, T_max=100.0)
+    assert rec.converged and rec.newton >= 1 and rec.residual <= 1e-6
+    ref = _march(phi0, spec, lt, 1e-2, 1e-12, 200.0)
+    assert ref.converged
+    assert np.abs(rec.values - ref.values).max() <= 1e-6 / a
+
+
+def test_hybrid_from_zero_matches_the_march():
+    # example_ex at theta = 1/2 from 0: Newton from 0 does not settle, so the march runs
+    # to residual MARCH_TO first; both stop within tol/theta of the same fixed point
+    g = TorusGrid(64)
+    spec = builtin("example_ex", BUILTIN_PARAMS["example_ex"])
+    lt = legendre(spec, g, 33, 33)
+    zero = constant_field(g, 0.0)
+    rec = stationary_solve(zero, spec, lt, dt=1e-3, tol=1e-6, T_max=40.0)
+    ref = _march(zero, spec, lt, 1e-3, 1e-6, 40.0)
+    assert rec.converged and ref.converged
+    assert 1 <= rec.newton <= semigroup.MAX_NEWTON
+    assert rec.steps < 1000 < ref.steps
+    assert np.abs(rec.values - ref.values).max() <= 1e-6 / 0.5
+
+
+@pytest.mark.parametrize("V, T_max", [("cos(2*pi*x) - 1", 8.0), ("cos(2*pi*x)", 2.0)])
+def test_eikonal_stationary_solve_is_the_march(V, T_max):
+    # W-free: J = I - P_pi is singular (no Newton iteration completes), so the march
+    # resumes where it handed over and the record is the pure march's, bit for bit (the
+    # drifting V never hands over)
+    g = TorusGrid(64)
+    spec = builtin("eikonal", {"V": V})
+    lt = legendre(spec, g, 33, 33)
+    zero = constant_field(g, 0.0)
+    rec = stationary_solve(zero, spec, lt, dt=1e-3, tol=1e-10, T_max=T_max)
+    ref = _march(zero, spec, lt, 1e-3, 1e-10, T_max)
+    assert np.array_equal(rec.values, ref.values)
+    assert (rec.steps, rec.residual, rec.converged, rec.newton) == (
+        ref.steps, ref.residual, ref.converged, 0)
+
+
+def test_unsettled_newton_resumes_the_march():
+    # example_ex at theta = -0.2: the policies cycle, Newton stops at its cap and the
+    # march resumes from its last iterate, ending where the pure march ends
+    g = TorusGrid(64)
+    spec = builtin("example_ex", dict(BUILTIN_PARAMS["example_ex"], theta=-0.2))
+    lt = legendre(spec, g, 33, 33)
+    phi = field_from_expr(g, parse(PHI_SRC))
+    rec = stationary_solve(phi, spec, lt, dt=1e-3, tol=1e-6, T_max=0.5)
+    ref = _march(phi, spec, lt, 1e-3, 1e-6, 0.5)
+    assert not rec.converged and rec.newton == semigroup.MAX_NEWTON
+    assert np.array_equal(rec.values, ref.values) and rec.steps == ref.steps == 500
+
+
+@pytest.mark.parametrize("a, newton, converged", [(1e-9, 1, False), (1e-6, 5, True)])
+def test_numerically_singular_newton_matrix_resumes_the_march(monkeypatch, a, newton,
+                                                             converged):
+    # W = a*u on a drifting eikonal (critical value 1): the fixed point is u ~ -1/a, and
+    # the Newton step toward it is sup|F|/(dt*a) long; beyond MAX_GAIN = 1e10 times
+    # sup|F| (a = 1e-9) J counts as singular and the march resumes, at a = 1e-6 Newton
+    # reaches it
+    g = TorusGrid(32)
+    spec = HamiltonianSpec(G=parse("p^2 + cos(2*pi*x)"), W=parse(f"{a}*u"),
+                           dWu=parse(f"{a}"))
+    stepper = Stepper(spec, legendre(spec, g, 17, 17), 1e-3)
+    monkeypatch.setattr(semigroup, "MARCH_TO", math.inf)
+    rec = semigroup.fixed_point(stepper.backward_values, stepper._back,
+                                lambda u, policy: 1e-3 * a, np.zeros(g.n), 1e-3, 1e-6, 100)
+    assert (rec.newton, rec.converged) == (newton, converged)
+    if converged:
+        assert rec.steps == 1 and rec.values.max() == pytest.approx(-1.0 / a, rel=1e-3)
+    else:
+        ref = iterate(stepper.backward_values, np.zeros(g.n), 1e-3, 100, 1e-6)
+        assert rec.steps == 100 and np.array_equal(rec.values, ref.values)
+
+
+def test_resumed_march_counts_on_from_the_handover():
+    # theta = -0.2: Newton stops at its cap and the march resumes; the guard sees the
+    # steps of both march stages numbered 1..500 in one sequence, Newton's in between
+    g = TorusGrid(64)
+    spec = builtin("example_ex", dict(BUILTIN_PARAMS["example_ex"], theta=-0.2))
+    stepper = Stepper(spec, legendre(spec, g, 33, 33), 1e-3)
+    dWu = spec.dWu.fold({"x": stepper.xs})
+    seen = []
+    rec = semigroup.fixed_point(stepper.backward_values, stepper._back,
+                                lambda u, policy: 1e-3 * frozen_values(dWu, stepper.xs, u),
+                                field_from_expr(g, parse(PHI_SRC)).values, 1e-3, 1e-6, 500,
+                                guard=lambda u, at: seen.append(at))
+    steps = [int(at.split()[1]) for at in seen if at.startswith("step ")]
+    assert rec.newton == semigroup.MAX_NEWTON and rec.steps == 500
+    assert steps == list(range(1, 501))
+    assert sum(at.startswith("Newton iteration ") for at in seen) == semigroup.MAX_NEWTON
+
+
+def test_iterate_start_names_the_resumed_step():
+    with pytest.raises(ValueError, match=r"nonfinite values at step 8 \(t=0.08\)"):
+        iterate(lambda u: u + 1.0 if u[0] < 2.0 else u * np.nan, np.zeros(4), 0.01, 20,
+                start=5)
+    rec = iterate(lambda u: 0.5 * u, np.ones(4), 0.01, 12, tol=0.0, start=10)
+    assert rec.steps == 12 and rec.values[0] == 0.25
+
+
+@pytest.mark.parametrize("cap, newton", [(31, False), (32, True)])
+def test_newton_stage_only_on_small_grids(monkeypatch, cap, newton):
+    # a grid of more than NEWTON_MAX_N nodes marches to tol, bit for bit the pure march
+    monkeypatch.setattr(semigroup, "NEWTON_MAX_N", cap)
+    g = TorusGrid(32)
+    spec = builtin("linear_contact", {"a": 1.0, "V": "0.3*cos(2*pi*x)"})
+    lt = legendre(spec, g, 17, 17)
+    zero = constant_field(g, 0.0)
+    rec = stationary_solve(zero, spec, lt, dt=1e-2, tol=1e-6, T_max=100.0)
+    ref = _march(zero, spec, lt, 1e-2, 1e-6, 100.0)
+    assert rec.converged and (rec.newton > 0) == newton
+    if not newton:
+        assert np.array_equal(rec.values, ref.values) and rec.steps == ref.steps
+
+
+def test_fixed_point_guard_names_the_newton_iteration():
+    # u' = u - dt (u + 1/2) marches toward -1/2; the guard refuses u < -0.45, which the
+    # march does not reach before its residual is 0.1, but Newton's first iterate does
+    g = TorusGrid(16)
+    kernel = MinPlusStepper(g, np.linspace(-1.0, 1.0, 5), 1e-2, np.zeros((g.n, 5)))
+    seen = []
+
+    def guard(u, at):
+        seen.append(at)
+        if u.min() < -0.45:
+            raise ConvergenceError(f"left at {at}")
+
+    with pytest.raises(ConvergenceError, match="left at Newton iteration 1$"):
+        semigroup.fixed_point(lambda u: kernel.step(u) - 1e-2 * (u + 0.5), kernel,
+                              lambda u, policy: 1e-2, np.zeros(g.n), 1e-2, 1e-6, 10 ** 4,
+                              guard=guard)
+    assert seen[:2] == ["step 1", "step 2"] and seen[-2].startswith("step ")
 
 
 def test_evolve_aborts_on_nonfinite():

@@ -12,7 +12,9 @@ benchmark workloads at seeds 1 and 2 (from bench/workloads.py, imported
 without writing bytecode) plus one small config per further command path, each
 at n=64, m=33 (the x-dependent homogenize config at small cell and fine grids,
 the barrier-remainder config at n=100, whose horizons are not power-of-two
-multiples of the barrier's base block, and the |p| mather config at n=32, m=17).
+multiples of the barrier's base block, the |p| mather config at n=32, m=17, and
+two stationary solves of the worked example: from 0, and at theta = -0.2, which
+exits 1).
 Two runs on different checkouts are byte-identical exactly when their
 printouts are, so a byte-identity check is a `diff`.  The script checks no
 bound: it exits 0 whatever the configs' exit codes.
@@ -58,6 +60,14 @@ _EXTRA = {
     # price in new columns (13 masters)
     "mather-abs-p": {"command": "mather", "hamiltonian": {"G": "abs(p) + cos(2*pi*x)"},
                      "numerics": {"n": 32, "m": 17, "dt_critical": 0.05}},
+    # from 0 the march takes 300 steps to residual 0.1 before Newton (16 iterations)
+    "stationary-from-zero": {"command": "stationary", "phi0": "0", "numerics": _SMALL,
+                             "hamiltonian": {"builtin": "example_ex", "params": {
+                                 "phi": "sin(2*pi*x)/(2*pi)", "dphi": "cos(2*pi*x)",
+                                 "theta": 0.5, "zeta": 1.0}}},
+    # theta < 0: Newton cycles to its cap, the march resumes and misses tol by T_max (exit 1)
+    "stationary-unstable": {"command": "example-ex", "params": {"theta": -0.2},
+                            "numerics": dict(_SMALL, T_max=0.5)},
     # H depends on x: the effective table has homogenize.X_COUNT x-nodes and the
     # two-scale cost is built on every node, not tiled from one fast period
     "homogenize-x-dependent": {
