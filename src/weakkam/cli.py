@@ -38,18 +38,17 @@ from .hamiltonian import HamiltonianSpec, builtin, frozen_values, legendre, spec
 from .semigroup import CFLError, _check_step, evolve, stationary_solve
 
 # every numerics key with its kind and default, by the commands that read it; the homogenize
-# table grids (>= 3 p nodes, >= 2 c levels) and cell options have none (the library's own)
+# table grids (>= 3 p nodes, >= 2 c levels) and cell grids have none (the library's own)
 NUMERIC_KEYS = {
     "n": (count(8), 256), "m": (count(), 64), "dt": (positive, 1e-3), "tol": (positive, 1e-6),
     "T": (positive, 10.0), "T_max": (positive, 40.0), "snap_every": (count(0), 0),
     "dt_critical": (positive, crit.DEFAULT_DT), "cross_tol": (positive, crit.DEFAULT_CROSS_TOL),
-    "zeta_grid": (numbers, list(stability.DEFAULT_ZETA_GRID)), "margin": (positive, 1e-2),
-    "eps_list": (numbers, [-0.04, -0.02, 0.0, 0.02, 0.04]), "aubry_tol": (positive, 1e-2),
+    "zeta_grid": (numbers, list(stability.DEFAULT_ZETA_GRID)),
+    "eps_list": (numbers, [-0.04, -0.02, 0.0, 0.02, 0.04]),
     "delta": (positive, 0.05), "eps": (positive, 0.01), "Delta": (positive, 0.5),
     "n_per_period": (count(), 32), "homog_eps_list": (numbers, [1 / 8, 1 / 16, 1 / 32, 1 / 64]),
     "p_count": (count(3), None), "c_count": (count(2), None), "p_span": (positive, None),
-    "cell_n_fast": (count(), None), "cell_m": (count(), None), "cell_k": (count(), None),
-    "cell_dt": (positive, None),
+    "cell_n_fast": (count(), None), "cell_m": (count(), None),
 }
 # top-level keys of every command; each command adds the section of its problem
 TOP_KEYS = {
@@ -126,15 +125,12 @@ def load_config(path: str) -> ExperimentConfig:
         top["phi0"] = field_from_expr(TorusGrid(numerics["n"]), top["phi0"])
     except ValueError as exc:
         raise ConfigError(f"phi0 formula error: {exc}") from exc
-    if isinstance(spec, HamiltonianSpec):
-        steps = {"dt": spec.lambda_bound, "dt_critical": None}
-    else:
-        steps = {"cell_dt": None} if "cell_dt" in numerics else {}
-    for key, bound in steps.items():
-        try:
-            _check_step(numerics[key], spec.vmax, bound)
-        except CFLError as exc:
-            raise ConfigError(f"numerics key {key!r}: {exc}") from exc
+    if isinstance(spec, HamiltonianSpec):   # homogenize derives its steps from vmax
+        for key, bound in (("dt", spec.lambda_bound), ("dt_critical", None)):
+            try:
+                _check_step(numerics[key], spec.vmax, bound)
+            except CFLError as exc:
+                raise ConfigError(f"numerics key {key!r}: {exc}") from exc
     return ExperimentConfig(command, numerics, top["output_dir"], top["seed"], spec, top, raw)
 
 
@@ -235,7 +231,7 @@ def run_barrier(config):
     num = config.numerics
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
-    bt = mather.peierls_barrier(ltp, result.c, aubry_tol=num["aubry_tol"])
+    bt = mather.peierls_barrier(ltp, result.c)
     nodes = g.nodes.tolist()     # each node's float is shared by its n rows
     rows = [(x, y, h) for x, hx in zip(nodes, bt.h.tolist()) for y, h in zip(nodes, hx)]
     aubry = [(int(i), float(g.nodes[i])) for i in bt.aubry_indices]
@@ -250,7 +246,7 @@ def run_stability(config):
     um = _u_minus(config, lt)
     report = stability.check_condition(
         config.spec, um, which=config.options["which"], zeta_grid=num["zeta_grid"],
-        dt=num["dt_critical"], margin=num["margin"], lt=lt, cross_tol=num["cross_tol"])
+        dt=num["dt_critical"], lt=lt, cross_tol=num["cross_tol"])
     decay = stability.decay_exponent(config.spec, um, delta=num["delta"],
                                      T=float(config.options["decay_T"]), dt=num["dt"], lt=lt)
     report.decay_slope = decay.slope
@@ -282,9 +278,8 @@ def run_instability(config):
 def run_corollary(config):
     num = config.numerics
     _, lt = _grid_lt(config)
-    report = stability.check_corollary_a(
-        config.spec, dt=num["dt_critical"], margin=num["margin"], lt=lt,
-        aubry_tol=num["aubry_tol"], cross_tol=num["cross_tol"])
+    report = stability.check_corollary_a(config.spec, dt=num["dt_critical"], lt=lt,
+                                         cross_tol=num["cross_tol"])
     return (f"verdict={report.verdict} a0={report.A_estimate:.3f}", True,
             {"report.json": report})
 

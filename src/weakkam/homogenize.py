@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 TABLE_TOL = 5e-2        # slack of the effective table's monotonicity and convexity checks
+CELL_DT = 0.05          # time step of a cell problem's critical solve, capped at 1/(2 vmax)
 STATIONARY_M = 65       # velocities of both stationary solves
 T_MAX = 40.0            # time budget of both stationary solves
 EFFECTIVE_DT = 5e-3     # time step of the effective stationary solve
@@ -113,13 +114,14 @@ def validate_problem(hp: HomogProblem) -> HomogProblem:
     return hp
 
 
-def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
-                 dt: float = 0.05, n_fast: int = 64, m: int = 49, k: int = 49,
-                 cross_tol: float = crit.DEFAULT_CROSS_TOL) -> float:
+def cell_problem(hp: HomogProblem, x: float, p: float, c: float, n_fast: int = 64,
+                 m: int = 49, cross_tol: float = crit.DEFAULT_CROSS_TOL) -> float:
     """Effective value Hbar(x,p,c): critical value of q -> H(x,y,p+q,c) in y.
 
-    Raises ConvergenceError when its discount and long-time estimators
-    differ by more than cross_tol.
+    The Legendre table has m velocities and m momenta, and the time step is
+    min(CELL_DT, 1/(2 vmax)), so foot points stay within half the fast torus
+    at any vmax.  Raises ConvergenceError when its discount and long-time
+    estimators differ by more than cross_tol.
     """
     for name, val in (("x", x), ("p", p), ("c", c)):
         if not np.isfinite(val):
@@ -130,9 +132,9 @@ def cell_problem(hp: HomogProblem, x: float, p: float, c: float,
     def gfun(Q):
         return H.evaluate({"p": p + Q})
 
-    vs, L = conjugate_table(gfun, g.n, m, k, hp.vmax, hp.pmax + abs(p), warn_label="cell H")
+    vs, L = conjugate_table(gfun, g.n, m, m, hp.vmax, hp.pmax + abs(p), warn_label="cell H")
     lt = LagrangianTable(g, vs, L)
-    res = crit.critical_value(lt, dt=dt, cross_tol=cross_tol)
+    res = crit.critical_value(lt, dt=min(CELL_DT, 0.5 / hp.vmax), cross_tol=cross_tol)
     if res.method != "agree":
         raise ConvergenceError(
             f"cell problem at (x={x:.4g}, p={p:.4g}, c={c:.4g}): discount and "

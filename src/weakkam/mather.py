@@ -67,6 +67,7 @@ CHUNK_BYTES = 512 * 1024    # temporary of one row chunk of a min-plus product
 LP_TOL = 1e-9       # simplex pivot and optimality tolerance
 LP_MAX_ITER = 200_000   # simplex pivots per phase before LPError
 FACE_TOL = 1e-6     # slack of the optimal face in extremal_integral
+AUBRY_TOL = 1e-2    # the Aubry set is the nodes y with h[y,y] <= AUBRY_TOL
 
 
 class LPError(RuntimeError):
@@ -362,7 +363,7 @@ class BarrierTable:
 
     h: np.ndarray              # (n, n): normalized barrier from x to y
     c_used: float              # normalization constant after drift correction
-    aubry_indices: np.ndarray  # nodes with h[y,y] <= aubry_tol
+    aubry_indices: np.ndarray  # nodes with h[y,y] <= AUBRY_TOL
 
 
 def _minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -380,8 +381,7 @@ def _minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.minimum(out, BIG, out=out)
 
 
-def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
-                    aubry_tol: float = 1e-2) -> BarrierTable:
+def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0)) -> BarrierTable:
     """Min-plus dynamic programming for the normalized minimal action.
 
     h_t(x, .) = T_t delta_x for every start node x at once: column x of the
@@ -401,10 +401,8 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
     undercuts stepping from the seed: the kernel's interpolation is a convex
     combination, so T(min_z g_z) <= min_z T(g_z), and T is monotone.  The
     barrier is the min over the horizon list of the drift-corrected tables;
-    the Aubry set is the nodes y with h[y,y] <= aubry_tol.
+    the Aubry set is the nodes y with h[y,y] <= AUBRY_TOL.
     """
-    if aubry_tol <= 0:
-        raise ValueError("aubry_tol must be positive")
     g = lt.grid
     t_list = tuple(sorted(float(t) for t in t_list))
     if len(t_list) < 1 or any(t <= 0 for t in t_list):
@@ -444,5 +442,5 @@ def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0),
         corrected = snap - drift * (tgt * dt)
         barrier = corrected if barrier is None else np.minimum(barrier, corrected)
 
-    indices = np.nonzero(np.diag(barrier) <= aubry_tol)[0]
+    indices = np.nonzero(np.diag(barrier) <= AUBRY_TOL)[0]
     return BarrierTable(barrier, c - drift, indices)

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_ZETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+MARGIN = 1e-2           # a verdict reads c < -MARGIN, c > +MARGIN or a > MARGIN
 SAMPLE_EVERY = 10       # steps between the samples of a deviation series
 BASIN_ROUNDS = 6        # bisection rounds of basin_estimate
 
@@ -66,15 +67,15 @@ class StabilityReport:
 
 
 def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
-                    zeta_grid=DEFAULT_ZETA_GRID, dt: float = crit.DEFAULT_DT,
-                    margin: float = 1e-2, *, lt: LagrangianTable,
+                    zeta_grid=DEFAULT_ZETA_GRID, dt: float = crit.DEFAULT_DT, *,
+                    lt: LagrangianTable,
                     cross_tol: float = crit.DEFAULT_CROSS_TOL) -> StabilityReport:
     """Walk the zeta grid testing the shifted critical values.
 
     Each c is the critical value of the table lt with the shifted frozen
     potential folded in.  Verdict "holds" on the first zeta with
-    c < -margin whose discount and long-time estimators agree within
-    cross_tol; "fails" when every zeta gives c > +margin with agreeing
+    c < -MARGIN whose discount and long-time estimators agree within
+    cross_tol; "fails" when every zeta gives c > +MARGIN with agreeing
     estimators; "inconclusive" otherwise.  A_estimate is the extremal minimum of
     dWu(., u_-) over the minimizing measures of lt with W(., u_-) folded in.
     """
@@ -97,12 +98,12 @@ def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
         c_values[float(zeta)] = result.c
         if result.method != "agree":
             agreed = False
-        elif result.c < -margin:
+        elif result.c < -MARGIN:
             zeta_found = float(zeta)
             break
     if zeta_found is not None:
         verdict = "holds"
-    elif agreed and all(v > margin for v in c_values.values()):
+    elif agreed and all(v > MARGIN for v in c_values.values()):
         verdict = "fails"
     else:
         verdict = "inconclusive"
@@ -110,17 +111,15 @@ def check_condition(spec: HamiltonianSpec, u_minus: Field, which: str = "A3",
     measure = solve_occupational(lt.with_potential(base_pot))
     A_estimate = extremal_integral(measure, Field(u_minus.grid, dwu), sense="min")
     return StabilityReport(which, verdict, zeta_found, c_values, A_estimate,
-                           extra={"margin": margin})
+                           extra={"margin": MARGIN})
 
 
-def check_corollary_a(spec: HamiltonianSpec, dt: float = crit.DEFAULT_DT,
-                      margin: float = 1e-2, *, lt: LagrangianTable,
-                      aubry_tol: float = 1e-2,
+def check_corollary_a(spec: HamiltonianSpec, dt: float = crit.DEFAULT_DT, *, lt: LagrangianTable,
                       cross_tol: float = crit.DEFAULT_CROSS_TOL) -> StabilityReport:
     """Constructive global-stability check for a(x)*u + G(x,Du) = c(G).
 
     spec has W = a(x)*u, so a(x) is spec.dWu on lt's grid; lt is the
-    table of G.  Verdict "holds" when a > margin on the Aubry set of G
+    table of G.  Verdict "holds" when a > MARGIN on the Aubry set of G
     (from peierls_barrier at its default horizons), "inconclusive" when
     the two critical-value estimators disagree beyond cross_tol, "fails"
     otherwise.
@@ -133,16 +132,16 @@ def check_corollary_a(spec: HamiltonianSpec, dt: float = crit.DEFAULT_DT,
         raise ConfigError("corollary check requires a(x) = dWu >= 0 everywhere")
 
     cres = crit.critical_value(lt, dt=dt, cross_tol=cross_tol)
-    bt = peierls_barrier(lt, cres.c, aubry_tol=aubry_tol)
+    bt = peierls_barrier(lt, cres.c)
     aubry = bt.aubry_indices
     a0 = float(a[aubry].min()) if aubry.size else 0.0
     if cres.method != "agree":
         verdict = "inconclusive"
     else:
-        verdict = "holds" if a0 > margin else "fails"
+        verdict = "holds" if a0 > MARGIN else "fails"
     return StabilityReport(
         "corollary_a", verdict, None, {0.0: cres.c}, A_estimate=a0,
-        extra={"margin": margin, "aubry_nodes": aubry.tolist(),
+        extra={"margin": MARGIN, "aubry_nodes": aubry.tolist(),
                "c_critical": cres.c, "c_used": bt.c_used,
                "critical_method": cres.method})
 

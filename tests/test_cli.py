@@ -453,8 +453,7 @@ def test_homogenize_command(tmp_path, capsys):
                   "Lambda1": 1.0, "Lambda2": 1.0},
         "numerics": {"homog_eps_list": [0.25, 0.125], "n_per_period": 8,
                      "p_count": 7, "c_count": 3, "p_span": 1.5,
-                     "cell_n_fast": 32, "cell_m": 33, "cell_k": 33,
-                     "cell_dt": 0.05},
+                     "cell_n_fast": 32, "cell_m": 33},
         "output_dir": str(tmp_path / "out"),
     })
     assert cli.main(["homogenize", "--config", path]) == 0
@@ -474,13 +473,31 @@ def test_homogenize_cells_read_cross_tol(tmp_path, capsys):
                   "Lambda1": 1.0, "Lambda2": 1.0},
         "numerics": {"homog_eps_list": [0.25, 0.125], "n_per_period": 8,
                      "p_count": 7, "c_count": 3, "p_span": 1.5,
-                     "cell_n_fast": 32, "cell_m": 33, "cell_k": 33,
-                     "cell_dt": 0.05, "cross_tol": 1e-9},
+                     "cell_n_fast": 32, "cell_m": 33, "cross_tol": 1e-9},
         "output_dir": str(tmp_path / "out"),
     })
     assert cli.main(["homogenize", "--config", path]) == 1
     assert "estimators disagree" in capsys.readouterr().err
     assert "estimators disagree" in (tmp_path / "out" / "diagnostic.txt").read_text()
+
+
+def test_homogenize_cell_step_follows_vmax(tmp_path):
+    # a cell solve steps at min(CELL_DT, 1/(2 vmax)) = 0.025 here: the fixed step 0.05 would
+    # carry foot points a whole torus away (dt*vmax = 1) and fail the first cell solve
+    path = write_config(tmp_path / "c.json", {
+        "command": "homogenize",
+        "homog": {"H": "u + p^2 + 0.5*cos(2*pi*y)", "dHu": "1",
+                  "Lambda1": 1.0, "Lambda2": 1.0, "vmax": 20},
+        "numerics": {"homog_eps_list": [0.25, 0.125], "n_per_period": 8,
+                     "p_count": 3, "c_count": 2, "p_span": 1.0,
+                     "cell_n_fast": 16, "cell_m": 17},
+        "output_dir": str(tmp_path / "out"),
+    })
+    # velocities up to 20 outrun the momenta up to pmax = 4 (v = 2p): the Legendre window warns
+    with pytest.warns(UserWarning, match="momentum truncation"):
+        assert cli.main(["homogenize", "--config", path, "--quiet"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "effective_table.csv", "rate.csv"]
 
 
 def test_corollary_command(tmp_path, capsys):
@@ -661,10 +678,16 @@ HOMOG = {"command": "homogenize",
     # one c node is one u-level; the effective table's convexity check needs 3 p nodes
     (dict(HOMOG, numerics={"c_count": 1}), "numerics key 'c_count' must be an integer >= 2"),
     (dict(HOMOG, numerics={"p_count": 2}), "numerics key 'p_count' must be an integer >= 3"),
-    # the critical and cell solves step at their own dt: vmax = 4 here, so dt 0.2 overruns
+    # the critical solves step at their own dt: vmax = 4 here, so dt 0.2 overruns
     (dict(STABILITY, command="critical", numerics=dict(FAST_NUMERICS, dt_critical=0.2)),
      "numerics key 'dt_critical': dt*vmax = 0.8 exceeds 1/2"),
-    (dict(HOMOG, numerics={"cell_dt": 0.2}), "numerics key 'cell_dt': dt*vmax = 0.8 exceeds 1/2"),
+    # the verdict margin, the Aubry-set tolerance and the cell step are constants, and a
+    # cell table has as many momenta as velocities
+    (dict(STABILITY, numerics=dict(FAST_NUMERICS, margin=0.05)), "unknown numerics keys: margin"),
+    (dict(STABILITY, command="barrier", numerics=dict(FAST_NUMERICS, aubry_tol=0.05)),
+     "unknown numerics keys: aubry_tol"),
+    (dict(HOMOG, numerics={"cell_dt": 0.05}), "unknown numerics keys: cell_dt"),
+    (dict(HOMOG, numerics={"cell_m": 17, "cell_k": 17}), "unknown numerics keys: cell_k"),
     (dict(STABILITY, hamiltonian={"G": "p^2 + v", "W": "u", "dWu": "1"}),
      "unknown identifier 'v'"),
 ], ids=["seed", "zeta_grid", "decay_T-negative", "decay_T-text", "basin_delta_hi", "n-float",
@@ -672,7 +695,7 @@ HOMOG = {"command": "homogenize",
         "homog-dHu-not-dH-du", "homog-missing", "hamiltonian-unknown", "builtin-unknown",
         "linear_contact-a", "top-unknown", "example-ex-hamiltonian", "phi0-variable",
         "formula-kind", "homog-H-domain", "c_count-1", "p_count-2", "dt_critical-cfl",
-        "cell_dt-cfl", "formula-v"])
+        "margin-unknown", "aubry_tol-unknown", "cell_dt-unknown", "cell_k-unknown", "formula-v"])
 def test_malformed_configs_fail_at_load(tmp_path, capsys, config, message):
     path = write_config(tmp_path / "c.json", dict(config, output_dir=str(tmp_path / "out")))
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -68,7 +68,7 @@ def test_cell_problems_read_the_slow_variable():
     hp = hz.HomogProblem(H=parse("u + p^2 + 0.5*cos(2*pi*y) + 0.2*cos(2*pi*x)"),
                          dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
     xs = np.array([0.0, 0.25, 0.5])
-    et = hz.build_effective_table(hp, xs, [0.0, 0.5], [0.0], n_fast=16, m=17, k=17)
+    et = hz.build_effective_table(hp, xs, [0.0, 0.5], [0.0], n_fast=16, m=17)
     shift = 0.2 * (np.cos(2 * np.pi * xs) - 1.0)
     assert np.allclose(et.values - et.values[0], shift[:, None, None], atol=1e-6)
 

@@ -420,8 +420,6 @@ def test_barrier_validation(g64):
     lt = legendre(spec, g64, 33, 33)
     with pytest.raises(ValueError):
         mather.peierls_barrier(lt, 0.0, t_list=())
-    with pytest.raises(ValueError, match="aubry_tol"):
-        mather.peierls_barrier(lt, 0.0, t_list=(2.0,), aubry_tol=-1.0)
 
 
 def test_barrier_duplicate_horizons(g64):

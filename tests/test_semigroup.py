@@ -542,3 +542,33 @@ def test_policy_keeps_current_velocity_on_ties():
     stepper = MinPlusStepper(g, vgrid, 0.05, np.zeros((g.n, vgrid.size)))
     current = np.arange(g.n) % vgrid.size
     assert np.array_equal(stepper.policy(np.zeros(g.n), current), current)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 48), m=st.integers(1, 12), batch=st.sampled_from([None, 1, 5]),
+       dt=st.floats(1e-3, 0.2), reach=st.floats(0.0, 0.5), c=st.floats(-50.0, 50.0),
+       seed=st.integers(0, 2 ** 16))
+def test_kernel_is_monotone_nonexpansive_and_commutes_with_constants(n, m, batch, dt, reach,
+                                                                     c, seed):
+    # a random cost table on a random velocity grid whose largest |v| gives dt*vmax = reach,
+    # inside _check_step's 1/2; batch=None steps one function, else an (n, batch) batch
+    rng = np.random.default_rng(seed)
+    vgrid = rng.uniform(-1.0, 1.0, m)
+    vgrid *= reach / dt / max(np.abs(vgrid).max(), 1e-300)
+    cost = rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, m))
+    kernel = MinPlusStepper(TorusGrid(n), vgrid, dt, cost)
+    shape = (n,) if batch is None else (n, batch)
+    u = rng.normal(scale=rng.uniform(0.1, 10.0), size=shape)
+    w = rng.normal(scale=rng.uniform(0.1, 10.0), size=shape)
+    Ku, Kw = kernel.step(u), kernel.step(w)
+    assert Ku.shape == shape
+    # a few roundings of the largest magnitude that enters a candidate
+    rounding = 16 * np.finfo(float).eps * (np.abs(u).max() + np.abs(w).max() + abs(c)
+                                           + dt * np.abs(cost).max())
+    # monotone: products by weights >= 0, sums and the min preserve order in rounding too
+    above = u + np.abs(w)
+    assert np.all(Ku <= kernel.step(above))
+    # sup-norm nonexpansive
+    assert np.abs(Ku - Kw).max() <= np.abs(u - w).max() + rounding
+    # K(u + c) = K(u) + c
+    assert np.abs(kernel.step(u + c) - (Ku + c)).max() <= rounding

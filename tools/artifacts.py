@@ -75,7 +75,7 @@ _EXTRA = {
         "homog": {"H": "u + p^2 + 0.5*cos(2*pi*y) + 0.2*cos(2*pi*x)", "dHu": "1",
                   "Lambda1": 1.0, "Lambda2": 1.0},
         "numerics": {"p_count": 5, "c_count": 3, "homog_eps_list": [0.25, 0.125],
-                     "n_per_period": 16, "cell_n_fast": 16, "cell_m": 17, "cell_k": 17}},
+                     "n_per_period": 16, "cell_n_fast": 16, "cell_m": 17}},
 }
 
 
