@@ -31,7 +31,7 @@ from . import homogenize as homog
 from . import mather, stability
 from .config import (REQUIRED, choice, count, formula, integer, numbers, positive,
                      read_section, section, text)
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 from .expr import ExprError
 from .grid import Field, TorusGrid, field_from_expr
 from .hamiltonian import HamiltonianSpec, builtin, frozen_values, legendre, spec_from_config
@@ -145,12 +145,7 @@ def _u_minus(config: ExperimentConfig, lt) -> Field:
     num = config.numerics
     rec = stationary_solve(config.options["phi0"], config.spec, lt,
                            dt=num["dt"], tol=num["tol"], T_max=num["T_max"])
-    if not rec.converged:
-        raise ConvergenceError(
-            f"stationary solve for u_- stopped at residual {rec.residual:.3e} after "
-            f"{rec.steps} steps and {rec.newton} Newton iterations, above tol "
-            f"{num['tol']:.3g}", rec.residual)
-    return Field(lt.grid, rec.values)
+    return Field(lt.grid, rec.require("stationary solve for u_-", num["tol"]))
 
 
 def _critical_of_frozen(config: ExperimentConfig, g, lt):

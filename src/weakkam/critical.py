@@ -7,10 +7,10 @@ Two independent estimators with a mandatory agreement check:
         u = (1 + lam*dt)^{-1} min_j [ u(x_i - v_j dt) + dt L'(x_i, v_j) ]
     exactly by semigroup.fixed_point with no march (Newton-Howard from the
     warm start: a dense solve per velocity policy until the policy
-    repeats, at most semigroup.MAX_NEWTON times, certified to DEFAULT_TOL
-    by one real step; a cap or a missed certificate raises).  The
-    first-order lam-bias is removed by a linear fit of -mean(lam*u_lam) in
-    lam;
+    repeats, certified to DEFAULT_TOL by one real step; an unsettled policy
+    or a missed certificate raises through SolveRecord.require, as every
+    missed tol does).  The first-order lam-bias is removed by a linear fit
+    of -mean(lam*u_lam) in lam;
   * long-time slope: evolve 0 under the variational semigroup of the same
     Hamiltonian and read -d/dt of the spatial mean between T/2 and T.
 
@@ -29,10 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .grid import Field
 from .hamiltonian import HamiltonianSpec, LagrangianTable, frozen_values
-from . import semigroup
 from .semigroup import CFLError, MinPlusStepper, fixed_point, iterate
 
 __all__ = [
@@ -57,9 +55,9 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
 
     semigroup.fixed_point solves (1 + lam*dt) u = K(u) by Newton from u0
     (zero when not given), with no march: slope lam*dt makes each Newton
-    matrix strictly diagonally dominant.  A policy that does not repeat
-    within semigroup.MAX_NEWTON iterations, or a certified residual above
-    tol, raises ConvergenceError.
+    matrix strictly diagonally dominant.  A policy that does not settle, or
+    a certified residual above tol, raises ConvergenceError (no march to
+    fall back on).
     """
     if lam <= 0:
         raise ValueError("discount rate lam must be positive")
@@ -68,12 +66,7 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     kernel = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
     rec = fixed_point(lambda u: kernel.step(u) - lam * dt * u, kernel, lambda u, pi: lam * dt,
                       u0.values if u0 is not None else np.zeros(lt.grid.n), dt, tol, 0)
-    if rec.converged:
-        return Field(lt.grid, rec.values)
-    if rec.newton == semigroup.MAX_NEWTON:
-        raise ConvergenceError(f"policy iteration did not settle in {rec.newton} iterations")
-    raise ConvergenceError(
-        f"discounted solve stalled at residual {rec.residual:.3e} (tol {tol:.1e})", rec.residual)
+    return Field(lt.grid, rec.require(f"discounted solve at lam={lam:.3g}", tol))
 
 
 def longtime_slope(lt: LagrangianTable, T: float, dt: float) -> float:

@@ -196,7 +196,7 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
     NEWTON_MAX_N nodes only marches).  A u0 outside the levels raises
     ConvergenceError, and so does the first iterate that leaves them,
     naming its step or Newton iteration: nothing off the table is read,
-    clamped or extrapolated.
+    clamped or extrapolated.  A missed tol raises through SolveRecord.require.
     """
     if levels.size < 2:
         raise ValueError(f"{what} needs at least 2 u-levels, got {levels.size}")
@@ -231,11 +231,7 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
     kernel = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2)
     rec = fixed_point(kernel.step, kernel, slope, u0, dt, tol, math.ceil(T_MAX / dt),
                       guard=guard)
-    if not rec.converged:
-        raise ConvergenceError(
-            f"{what} stalled at residual {rec.residual:.3e} (tol {tol:.1e}) after "
-            f"{rec.steps} steps and {rec.newton} Newton iterations", rec.residual)
-    return Field(g, rec.values)
+    return Field(g, rec.require(what, tol))
 
 
 def solve_effective(et: EffectiveTable, n_slow: int = 256) -> Field:

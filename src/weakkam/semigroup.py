@@ -41,15 +41,19 @@ u_- (`stationary_solve`), the effective solve and the discounted solve.
 It is Newton-Howard on F(u) = u - T(u) (Bokanowski, Maroso & Zidani
 2009): J = diag(1 + d) - P_pi, pi the kernel's argmin, P_pi its gather
 rows, d the caller's (dt*dWu, -dt*dL_pi/du on a level table, lam*dt).
-The march runs first, to residual 1e-1, so Newton starts near the
-solution the march would reach (Alla, Falcone & Kalise 2015); a singular
-J (the W-free eikonal), a cycling policy (theta < 0 in the worked
-example) or any failed Newton step resumes the march where it stopped.
-One real step certifies Newton's result against tol.  J is dense, so
-only grids of at most NEWTON_MAX_N = 256 nodes get a Newton stage; a
-larger one (the two-scale solves at 512 and 1,024 nodes) marches to tol.
-The discounted solve has no march (it contracts by only lam*dt a
-step): Newton alone, at any n.
+The march runs first, to residual MARCH_TO = 1e-1, so Newton starts near
+the solution the march would reach (Alla, Falcone & Kalise 2015; from 0
+on the worked example Newton alone fails at once).  One real step
+certifies Newton's result against tol.  A singular J (the W-free
+eikonal), a cycling policy (theta < 0 in the worked example) or any
+failed Newton step ends Newton, and the solve returns the pure march
+from the start, bit for bit (the guard sees the prefix's steps twice).
+J is dense, so only grids of at most NEWTON_MAX_N = 256 nodes get a
+Newton stage; the two-scale grids of 512 and 1,024 nodes march to tol,
+faster and in less memory there.  The discounted solve has no march (it
+contracts by only lam*dt a step): Newton alone, at any n.  A caller
+that needs tol reached calls SolveRecord.require, the one report of a
+missed tol.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ __all__ = [
 
 
 MARCH_TO = 1e-1         # march residual at which Newton takes over
-MAX_NEWTON = 50         # Newton iterations before the march resumes (or the solve fails)
+MAX_NEWTON = 50         # Newton iterations before the solve falls back to the march
 NEWTON_MAX_N = 256      # largest grid with a Newton stage: a dense J of 512 KB
 NEWTON_ROUNDING = 1e-12 # settled: sup|u - step(u)| <= this * (1 + sup|u|)
 MAX_GAIN = 1e10         # sup|delta| above this * sup|F|: J is numerically singular
@@ -231,21 +235,27 @@ class SolveRecord:
     converged: bool        # the residual reached tol
     newton: int = 0        # Newton iterations (fixed_point only; 0 for a pure march)
 
+    def require(self, what: str, tol: float) -> np.ndarray:
+        """The values, or ConvergenceError naming what missed tol and how far."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"{what} stopped at residual {self.residual:.3e} after {self.steps} steps "
+                f"and {self.newton} Newton iterations, above tol {tol:.3g}", self.residual)
+        return self.values
+
 
 def iterate(step, u0: np.ndarray, dt: float, max_steps: int, tol: float | None = None,
-            observe=None, start: int = 0) -> SolveRecord:
-    """Apply step to u0 until step max_steps, counting on from step start.
+            observe=None) -> SolveRecord:
+    """Apply step to u0 up to max_steps times.
 
-    start > 0 resumes a march that has taken that many steps: the steps it
-    names and returns count from its beginning.  Stops early once the
-    residual sup|u_k - u_{k-1}|/dt is at most tol, or when observe(k, u_k),
-    which sees every iterate, returns true.  The residual is also the
-    finiteness guard: a NaN or inf iterate makes it nonfinite, which raises
-    ValueError naming the step.
+    Stops early once the residual sup|u_k - u_{k-1}|/dt is at most tol, or
+    when observe(k, u_k), which sees every iterate, returns true.  The
+    residual is also the finiteness guard: a NaN or inf iterate makes it
+    nonfinite, which raises ValueError naming the step.
     """
     u = np.array(u0, dtype=float)
     residual = math.inf
-    for k in range(start + 1, max_steps + 1):
+    for k in range(1, max_steps + 1):
         nu = step(u)
         residual = float(np.abs(nu - u).max()) / dt
         if not math.isfinite(residual):
@@ -260,19 +270,20 @@ def iterate(step, u0: np.ndarray, dt: float, max_steps: int, tol: float | None =
 
 def fixed_point(step, kernel: MinPlusStepper, slope, u0: np.ndarray, dt: float, tol: float,
                 max_steps: int, guard=None) -> SolveRecord:
-    """Solve u = step(u): march, Newton-Howard, and the march again if need be.
+    """Solve u = step(u): march, then Newton-Howard, or the pure march if Newton fails.
 
-    The march (iterate, max_steps steps in all) runs to residual max(tol,
-    MARCH_TO); Newton then solves (diag(1 + slope(u, pi)) - P_pi) delta = -F
-    until the policy repeats with F at rounding, and the step that gave F
-    certifies u against tol.  A singular J, a nonfinite iterate, a residual
-    raised on one policy, a missed certificate or MAX_NEWTON iterations
-    resume the march from its last iterate.  A grid of more than
-    NEWTON_MAX_N nodes only marches, to tol.  max_steps = 0 means no march
-    at all: Newton starts at u0, at any n; a nonfinite step raises
-    ValueError, and any other failure returns its last iterate and
-    residual, unconverged.  guard(u, at) sees every iterate, `at` naming
-    it ("step 102", "Newton iteration 3"), and raises to refuse it.
+    The march (iterate) runs to residual max(tol, MARCH_TO); Newton then
+    solves (diag(1 + slope(u, pi)) - P_pi) delta = -F until the policy
+    repeats with F at rounding, and the step that gave F certifies u
+    against tol.  A singular J, a nonfinite iterate, a residual raised on
+    one policy, a missed certificate or MAX_NEWTON iterations return
+    iterate(step, u0, dt, max_steps, tol) instead, carrying Newton's
+    iteration count.  A grid of more than NEWTON_MAX_N nodes only marches,
+    to tol.  max_steps = 0 means no march at all: Newton starts at u0, at
+    any n; a nonfinite step raises ValueError, and any other failure
+    returns its last iterate and residual, unconverged.  guard(u, at) sees
+    every iterate, `at` naming it ("step 102", "Newton iteration 3"), and
+    raises to refuse it.
     """
     observe = None if guard is None else (lambda k, u: guard(u, f"step {k}"))
     march = SolveRecord(np.array(u0, dtype=float), 0, math.inf, True)
@@ -289,7 +300,7 @@ def fixed_point(step, kernel: MinPlusStepper, slope, u0: np.ndarray, dt: float, 
         if not math.isfinite(residual):
             if max_steps:
                 break
-            # no march to resume: raise as the march would, at this iterate's step
+            # no march to fall back on: raise as the march would, at this iterate's step
             raise ValueError(f"nonfinite values at step {newton + 1} (Newton iteration {newton})")
         new = kernel.policy(u, policy)
         same = policy is not None and np.array_equal(new, policy)
@@ -316,11 +327,11 @@ def fixed_point(step, kernel: MinPlusStepper, slope, u0: np.ndarray, dt: float, 
         policy, prev, u = new, residual, u + delta
         if guard is not None:
             guard(u, f"Newton iteration {newton}")
-    rest = iterate(step, march.values, dt, max_steps, tol, observe, start=march.steps)
-    if rest.steps == march.steps:
-        # no march left to resume: Newton's last iterate and its residual
-        return SolveRecord(u, march.steps, residual, False, newton)
-    return SolveRecord(rest.values, rest.steps, rest.residual, rest.converged, newton)
+    if not max_steps:
+        return SolveRecord(u, 0, residual, False, newton)
+    rec = iterate(step, u0, dt, max_steps, tol, observe)
+    rec.newton = newton
+    return rec
 
 
 def evolve(phi: Field, spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt: float,
@@ -346,10 +357,10 @@ def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt
     """Fixed point of the explicit backward step from phi0, to residual tol.
 
     fixed_point marches backward, hands over to Newton with slope
-    dt*dWu(x, u), and marches on within T_max if Newton does not settle.
-    Non-convergence is reported through the record's flag, not raised,
-    since a residual stall at the scheme consistency level is a meaningful
-    outcome.
+    dt*dWu(x, u), and returns the pure march within T_max if Newton does
+    not settle.  Non-convergence is reported through the record's flag,
+    not raised, since a residual stall at the scheme consistency level is a
+    meaningful outcome; a caller that needs tol reached calls require.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -21,3 +21,9 @@ def test_every_artifact_config_loads(tmp_path):
         path = tmp_path / f"{cid}.json"
         path.write_text(json.dumps(config))
         assert cli.load_config(str(path)).command == config["command"]
+
+
+def test_exit_code_table_names_configs_of_the_set():
+    tool = _artifacts_tool()
+    assert set(tool.EXIT_CODES) <= set(tool.configs())
+    assert all(code != 0 for code in tool.EXIT_CODES.values())

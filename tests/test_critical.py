@@ -124,6 +124,49 @@ def test_critical_eikonal(eikonal_cos_128):
     assert res.u_corrector.mean() == pytest.approx(0.0, abs=1e-12)
 
 
+def _slope_bracket(lt, dt, h):
+    """[-max d, -min d], d = (K h - h)/dt: the one-step bracket of the cycle-time slope."""
+    d = (MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L).step(h) - h) / dt
+    return -float(d.max()), -float(d.min())
+
+
+def _assert_slope_in_bracket(lt, dt, T, h, slope):
+    # K is monotone and commutes with constants (Gaubert & Gunawardena 2004): K^k h - h
+    # lies in [k dt min d, k dt max d] and K^k 0 within osc(h)/2 of K^k h less a constant,
+    # so the slope read over [T/2, T] lies within 2 osc(h)/T of the bracket, for any h
+    lo, hi = _slope_bracket(lt, dt, h)
+    widen = 2 * float(np.ptp(h)) / T
+    rounding = 1e-9 * (1.0 + float(np.abs(lt.L).max()))
+    assert lo - widen - rounding <= slope <= hi + widen + rounding
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 32), m=st.integers(1, 9), dt=st.floats(1e-3, 0.2),
+       reach=st.floats(0.0, 0.5), half_steps=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 16))
+def test_longtime_slope_lies_in_the_one_step_bracket(n, m, dt, reach, half_steps, seed):
+    # a random cost table on a random velocity grid with dt*vmax = reach, and a random h
+    rng = np.random.default_rng(seed)
+    vgrid = rng.uniform(-1.0, 1.0, m)
+    vgrid *= reach / dt / max(np.abs(vgrid).max(), 1e-300)
+    lt = LagrangianTable(TorusGrid(n), vgrid,
+                         rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, m)))
+    T = 2 * half_steps * dt
+    h = rng.normal(scale=rng.uniform(0.01, 10.0), size=n)
+    _assert_slope_in_bracket(lt, dt, T, h, crit.longtime_slope(lt, T, dt))
+
+
+def test_longtime_slope_lies_in_the_corrector_bracket(eikonal_cos_128):
+    # with h the discounted corrector the bracket is tight about c = max V = 1
+    spec, lt = eikonal_cos_128
+    res = crit.critical_value(lt)
+    h = res.u_corrector.values
+    lo, hi = _slope_bracket(lt, crit.DEFAULT_DT, h)
+    assert lo <= 1.0 <= hi + 1e-12 and hi - lo <= 1e-2
+    _assert_slope_in_bracket(lt, crit.DEFAULT_DT, crit.DEFAULT_T_LONG, h,
+                             res.diagnostics["c_longtime"])
+
+
 def test_critical_shifted_momentum():
     g = TorusGrid(128)
     spec = HamiltonianSpec(G=parse("(p+0.7)^2"), W=parse("0"), dWu=parse("0"),
@@ -242,7 +285,9 @@ def test_c_eps_curve_sample_validation():
 def test_discount_certificate_miss_names_its_residual(free_table):
     # the policy settles with a residual at rounding, above a tol of 1e-20
     eik = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), free_table.grid, 33, 33)
-    with pytest.raises(ConvergenceError, match="discounted solve stalled at residual") as err:
+    with pytest.raises(ConvergenceError,
+                       match=r"^discounted solve at lam=0\.04 stopped at residual \S+ after 0 "
+                             r"steps and \d+ Newton iterations, above tol 1e-20$") as err:
         crit.discounted_solve(eik, lam=4e-2, tol=1e-20)
     assert 1e-20 < err.value.residual < 1e-9
 
@@ -259,5 +304,8 @@ def test_discount_is_newton_alone_on_any_grid(free_table, monkeypatch):
 def test_policy_iteration_cap_raises(free_table, monkeypatch):
     eik = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), free_table.grid, 33, 33)
     monkeypatch.setattr(semigroup, "MAX_NEWTON", 1)
-    with pytest.raises(ConvergenceError, match="did not settle in 1 iterations"):
+    with pytest.raises(ConvergenceError,
+                       match=r"^discounted solve at lam=0\.04 stopped at residual \S+ after 0 "
+                             r"steps and 1 Newton iterations, above tol 0\.0001$") as err:
         crit.discounted_solve(eik, lam=4e-2)
+    assert err.value.residual > crit.DEFAULT_TOL

@@ -8,6 +8,7 @@ from weakkam.expr import parse
 from weakkam.grid import TorusGrid
 from weakkam import homogenize as hz
 from weakkam import semigroup
+from weakkam.semigroup import iterate
 
 
 def make_problem(b=0.5):
@@ -166,6 +167,42 @@ def test_effective_newton_iterate_outside_the_level_range_raises():
                        match=r"effective stationary solve left the u-level range "
                              r"\[-0.45, 0.2\] at Newton iteration 1, at 32 of 32 nodes"):
         hz.solve_effective(et, n_slow=32)
+
+
+def test_level_table_fallback_is_the_pure_march(monkeypatch):
+    # MAX_NEWTON = 0 ends Newton at the handover: the solve's record is iterate's from its
+    # own start, field for field, though the march prefix handed over well before tol
+    records, solve = [], hz.fixed_point
+
+    def spy(step, kernel, slope, u0, dt, tol, max_steps, guard=None):
+        rec = solve(step, kernel, slope, u0, dt, tol, max_steps, guard=guard)
+        prefix = iterate(step, u0, dt, max_steps, semigroup.MARCH_TO)
+        records.append((rec, iterate(step, u0, dt, max_steps, tol), prefix))
+        return rec
+
+    monkeypatch.setattr(semigroup, "MAX_NEWTON", 0)
+    monkeypatch.setattr(hz, "fixed_point", spy)
+    et = _synthetic_table(lambda x, p, c: c + p * p + 0.3 * np.cos(2 * np.pi * x),
+                          np.linspace(-2, 2, 17), np.linspace(-1, 1, 5),
+                          x_nodes=np.linspace(0, 1, 16, endpoint=False))
+    u = hz.solve_effective(et, n_slow=64)
+    [(rec, ref, prefix)] = records
+    assert np.array_equal(rec.values, ref.values) and np.array_equal(u.values, ref.values)
+    assert (rec.steps, rec.residual, rec.converged, rec.newton) == (
+        ref.steps, ref.residual, True, 0)
+    assert prefix.converged and prefix.steps < ref.steps
+
+
+def test_level_table_stall_reports_its_residual(monkeypatch):
+    # 10 steps of 5e-3 leave the residual above MARCH_TO: no Newton stage, a missed tol
+    monkeypatch.setattr(hz, "T_MAX", 0.05)
+    et = _synthetic_table(lambda x, p, c: c + p * p + 0.3 * np.cos(2 * np.pi * x),
+                          np.linspace(-2, 2, 17), np.linspace(-1, 1, 5))
+    with pytest.raises(ConvergenceError,
+                       match=r"^effective stationary solve stopped at residual \S+ after 10 "
+                             r"steps and 0 Newton iterations, above tol 1e-06$") as err:
+        hz.solve_effective(et, n_slow=64)
+    assert err.value.residual > semigroup.MARCH_TO
 
 
 def test_solve_multiscale_no_fast_scale():

@@ -361,8 +361,8 @@ def test_hybrid_from_zero_matches_the_march():
 
 @pytest.mark.parametrize("V, T_max", [("cos(2*pi*x) - 1", 8.0), ("cos(2*pi*x)", 2.0)])
 def test_eikonal_stationary_solve_is_the_march(V, T_max):
-    # W-free: J = I - P_pi is singular (no Newton iteration completes), so the march
-    # resumes where it handed over and the record is the pure march's, bit for bit (the
+    # W-free: J = I - P_pi is singular (no Newton iteration completes), so the solve
+    # falls back to the march and the record is the pure march's, bit for bit (the
     # drifting V never hands over)
     g = TorusGrid(64)
     spec = builtin("eikonal", {"V": V})
@@ -377,7 +377,7 @@ def test_eikonal_stationary_solve_is_the_march(V, T_max):
 
 def test_unsettled_newton_resumes_the_march():
     # example_ex at theta = -0.2: the policies cycle, Newton stops at its cap and the
-    # march resumes from its last iterate, ending where the pure march ends
+    # solve falls back to the pure march
     g = TorusGrid(64)
     spec = builtin("example_ex", dict(BUILTIN_PARAMS["example_ex"], theta=-0.2))
     lt = legendre(spec, g, 33, 33)
@@ -393,8 +393,8 @@ def test_numerically_singular_newton_matrix_resumes_the_march(monkeypatch, a, ne
                                                              converged):
     # W = a*u on a drifting eikonal (critical value 1): the fixed point is u ~ -1/a, and
     # the Newton step toward it is sup|F|/(dt*a) long; beyond MAX_GAIN = 1e10 times
-    # sup|F| (a = 1e-9) J counts as singular and the march resumes, at a = 1e-6 Newton
-    # reaches it
+    # sup|F| (a = 1e-9) J counts as singular and the solve falls back to the march, at
+    # a = 1e-6 Newton reaches it
     g = TorusGrid(32)
     spec = HamiltonianSpec(G=parse("p^2 + cos(2*pi*x)"), W=parse(f"{a}*u"),
                            dWu=parse(f"{a}"))
@@ -410,30 +410,35 @@ def test_numerically_singular_newton_matrix_resumes_the_march(monkeypatch, a, ne
         assert rec.steps == 100 and np.array_equal(rec.values, ref.values)
 
 
-def test_resumed_march_counts_on_from_the_handover():
-    # theta = -0.2: Newton stops at its cap and the march resumes; the guard sees the
-    # steps of both march stages numbered 1..500 in one sequence, Newton's in between
+@pytest.mark.parametrize("params, phi_src, T_max, newton", [
+    # theta < 0: the policies cycle and Newton stops at its cap
+    (("example_ex", dict(BUILTIN_PARAMS["example_ex"], theta=-0.2)), PHI_SRC, 0.5,
+     semigroup.MAX_NEWTON),
+    # W-free: J = I - P_pi is singular, so no Newton iteration completes
+    (("eikonal", {"V": "cos(2*pi*x) - 1"}), "0", 8.0, 0),
+], ids=["cycling-policy", "singular-J"])
+def test_failed_newton_returns_the_pure_march(params, phi_src, T_max, newton):
+    # the record is iterate's from u0 field for field, with Newton's count; the guard
+    # sees the march prefix, Newton's iterates, then the march again from step 1
     g = TorusGrid(64)
-    spec = builtin("example_ex", dict(BUILTIN_PARAMS["example_ex"], theta=-0.2))
+    spec = builtin(*params)
     stepper = Stepper(spec, legendre(spec, g, 33, 33), 1e-3)
     dWu = spec.dWu.fold({"x": stepper.xs})
+    u0 = field_from_expr(g, parse(phi_src)).values
+    max_steps = math.ceil(T_max / 1e-3)
     seen = []
     rec = semigroup.fixed_point(stepper.backward_values, stepper._back,
                                 lambda u, policy: 1e-3 * frozen_values(dWu, stepper.xs, u),
-                                field_from_expr(g, parse(PHI_SRC)).values, 1e-3, 1e-6, 500,
-                                guard=lambda u, at: seen.append(at))
-    steps = [int(at.split()[1]) for at in seen if at.startswith("step ")]
-    assert rec.newton == semigroup.MAX_NEWTON and rec.steps == 500
-    assert steps == list(range(1, 501))
-    assert sum(at.startswith("Newton iteration ") for at in seen) == semigroup.MAX_NEWTON
-
-
-def test_iterate_start_names_the_resumed_step():
-    with pytest.raises(ValueError, match=r"nonfinite values at step 8 \(t=0.08\)"):
-        iterate(lambda u: u + 1.0 if u[0] < 2.0 else u * np.nan, np.zeros(4), 0.01, 20,
-                start=5)
-    rec = iterate(lambda u: 0.5 * u, np.ones(4), 0.01, 12, tol=0.0, start=10)
-    assert rec.steps == 12 and rec.values[0] == 0.25
+                                u0, 1e-3, 1e-10, max_steps, guard=lambda u, at: seen.append(at))
+    ref = iterate(stepper.backward_values, u0, 1e-3, max_steps, 1e-10)
+    assert np.array_equal(rec.values, ref.values)
+    assert (rec.steps, rec.residual, rec.converged, rec.newton) == (
+        ref.steps, ref.residual, ref.converged, newton)
+    prefix = iterate(stepper.backward_values, u0, 1e-3, max_steps, semigroup.MARCH_TO).steps
+    assert 0 < prefix < ref.steps
+    assert seen == ([f"step {k}" for k in range(1, prefix + 1)]
+                    + [f"Newton iteration {k}" for k in range(1, newton + 1)]
+                    + [f"step {k}" for k in range(1, ref.steps + 1)])
 
 
 @pytest.mark.parametrize("cap, newton", [(31, False), (32, True)])

@@ -16,8 +16,10 @@ multiples of the barrier's base block, the |p| mather config at n=32, m=17, and
 two stationary solves of the worked example: from 0, and at theta = -0.2, which
 exits 1).
 Two runs on different checkouts are byte-identical exactly when their
-printouts are, so a byte-identity check is a `diff`.  The script checks no
-bound: it exits 0 whatever the configs' exit codes.
+printouts are, so a byte-identity check is a `diff`.  The script checks
+each config's exit code against EXIT_CODES (0 for a config it does not
+name): after the last config it reports every difference on stderr and
+exits 1.  Digests are not checked.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
+# the expected exit code of every config that does not exit 0
+EXIT_CODES = {"stationary-unstable": 1}
 
 _SMALL = {"n": 64, "m": 33, "dt_critical": 0.05}
 _CONTACT = {"builtin": "linear_contact", "params": {"a": 1.0, "V": "0.3*cos(2*pi*x)"}}
@@ -65,7 +69,7 @@ _EXTRA = {
                              "hamiltonian": {"builtin": "example_ex", "params": {
                                  "phi": "sin(2*pi*x)/(2*pi)", "dphi": "cos(2*pi*x)",
                                  "theta": 0.5, "zeta": 1.0}}},
-    # theta < 0: Newton cycles to its cap, the march resumes and misses tol by T_max (exit 1)
+    # theta < 0: Newton cycles to its cap, the pure march misses tol by T_max (exit 1)
     "stationary-unstable": {"command": "example-ex", "params": {"theta": -0.2},
                             "numerics": dict(_SMALL, T_max=0.5)},
     # H depends on x: the effective table has homogenize.X_COUNT x-nodes and the
@@ -109,6 +113,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     from weakkam import cli
 
+    wrong = []
     for cid, config in configs().items():
         path = out / f"{cid}.json"
         path.write_text(json.dumps(config))
@@ -118,7 +123,12 @@ def main(argv=None) -> int:
         for artifact in sorted((out / cid).iterdir()):
             digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
             print(f"{digest}  {cid}/{artifact.name}", flush=True)
-    return 0
+        expected = EXIT_CODES.get(cid, 0)
+        if code != expected:
+            wrong.append(f"{cid}: exit {code}, expected {expected}")
+    for line in wrong:
+        print(f"tools/artifacts.py: {line}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
