@@ -14,6 +14,14 @@ Two independent estimators with a mandatory agreement check:
   * long-time slope: evolve 0 under the variational semigroup of the same
     Hamiltonian and read -d/dt of the spatial mean between T/2 and T.
 
+critical_values solves many tables that share one grid and one velocity
+grid: one long-time march steps the disjoint union of their tori (a MinPlusStepper on the stacked
+cost tables), each table's mean read from its own slice, and the
+discounted solves run table by table, so every result is bit for bit
+that of critical_value on its table alone.  critical_value
+is critical_values of one table; c_eps_curve solves all its eps samples in
+one batch, and so does homogenize.cell_problem all its cells.
+
 Each estimator has a distinct bias (lam-bias versus finite-T bias), so
 agreement within cross_tol is the working certificate of correctness.
 The W-part of a Hamiltonian G(x,p) + pot(x) is folded into the cost as
@@ -38,6 +46,7 @@ __all__ = [
     "CEpsCurve",
     "discounted_solve",
     "critical_value",
+    "critical_values",
     "c_eps_curve",
     "one_sided_derivatives",
 ]
@@ -69,16 +78,30 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     return Field(lt.grid, rec.require(f"discounted solve at lam={lam:.3g}", tol))
 
 
-def longtime_slope(lt: LagrangianTable, T: float, dt: float) -> float:
-    """-d/dt of mean(T_t 0) read between T/2 and T under the W-free evolution."""
-    stepper = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
+def longtime_slope(lts, T: float, dt: float) -> np.ndarray:
+    """-d/dt of mean(T_t 0) read between T/2 and T under the W-free evolution, per table.
+
+    The tables share one grid and one velocity grid.  One march steps the
+    disjoint union of their tori (MinPlusStepper on the stacked cost
+    tables), and each table's means are read from its own contiguous
+    slice, so each slope is bit for bit that of a march of its table alone.
+    """
     steps_half = int(round(T / (2 * dt)))
     steps_full = int(round(T / dt))
-    half = iterate(stepper.step, np.zeros(lt.grid.n), dt, steps_half).values
+    if steps_full == steps_half:
+        raise ValueError(f"long-time horizon T={T:g} holds no step of dt={dt:g} "
+                         f"between T/2 and T")
+    g, vgrid = lts[0].grid, lts[0].vgrid
+    if any(lt.grid != g or not np.array_equal(lt.vgrid, vgrid) for lt in lts):
+        raise ValueError("longtime_slope's tables must share one grid and one velocity grid")
+    stepper = MinPlusStepper(g, vgrid, dt, np.concatenate([lt.L for lt in lts]))
+    half = iterate(stepper.step, np.zeros(len(lts) * g.n), dt, steps_half).values
     full = iterate(stepper.step, half, dt, steps_full - steps_half).values
     t1 = steps_half * dt
     t2 = steps_full * dt
-    return -(float(full.mean()) - float(half.mean())) / (t2 - t1)
+    copies = [slice(k * g.n, (k + 1) * g.n) for k in range(len(lts))]
+    return np.array([-(float(full[s].mean()) - float(half[s].mean())) / (t2 - t1)
+                     for s in copies])
 
 
 @dataclass
@@ -95,33 +118,45 @@ def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = D
     """Critical value by vanishing discount, cross-checked by long-time slope.
 
     Each discounted solve is exact, certified to residual DEFAULT_TOL.
+    This is critical_values of the one table.
+    """
+    return critical_values([lt], schedule, dt, T_long, cross_tol)[0]
+
+
+def critical_values(lts, schedule=DEFAULT_SCHEDULE, dt: float = DEFAULT_DT,
+                    T_long: float = DEFAULT_T_LONG,
+                    cross_tol: float = DEFAULT_CROSS_TOL) -> list[CriticalValueResult]:
+    """critical_value of each table, in order, from one long-time march.
+
+    The long-time slopes of all tables come first, from one longtime_slope
+    march over the union of their tori; then the discounted solves run
+    table by table, each warm-started along the schedule.  Each result is
+    bit for bit that of critical_value on its table alone.  The tables
+    share one grid and one velocity grid.
     """
     schedule = tuple(float(s) for s in schedule)
     if len(schedule) < 2 or any(a <= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing with at least 2 entries")
-    lams = []
-    estimates = []
-    u_prev = None
-    for lam in schedule:
-        # warm start: the previous solution's policy is nearly optimal at the next lam
-        u_prev = discounted_solve(lt, lam, dt, u0=u_prev)
-        lams.append(lam)
-        estimates.append(-lam * u_prev.mean())
-    fit = np.polyfit(lams, estimates, 1)
-    c_discount = float(fit[1])
-
-    c_longtime = longtime_slope(lt, T_long, dt)
-    gap = abs(c_discount - c_longtime)
-    method = "agree" if gap <= cross_tol else "discount"
-
-    corrector = Field(u_prev.grid, u_prev.values - u_prev.mean())
-    diag = {
-        "lambda": list(lams),
-        "minus_mean_lambda_u": list(map(float, estimates)),
-        "c_longtime": float(c_longtime),
-        "gap": float(gap),
-    }
-    return CriticalValueResult(c_discount, method, corrector, diag)
+    results = []
+    for lt, c_longtime in zip(lts, longtime_slope(lts, T_long, dt)):
+        estimates = []
+        u_prev = None
+        for lam in schedule:
+            # warm start: the previous solution's policy is nearly optimal at the next lam
+            u_prev = discounted_solve(lt, lam, dt, u0=u_prev)
+            estimates.append(-lam * u_prev.mean())
+        c_discount = float(np.polyfit(schedule, estimates, 1)[1])
+        gap = abs(c_discount - c_longtime)
+        method = "agree" if gap <= cross_tol else "discount"
+        corrector = Field(u_prev.grid, u_prev.values - u_prev.mean())
+        diag = {
+            "lambda": list(schedule),
+            "minus_mean_lambda_u": list(map(float, estimates)),
+            "c_longtime": float(c_longtime),
+            "gap": float(gap),
+        }
+        results.append(CriticalValueResult(c_discount, method, corrector, diag))
+    return results
 
 
 @dataclass
@@ -170,12 +205,10 @@ def c_eps_curve(spec: HamiltonianSpec, u_minus: Field, eps_list, dt: float = DEF
         raise ValueError("eps_list must contain 0")
     if np.count_nonzero(eps < 0) < 2 or np.count_nonzero(eps > 0) < 2:
         raise ValueError("eps_list needs at least two values of each sign")
-    cs = []
-    agree = True
-    for e in eps:
-        pot = frozen_values(spec.W, u_minus.grid.nodes, u_minus.values + e)
-        result = critical_value(lt.with_potential(pot), dt=dt, cross_tol=cross_tol)
-        cs.append(result.c)
-        agree = agree and result.method == "agree"
-    cs = np.asarray(cs)
+    nodes = u_minus.grid.nodes
+    results = critical_values(
+        [lt.with_potential(frozen_values(spec.W, nodes, u_minus.values + e)) for e in eps],
+        dt=dt, cross_tol=cross_tol)
+    cs = np.array([result.c for result in results])
+    agree = all(result.method == "agree" for result in results)
     return CEpsCurve(eps, cs, *one_sided_derivatives(eps, cs), agree)

@@ -2,12 +2,15 @@
 
 The fast-variable cell problem defines the effective Hamiltonian: for
 frozen (x, p, c), Hbar(x,p,c) is the critical value of the Hamiltonian
-q -> H(x, y, p+q, c) on the fast torus in y.  Tabulated over (x, p, c)
-grids, it drives the effective stationary solve, which reads the table at
-its own p and c nodes and interpolates linearly in x only, while the
-multiscale solver discretizes the frozen two-scale Hamiltonian
-x -> H(x, x/eps, p, u) directly on a fine grid with eps = 1/k
-commensurate to the slow torus.  Both stationary solvers feed the min-plus
+q -> H(x, y, p+q, c) on the fast torus in y.  cell_problem solves all the
+cells of a table in one call: one Legendre table build per momentum
+window |p|, and one long-time march over the union of the cells' fast
+tori (critical.critical_values).  Tabulated over (x, p, c) grids, Hbar
+drives the effective stationary solve, which reads the table at its own
+p and c nodes and interpolates linearly in x only, while the multiscale
+solver discretizes the frozen two-scale Hamiltonian x -> H(x, x/eps, p, u)
+directly on a fine grid with eps = 1/k commensurate to the slow torus, a
+whole eps ladder in one call.  Both stationary solvers feed the min-plus
 kernel semigroup.MinPlusStepper a running cost tabulated on a grid of
 u-levels (at least 2) and interpolated at the current values, and find
 its fixed point with semigroup.fixed_point: march, then Newton-Howard on
@@ -114,33 +117,47 @@ def validate_problem(hp: HomogProblem) -> HomogProblem:
     return hp
 
 
-def cell_problem(hp: HomogProblem, x: float, p: float, c: float, n_fast: int = 64,
-                 m: int = 49, cross_tol: float = crit.DEFAULT_CROSS_TOL) -> float:
-    """Effective value Hbar(x,p,c): critical value of q -> H(x,y,p+q,c) in y.
+def cell_problem(hp: HomogProblem, x, p, c, n_fast: int = 64, m: int = 49,
+                 cross_tol: float = crit.DEFAULT_CROSS_TOL):
+    """Effective values Hbar(x,p,c): critical value of q -> H(x,y,p+q,c) in y, per cell.
 
-    The Legendre table has m velocities and m momenta, and the time step is
-    min(CELL_DT, 1/(2 vmax)), so foot points stay within half the fast torus
-    at any vmax.  Raises ConvergenceError when its discount and long-time
-    estimators differ by more than cross_tol.
+    x, p and c broadcast against one another; the result has their
+    broadcast shape (a float for scalar input).  Each cell's Legendre table
+    has m velocities and m momenta over the window pmax + |p|, and the time
+    step is min(CELL_DT, 1/(2 vmax)), so foot points stay within half the
+    fast torus at any vmax.  Cells with the same |p| share one
+    conjugate_table call, their rows stacked.  crit.critical_values solves
+    the cells: discounted solves cell by cell, the long-time estimates from
+    one march over the union of the cells' fast tori; each value is bit for
+    bit that of the cell solved alone.  Raises ConvergenceError naming the
+    first cell, in row-major order, whose discount and long-time estimators
+    differ by more than cross_tol.
     """
-    for name, val in (("x", x), ("p", p), ("c", c)):
-        if not np.isfinite(val):
+    cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, p, c)))
+    xs, ps, cs = (a.ravel() for a in cells)
+    for name, vals in (("x", xs), ("p", ps), ("c", cs)):
+        if not np.all(np.isfinite(vals)):
             raise ValueError(f"cell coordinate {name} must be finite")
     g = TorusGrid(n_fast)
-    H = hp.H.fold({"x": float(x), "y": g.nodes[:, None], "u": float(c)})
-
-    def gfun(Q):
-        return H.evaluate({"p": p + Q})
-
-    vs, L = conjugate_table(gfun, g.n, m, m, hp.vmax, hp.pmax + abs(p), warn_label="cell H")
-    lt = LagrangianTable(g, vs, L)
-    res = crit.critical_value(lt, dt=min(CELL_DT, 0.5 / hp.vmax), cross_tol=cross_tol)
-    if res.method != "agree":
-        raise ConvergenceError(
-            f"cell problem at (x={x:.4g}, p={p:.4g}, c={c:.4g}): discount and "
-            f"long-time estimators disagree by {res.diagnostics['gap']:.3g}",
-            res.diagnostics["gap"])
-    return res.c
+    tables = [None] * xs.size
+    for window in dict.fromkeys(np.abs(ps)):
+        group = np.flatnonzero(np.abs(ps) == window)
+        x_rows, p_rows, c_rows = (np.repeat(v[group], g.n)[:, None] for v in (xs, ps, cs))
+        H = hp.H.fold({"x": x_rows, "y": np.tile(g.nodes, group.size)[:, None], "u": c_rows})
+        vs, L = conjugate_table(lambda Q: H.evaluate({"p": p_rows + Q}), group.size * g.n,
+                                m, m, hp.vmax, hp.pmax + window, warn_label="cell H")
+        for cell, L_cell in zip(group, np.split(L, group.size)):
+            tables[cell] = LagrangianTable(g, vs, L_cell)
+    results = crit.critical_values(tables, dt=min(CELL_DT, 0.5 / hp.vmax),
+                                   cross_tol=cross_tol)
+    for cx, cp, cc, res in zip(xs, ps, cs, results):
+        if res.method != "agree":
+            raise ConvergenceError(
+                f"cell problem at (x={cx:.4g}, p={cp:.4g}, c={cc:.4g}): discount and "
+                f"long-time estimators disagree by {res.diagnostics['gap']:.3g}",
+                res.diagnostics["gap"])
+    values = np.array([res.c for res in results]).reshape(cells[0].shape)
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass
@@ -154,15 +171,15 @@ class EffectiveTable:
 
 def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
                           **cell_opts) -> EffectiveTable:
-    """Tabulate cell_problem(**cell_opts) on the given grids and verify monotonicity."""
+    """Tabulate cell_problem(**cell_opts), one call over every cell of the given grids,
+    and verify monotonicity."""
     xn = np.asarray(list(x_nodes), dtype=float)
     pn = np.asarray(list(p_nodes), dtype=float)
     cn = np.asarray(list(c_nodes), dtype=float)
     if xn.size == 0 or pn.size == 0 or cn.size == 0:
         raise ValueError("table grids must be nonempty")
-    flat = [cell_problem(hp, float(x), float(p), float(c), **cell_opts)
-            for x in xn for p in pn for c in cn]
-    values = np.asarray(flat).reshape(xn.size, pn.size, cn.size)
+    values = cell_problem(hp, xn[:, None, None], pn[None, :, None], cn[None, None, :],
+                          **cell_opts)
 
     # monotone in c at rate Lambda1, convex along p
     for kk in range(cn.size - 1):
@@ -212,8 +229,14 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
         return i0, (pos - i0)[:, None]
 
     def cost_at(u):
+        # the products and sum in place: two (n, m) arrays alive, not three
         i0, th = bracket(u)
-        return L_table[rows, i0] * (1 - th) + L_table[rows, i0 + 1] * th
+        cost = L_table[rows, i0]
+        cost *= 1 - th
+        upper = L_table[rows, i0 + 1]
+        upper *= th
+        cost += upper
+        return cost
 
     def slope(u, policy):
         i0 = bracket(u)[0]
@@ -262,44 +285,67 @@ def solve_effective(et: EffectiveTable, n_slow: int = 256) -> Field:
                                     np.zeros(g.n), EFFECTIVE_TOL, "effective stationary solve")
 
 
-def solve_multiscale(hp: HomogProblem, eps: float, n_per_period: int = 32,
-                     u0: Field | None = None) -> Field:
-    """Stationary solve of the frozen two-scale Hamiltonian H(x, x/eps, Du, u).
-
-    The cost is the Legendre table of H on the u-level grid.  When H does
-    not depend on x the node data (y, u-level) repeats every fast period,
-    so the table is built on the first n_per_period nodes and tiled around
-    the torus; otherwise it is built on every node.
-    """
-    k_int = round(1.0 / eps)
-    if k_int < 1 or abs(1.0 / k_int - eps) > 1e-12:
-        raise ValueError(f"eps must be the reciprocal of an integer, got {eps}")
-    n = k_int * n_per_period
-    g = TorusGrid(n)
-    xs = g.nodes
-    ys = np.mod(xs * k_int, 1.0)
-    # foot points should not cross a fast cell in one step
-    dt = min(5e-3, eps / (4.0 * hp.vmax))
-    # u-levels cover the comparison bound max|H(x, y, 0, 0)|/Lambda1 with a 25% pad
-    lim = float(np.max(np.abs(hp.H_at(xs, ys, 0.0, 0.0)))) / hp.Lambda1 * 1.25 + 0.1
-    levels = np.linspace(-lim, lim, N_ULEVELS)
-
-    cells = n_per_period if hp.x_independent() else n
-    xf = np.repeat(xs[:cells], levels.size)[:, None]
-    yf = np.repeat(ys[:cells], levels.size)[:, None]
-    uf = np.tile(levels, cells)[:, None]
-    H = hp.H.fold({"x": xf, "y": yf, "u": uf})
+def _two_scale_table(hp: HomogProblem, xs: np.ndarray, ys: np.ndarray,
+                     levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Legendre table of H at the nodes (xs, ys) and every u-level, one row per
+    (node, level) pair, node-major."""
+    H = hp.H.fold({"x": np.repeat(xs, levels.size)[:, None],
+                   "y": np.repeat(ys, levels.size)[:, None],
+                   "u": np.tile(levels, xs.size)[:, None]})
 
     def gfun(Q):
         return H.evaluate({"p": Q})
 
-    vs, Lflat = conjugate_table(gfun, cells * levels.size, STATIONARY_M, MULTISCALE_K,
-                                hp.vmax, hp.pmax, warn_label="two-scale H")
-    L_table = np.tile(Lflat.reshape(cells, levels.size, vs.size), (n // cells, 1, 1))
+    return conjugate_table(gfun, xs.size * levels.size, STATIONARY_M, MULTISCALE_K,
+                           hp.vmax, hp.pmax, warn_label="two-scale H")
 
-    start = u0.interp(xs) if u0 is not None else np.zeros(n)
-    return _level_table_fixed_point(g, vs, levels, L_table, dt, hp.Lambda2, start,
-                                    MULTISCALE_TOL, f"multiscale solve at eps=1/{k_int}")
+
+def solve_multiscale(hp: HomogProblem, eps, n_per_period: int = 32,
+                     u0: Field | None = None):
+    """Stationary solve of the frozen two-scale Hamiltonian H(x, x/eps, Du, u).
+
+    eps is one eps, or a ladder of them, which returns one Field per eps,
+    in order.  The cost is the Legendre table of H on the u-level grid.
+    When H does not depend on x the node data (y, u-level) repeats every
+    fast period, so the table is built on the first n_per_period nodes and
+    tiled around the torus; along a ladder an eps reuses a table already
+    built from bitwise the same first-period fast coordinates and u-levels.
+    Otherwise the table is built on every node, at every eps.
+    """
+    ladder = [float(e) for e in np.atleast_1d(eps)]
+    ks = [round(1.0 / e) for e in ladder]
+    for e, k_int in zip(ladder, ks):
+        if k_int < 1 or abs(1.0 / k_int - e) > 1e-12:
+            raise ValueError(f"eps must be the reciprocal of an integer, got {e}")
+    fields = []
+    tables = {}         # x-independent tables by their first period's (y, u-level) bytes
+    for e, k_int in zip(ladder, ks):
+        n = k_int * n_per_period
+        g = TorusGrid(n)
+        xs = g.nodes
+        ys = np.mod(xs * k_int, 1.0)
+        # foot points should not cross a fast cell in one step
+        dt = min(5e-3, e / (4.0 * hp.vmax))
+        # u-levels cover the comparison bound max|H(x, y, 0, 0)|/Lambda1 with a 25% pad
+        lim = float(np.max(np.abs(hp.H_at(xs, ys, 0.0, 0.0)))) / hp.Lambda1 * 1.25 + 0.1
+        levels = np.linspace(-lim, lim, N_ULEVELS)
+
+        if hp.x_independent():
+            key = ys[:n_per_period].tobytes() + levels.tobytes()
+            if key not in tables:
+                tables[key] = _two_scale_table(hp, xs[:n_per_period], ys[:n_per_period],
+                                               levels)
+            vs, Lflat = tables[key]
+        else:
+            vs, Lflat = _two_scale_table(hp, xs, ys, levels)
+        cells = Lflat.shape[0] // levels.size
+        L_table = np.tile(Lflat.reshape(cells, levels.size, vs.size), (n // cells, 1, 1))
+
+        start = u0.interp(xs) if u0 is not None else np.zeros(n)
+        fields.append(_level_table_fixed_point(
+            g, vs, levels, L_table, dt, hp.Lambda2, start, MULTISCALE_TOL,
+            f"multiscale solve at eps=1/{k_int}"))
+    return fields if np.ndim(eps) else fields[0]
 
 
 @dataclass
@@ -334,11 +380,9 @@ def rate_experiment(hp: HomogProblem, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
             f"observed Lipschitz constant {lip:.3g} of the effective solution",
             stacklevel=2)
 
-    errors = {}
-    for eps in sorted(eps_list, reverse=True):
-        ue = solve_multiscale(hp, eps, n_per_period=n_per_period, u0=ubar)
-        ub_fine = ubar.interp(ue.grid.nodes)
-        errors[eps] = float(np.max(np.abs(ue.values - ub_fine)))
+    ladder = sorted(eps_list, reverse=True)
+    errors = {eps: float(np.max(np.abs(ue.values - ubar.interp(ue.grid.nodes))))
+              for eps, ue in zip(ladder, solve_multiscale(hp, ladder, n_per_period, ubar))}
 
     eps_arr = np.array(sorted(errors))
     err_arr = np.array([errors[e] for e in eps_arr])

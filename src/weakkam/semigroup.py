@@ -11,14 +11,19 @@ The cost is a fixed table, or is recomputed from the current values when
 it depends on u (the two-scale solvers).  The kernel steps one function
 or a batch of them, one per column (the Peierls barrier steps one per
 start node, over a base block only: its longer horizons are min-plus
-products).  The velocity search is exhaustive over the velocity grid (L
-may be nonsmooth) and foot points use monotone periodic linear
-interpolation.  `Stepper` adds the contact correction -dt*W(x,u) of a
-split Hamiltonian, explicitly by default; "picard" mode re-evaluates W at
-the updated value by scalar fixed-point iteration under `iterate`, which
-contracts because dt*Lambda <= 1/2.  Each Stepper folds W at the grid
-nodes once (`Expr.fold`), so a step evaluates only the u-dependent rest of
-W, with values bit-identical to evaluating all of W.  The forward step is
+products).  A cost table of k*n rows makes it step k disjoint copies of
+the torus as one function of k*n values, each copy bit for bit as if
+alone (the long-time march of many critical values at once).  One
+function is stepped through a preallocated (m, N) candidate buffer, with
+the same products and sums as a freshly built table.  The velocity
+search is exhaustive over the velocity grid (L may be nonsmooth) and foot
+points use monotone periodic linear interpolation.  `Stepper` adds the
+contact correction -dt*W(x,u) of a split Hamiltonian, explicitly by
+default; "picard" mode re-evaluates W at the updated value by scalar
+fixed-point iteration under `iterate`, which contracts because
+dt*Lambda <= 1/2.  Each Stepper folds W at the grid nodes once
+(`Expr.fold`), so a step evaluates only the u-dependent rest of W, with
+values bit-identical to evaluating all of W.  The forward step is
 the mirror image (max, +dt W), taken through a kernel on the negated
 velocity grid, whose foot points x_i + v_j dt are the forward ones, by the
 identity max_j [a_j - b_j] = -min_j [-a_j + b_j].
@@ -102,20 +107,38 @@ def _check_step(dt: float, vmax: float, lambda_bound: float | None):
 
 
 class GatherPlan:
-    """Precomputed periodic interpolation stencil for foot points x_i - v_j*dt."""
+    """Precomputed periodic interpolation stencil for foot points x_i - v_j*dt.
 
-    def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float):
+    With copies = k the stencil covers k disjoint copies of the torus laid
+    end to end, N = k*n values: copy j reads only its own nodes j*n ..
+    j*n + n - 1, with the same weights as every other copy.
+    """
+
+    def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, copies: int = 1):
         shift = -vgrid * dt / g.h
         base = np.floor(shift)
         theta = (shift - base)[:, None]
         idx0 = (np.arange(g.n)[None, :] + base.astype(np.int64)[:, None]) % g.n
-        self.idx0 = np.ascontiguousarray(idx0)
-        self.idx1 = np.ascontiguousarray((idx0 + 1) % g.n)
+        offsets = np.repeat(np.arange(copies) * g.n, g.n)
+        self.idx0 = np.ascontiguousarray(np.tile(idx0, copies) + offsets)
+        self.idx1 = np.ascontiguousarray(np.tile((idx0 + 1) % g.n, copies) + offsets)
         self.w0 = 1.0 - theta
         self.w1 = theta
+        self._scratch = np.empty(self.idx0.shape)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return u[self.idx0] * self.w0 + u[self.idx1] * self.w1
+    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (m, N) table u(x_i - v_j dt).  With out, an (m, N) buffer, the table
+        is written into it through the plan's own scratch buffer, allocating no
+        (m, N) temporary; the products and sums are the same, so the values are
+        bit-identical."""
+        if out is None:
+            return u[self.idx0] * self.w0 + u[self.idx1] * self.w1
+        # mode "wrap" takes straight into out; the default "raise" copies through a buffer
+        np.take(u, self.idx0, out=out, mode="wrap")
+        np.multiply(out, self.w0, out=out)
+        np.take(u, self.idx1, out=self._scratch, mode="wrap")
+        np.multiply(self._scratch, self.w1, out=self._scratch)
+        return np.add(out, self._scratch, out=out)
 
     def matrix(self, policy: np.ndarray) -> np.ndarray:
         """The dense (n, n) interpolation matrix P with (P u)_i = apply(u)[policy[i], i]."""
@@ -131,34 +154,43 @@ class MinPlusStepper:
     """The min-plus kernel u'_i = min_j [ u(x_i - v_j dt) + dt L(x_i, v_j) ].
 
     cost is the (n, m) table L, or a callable u -> (n, m) table for a cost
-    that depends on the current values.  lambda_bound, when given, is the
+    that depends on the current values.  A fixed table of k*n rows steps k
+    disjoint copies of the torus at once, copy j on rows j*n .. j*n + n - 1,
+    each bit for bit as if alone.  lambda_bound, when given, is the
     derivative bound of a contact term applied on top of the kernel.
-    step takes one function of shape (n,) or, with a fixed cost table, a
-    batch of shape (n, B), one function per column, each column stepped
-    exactly as if alone.  policy reads the minimizing velocity index of a
-    single function.  A negated velocity grid gives the forward foot points
-    x_i + v_j dt with the same cost columns.
+    step takes one function of shape (N,) or, with a fixed cost table, a
+    batch of shape (N, B), one function per column, each column stepped
+    exactly as if alone.  A function is stepped through one preallocated
+    (m, N) candidate buffer.  policy reads the minimizing velocity index
+    of a single function.  A negated velocity grid gives the forward foot
+    points x_i + v_j dt with the same cost columns.
     """
 
     def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, cost,
                  lambda_bound: float | None = None):
         _check_step(dt, float(np.abs(vgrid).max()), lambda_bound)
         self.dt = dt
-        self.plan = GatherPlan(g, vgrid, dt)
         self._cost = cost if callable(cost) else None
+        self.plan = GatherPlan(g, vgrid, dt, 1 if self._cost else cost.shape[0] // g.n)
         self._dtLT = None if self._cost else np.ascontiguousarray(dt * cost.T)
+        self._cand = np.empty(self.plan.idx0.shape)
 
     def _dt_cost(self, u: np.ndarray) -> np.ndarray:
         return self._dtLT if self._cost is None else self.dt * self._cost(u).T
 
     def _candidates(self, u: np.ndarray) -> np.ndarray:
-        """The (m, n) table u(x_i - v_j dt) + dt L(x_i, v_j) of one function u."""
+        """The (m, N) table u(x_i - v_j dt) + dt L(x_i, v_j) of one function u."""
         return self.plan.apply(u) + self._dt_cost(u)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         if u.ndim == 1:
-            return self._candidates(u).min(axis=0)
-        # a batch (n, B) goes one velocity at a time, keeping (n, B) temporaries
+            # _candidates' sums, written into the preallocated buffers; a u-dependent
+            # cost is built first, so its temporaries are freed before the gather
+            dt_cost = self._dt_cost(u)
+            cand = self.plan.apply(u, self._cand)
+            cand += dt_cost
+            return cand.min(axis=0)
+        # a batch (N, B) goes one velocity at a time, keeping (N, B) temporaries
         dtLT = self._dt_cost(u)
         p = self.plan
         best = None

@@ -9,7 +9,7 @@ from weakkam import semigroup
 from weakkam.expr import parse
 from weakkam.errors import ConvergenceError
 from weakkam.grid import constant_field
-from weakkam.hamiltonian import HamiltonianSpec, LagrangianTable
+from weakkam.hamiltonian import HamiltonianSpec, LagrangianTable, frozen_values
 from weakkam.semigroup import CFLError, MinPlusStepper, iterate
 
 
@@ -153,7 +153,46 @@ def test_longtime_slope_lies_in_the_one_step_bracket(n, m, dt, reach, half_steps
                          rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, m)))
     T = 2 * half_steps * dt
     h = rng.normal(scale=rng.uniform(0.01, 10.0), size=n)
-    _assert_slope_in_bracket(lt, dt, T, h, crit.longtime_slope(lt, T, dt))
+    _assert_slope_in_bracket(lt, dt, T, h, crit.longtime_slope([lt], T, dt)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 32), m=st.integers(1, 9), count=st.integers(1, 6),
+       dt=st.floats(1e-3, 0.2), reach=st.floats(0.0, 0.5), half_steps=st.integers(1, 20),
+       seed=st.integers(0, 2 ** 16))
+def test_batched_longtime_slope_is_the_per_table_slope(n, m, count, dt, reach, half_steps,
+                                                       seed):
+    # one march over the union of the tori gives each table's slope bit for bit
+    rng = np.random.default_rng(seed)
+    vgrid = rng.uniform(-1.0, 1.0, m)
+    vgrid *= reach / dt / max(np.abs(vgrid).max(), 1e-300)
+    lts = [LagrangianTable(TorusGrid(n), vgrid,
+                           rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, m)))
+           for _ in range(count)]
+    T = 2 * half_steps * dt
+    slopes = crit.longtime_slope(lts, T, dt)
+    assert slopes.shape == (count,)
+    assert np.array_equal(slopes, [crit.longtime_slope([lt], T, dt)[0] for lt in lts])
+
+
+def test_longtime_slope_needs_a_step_between_half_and_full_horizon(free_table):
+    # round(0.01/0.02) = round(0.01/0.04) = 0: no step lies between T/2 and T
+    with pytest.raises(ValueError, match=r"horizon T=0\.01 holds no step of dt=0\.02"):
+        crit.critical_value(free_table, T_long=0.01)
+    with pytest.raises(ValueError, match="share one grid and one velocity grid"):
+        crit.longtime_slope([free_table, legendre(builtin("eikonal", {"V": 0}),
+                                                  free_table.grid, 17, 17)], 4.0, 0.02)
+
+
+def test_critical_values_are_the_per_table_critical_values(eikonal_cos_128):
+    spec, lt = eikonal_cos_128
+    tables = [lt, lt.with_potential(constant_field(lt.grid, 0.35)), lt.with_potential(
+        0.2 * np.sin(2 * np.pi * lt.grid.nodes))]
+    for batched, table in zip(crit.critical_values(tables, cross_tol=1e-4), tables):
+        alone = crit.critical_value(table, cross_tol=1e-4)
+        assert (batched.c, batched.method, batched.diagnostics) == (
+            alone.c, alone.method, alone.diagnostics)
+        assert np.array_equal(batched.u_corrector.values, alone.u_corrector.values)
 
 
 def test_longtime_slope_lies_in_the_corrector_bracket(eikonal_cos_128):
@@ -235,7 +274,7 @@ def test_nan_cost_entry_raises_at_first_step(free_table):
     L[5, 3] = np.nan
     bad = LagrangianTable(free_table.grid, free_table.vgrid, L)
     with pytest.raises(ValueError, match="nonfinite values at step 1 "):
-        crit.longtime_slope(bad, T=4.0, dt=0.02)
+        crit.longtime_slope([bad], T=4.0, dt=0.02)
     with pytest.raises(ValueError, match="nonfinite values at step 1 "):
         crit.discounted_solve(bad, lam=4e-2)
 
@@ -269,6 +308,18 @@ def test_c_eps_curve_linear_contact():
     assert curve.D_minus == pytest.approx(1.0, abs=2e-2)
     assert curve.D_plus == pytest.approx(1.0, abs=2e-2)
     assert curve.lipschitz_slack(spec.lambda_bound) <= 4e-2
+
+
+def test_c_eps_curve_is_the_per_sample_critical_value():
+    g = TorusGrid(64)
+    spec = builtin("linear_contact", {"a": 1.0, "V": "cos(2*pi*x)"})
+    lt = legendre(spec, g, 33, 33)
+    um = constant_field(g, 0.1)
+    eps = [-0.04, -0.02, 0.0, 0.02, 0.04]
+    curve = crit.c_eps_curve(spec, um, eps, lt=lt)
+    alone = [crit.critical_value(lt.with_potential(
+        frozen_values(spec.W, g.nodes, um.values + e))).c for e in eps]
+    assert np.array_equal(curve.c_values, alone)
 
 
 def test_c_eps_curve_sample_validation():

@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 from weakkam.errors import ConfigError, ConvergenceError
 from weakkam.expr import parse
 from weakkam.grid import TorusGrid
+from weakkam import critical as crit
 from weakkam import homogenize as hz
 from weakkam import semigroup
 from weakkam.semigroup import iterate
@@ -78,6 +79,81 @@ def test_cell_problem_rejects_nonfinite():
     hp = make_problem()
     with pytest.raises(ValueError):
         hz.cell_problem(hp, np.inf, 0.0, 0.0)
+
+
+X_DEPENDENT = "u + p^2 + 0.5*cos(2*pi*y) + 0.2*cos(2*pi*x)"
+
+
+def test_vectorized_cell_problem_is_its_scalar_calls():
+    # p = -1 and 1 share a momentum window and so one stacked Legendre table
+    hp = hz.HomogProblem(H=parse(X_DEPENDENT), dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
+    xs, ps, cs = np.array([0.0, 0.25]), np.array([-1.0, 0.0, 1.0]), np.array([0.0, 0.5])
+    values = hz.cell_problem(hp, xs[:, None, None], ps[None, :, None], cs[None, None, :],
+                             n_fast=16, m=17)
+    assert values.shape == (2, 3, 2)
+    for (i, j, kk), value in np.ndenumerate(values):
+        alone = hz.cell_problem(hp, xs[i], ps[j], cs[kk], n_fast=16, m=17)
+        assert isinstance(alone, float) and value == alone
+
+
+def test_cell_problem_disagreement_names_the_first_failing_cell(monkeypatch):
+    # cells 3 and 5 of the row-major order disagree; the error names cell 3
+    solve = crit.critical_values
+
+    def two_disagree(tables, **kwargs):
+        results = solve(tables, **kwargs)
+        for cell in (3, 5):
+            results[cell].method = "discount"
+            results[cell].diagnostics["gap"] = 0.125 * cell
+        return results
+
+    monkeypatch.setattr(crit, "critical_values", two_disagree)
+    hp = make_problem()
+    with pytest.raises(ConvergenceError,
+                       match=r"^cell problem at \(x=0, p=0, c=0\.5\): discount and "
+                             r"long-time estimators disagree by 0\.375$") as err:
+        hz.cell_problem(hp, 0.0, np.array([-1.0, 0.0, 1.0])[:, None], np.array([0.0, 0.5]),
+                        n_fast=16, m=17)
+    assert err.value.residual == 0.375
+
+
+def _counting_conjugate_table(monkeypatch):
+    calls = []
+    table = hz.conjugate_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "conjugate_table", counted)
+    return calls
+
+
+def test_multiscale_ladder_builds_a_table_once_per_bitwise_period(monkeypatch):
+    hp = make_problem()
+    single = {e: hz.solve_multiscale(hp, e, n_per_period=16) for e in (1 / 2, 1 / 3, 1 / 8,
+                                                                       1 / 16, 1 / 32)}
+    calls = _counting_conjugate_table(monkeypatch)
+    ladder = [1 / 8, 1 / 16, 1 / 32]
+    for e, ue in zip(ladder, hz.solve_multiscale(hp, ladder, n_per_period=16)):
+        assert np.array_equal(ue.values, single[e].values)
+    assert calls == [16 * hz.N_ULEVELS]
+    # at eps = 1/3 the first period's fast coordinates differ from 1/2's in rounding
+    ys = [np.mod(TorusGrid(k * 16).nodes * k, 1.0)[:16] for k in (2, 3)]
+    assert ys[0].tobytes() != ys[1].tobytes()
+    calls.clear()
+    for e, ue in zip((1 / 2, 1 / 3), hz.solve_multiscale(hp, (1 / 2, 1 / 3), n_per_period=16)):
+        assert np.array_equal(ue.values, single[e].values)
+    assert len(calls) == 2
+
+
+def test_multiscale_ladder_of_an_x_dependent_problem_builds_every_table(monkeypatch):
+    hp = hz.HomogProblem(H=parse(X_DEPENDENT), dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
+    single = [hz.solve_multiscale(hp, e, n_per_period=8) for e in (1 / 2, 1 / 4)]
+    calls = _counting_conjugate_table(monkeypatch)
+    ladder = hz.solve_multiscale(hp, [1 / 2, 1 / 4], n_per_period=8)
+    assert calls == [16 * hz.N_ULEVELS, 32 * hz.N_ULEVELS]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(ladder, single))
 
 
 @pytest.fixture(scope="module")

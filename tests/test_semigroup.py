@@ -551,22 +551,30 @@ def test_policy_keeps_current_velocity_on_ties():
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(8, 48), m=st.integers(1, 12), batch=st.sampled_from([None, 1, 5]),
-       dt=st.floats(1e-3, 0.2), reach=st.floats(0.0, 0.5), c=st.floats(-50.0, 50.0),
-       seed=st.integers(0, 2 ** 16))
-def test_kernel_is_monotone_nonexpansive_and_commutes_with_constants(n, m, batch, dt, reach,
-                                                                     c, seed):
+       copies=st.integers(1, 4), dt=st.floats(1e-3, 0.2), reach=st.floats(0.0, 0.5),
+       c=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 16))
+def test_kernel_is_monotone_nonexpansive_and_commutes_with_constants(n, m, batch, copies, dt,
+                                                                     reach, c, seed):
     # a random cost table on a random velocity grid whose largest |v| gives dt*vmax = reach,
-    # inside _check_step's 1/2; batch=None steps one function, else an (n, batch) batch
+    # inside _check_step's 1/2; batch=None steps one function, else an (N, batch) batch;
+    # a table of copies*n rows steps that many disjoint copies of the torus, N = copies*n
     rng = np.random.default_rng(seed)
     vgrid = rng.uniform(-1.0, 1.0, m)
     vgrid *= reach / dt / max(np.abs(vgrid).max(), 1e-300)
-    cost = rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, m))
+    cost = rng.normal(scale=rng.uniform(0.1, 100.0), size=(copies * n, m))
     kernel = MinPlusStepper(TorusGrid(n), vgrid, dt, cost)
-    shape = (n,) if batch is None else (n, batch)
+    shape = (copies * n,) if batch is None else (copies * n, batch)
     u = rng.normal(scale=rng.uniform(0.1, 10.0), size=shape)
     w = rng.normal(scale=rng.uniform(0.1, 10.0), size=shape)
     Ku, Kw = kernel.step(u), kernel.step(w)
     assert Ku.shape == shape
+    # the buffered step sums the freshly built candidates; each copy steps as if alone
+    if batch is None:
+        assert np.array_equal(Ku, kernel._candidates(u).min(axis=0))
+    for j in range(copies):
+        rows = slice(j * n, (j + 1) * n)
+        alone = MinPlusStepper(TorusGrid(n), vgrid, dt, cost[rows])
+        assert np.array_equal(Ku[rows], alone.step(np.ascontiguousarray(u[rows])))
     # a few roundings of the largest magnitude that enters a candidate
     rounding = 16 * np.finfo(float).eps * (np.abs(u).max() + np.abs(w).max() + abs(c)
                                            + dt * np.abs(cost).max())
