@@ -122,7 +122,8 @@ def cell_problem(hp: HomogProblem, x, p, c, n_fast: int = 64, m: int = 49,
     """Effective values Hbar(x,p,c): critical value of q -> H(x,y,p+q,c) in y, per cell.
 
     x, p and c broadcast against one another; the result has their
-    broadcast shape (a float for scalar input).  Each cell's Legendre table
+    broadcast shape, and one cell given as scalars returns its value as a
+    float, the way critical_value returns one c.  Each cell's Legendre table
     has m velocities and m momenta over the window pmax + |p|, and the time
     step is min(CELL_DT, 1/(2 vmax)), so foot points stay within half the
     fast torus at any vmax.  Cells with the same |p| share one
@@ -304,15 +305,15 @@ def solve_multiscale(hp: HomogProblem, eps, n_per_period: int = 32,
                      u0: Field | None = None):
     """Stationary solve of the frozen two-scale Hamiltonian H(x, x/eps, Du, u).
 
-    eps is one eps, or a ladder of them, which returns one Field per eps,
-    in order.  The cost is the Legendre table of H on the u-level grid.
+    eps is a ladder of eps values (a sequence); the result is one Field per
+    eps, in order.  The cost is the Legendre table of H on the u-level grid.
     When H does not depend on x the node data (y, u-level) repeats every
     fast period, so the table is built on the first n_per_period nodes and
     tiled around the torus; along a ladder an eps reuses a table already
     built from bitwise the same first-period fast coordinates and u-levels.
     Otherwise the table is built on every node, at every eps.
     """
-    ladder = [float(e) for e in np.atleast_1d(eps)]
+    ladder = [float(e) for e in eps]
     ks = [round(1.0 / e) for e in ladder]
     for e, k_int in zip(ladder, ks):
         if k_int < 1 or abs(1.0 / k_int - e) > 1e-12:
@@ -345,7 +346,7 @@ def solve_multiscale(hp: HomogProblem, eps, n_per_period: int = 32,
         fields.append(_level_table_fixed_point(
             g, vs, levels, L_table, dt, hp.Lambda2, start, MULTISCALE_TOL,
             f"multiscale solve at eps=1/{k_int}"))
-    return fields if np.ndim(eps) else fields[0]
+    return fields
 
 
 @dataclass

@@ -124,21 +124,20 @@ class GatherPlan:
         self.idx1 = np.ascontiguousarray(np.tile((idx0 + 1) % g.n, copies) + offsets)
         self.w0 = 1.0 - theta
         self.w1 = theta
+        # the (m, N) table and the second node's products, written in place by apply
+        self._table = np.empty(self.idx0.shape)
         self._scratch = np.empty(self.idx0.shape)
 
-    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (m, N) table u(x_i - v_j dt).  With out, an (m, N) buffer, the table
-        is written into it through the plan's own scratch buffer, allocating no
-        (m, N) temporary; the products and sums are the same, so the values are
-        bit-identical."""
-        if out is None:
-            return u[self.idx0] * self.w0 + u[self.idx1] * self.w1
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """The (m, N) table u(x_i - v_j dt), written into the plan's own buffer and
+        valid until the next apply.  No (m, N) temporary is allocated; the products
+        and sums are those of u[idx0] * w0 + u[idx1] * w1, so the values are too."""
         # mode "wrap" takes straight into out; the default "raise" copies through a buffer
-        np.take(u, self.idx0, out=out, mode="wrap")
-        np.multiply(out, self.w0, out=out)
+        np.take(u, self.idx0, out=self._table, mode="wrap")
+        np.multiply(self._table, self.w0, out=self._table)
         np.take(u, self.idx1, out=self._scratch, mode="wrap")
         np.multiply(self._scratch, self.w1, out=self._scratch)
-        return np.add(out, self._scratch, out=out)
+        return np.add(self._table, self._scratch, out=self._table)
 
     def matrix(self, policy: np.ndarray) -> np.ndarray:
         """The dense (n, n) interpolation matrix P with (P u)_i = apply(u)[policy[i], i]."""
@@ -160,9 +159,9 @@ class MinPlusStepper:
     derivative bound of a contact term applied on top of the kernel.
     step takes one function of shape (N,) or, with a fixed cost table, a
     batch of shape (N, B), one function per column, each column stepped
-    exactly as if alone.  A function is stepped through one preallocated
-    (m, N) candidate buffer.  policy reads the minimizing velocity index
-    of a single function.  A negated velocity grid gives the forward foot
+    exactly as if alone.  step and policy build a single function's
+    candidates in the plan's one preallocated (m, N) buffer.  policy reads
+    the minimizing velocity index of a single function.  A negated velocity grid gives the forward foot
     points x_i + v_j dt with the same cost columns.
     """
 
@@ -173,23 +172,22 @@ class MinPlusStepper:
         self._cost = cost if callable(cost) else None
         self.plan = GatherPlan(g, vgrid, dt, 1 if self._cost else cost.shape[0] // g.n)
         self._dtLT = None if self._cost else np.ascontiguousarray(dt * cost.T)
-        self._cand = np.empty(self.plan.idx0.shape)
 
     def _dt_cost(self, u: np.ndarray) -> np.ndarray:
         return self._dtLT if self._cost is None else self.dt * self._cost(u).T
 
     def _candidates(self, u: np.ndarray) -> np.ndarray:
-        """The (m, N) table u(x_i - v_j dt) + dt L(x_i, v_j) of one function u."""
-        return self.plan.apply(u) + self._dt_cost(u)
+        """The (m, N) table u(x_i - v_j dt) + dt L(x_i, v_j) of one function u, in
+        the plan's buffer (valid until the next call).  A u-dependent cost is built
+        first, so its temporaries are freed before the gather."""
+        dt_cost = self._dt_cost(u)
+        cand = self.plan.apply(u)
+        cand += dt_cost
+        return cand
 
     def step(self, u: np.ndarray) -> np.ndarray:
         if u.ndim == 1:
-            # _candidates' sums, written into the preallocated buffers; a u-dependent
-            # cost is built first, so its temporaries are freed before the gather
-            dt_cost = self._dt_cost(u)
-            cand = self.plan.apply(u, self._cand)
-            cand += dt_cost
-            return cand.min(axis=0)
+            return self._candidates(u).min(axis=0)
         # a batch (N, B) goes one velocity at a time, keeping (N, B) temporaries
         dtLT = self._dt_cost(u)
         p = self.plan

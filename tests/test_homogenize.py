@@ -131,8 +131,8 @@ def _counting_conjugate_table(monkeypatch):
 
 def test_multiscale_ladder_builds_a_table_once_per_bitwise_period(monkeypatch):
     hp = make_problem()
-    single = {e: hz.solve_multiscale(hp, e, n_per_period=16) for e in (1 / 2, 1 / 3, 1 / 8,
-                                                                       1 / 16, 1 / 32)}
+    single = {e: hz.solve_multiscale(hp, [e], n_per_period=16)[0]
+              for e in (1 / 2, 1 / 3, 1 / 8, 1 / 16, 1 / 32)}
     calls = _counting_conjugate_table(monkeypatch)
     ladder = [1 / 8, 1 / 16, 1 / 32]
     for e, ue in zip(ladder, hz.solve_multiscale(hp, ladder, n_per_period=16)):
@@ -149,7 +149,7 @@ def test_multiscale_ladder_builds_a_table_once_per_bitwise_period(monkeypatch):
 
 def test_multiscale_ladder_of_an_x_dependent_problem_builds_every_table(monkeypatch):
     hp = hz.HomogProblem(H=parse(X_DEPENDENT), dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
-    single = [hz.solve_multiscale(hp, e, n_per_period=8) for e in (1 / 2, 1 / 4)]
+    single = [hz.solve_multiscale(hp, [e], n_per_period=8)[0] for e in (1 / 2, 1 / 4)]
     calls = _counting_conjugate_table(monkeypatch)
     ladder = hz.solve_multiscale(hp, [1 / 2, 1 / 4], n_per_period=8)
     assert calls == [16 * hz.N_ULEVELS, 32 * hz.N_ULEVELS]
@@ -283,16 +283,16 @@ def test_level_table_stall_reports_its_residual(monkeypatch):
 
 def test_solve_multiscale_no_fast_scale():
     hp = make_problem(b=0.0)
-    ue = hz.solve_multiscale(hp, eps=1 / 8, n_per_period=16)
+    ue = hz.solve_multiscale(hp, [1 / 8], n_per_period=16)[0]
     assert np.max(np.abs(ue.values)) <= 1e-3   # exact solution is 0
 
 
 def test_solve_multiscale_bracket_and_ladder():
     hp = make_problem()
-    u8 = hz.solve_multiscale(hp, eps=1 / 8, n_per_period=16)
+    u8 = hz.solve_multiscale(hp, [1 / 8], n_per_period=16)[0]
     assert np.all(u8.values <= 0 + 1e-6)
     assert np.all(u8.values >= -1 - 1e-6)
-    u32 = hz.solve_multiscale(hp, eps=1 / 32, n_per_period=16)
+    u32 = hz.solve_multiscale(hp, [1 / 32], n_per_period=16)[0]
     err8 = np.max(np.abs(u8.values + 0.5))
     err32 = np.max(np.abs(u32.values + 0.5))
     assert err32 < err8   # monotone error decrease along the ladder
@@ -304,8 +304,8 @@ def test_solve_multiscale_x_dependent_branch_consistency():
     hp_slow = hz.HomogProblem(H=parse("0*x + u + p^2 + 0.5*cos(2*pi*y)"),
                               dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
     assert hp_fast.x_independent() and not hp_slow.x_independent()
-    u_fast = hz.solve_multiscale(hp_fast, eps=1 / 8, n_per_period=16)
-    u_slow = hz.solve_multiscale(hp_slow, eps=1 / 8, n_per_period=16)
+    u_fast = hz.solve_multiscale(hp_fast, [1 / 8], n_per_period=16)[0]
+    u_slow = hz.solve_multiscale(hp_slow, [1 / 8], n_per_period=16)[0]
     assert np.array_equal(u_fast.values, u_slow.values)
 
 
@@ -313,7 +313,7 @@ def test_solve_multiscale_x_dependent_bracket():
     hp = hz.HomogProblem(
         H=parse("u + p^2 + 0.25*cos(2*pi*x) + 0.5*cos(2*pi*y)"),
         dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
-    ue = hz.solve_multiscale(hp, eps=1 / 8, n_per_period=16)
+    ue = hz.solve_multiscale(hp, [1 / 8], n_per_period=16)[0]
     # comparison with constants: |u| <= max |H(x,y,0,0)| / Lambda1
     assert np.all(np.abs(ue.values) <= 0.75 + 1e-6)
 
@@ -321,7 +321,7 @@ def test_solve_multiscale_x_dependent_bracket():
 def test_solve_multiscale_validates_eps():
     hp = make_problem()
     with pytest.raises(ValueError, match="reciprocal"):
-        hz.solve_multiscale(hp, eps=0.3)
+        hz.solve_multiscale(hp, [0.3])
 
 
 def test_rate_experiment_small_ladder(small_table):
