@@ -23,7 +23,10 @@ default; "picard" mode re-evaluates W at the updated value by scalar
 fixed-point iteration under `iterate`, which contracts because
 dt*Lambda <= 1/2.  Each Stepper folds W at the grid nodes once
 (`Expr.fold`), so a step evaluates only the u-dependent rest of W, with
-values bit-identical to evaluating all of W.  The forward step is
+values bit-identical to evaluating all of W.  An explicit Stepper over k
+copies of the torus steps k functions as one of k*n values (the kernel on
+lt.L tiled k times, W folded on the tiled nodes), each bit for bit as if
+alone; the Picard mode refuses copies.  The forward step is
 the mirror image (max, +dt W), taken through a kernel on the negated
 velocity grid, whose foot points x_i + v_j dt are the forward ones, by the
 identity max_j [a_j - b_j] = -min_j [-a_j + b_j].
@@ -39,7 +42,9 @@ Picard correction.  It applies a step map, measures the residual
 sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite iterate, and
 stops at a tolerance or when an observer asks it to.  Every contact
 evolution over a horizon (the evolve command and the stability probes)
-goes through `evolve`, which returns the `SolveRecord` of `iterate`.
+goes through `evolve`, which returns the `SolveRecord` of `iterate`; given
+several starting functions it steps them as copies of the torus in one
+evolution, whose nonfinite guard covers every copy.
 
 `fixed_point` is the one solver of a stationary fixed point u = T(u):
 u_- (`stationary_solve`), the effective solve and the discounted solve.
@@ -64,7 +69,9 @@ missed tol.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -218,20 +225,46 @@ class MinPlusStepper:
 
 class Stepper:
     """One contact step bound to (spec, table, dt, mode): the min-plus kernel
-    followed by the explicit or Picard correction -+dt W(x, u)."""
+    followed by the explicit or Picard correction -+dt W(x, u).
+
+    With copies = k it steps one function of k*n values, k disjoint copies of
+    lt's torus laid end to end (copy j on j*n .. j*n + n - 1), each bit for bit
+    as if alone: the kernel's cost is lt.L tiled k times and W is folded on the
+    tiled nodes.  The Picard mode refuses copies, since its stop at tol over
+    the union would give a copy that settled early extra iterations.  Each
+    direction's kernel is built on its first step.
+    """
 
     def __init__(self, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,
-                 mode: str = "explicit"):
+                 mode: str = "explicit", copies: int = 1):
         if mode not in ("explicit", "picard"):
             raise ValueError(f"mode must be 'explicit' or 'picard', got {mode!r}")
-        self._back = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L, spec.lambda_bound)
-        # x_i + v_j dt is the backward foot point of -v_j
-        self._fwd = MinPlusStepper(lt.grid, -lt.vgrid, dt, lt.L, spec.lambda_bound)
+        if mode == "picard" and copies != 1:
+            raise ValueError(f"picard mode steps one copy of the torus, got copies={copies}")
+        # the kernels check dt when first built; a Stepper refuses it at once
+        _check_step(dt, float(np.abs(lt.vgrid).max()), spec.lambda_bound)
         self.dt = dt
         self.mode = mode
-        self.xs = lt.grid.nodes
+        self._lt = lt
+        self._lambda_bound = spec.lambda_bound
+        self._copies = copies
+        self.xs = np.tile(lt.grid.nodes, copies)
         # W's x-only part is evaluated here once; each step evaluates the u-dependent rest
         self.W = spec.W.fold({"x": self.xs})
+
+    def _kernel(self, vgrid: np.ndarray) -> MinPlusStepper:
+        lt = self._lt
+        return MinPlusStepper(lt.grid, vgrid, self.dt, np.tile(lt.L, (self._copies, 1)),
+                              self._lambda_bound)
+
+    @cached_property
+    def _back(self) -> MinPlusStepper:
+        return self._kernel(self._lt.vgrid)
+
+    @cached_property
+    def _fwd(self) -> MinPlusStepper:
+        # x_i + v_j dt is the backward foot point of -v_j
+        return self._kernel(-self._lt.vgrid)
 
     def _resolve(self, base: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
         def corrected(z):
@@ -364,22 +397,29 @@ def fixed_point(step, kernel: MinPlusStepper, slope, u0: np.ndarray, dt: float, 
     return rec
 
 
-def evolve(phi: Field, spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt: float,
+def evolve(phi: Field | Sequence[Field], spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt: float,
            direction: str = "backward", observe=None) -> SolveRecord:
     """Step phi by the backward or forward semigroup over ceil(T/dt) steps.
 
     This is the one entry point for a contact evolution: it builds the
     Stepper, turns the horizon into a step count and returns the record of
     iterate.  observe(k, u_k) is iterate's own callback, seeing every step
-    k = 1, 2, ...; a true return stops the evolution there.
+    k = 1, 2, ...; a true return stops the evolution there.  phi is a Field
+    on lt's grid, or a sequence of k of them, stepped as one function of k*n
+    values whose copy j (values j*n .. j*n + n - 1) is the orbit of phi[j],
+    bit for bit as if alone; u_k and the record's values are that function.
+    The record's residual is then the largest over the copies, and a
+    nonfinite copy raises at the step where it turns nonfinite.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be 'backward' or 'forward', got {direction!r}")
-    stepper = Stepper(spec, lt, dt)
+    starts = [phi] if isinstance(phi, Field) else list(phi)
+    stepper = Stepper(spec, lt, dt, copies=len(starts))
     advance = stepper.backward_values if direction == "backward" else stepper.forward_values
-    return iterate(advance, phi.values, dt, math.ceil(T / dt - 1e-12), observe=observe)
+    return iterate(advance, np.concatenate([f.values for f in starts]), dt,
+                   math.ceil(T / dt - 1e-12), observe=observe)
 
 
 def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,

@@ -17,6 +17,9 @@ the direct probes then measure empirically.  The probes (decay exponent,
 escape time, basin) follow orbits of the backward semigroup from u_- plus a
 constant through `deviation_series`, whose observer on `semigroup.evolve`
 ends each orbit at the first sample that decides its probe, or at the horizon.
+It steps several offsets as one evolution over as many copies of the torus,
+each series bit for bit the one its orbit gives alone: the decay probe's
+u_- + delta and u_- - delta are one evolution.
 """
 
 from __future__ import annotations
@@ -146,31 +149,40 @@ def check_corollary_a(spec: HamiltonianSpec, dt: float = crit.DEFAULT_DT, *, lt:
                "critical_method": cres.method})
 
 
-def deviation_series(spec: HamiltonianSpec, u_minus: Field, offset: float, T: float,
+def deviation_series(spec: HamiltonianSpec, u_minus: Field, offsets, T: float,
                      dt: float, *, lt: LagrangianTable, every: int = SAMPLE_EVERY, stop=None):
-    """Times and sup-norm deviations from u_- along the evolution of u_- + offset,
-    sampled every `every` steps and at the last step; with stop, the evolution
-    ends at the first sample whose deviation d has stop(d) true."""
-    times = []
-    devs = []
+    """One (times, devs) per offset: the times and sup-norm deviations from u_-
+    along the evolution of u_- + offset, sampled every `every` steps and at the
+    last step; with stop, an orbit ends at its first sample whose deviation d
+    has stop(d) true.  The orbits are one evolution over len(offsets) copies of
+    the torus, each deviation read from its own copy, so each series is the
+    one its orbit would give alone; the evolution ends once every orbit has."""
+    n = u_minus.grid.n
+    series = [([], []) for _ in offsets]
+    live = list(range(len(offsets)))
 
     def sample(kstep, u):
-        times.append(kstep * dt)
-        devs.append(float(np.abs(u - u_minus.values).max()))
-        return stop is not None and stop(devs[-1])
+        for j in list(live):
+            times, devs = series[j]
+            times.append(kstep * dt)
+            devs.append(float(np.abs(u[j * n:(j + 1) * n] - u_minus.values).max()))
+            if stop is not None and stop(devs[-1]):
+                live.remove(j)
+        return not live
 
-    rec = evolve(Field(u_minus.grid, u_minus.values + offset), spec, lt, T, dt,
-                 observe=lambda k, u: k % every == 0 and sample(k, u))
+    rec = evolve([Field(u_minus.grid, u_minus.values + offset) for offset in offsets], spec,
+                 lt, T, dt, observe=lambda k, u: k % every == 0 and sample(k, u))
     if rec.steps % every:
         sample(rec.steps, rec.values)
-    return np.asarray(times), np.asarray(devs)
+    return [(np.asarray(times), np.asarray(devs)) for times, devs in series]
 
 
 @dataclass
 class DecayFit:
-    slope: float | None    # worse (larger) fitted slope of the +delta and -delta series;
-                           # None when neither series has two samples above the noise floor
-    times: np.ndarray      # sample times of the +delta series
+    slope: float | None    # worse (larger) fitted slope of the +delta and -delta series,
+                           # which may be the -delta one; None when neither series has
+                           # two samples above the noise floor
+    times: np.ndarray      # sample times of the +delta series, whichever gave the slope
     devs: np.ndarray       # sup-norm deviations of the +delta series
 
 
@@ -178,20 +190,20 @@ def decay_exponent(spec: HamiltonianSpec, u_minus: Field, delta: float, T: float
                    dt: float, *, lt: LagrangianTable) -> DecayFit:
     """Fitted slope of ln ||u(t) - u_-|| on the window [T/2, T], worse of +/-delta.
 
-    Evolves u_- + delta and u_- - delta once each through deviation_series
-    and returns the slope with the +delta series it was fitted from.  A
-    positive slope reports non-decay; it is not an error.  The slope is
-    None when neither series has two samples above the noise floor.
+    Evolves u_- + delta and u_- - delta as one evolution through
+    deviation_series and fits each series.  The slope is the worse (larger)
+    of the two fits, so it may come from the -delta series; times and devs
+    are always the +delta series.  A positive slope reports non-decay; it is
+    not an error.  The slope is None when neither series has two samples
+    above the noise floor.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     noise_floor = 100 * np.finfo(float).eps * max(1.0, float(np.abs(u_minus.values).max()))
 
-    series = []
+    series = deviation_series(spec, u_minus, (+delta, -delta), T, dt, lt=lt)
     slopes = []
-    for sgn in (+1.0, -1.0):
-        times, devs = deviation_series(spec, u_minus, sgn * delta, T, dt, lt=lt)
-        series.append((times, devs))
+    for times, devs in series:
         ok = (times >= T / 2 - 1e-12) & (times <= T + 1e-12) & (devs > noise_floor)
         if np.count_nonzero(ok) < 2:
             # deviation underflowed on [T/2, T]; shrink the window
@@ -220,8 +232,8 @@ def instability_probe(spec: HamiltonianSpec, u_minus: Field, eps: float,
         raise ValueError("eps must lie in (0,1)")
     if Delta_target <= eps:
         raise ValueError("Delta_target must exceed eps")
-    times, devs = deviation_series(spec, u_minus, -eps, T, dt, lt=lt, every=1,
-                                   stop=lambda d: d >= Delta_target)
+    [(times, devs)] = deviation_series(spec, u_minus, [-eps], T, dt, lt=lt, every=1,
+                                       stop=lambda d: d >= Delta_target)
     t_escape = float(times[-1]) if devs[-1] >= Delta_target else None
     return ProbeResult(t_escape, np.r_[0.0, times], np.r_[eps, devs])
 
@@ -230,13 +242,19 @@ def basin_estimate(spec: HamiltonianSpec, u_minus: Field, T: float, dt: float,
                    delta_hi: float, *, lt: LagrangianTable) -> float:
     """Bisection for the largest tested delta whose +/- perturbations re-enter
     a delta/2 neighborhood of u_- by time T.  Returns 0 if every probe fails.
-    Each orbit stops at its first sample within delta/2, which decides it."""
+    Each orbit stops at its first sample within delta/2, which decides it.
+    The orbits run one at a time, so that all() skips the -delta orbit when the
+    +delta one fails.  One evolution of both (as decay_exponent runs them) was
+    faster where both recover, 17 -> 11 ms on the stability-basin config of
+    tools/artifacts.py, but slower where neither does, 0.85 -> 1.05 s on
+    linear_contact with a = -1 (n = 64, T = 4; best of 6 on a shared 2-core
+    machine)."""
     if delta_hi <= 0:
         raise ValueError("delta_hi must be positive")
 
     def recovers(delta: float) -> bool:
-        return all(deviation_series(spec, u_minus, sgn * delta, T, dt, lt=lt,
-                                    stop=lambda d: d <= delta / 2)[1].min() <= delta / 2
+        return all(deviation_series(spec, u_minus, [sgn * delta], T, dt, lt=lt,
+                                    stop=lambda d: d <= delta / 2)[0][1].min() <= delta / 2
                    for sgn in (+1.0, -1.0))
 
     if recovers(delta_hi):

@@ -381,13 +381,14 @@ def test_example_command_runs_stability_pipeline(tmp_path, capsys):
 
 
 def test_example_command_evolves_each_perturbation_once(tmp_path, monkeypatch):
-    # decay_exponent evolves u_- + delta and u_- - delta; decay.csv reuses the first
+    # decay_exponent evolves u_- + delta and u_- - delta as one evolution; decay.csv
+    # reuses the first
     calls = []
     series = stability.deviation_series
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return series(*args, **kwargs)
+    def counted(spec, u_minus, offsets, *args, **kwargs):
+        calls.append(tuple(offsets))
+        return series(spec, u_minus, offsets, *args, **kwargs)
 
     monkeypatch.setattr(stability, "deviation_series", counted)
     path = write_config(tmp_path / "c.json", {
@@ -397,7 +398,7 @@ def test_example_command_evolves_each_perturbation_once(tmp_path, monkeypatch):
         "output_dir": str(tmp_path / "out"),
     })
     assert cli.main(["example-ex", "--config", path, "--quiet"]) == 0
-    assert len(calls) == 2
+    assert calls == [(0.05, -0.05)]   # the default delta
     rows = [line for line in (tmp_path / "out" / "decay.csv").read_text().splitlines()
             if line and not line.startswith(("#", "t,"))]
     assert len(rows) == 100           # 1000 steps, one row every 10

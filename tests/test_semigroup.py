@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -481,6 +482,91 @@ def test_evolve_aborts_on_nonfinite():
     lt = legendre(spec, g, 33, 33)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonfinite"):
         evolve(constant_field(g, 700.0), spec, lt, T=900.0, dt=0.4)
+
+
+# a u-dependent, x-dependent contact term: W folded at the nodes leaves sin(u) and the
+# product with u to every step
+_COPIES_SPEC = HamiltonianSpec(G=parse("p^2 + 0.3*cos(2*pi*x)"),
+                               W=parse("0.5*cos(2*pi*x)*u + 0.3*sin(u)"),
+                               dWu=parse("0.5*cos(2*pi*x) + 0.3*cos(u)"), lambda_bound=0.8)
+# W = -a(x) u with a of both signs: large data grows without bound in both directions
+_GROWTH_SPEC = HamiltonianSpec(G=parse("p^2"), W=parse("-cos(2*pi*x)*u"),
+                               dWu=parse("-cos(2*pi*x)"), lambda_bound=1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _copies_table(n: int, growth: bool):
+    spec = _GROWTH_SPEC if growth else _COPIES_SPEC
+    return spec, legendre(spec, TorusGrid(n), 17, 17)
+
+
+def _evolve_seen(phi, spec, lt, T, dt, direction):
+    """The record of phi's evolution and the iterates its observer saw."""
+    seen = []
+    rec = evolve(phi, spec, lt, T, dt, direction, lambda k, u: seen.append(u.copy()))
+    return rec, seen
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([8, 24]), k=st.integers(1, 4),
+       direction=st.sampled_from(["backward", "forward"]), steps=st.integers(1, 40),
+       dt=st.sampled_from([1e-3, 0.02, 0.1]), seed=st.integers(0, 2 ** 16))
+def test_evolve_steps_each_copy_as_if_alone(n, k, direction, steps, dt, seed):
+    spec, lt = _copies_table(n, False)
+    rng = np.random.default_rng(seed)
+    starts = [random_field(lt.grid, rng, scale=rng.uniform(0.1, 5.0)) for _ in range(k)]
+    rec, seen = _evolve_seen(starts, spec, lt, steps * dt, dt, direction)
+    assert rec.steps == steps and rec.values.shape == (k * n,) and len(seen) == steps
+    for j, phi in enumerate(starts):
+        one, alone = _evolve_seen(phi, spec, lt, steps * dt, dt, direction)
+        copy = slice(j * n, (j + 1) * n)
+        assert np.array_equal(rec.values[copy], one.values)
+        assert all(np.array_equal(u[copy], v) for u, v in zip(seen, alone))
+
+
+def _nonfinite_step(phi, spec, lt, T, dt, direction):
+    """The error of phi's evolution, or None if it stays finite over T."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            evolve(phi, spec, lt, T, dt, direction)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(1, 4), direction=st.sampled_from(["backward", "forward"]),
+       data=st.data())
+def test_evolve_raises_at_the_first_copy_to_turn_nonfinite(k, direction, data):
+    # copies of scale 1 stay finite; 1e305 .. 1e308 overflow after about 75 .. 1 steps,
+    # toward -inf backward (the min picks the lowest foot point) and +inf forward
+    spec, lt = _copies_table(16, True)
+    x = lt.grid.nodes
+    sign = -1.0 if direction == "backward" else 1.0
+    scales = data.draw(st.lists(st.sampled_from([1.0, 1e305, 1e306, 1e307, 1e308]),
+                                min_size=k, max_size=k))
+    starts = [Field(lt.grid, sign * scale * (1 + 0.5 * np.sin(2 * np.pi * (x + j / 7))))
+              for j, scale in enumerate(scales)]
+    errors = [_nonfinite_step(phi, spec, lt, 10.0, 0.1, direction) for phi in starts]
+    failed = [e for e in errors if e is not None]
+    assert (len(failed) == 0) == all(scale == 1.0 for scale in scales)
+    first = min(failed, key=lambda e: int(e.split("step ")[1].split()[0]), default=None)
+    assert _nonfinite_step(starts, spec, lt, 10.0, 0.1, direction) == first
+
+
+def test_picard_mode_refuses_copies():
+    spec, lt = _copies_table(8, False)
+    Stepper(spec, lt, 0.02, "picard")
+    Stepper(spec, lt, 0.02, copies=3)
+    with pytest.raises(ValueError, match="picard"):
+        Stepper(spec, lt, 0.02, "picard", copies=2)
+
+
+def test_stepper_builds_only_the_kernel_that_steps():
+    spec, lt = _copies_table(8, False)
+    stepper = Stepper(spec, lt, 0.02)
+    stepper.backward_values(np.zeros(8))
+    assert "_back" in vars(stepper) and "_fwd" not in vars(stepper)
 
 
 def test_iterate_stops_at_tol_and_reports_record():

@@ -255,9 +255,9 @@ def test_basin_bisection_keeps_recovering_midpoints(contact_pos, monkeypatch):
     g, spec, lt = contact_pos
     um = constant_field(g, 0.0)
 
-    def series(spec, u_minus, offset, T, dt, *, lt, every=st.SAMPLE_EVERY, stop=None):
-        delta = abs(offset)
-        return np.array([T]), np.array([0.0 if delta <= 0.3 else delta])
+    def series(spec, u_minus, offsets, T, dt, *, lt, every=st.SAMPLE_EVERY, stop=None):
+        return [(np.array([T]), np.array([0.0 if abs(offset) <= 0.3 else abs(offset)]))
+                for offset in offsets]
 
     monkeypatch.setattr(st, "deviation_series", series)
     # delta_hi = 1 fails; the six rounds test 1/2, 1/4, 3/8, 5/16, 9/32 and 19/64
@@ -272,9 +272,9 @@ def _basin_and_steps(monkeypatch, setup, honour_stop):
     steps = []
 
     def probe(*args, stop=None, **kwargs):
-        times, devs = series(*args, stop=stop if honour_stop else None, **kwargs)
-        steps.append(round(times[-1] / dt))
-        return times, devs
+        out = series(*args, stop=stop if honour_stop else None, **kwargs)
+        steps.extend(round(times[-1] / dt) for times, _ in out)
+        return out
 
     monkeypatch.setattr(st, "deviation_series", probe)
     basin = st.basin_estimate(spec, um, T=T, dt=dt, delta_hi=delta_hi, lt=lt)
@@ -301,6 +301,25 @@ def test_basin_orbits_stop_at_the_deciding_sample(request, monkeypatch, which, T
     else:
         # an orbit that never recovers runs the whole horizon either way
         assert steps == full_steps
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_deviation_series_of_several_offsets_is_each_orbit_alone(contact_pos, every):
+    # one evolution over three copies: 0.05 stops at its first sample, 0.3 near
+    # t = ln 1.5, and -0.6 runs to the horizon (with every = 7, 1000 steps end off a sample)
+    g, spec, lt = contact_pos
+    um = Field(g, 0.1 * np.sin(2 * np.pi * g.nodes))
+    offsets = (0.3, -0.6, 0.05)
+
+    def series(offs):
+        return st.deviation_series(spec, um, offs, 1.0, 1e-3, lt=lt, every=every,
+                                   stop=lambda d: d <= 0.2)
+
+    together = series(offsets)
+    assert len(together) == 3 and together[2][0].size == 1 and together[1][0][-1] == 1.0
+    for offset, (times, devs) in zip(offsets, together):
+        [(alone_t, alone_d)] = series([offset])
+        assert np.array_equal(times, alone_t) and np.array_equal(devs, alone_d)
 
 
 @pytest.mark.parametrize("which, T", [("contact_neg", 8.0), ("contact_pos", 2.0)])

@@ -14,7 +14,7 @@ at n=64, m=33 (the x-dependent homogenize config at small cell and fine grids,
 the barrier-remainder config at n=100, whose horizons are not power-of-two
 multiples of the barrier's base block, the |p| mather config at n=32, m=17, and
 two stationary solves of the worked example: from 0, and at theta = -0.2, which
-exits 1).
+exits 1, and a stability config whose decay slope is the -delta orbit's fit).
 Two runs on different checkouts are byte-identical exactly when their
 printouts are, so a byte-identity check is a `diff`.  The script checks
 each config's exit code against EXIT_CODES (0 for a config it does not
@@ -54,6 +54,12 @@ _EXTRA = {
     "stability-basin": {"command": "stability", "hamiltonian": _CONTACT, "decay_T": 2.0,
                         "basin_delta_hi": 0.5,
                         "numerics": dict(_SMALL, dt=5e-3, T_max=20.0, zeta_grid=[0.25, 0.5])},
+    # W quadratic in u: the -delta orbit decays more slowly (fits -0.772 against -0.827
+    # for +delta), so report.json's decay_slope is the -delta copy's fit
+    "stability-quadratic-W": {"command": "stability", "decay_T": 2.0,
+                              "hamiltonian": {"G": "p^2 + 0.3*cos(2*pi*x)", "W": "u + 0.3*u^2",
+                                              "dWu": "1 + 0.6*u"},
+                              "numerics": dict(_SMALL, dt=5e-3, delta=0.3, zeta_grid=[0.25])},
     "mather-u-dependent": {"command": "mather", "hamiltonian": _CONTACT, "numerics": _SMALL},
     # barrier dt = 0.016: a base block of 31 steps, horizons of 250, 500 and 1,000
     # steps = 31*{8, 16, 32} + {2, 4, 8}, each a power of the block plus a remainder
