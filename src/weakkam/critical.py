@@ -86,6 +86,8 @@ def longtime_slope(lts, T: float, dt: float) -> np.ndarray:
     tables), and each table's means are read from its own contiguous
     slice, so each slope is bit for bit that of a march of its table alone.
     """
+    if not lts:
+        raise ValueError("longtime_slope got an empty batch of tables")
     steps_half = int(round(T / (2 * dt)))
     steps_full = int(round(T / dt))
     if steps_full == steps_half:

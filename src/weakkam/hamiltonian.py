@@ -215,13 +215,13 @@ def _odd(count: int) -> int:
     return count if count % 2 == 1 else count + 1
 
 
-def conjugate_table(gfun, nnodes: int, m: int, k: int, vmax: float, pmax: float,
+def conjugate_table(H: Expr, rows: dict, m: int, k: int, vmax: float, pmax: float,
                     warn_label: str = "G") -> tuple[np.ndarray, np.ndarray]:
-    """Sampled sup_p (p*v - g(p)) with one ternary-search refinement pass.
+    """Sampled sup_p (p*v - H(p)) per row, with one ternary-search refinement pass.
 
-    gfun(P) evaluates the convex part at a momentum array P of shape
-    (nnodes, width); any per-node data is bound inside gfun along axis 0.
-    Returns (velocity grid, cost table of shape (nnodes, m)).
+    rows binds each variable of H but p to a 1-D array, one value per row, on
+    which H is folded once.  Every operation acts row by row, so a row's
+    costs are the same in any batch.  Returns (velocity grid, (rows, m) costs).
     """
     if m < 16 or k < 16:
         raise ValueError("velocity and momentum counts must be >= 16")
@@ -231,10 +231,11 @@ def conjugate_table(gfun, nnodes: int, m: int, k: int, vmax: float, pmax: float,
     k = _odd(k)
     vs = np.linspace(-vmax, vmax, m)
     ps = np.linspace(-pmax, pmax, k)
+    folded = H.fold({name: np.asarray(col, dtype=float)[:, None] for name, col in rows.items()})
+    nnodes = len(next(iter(rows.values())))
 
     def g_of(P):
-        out = np.asarray(gfun(P), dtype=float)
-        return np.broadcast_to(out, P.shape)
+        return np.broadcast_to(np.asarray(folded.evaluate({"p": P}), dtype=float), P.shape)
 
     best = np.full((nnodes, m), -np.inf)
     bidx = np.zeros((nnodes, m), dtype=np.int32)
@@ -272,10 +273,6 @@ def conjugate_table(gfun, nnodes: int, m: int, k: int, vmax: float, pmax: float,
 
 def legendre(spec: HamiltonianSpec, g: TorusGrid, m: int = 65, k: int = 65) -> LagrangianTable:
     """Build the discrete Lagrangian table for the convex part of a spec."""
-    G = spec.G.fold({"x": g.nodes[:, None]})
-
-    def gfun(P):
-        return G.evaluate({"p": P})
-
-    vs, L = conjugate_table(gfun, g.n, m, k, spec.vmax, spec.pmax, warn_label=spec.name)
+    vs, L = conjugate_table(spec.G, {"x": g.nodes}, m, k, spec.vmax, spec.pmax,
+                            warn_label=spec.name)
     return LagrangianTable(g, vs, L)

@@ -3,9 +3,9 @@
 The fast-variable cell problem defines the effective Hamiltonian: for
 frozen (x, p, c), Hbar(x,p,c) is the critical value of the Hamiltonian
 q -> H(x, y, p+q, c) on the fast torus in y.  cell_problem solves all the
-cells of a table in one call: one Legendre table build per momentum
-window |p|, and one long-time march over the union of the cells' fast
-tori (critical.critical_values).  Tabulated over (x, p, c) grids, Hbar
+cells of a table in one call: one Legendre table per (x, c) pair, less p*v
+per cell, and one long-time march over the union of the cells' fast tori
+(critical.critical_values).  Tabulated over (x, p, c) grids, Hbar
 drives the effective stationary solve, which reads the table at its own
 p and c nodes and interpolates linearly in x only, while the multiscale
 solver discretizes the frozen two-scale Hamiltonian x -> H(x, x/eps, p, u)
@@ -123,32 +123,32 @@ def cell_problem(hp: HomogProblem, x, p, c, n_fast: int = 64, m: int = 49,
 
     x, p and c broadcast against one another; the result has their
     broadcast shape, and one cell given as scalars returns its value as a
-    float, the way critical_value returns one c.  Each cell's Legendre table
-    has m velocities and m momenta over the window pmax + |p|, and the time
-    step is min(CELL_DT, 1/(2 vmax)), so foot points stay within half the
-    fast torus at any vmax.  Cells with the same |p| share one
-    conjugate_table call, their rows stacked.  crit.critical_values solves
-    the cells: discounted solves cell by cell, the long-time estimates from
-    one march over the union of the cells' fast tori; each value is bit for
-    bit that of the cell solved alone.  Raises ConvergenceError naming the
-    first cell, in row-major order, whose discount and long-time estimators
-    differ by more than cross_tol.
+    float, the way critical_value returns one c.  A cell's Lagrangian is its
+    (x, c) pair's minus p*v (put P = p + q in the sup): one conjugate_table
+    call builds the tables of the distinct (x, c) pairs, m velocities and m
+    momenta over [-pmax, pmax].  The time step is min(CELL_DT, 1/(2 vmax)),
+    so foot points stay within half the fast torus at any vmax.
+    crit.critical_values solves the cells: discounted solves cell by cell,
+    the long-time estimates from one march over the union of the cells'
+    fast tori; each value is bit for bit that of the cell solved alone.
+    Raises ConvergenceError naming the first cell, in row-major order, whose
+    discount and long-time estimators differ by more than cross_tol.
     """
     cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, p, c)))
     xs, ps, cs = (a.ravel() for a in cells)
+    if xs.size == 0:
+        raise ValueError("cell_problem got an empty batch of cells")
     for name, vals in (("x", xs), ("p", ps), ("c", cs)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"cell coordinate {name} must be finite")
     g = TorusGrid(n_fast)
-    tables = [None] * xs.size
-    for window in dict.fromkeys(np.abs(ps)):
-        group = np.flatnonzero(np.abs(ps) == window)
-        x_rows, p_rows, c_rows = (np.repeat(v[group], g.n)[:, None] for v in (xs, ps, cs))
-        H = hp.H.fold({"x": x_rows, "y": np.tile(g.nodes, group.size)[:, None], "u": c_rows})
-        vs, L = conjugate_table(lambda Q: H.evaluate({"p": p_rows + Q}), group.size * g.n,
-                                m, m, hp.vmax, hp.pmax + window, warn_label="cell H")
-        for cell, L_cell in zip(group, np.split(L, group.size)):
-            tables[cell] = LagrangianTable(g, vs, L_cell)
+    pairs, pair_of = np.unique(np.stack([xs, cs], axis=1), axis=0, return_inverse=True)
+    px, pc = np.repeat(pairs, g.n, axis=0).T
+    vs, L = conjugate_table(hp.H, {"x": px, "y": np.tile(g.nodes, len(pairs)), "u": pc},
+                            m, m, hp.vmax, hp.pmax, warn_label="cell H")
+    L = L.reshape(len(pairs), g.n, vs.size)
+    tables = [LagrangianTable(g, vs, L[pair] - cp * vs)
+              for pair, cp in zip(pair_of.ravel(), ps)]
     results = crit.critical_values(tables, dt=min(CELL_DT, 0.5 / hp.vmax),
                                    cross_tol=cross_tol)
     for cx, cp, cc, res in zip(xs, ps, cs, results):
@@ -290,15 +290,10 @@ def _two_scale_table(hp: HomogProblem, xs: np.ndarray, ys: np.ndarray,
                      levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Legendre table of H at the nodes (xs, ys) and every u-level, one row per
     (node, level) pair, node-major."""
-    H = hp.H.fold({"x": np.repeat(xs, levels.size)[:, None],
-                   "y": np.repeat(ys, levels.size)[:, None],
-                   "u": np.tile(levels, xs.size)[:, None]})
-
-    def gfun(Q):
-        return H.evaluate({"p": Q})
-
-    return conjugate_table(gfun, xs.size * levels.size, STATIONARY_M, MULTISCALE_K,
-                           hp.vmax, hp.pmax, warn_label="two-scale H")
+    return conjugate_table(
+        hp.H, {"x": np.repeat(xs, levels.size), "y": np.repeat(ys, levels.size),
+               "u": np.tile(levels, xs.size)},
+        STATIONARY_M, MULTISCALE_K, hp.vmax, hp.pmax, warn_label="two-scale H")
 
 
 def solve_multiscale(hp: HomogProblem, eps, n_per_period: int = 32,

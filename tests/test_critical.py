@@ -184,6 +184,16 @@ def test_longtime_slope_needs_a_step_between_half_and_full_horizon(free_table):
                                                   free_table.grid, 17, 17)], 4.0, 0.02)
 
 
+def test_longtime_slope_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="empty batch of tables"):
+        crit.longtime_slope([], 4.0, 0.02)
+
+
+def test_critical_values_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="empty batch of tables"):
+        crit.critical_values([])
+
+
 def test_critical_values_are_the_per_table_critical_values(eikonal_cos_128):
     spec, lt = eikonal_cos_128
     tables = [lt, lt.with_potential(constant_field(lt.grid, 0.35)), lt.with_potential(

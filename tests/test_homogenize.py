@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,6 +9,7 @@ from scipy.optimize import brentq
 from weakkam.errors import ConfigError, ConvergenceError
 from weakkam.expr import parse
 from weakkam.grid import TorusGrid
+from weakkam.hamiltonian import LagrangianTable
 from weakkam import critical as crit
 from weakkam import homogenize as hz
 from weakkam import semigroup
@@ -85,7 +89,7 @@ X_DEPENDENT = "u + p^2 + 0.5*cos(2*pi*y) + 0.2*cos(2*pi*x)"
 
 
 def test_vectorized_cell_problem_is_its_scalar_calls():
-    # p = -1 and 1 share a momentum window and so one stacked Legendre table
+    # the 12 cells have 4 (x, c) pairs; a cell's cost is its pair's Legendre table minus p*v
     hp = hz.HomogProblem(H=parse(X_DEPENDENT), dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
     xs, ps, cs = np.array([0.0, 0.25]), np.array([-1.0, 0.0, 1.0]), np.array([0.0, 0.5])
     values = hz.cell_problem(hp, xs[:, None, None], ps[None, :, None], cs[None, None, :],
@@ -122,11 +126,58 @@ def _counting_conjugate_table(monkeypatch):
     table = hz.conjugate_table
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(len(next(iter(args[1].values()))))
         return table(*args, **kwargs)
 
     monkeypatch.setattr(hz, "conjugate_table", counted)
     return calls
+
+
+def _shifted(text, p):
+    """The formula text with p replaced by p0 + p: H(x, y, p0 + q, u) as a formula in q."""
+    return parse(re.sub(r"\bp\b", f"(({p!r}) + p)", text))
+
+
+@pytest.mark.parametrize("text", ["u + p^2 + 0.5*cos(2*pi*y)", X_DEPENDENT])
+def test_cell_lagrangian_is_its_pair_table_minus_p_v(text, monkeypatch):
+    # sup_q (q v - H(p + q)) = sup_P (P v - H(P)) - p v: each cell's table, its (x, c)
+    # pair's table minus p*v, is the table of q -> H(x, y, p + q, c) over the window
+    # pmax + |p| up to rounding, and so are the cells' critical values
+    hp = hz.HomogProblem(H=parse(text), dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
+    g = TorusGrid(16)
+    cells = list(itertools.product((0.0, 0.25), (-1.0, 0.0, 1.5), (0.0, 0.5)))
+    shifted = []
+    for x, p, c in cells:
+        rows = {"x": np.full(g.n, x), "y": g.nodes, "u": np.full(g.n, c)}
+        vs, L = hz.conjugate_table(_shifted(text, p), rows, 17, 17, hp.vmax, hp.pmax + abs(p))
+        shifted.append(LagrangianTable(g, vs, L))
+    solve, given = crit.critical_values, []
+
+    def recorded(tables, **kwargs):
+        given.extend(tables)
+        return solve(tables, **kwargs)
+
+    monkeypatch.setattr(crit, "critical_values", recorded)
+    x, p, c = np.array(cells).T
+    values = hz.cell_problem(hp, x, p, c, n_fast=16, m=17)
+    for cell, old in zip(given, shifted, strict=True):
+        assert np.array_equal(cell.vgrid, old.vgrid)
+        assert np.max(np.abs(cell.L - old.L)) <= 1e-12
+    expected = [res.c for res in solve(shifted, dt=min(hz.CELL_DT, 0.5 / hp.vmax))]
+    assert np.max(np.abs(values - expected)) <= 1e-12
+
+
+def test_effective_table_builds_one_legendre_table_per_x_c_pair(monkeypatch):
+    hp = hz.HomogProblem(H=parse(X_DEPENDENT), dHu=parse("1"), Lambda1=1.0, Lambda2=1.0)
+    calls = _counting_conjugate_table(monkeypatch)
+    hz.build_effective_table(hp, [0.0, 0.25, 0.5], [-1.0, 0.0, 1.0], [0.0, 0.5],
+                             n_fast=16, m=17)
+    assert calls == [3 * 2 * 16]
+
+
+def test_cell_problem_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="empty batch of cells"):
+        hz.cell_problem(make_problem(), [], [], [])
 
 
 def test_multiscale_ladder_builds_a_table_once_per_bitwise_period(monkeypatch):

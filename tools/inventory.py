@@ -4,16 +4,18 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tools/inventory.py
 
-It prints the line count of src/weakkam, the public parameters over the
-functions named in the modules' __all__ lists, the result dataclasses (the
-mutable dataclasses named in an __all__) with their fields, the exception
-classes, and the config keys the command line accepts.  It reads the
-package only by import and inspection; it changes nothing and checks no
-bound.
+It prints the line count of src/weakkam and its code lines (lines that
+are not blank, not comment-only and not inside a docstring), each per
+module, the public parameters over the functions named in the modules'
+__all__ lists, the result dataclasses (the mutable dataclasses named in an
+__all__) with their fields, the exception classes, and the config keys the
+command line accepts.  It reads the package only by import, inspection and
+its source text; it changes nothing and checks no bound.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -24,10 +26,27 @@ import weakkam
 from weakkam import cli
 
 
+def code_lines(text: str) -> int:
+    """Lines of a module's source that are not blank, not comment-only and not
+    inside the docstring of the module, a class or a function."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#")
+               and number not in docstrings)
+
+
 def inventory() -> dict:
     """The figures, keyed by what they count."""
     src = Path(weakkam.__file__).parent
-    lines = {p.name: len(p.read_text().splitlines()) for p in sorted(src.glob("*.py"))}
+    sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    lines = {name: len(text.splitlines()) for name, text in sources.items()}
+    code = {name: code_lines(text) for name, text in sources.items()}
     modules = [importlib.import_module(f"weakkam.{info.name}")
                for info in pkgutil.iter_modules(weakkam.__path__)]
     exported = {}
@@ -44,6 +63,7 @@ def inventory() -> dict:
     top = set(cli.TOP_KEYS) | {"hamiltonian"} | {key for key, _ in cli.PROBLEM_KEYS.values()}
     return {
         "lines": (sum(lines.values()), lines),
+        "code_lines": (sum(code.values()), code),
         "public_parameters": (sum(len(inspect.signature(f).parameters) for f in functions),
                               len(functions)),
         "result_dataclasses": (len(results), sum(results.values()), results),
@@ -55,9 +75,10 @@ def inventory() -> dict:
 
 def main() -> int:
     inv = inventory()
-    total, per_file = inv["lines"]
-    print(f"src/weakkam lines: {total} ("
-          + ", ".join(f"{name} {count}" for name, count in per_file.items()) + ")")
+    for key, label in (("lines", "lines"), ("code_lines", "code lines")):
+        total, per_file = inv[key]
+        print(f"src/weakkam {label}: {total} ("
+              + ", ".join(f"{name} {count}" for name, count in per_file.items()) + ")")
     params, nfun = inv["public_parameters"]
     print(f"public parameters: {params} over {nfun} __all__ functions")
     ntypes, nfields, results = inv["result_dataclasses"]
