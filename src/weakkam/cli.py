@@ -11,8 +11,9 @@ configuration, so reruns with the same config and seed reproduce
 byte-identical outputs.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error,
-3 property-check failure (the math disagreed, e.g. the discount and
-long-time critical-value estimators exceeded their agreement tolerance).
+3 property-check failure (the math disagreed, e.g. the discount critical
+value lay farther than its agreement tolerance from the long-time slope or
+bracket).
 """
 
 from __future__ import annotations
@@ -131,6 +132,10 @@ def load_config(path: str) -> ExperimentConfig:
                 _check_step(numerics[key], spec.vmax, bound)
             except CFLError as exc:
                 raise ConfigError(f"numerics key {key!r}: {exc}") from exc
+        try:    # the critical values' long-time march needs a step between T/2 and T
+            crit._march_steps(crit.DEFAULT_T_LONG, numerics["dt_critical"])
+        except ValueError as exc:
+            raise ConfigError(f"numerics key 'dt_critical': {exc}") from exc
     return ExperimentConfig(command, numerics, top["output_dir"], top["seed"], spec, top, raw)
 
 
@@ -193,7 +198,9 @@ def run_critical(config):
     diag = result.diagnostics
     rows = list(zip(diag["lambda"], [-v for v in diag["minus_mean_lambda_u"]]))
     summary = f"c={result.c:.2f}±{max(diag['gap'], 0.01):.2f}"
-    return summary, result.method == "agree", {"discount.csv": ("lambda,mean_lambda_u", rows)}
+    bracket = {"c_lo": diag["c_lo"], "c_hi": diag["c_hi"]}
+    return summary, result.method == "agree", {
+        "discount.csv": ("lambda,mean_lambda_u", rows, bracket)}
 
 
 def run_ceps(config):

@@ -11,22 +11,31 @@ Two independent estimators with a mandatory agreement check:
     or a missed certificate raises through SolveRecord.require, as every
     missed tol does).  The first-order lam-bias is removed by a linear fit
     of -mean(lam*u_lam) in lam;
-  * long-time slope: evolve 0 under the variational semigroup of the same
-    Hamiltonian and read -d/dt of the spatial mean between T/2 and T.
+  * long-time certificate: evolve the discount's corrector h under the
+    variational semigroup of the same Hamiltonian for DEFAULT_T_LONG and
+    read -d/dt of the spatial mean between T/2 and T, and the one-step
+    bracket [-max d, -min d], d = (K h' - h')/dt, of the march's last step
+    from h'.  The kernel K is monotone and commutes with constants, so the
+    scheme's critical value lies in that bracket from any h'
+    (Gaubert & Gunawardena, Trans. AMS 356, 2004), and the bracket only
+    narrows along an orbit: a short march from a good h certifies c.
 
 critical_values solves many tables that share one grid and one velocity
-grid: one long-time march steps the disjoint union of their tori (a MinPlusStepper on the stacked
-cost tables), each table's mean read from its own slice, and the
-discounted solves run table by table, so every result is bit for bit
-that of critical_value on its table alone.  critical_value
+grid: the discounted solves run table by table, then one long-time march
+steps the disjoint union of their tori (a MinPlusStepper on the stacked
+cost tables) from their stacked correctors, each table's mean and bracket
+read from its own slice, so every result is bit for bit that of
+critical_value on its table alone.  critical_value
 is critical_values of one table; c_eps_curve solves all its eps samples in
 one batch, and so does homogenize.cell_problem all its cells.
 
-Each estimator has a distinct bias (lam-bias versus finite-T bias), so
-agreement within cross_tol is the working certificate of correctness.
+The discount value c carries the lam-fit bias; the bracket holds the
+scheme's exact critical value.  A result agrees when c lies within
+cross_tol of the slope and of both ends of the bracket, the working
+certificate of correctness; a poor corrector only widens the bracket.
 The W-part of a Hamiltonian G(x,p) + pot(x) is folded into the cost as
 L' = L - pot via LagrangianTable.with_potential.  Both estimators use the
-min-plus kernel semigroup.MinPlusStepper: the long-time slope steps it
+min-plus kernel semigroup.MinPlusStepper: the long-time march steps it
 under the driver semigroup.iterate; fixed_point reads its argmin policy
 and gather matrix for the discounted solve.
 """
@@ -55,7 +64,7 @@ DEFAULT_SCHEDULE = (4e-2, 2e-2, 1e-2)
 DEFAULT_DT = 0.02
 DEFAULT_TOL = 1e-4
 DEFAULT_CROSS_TOL = 2e-2
-DEFAULT_T_LONG = 40.0
+DEFAULT_T_LONG = 1.0
 
 
 def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
@@ -78,32 +87,48 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     return Field(lt.grid, rec.require(f"discounted solve at lam={lam:.3g}", tol))
 
 
-def longtime_slope(lts, T: float, dt: float) -> np.ndarray:
-    """-d/dt of mean(T_t 0) read between T/2 and T under the W-free evolution, per table.
-
-    The tables share one grid and one velocity grid.  One march steps the
-    disjoint union of their tori (MinPlusStepper on the stacked cost
-    tables), and each table's means are read from its own contiguous
-    slice, so each slope is bit for bit that of a march of its table alone.
-    """
-    if not lts:
-        raise ValueError("longtime_slope got an empty batch of tables")
+def _march_steps(T: float, dt: float) -> tuple[int, int]:
+    """The kernel steps to T/2 and to T; ValueError unless a step lies between them."""
     steps_half = int(round(T / (2 * dt)))
     steps_full = int(round(T / dt))
     if steps_full == steps_half:
         raise ValueError(f"long-time horizon T={T:g} holds no step of dt={dt:g} "
                          f"between T/2 and T")
+    return steps_half, steps_full
+
+
+def longtime_slope(lts, T: float, dt: float, starts=None):
+    """(slope, lo, hi) per table from one march of round(T/dt) kernel steps.
+
+    Table k starts from starts[k] (zero when starts is None).  slope is
+    -d/dt of the spatial mean read between T/2 and T; [lo, hi] =
+    [-max d, -min d], d = (K u - u)/dt over the march's last step from u,
+    brackets the scheme's critical value.  The tables share one grid and
+    one velocity grid.  One march steps the disjoint union of their tori
+    (MinPlusStepper on the stacked cost tables), and each table's values
+    are read from its own contiguous slice, so each result is bit for bit
+    that of a march of its table alone.
+    """
+    if not lts:
+        raise ValueError("longtime_slope got an empty batch of tables")
+    steps_half, steps_full = _march_steps(T, dt)
     g, vgrid = lts[0].grid, lts[0].vgrid
     if any(lt.grid != g or not np.array_equal(lt.vgrid, vgrid) for lt in lts):
         raise ValueError("longtime_slope's tables must share one grid and one velocity grid")
     stepper = MinPlusStepper(g, vgrid, dt, np.concatenate([lt.L for lt in lts]))
-    half = iterate(stepper.step, np.zeros(len(lts) * g.n), dt, steps_half).values
-    full = iterate(stepper.step, half, dt, steps_full - steps_half).values
+    u0 = np.zeros(len(lts) * g.n) if starts is None else np.concatenate(starts)
+    half = iterate(stepper.step, u0, dt, steps_half).values
+    before = iterate(stepper.step, half, dt, steps_full - steps_half - 1).values
+    full = iterate(stepper.step, before, dt, 1).values
+    d = (full - before) / dt
     t1 = steps_half * dt
     t2 = steps_full * dt
     copies = [slice(k * g.n, (k + 1) * g.n) for k in range(len(lts))]
-    return np.array([-(float(full[s].mean()) - float(half[s].mean())) / (t2 - t1)
-                     for s in copies])
+    slope = np.array([-(float(full[s].mean()) - float(half[s].mean())) / (t2 - t1)
+                      for s in copies])
+    lo = np.array([-float(d[s].max()) for s in copies])
+    hi = np.array([-float(d[s].min()) for s in copies])
+    return slope, lo, hi
 
 
 @dataclass
@@ -117,7 +142,7 @@ class CriticalValueResult:
 def critical_value(lt: LagrangianTable, schedule=DEFAULT_SCHEDULE, dt: float = DEFAULT_DT,
                    T_long: float = DEFAULT_T_LONG,
                    cross_tol: float = DEFAULT_CROSS_TOL) -> CriticalValueResult:
-    """Critical value by vanishing discount, cross-checked by long-time slope.
+    """Critical value by vanishing discount, certified by a long-time march from its corrector.
 
     Each discounted solve is exact, certified to residual DEFAULT_TOL.
     This is critical_values of the one table.
@@ -130,17 +155,19 @@ def critical_values(lts, schedule=DEFAULT_SCHEDULE, dt: float = DEFAULT_DT,
                     cross_tol: float = DEFAULT_CROSS_TOL) -> list[CriticalValueResult]:
     """critical_value of each table, in order, from one long-time march.
 
-    The long-time slopes of all tables come first, from one longtime_slope
-    march over the union of their tori; then the discounted solves run
-    table by table, each warm-started along the schedule.  Each result is
-    bit for bit that of critical_value on its table alone.  The tables
-    share one grid and one velocity grid.
+    The discounted solves run first, table by table, each warm-started
+    along the schedule; then one longtime_slope march over the union of
+    the tables' tori starts from their mean-centred correctors.  A result
+    agrees when c lies within cross_tol of its slope and of both ends of
+    its bracket; diagnostics["gap"] is the largest of those distances.
+    Each result is bit for bit that of critical_value on its table alone.
+    The tables share one grid and one velocity grid.
     """
     schedule = tuple(float(s) for s in schedule)
     if len(schedule) < 2 or any(a <= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing with at least 2 entries")
     results = []
-    for lt, c_longtime in zip(lts, longtime_slope(lts, T_long, dt)):
+    for lt in lts:
         estimates = []
         u_prev = None
         for lam in schedule:
@@ -148,16 +175,16 @@ def critical_values(lts, schedule=DEFAULT_SCHEDULE, dt: float = DEFAULT_DT,
             u_prev = discounted_solve(lt, lam, dt, u0=u_prev)
             estimates.append(-lam * u_prev.mean())
         c_discount = float(np.polyfit(schedule, estimates, 1)[1])
-        gap = abs(c_discount - c_longtime)
-        method = "agree" if gap <= cross_tol else "discount"
         corrector = Field(u_prev.grid, u_prev.values - u_prev.mean())
-        diag = {
-            "lambda": list(schedule),
-            "minus_mean_lambda_u": list(map(float, estimates)),
-            "c_longtime": float(c_longtime),
-            "gap": float(gap),
-        }
-        results.append(CriticalValueResult(c_discount, method, corrector, diag))
+        diag = {"lambda": list(schedule), "minus_mean_lambda_u": list(map(float, estimates))}
+        results.append(CriticalValueResult(c_discount, "discount", corrector, diag))
+    slopes, los, his = longtime_slope(lts, T_long, dt,
+                                      [res.u_corrector.values for res in results])
+    for res, slope, lo, hi in zip(results, slopes, los, his):
+        gap = max(abs(res.c - float(end)) for end in (slope, lo, hi))
+        res.method = "agree" if gap <= cross_tol else "discount"
+        res.diagnostics.update(c_longtime=float(slope), c_lo=float(lo), c_hi=float(hi),
+                               gap=float(gap))
     return results
 
 

@@ -129,10 +129,11 @@ def cell_problem(hp: HomogProblem, x, p, c, n_fast: int = 64, m: int = 49,
     momenta over [-pmax, pmax].  The time step is min(CELL_DT, 1/(2 vmax)),
     so foot points stay within half the fast torus at any vmax.
     crit.critical_values solves the cells: discounted solves cell by cell,
-    the long-time estimates from one march over the union of the cells'
+    the long-time certificates from one march over the union of the cells'
     fast tori; each value is bit for bit that of the cell solved alone.
     Raises ConvergenceError naming the first cell, in row-major order, whose
-    discount and long-time estimators differ by more than cross_tol.
+    certified gap (the discount value's distance to the long-time slope and
+    to both ends of the one-step bracket) exceeds cross_tol.
     """
     cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, p, c)))
     xs, ps, cs = (a.ravel() for a in cells)
@@ -155,7 +156,8 @@ def cell_problem(hp: HomogProblem, x, p, c, n_fast: int = 64, m: int = 49,
         if res.method != "agree":
             raise ConvergenceError(
                 f"cell problem at (x={cx:.4g}, p={cp:.4g}, c={cc:.4g}): discount and "
-                f"long-time estimators disagree by {res.diagnostics['gap']:.3g}",
+                f"long-time estimators disagree: certified gap "
+                f"{res.diagnostics['gap']:.3g} exceeds cross_tol {cross_tol:.3g}",
                 res.diagnostics["gap"])
     values = np.array([res.c for res in results]).reshape(cells[0].shape)
     return float(values) if values.ndim == 0 else values

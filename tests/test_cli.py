@@ -682,6 +682,12 @@ HOMOG = {"command": "homogenize",
     # the critical solves step at their own dt: vmax = 4 here, so dt 0.2 overruns
     (dict(STABILITY, command="critical", numerics=dict(FAST_NUMERICS, dt_critical=0.2)),
      "numerics key 'dt_critical': dt*vmax = 0.8 exceeds 1/2"),
+    # vmax = 0.5 passes dt_critical 0.7 through the step check, but the critical value's
+    # one-unit march would round both T/2 and T to one step
+    (dict(STABILITY, command="critical", hamiltonian={"G": "p^2", "vmax": 0.5},
+          numerics=dict(FAST_NUMERICS, dt_critical=0.7)),
+     "numerics key 'dt_critical': long-time horizon T=1 holds no step of dt=0.7 "
+     "between T/2 and T"),
     # the verdict margin, the Aubry-set tolerance and the cell step are constants, and a
     # cell table has as many momenta as velocities
     (dict(STABILITY, numerics=dict(FAST_NUMERICS, margin=0.05)), "unknown numerics keys: margin"),
@@ -696,6 +702,7 @@ HOMOG = {"command": "homogenize",
         "homog-dHu-not-dH-du", "homog-missing", "hamiltonian-unknown", "builtin-unknown",
         "linear_contact-a", "top-unknown", "example-ex-hamiltonian", "phi0-variable",
         "formula-kind", "homog-H-domain", "c_count-1", "p_count-2", "dt_critical-cfl",
+        "dt_critical-horizon",
         "margin-unknown", "aubry_tol-unknown", "cell_dt-unknown", "cell_k-unknown", "formula-v"])
 def test_malformed_configs_fail_at_load(tmp_path, capsys, config, message):
     path = write_config(tmp_path / "c.json", dict(config, output_dir=str(tmp_path / "out")))

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from weakkam import TorusGrid, builtin, legendre
 from weakkam import critical as crit
+from weakkam import homogenize as hz
 from weakkam import semigroup
 from weakkam.expr import parse
 from weakkam.errors import ConvergenceError
-from weakkam.grid import constant_field
+from weakkam.grid import Field, constant_field
 from weakkam.hamiltonian import HamiltonianSpec, LagrangianTable, frozen_values
 from weakkam.semigroup import CFLError, MinPlusStepper, iterate
 
@@ -153,7 +154,8 @@ def test_longtime_slope_lies_in_the_one_step_bracket(n, m, dt, reach, half_steps
                          rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, m)))
     T = 2 * half_steps * dt
     h = rng.normal(scale=rng.uniform(0.01, 10.0), size=n)
-    _assert_slope_in_bracket(lt, dt, T, h, crit.longtime_slope([lt], T, dt)[0])
+    slope, _, _ = crit.longtime_slope([lt], T, dt)
+    _assert_slope_in_bracket(lt, dt, T, h, slope[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -170,9 +172,91 @@ def test_batched_longtime_slope_is_the_per_table_slope(n, m, count, dt, reach, h
                            rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, m)))
            for _ in range(count)]
     T = 2 * half_steps * dt
-    slopes = crit.longtime_slope(lts, T, dt)
-    assert slopes.shape == (count,)
-    assert np.array_equal(slopes, [crit.longtime_slope([lt], T, dt)[0] for lt in lts])
+    starts = [rng.normal(scale=rng.uniform(0.01, 10.0), size=n) for _ in range(count)]
+    for given in (None, starts):
+        batched = crit.longtime_slope(lts, T, dt, given)
+        assert all(values.shape == (count,) for values in batched)
+        alone = [crit.longtime_slope([lt], T, dt, None if given is None else [given[k]])
+                 for k, lt in enumerate(lts)]
+        for values, per_table in zip(batched, zip(*alone)):
+            assert np.array_equal(values, np.concatenate(per_table))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 32), m=st.integers(1, 9), dt=st.floats(1e-3, 0.2),
+       reach=st.floats(0.0, 0.5), steps=st.integers(2, 16), seed=st.integers(0, 2 ** 16))
+def test_one_step_bracket_narrows_along_an_orbit(n, m, dt, reach, steps, seed):
+    # K is monotone and commutes with constants, so along the orbit u_k = K^k h of a
+    # random table from a random h, d_k = (u_(k+1) - u_k)/dt has min d_k never falling
+    # and max d_k never rising: the bracket of a march of k steps never widens in k
+    rng = np.random.default_rng(seed)
+    vgrid = rng.uniform(-1.0, 1.0, m)
+    vgrid *= reach / dt / max(np.abs(vgrid).max(), 1e-300)
+    lt = LagrangianTable(TorusGrid(n), vgrid,
+                         rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, m)))
+    h = rng.normal(scale=rng.uniform(0.01, 10.0), size=n)
+    ends = [crit.longtime_slope([lt], k * dt, dt, [h])[1:] for k in range(1, steps + 1)]
+    lo, hi = (np.concatenate(end) for end in zip(*ends))
+    assert (lo[0], hi[0]) == _slope_bracket(lt, dt, h)
+    # each d_k rounds about 4 eps of max|u_k| + dt max|L|, over dt; allow four times that
+    rounding = 16 * np.finfo(float).eps * (
+        float(np.abs(h).max()) / dt + (steps + 1) * float(np.abs(lt.L).max()))
+    assert np.all(np.diff(lo) >= -rounding) and np.all(np.diff(hi) <= rounding)
+
+
+def _assert_long_slope_in_certificate(lt, dt, res):
+    # the result's bracket is the one-step bracket of its march's last step, from
+    # g = K^(N-1) h with h the corrector and N = round(T_long/dt); the slope of the
+    # 40-unit march from 0 lies in it, within _assert_slope_in_bracket's allowance
+    steps = int(round(crit.DEFAULT_T_LONG / dt))
+    g = iterate(MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L).step, res.u_corrector.values,
+                dt, steps - 1).values
+    assert _slope_bracket(lt, dt, g) == (res.diagnostics["c_lo"], res.diagnostics["c_hi"])
+    assert res.method == "agree"
+    slope, _, _ = crit.longtime_slope([lt], 40.0, dt)
+    _assert_slope_in_bracket(lt, dt, 40.0, g, slope[0])
+
+
+def test_long_slope_from_zero_lies_in_the_eikonal_certificate(eikonal_cos_128):
+    spec, lt = eikonal_cos_128
+    _assert_long_slope_in_certificate(lt, crit.DEFAULT_DT, crit.critical_value(lt))
+
+
+def test_long_slope_from_zero_lies_in_the_cell_certificates(monkeypatch):
+    # three cells of the homog-cells Hamiltonian, their tables and results read where
+    # cell_problem hands them to critical_values
+    solve, given = crit.critical_values, []
+
+    def recorded(tables, **kwargs):
+        results = solve(tables, **kwargs)
+        given.extend(zip(tables, results))
+        return results
+
+    monkeypatch.setattr(crit, "critical_values", recorded)
+    hp = hz.HomogProblem(H=parse("u + p^2 + 0.5*cos(2*pi*y)"), dHu=parse("1"),
+                         Lambda1=1.0, Lambda2=1.0)
+    hz.cell_problem(hp, 0.0, np.array([0.0, 0.8, 1.5]), 0.0)
+    assert len(given) == 3
+    for table, res in given:
+        _assert_long_slope_in_certificate(table, min(hz.CELL_DT, 0.5 / hp.vmax), res)
+
+
+def test_a_shifted_discount_value_is_not_certified(eikonal_cos_128, monkeypatch):
+    # lowering each discounted solution by 0.05/lam raises c_discount by 0.05 and leaves
+    # the corrector as it was; the bracket, within 7e-6 of c before, refuses the shift
+    spec, lt = eikonal_cos_128
+    base = crit.critical_value(lt)
+    solve = crit.discounted_solve
+
+    def lowered(table, lam, dt, u0=None):
+        u = solve(table, lam, dt, u0=u0)
+        return Field(u.grid, u.values - 0.05 / lam)
+
+    monkeypatch.setattr(crit, "discounted_solve", lowered)
+    res = crit.critical_value(lt)
+    assert base.method == "agree" and res.method == "discount"
+    assert res.c == pytest.approx(base.c + 0.05, abs=1e-9)
+    assert res.diagnostics["gap"] >= 0.05 - base.diagnostics["gap"]
 
 
 def test_longtime_slope_needs_a_step_between_half_and_full_horizon(free_table):
@@ -264,7 +348,8 @@ def test_estimators_agree_on_every_builtin(example_setup):
 
 def test_disagreement_is_diagnostic_not_fatal(eikonal_cos_128):
     spec, lt = eikonal_cos_128
-    res = crit.critical_value(lt, T_long=1.0, cross_tol=1e-4)
+    # two kernel steps from the corrector leave a certified gap of about 3.9e-3
+    res = crit.critical_value(lt, T_long=0.04, cross_tol=1e-4)
     assert res.method == "discount"
     assert res.diagnostics["gap"] > 1e-4
 

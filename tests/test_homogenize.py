@@ -115,7 +115,8 @@ def test_cell_problem_disagreement_names_the_first_failing_cell(monkeypatch):
     hp = make_problem()
     with pytest.raises(ConvergenceError,
                        match=r"^cell problem at \(x=0, p=0, c=0\.5\): discount and "
-                             r"long-time estimators disagree by 0\.375$") as err:
+                             r"long-time estimators disagree: certified gap 0\.375 "
+                             r"exceeds cross_tol 0\.02$") as err:
         hz.cell_problem(hp, 0.0, np.array([-1.0, 0.0, 1.0])[:, None], np.array([0.0, 0.5]),
                         n_fast=16, m=17)
     assert err.value.residual == 0.375

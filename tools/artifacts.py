@@ -6,8 +6,10 @@ Run from the repository root:
 
 OUT must not exist or must be empty.  Each config is written to
 OUT/<id>.json and run by `weakkam.cli.main` with its artifacts in OUT/<id>/;
-the script then prints one line per config with its exit code, followed by
-`<sha256>  <id>/<file>` for each file the run wrote.  The set is the three
+the script then prints one line per config with its exit code and the CLI's
+summary line (`weakkam <command>: ...`, or its failure or config-error line),
+followed by `<sha256>  <id>/<file>` for each file the run wrote; anything
+else the run prints goes to stderr.  The set is the three
 benchmark workloads at seeds 1 and 2 (from bench/workloads.py, imported
 without writing bytecode) plus one small config per further command path, each
 at n=64, m=33 (the x-dependent homogenize config at small cell and fine grids,
@@ -16,7 +18,8 @@ multiples of the barrier's base block, the |p| mather config at n=32, m=17, and
 two stationary solves of the worked example: from 0, and at theta = -0.2, which
 exits 1, and a stability config whose decay slope is the -delta orbit's fit).
 Two runs on different checkouts are byte-identical exactly when their
-printouts are, so a byte-identity check is a `diff`.  The script checks
+printouts are, so a byte-identity check is a `diff`, and the diff also shows
+every summary or verdict line that moves.  The script checks
 each config's exit code against EXIT_CODES (0 for a config it does not
 name): after the last config it reports every difference on stderr and
 exits 1.  Digests are not checked.
@@ -24,7 +27,9 @@ exits 1.  Digests are not checked.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -123,9 +128,15 @@ def main(argv=None) -> int:
     for cid, config in configs().items():
         path = out / f"{cid}.json"
         path.write_text(json.dumps(config))
-        code = cli.main([config["command"], "--config", str(path), "--out", str(out / cid),
-                         "--quiet"])
-        print(f"{cid}: exit {code}", flush=True)
+        said = io.StringIO()
+        with contextlib.redirect_stdout(said), contextlib.redirect_stderr(said):
+            code = cli.main([config["command"], "--config", str(path), "--out", str(out / cid)])
+        lines = said.getvalue().splitlines()
+        summary = " | ".join(line for line in lines if line.startswith("weakkam"))
+        for line in lines:
+            if not line.startswith("weakkam"):
+                print(line, file=sys.stderr)
+        print(f"{cid}: exit {code}: {summary}", flush=True)
         for artifact in sorted((out / cid).iterdir()):
             digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
             print(f"{digest}  {cid}/{artifact.name}", flush=True)
