@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import REQUIRED, constant, formula, number, positive, read_section, section, text
 from .errors import ConfigError
-from .expr import Expr
+from .expr import EvalError, Expr
 from .grid import Field, TorusGrid
 
 __all__ = [
@@ -62,6 +62,9 @@ DIFF_H = 1e-3       # half-width of the central difference in u of W (and of a t
 # builtin) the difference is exact up to rounding, eps*max|W|/DIFF_H ~ 2e-13*max|W|;
 # a W smooth in u adds the truncation error DIFF_H^2/6 * max|d3W/du3| ~ 1.7e-7 per unit
 DIFF_TOL = 1e-6
+# allowed |W - (a*u + b)| of an affine W, in ulps of the magnitudes involved: W's own
+# operations round a few times (example_ex's W, folded: one -, one *, one -)
+AFFINE_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,31 @@ def frozen_values(e: Expr, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """An (x, u) expression frozen at u = us(x), sampled on the nodes xs: the one
     sampler of W and dWu on the nodes (the contact step, the frozen potentials)."""
     return np.broadcast_to(np.asarray(e.evaluate({"x": xs, "u": us}), dtype=float), xs.shape)
+
+
+def affine_parts(W: Expr, dWu: Expr, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(a, b) with W(x, u) = a(x)*u + b(x) on the nodes xs up to rounding, or None.
+
+    a = dWu and b = W(x, 0), as contiguous arrays.  W counts as affine when
+    dWu does not read u and, at every node and every u of U_LATTICE,
+    |W - (a*u + b)| is at most AFFINE_ULPS ulps of the node's largest
+    |W| + |a*u| + |b| over the lattice.  W and dWu may be folded at xs; a W
+    that leaves its domain on the lattice is not affine."""
+    if "u" in dWu.variables():
+        return None
+    try:
+        a, b = (np.ascontiguousarray(frozen_values(e, xs, np.zeros(xs.shape))) for e in (dWu, W))
+        # one evaluation on the (u, x) lattice: u is a column against the nodes
+        us = U_LATTICE.T
+        w = np.broadcast_to(np.asarray(W.evaluate({"x": xs, "u": us}), dtype=float),
+                            (us.size, xs.size))
+    except EvalError:
+        return None
+    au = a * us
+    scale = (np.abs(w) + np.abs(au) + np.abs(b)).max(axis=0)
+    if np.any(np.abs(w - (au + b)) > AFFINE_ULPS * np.finfo(float).eps * scale):
+        return None
+    return a, b
 
 
 def _sample_points(dim: int) -> np.ndarray:

@@ -15,18 +15,27 @@ products).  A cost table of k*n rows makes it step k disjoint copies of
 the torus as one function of k*n values, each copy bit for bit as if
 alone (the long-time march of many critical values at once).  One
 function is stepped through a preallocated (m, N) candidate buffer, with
-the same products and sums as a freshly built table.  The velocity
-search is exhaustive over the velocity grid (L may be nonsmooth) and foot
-points use monotone periodic linear interpolation.  `Stepper` adds the
-contact correction -dt*W(x,u) of a split Hamiltonian, explicitly by
-default; "picard" mode re-evaluates W at the updated value by scalar
-fixed-point iteration under `iterate`, which contracts because
-dt*Lambda <= 1/2.  Each Stepper folds W at the grid nodes once
-(`Expr.fold`), so a step evaluates only the u-dependent rest of W, with
-values bit-identical to evaluating all of W.  An explicit Stepper over k
-copies of the torus steps k functions as one of k*n values (the kernel on
-lt.L tiled k times, W folded on the tiled nodes), each bit for bit as if
-alone; the Picard mode refuses copies.  The forward step is
+the same products and sums as a freshly built table; the plan's weights
+are full (m, N) arrays, each row one value, so a product with them is one
+loop over the table.  The velocity search is exhaustive over the velocity
+grid (L may be nonsmooth) and foot points use monotone periodic linear
+interpolation.  `Stepper` adds the contact correction -dt*W(x,u) of a
+split Hamiltonian, explicitly by default; "picard" mode re-evaluates W at
+the updated value by scalar fixed-point iteration under `iterate`, which
+contracts because dt*Lambda <= 1/2.  A W affine in u (every builtin) is
+read once per Stepper as two node arrays, a = dWu and b = W(x, 0), and a
+step is the kernel step plus one multiply-add: K(u) -+ dt*(a*u + b),
+evaluating no formula.  The Stepper decides this itself
+(`hamiltonian.affine_parts`): dWu must not read u, and W must equal a*u + b
+within a few ulps at every node and every u of the load-time lattice.  Any
+other W is folded at the nodes once (`Expr.fold`) and each step evaluates
+its u-dependent rest, bit-identical to evaluating all of W; an affine step
+equals that formula step only up to W's own roundings.  The Stepper also
+supplies the Newton slope dt*dWu(x, u) of `stationary_solve` (dt*a when W
+is affine).  An explicit Stepper over k copies of the torus steps k
+functions as one of k*n values (the kernel on lt.L tiled k times, W read
+on the tiled nodes), each bit for bit as if alone; the Picard mode refuses
+copies.  The forward step is
 the mirror image (max, +dt W), taken through a kernel on the negated
 velocity grid, whose foot points x_i + v_j dt are the forward ones, by the
 identity max_j [a_j - b_j] = -min_j [-a_j + b_j].
@@ -77,7 +86,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import Field, TorusGrid
-from .hamiltonian import HamiltonianSpec, LagrangianTable, frozen_values
+from .hamiltonian import HamiltonianSpec, LagrangianTable, affine_parts, frozen_values
 
 __all__ = [
     "CFLError",
@@ -129,8 +138,10 @@ class GatherPlan:
         offsets = np.repeat(np.arange(copies) * g.n, g.n)
         self.idx0 = np.ascontiguousarray(np.tile(idx0, copies) + offsets)
         self.idx1 = np.ascontiguousarray(np.tile((idx0 + 1) % g.n, copies) + offsets)
-        self.w0 = 1.0 - theta
-        self.w1 = theta
+        # full (m, N) weights, each row one value: a product with them is one loop over
+        # m*N values instead of m loops over a broadcast column, with the same products
+        self.w0 = np.ascontiguousarray(np.broadcast_to(1.0 - theta, self.idx0.shape))
+        self.w1 = np.ascontiguousarray(np.broadcast_to(theta, self.idx0.shape))
         # the (m, N) table and the second node's products, written in place by apply
         self._table = np.empty(self.idx0.shape)
         self._scratch = np.empty(self.idx0.shape)
@@ -151,8 +162,8 @@ class GatherPlan:
         rows = np.arange(policy.size)
         P = np.zeros((policy.size, policy.size))
         # the two stencil nodes of a row differ: a TorusGrid has n >= 8
-        P[rows, self.idx0[policy, rows]] = self.w0[policy, 0]
-        P[rows, self.idx1[policy, rows]] = self.w1[policy, 0]
+        P[rows, self.idx0[policy, rows]] = self.w0[policy, rows]
+        P[rows, self.idx1[policy, rows]] = self.w1[policy, rows]
         return P
 
 
@@ -195,13 +206,14 @@ class MinPlusStepper:
     def step(self, u: np.ndarray) -> np.ndarray:
         if u.ndim == 1:
             return self._candidates(u).min(axis=0)
-        # a batch (N, B) goes one velocity at a time, keeping (N, B) temporaries
+        # a batch (N, B) goes one velocity at a time, keeping (N, B) temporaries; a
+        # velocity's weights are one value, multiplied in as a scalar
         dtLT = self._dt_cost(u)
         p = self.plan
         best = None
         for j in range(dtLT.shape[0]):
-            cand = u[p.idx0[j]] * p.w0[j]
-            cand += u[p.idx1[j]] * p.w1[j]
+            cand = u[p.idx0[j]] * p.w0[j, :1]
+            cand += u[p.idx1[j]] * p.w1[j, :1]
             cand += dtLT[j][:, None]
             best = cand if best is None else np.minimum(best, cand, out=best)
         return best
@@ -229,10 +241,13 @@ class Stepper:
 
     With copies = k it steps one function of k*n values, k disjoint copies of
     lt's torus laid end to end (copy j on j*n .. j*n + n - 1), each bit for bit
-    as if alone: the kernel's cost is lt.L tiled k times and W is folded on the
-    tiled nodes.  The Picard mode refuses copies, since its stop at tol over
-    the union would give a copy that settled early extra iterations.  Each
-    direction's kernel is built on its first step.
+    as if alone: the kernel's cost is lt.L tiled k times and W is read on the
+    tiled nodes.  A W affine in u (affine_parts on those nodes) is the pair
+    `affine` = (a, b) of node arrays, and the correction is dt*(a*u + b); any
+    other W (affine None) is folded at the nodes and evaluated each step.  The
+    Picard mode refuses copies, since its stop at tol over the union would give
+    a copy that settled early extra iterations.  Each direction's kernel is
+    built on its first step.
     """
 
     def __init__(self, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,
@@ -249,8 +264,10 @@ class Stepper:
         self._lambda_bound = spec.lambda_bound
         self._copies = copies
         self.xs = np.tile(lt.grid.nodes, copies)
-        # W's x-only part is evaluated here once; each step evaluates the u-dependent rest
+        # W's and dWu's x-only parts are evaluated here once
         self.W = spec.W.fold({"x": self.xs})
+        self._dWu = spec.dWu.fold({"x": self.xs})
+        self.affine = affine_parts(self.W, self._dWu, self.xs)
 
     def _kernel(self, vgrid: np.ndarray) -> MinPlusStepper:
         lt = self._lt
@@ -266,9 +283,25 @@ class Stepper:
         # x_i + v_j dt is the backward foot point of -v_j
         return self._kernel(-self._lt.vgrid)
 
+    def _contact(self, u: np.ndarray) -> np.ndarray:
+        """W(x, u) on the nodes: a*u + b for an affine W, else the folded formula."""
+        if self.affine is None:
+            return frozen_values(self.W, self.xs, u)
+        a, b = self.affine
+        w = a * u
+        w += b
+        return w
+
+    def newton_slope(self, u: np.ndarray, policy: np.ndarray) -> np.ndarray:
+        """dt*dWu(x, u) on the nodes: the diagonal that fixed_point's Newton step adds
+        under any policy (dt*a for an affine W)."""
+        if self.affine is None:
+            return self.dt * frozen_values(self._dWu, self.xs, u)
+        return self.dt * self.affine[0]
+
     def _resolve(self, base: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
         def corrected(z):
-            return base + sign * self.dt * frozen_values(self.W, self.xs, z)
+            return base + sign * self.dt * self._contact(z)
 
         z = corrected(u)
         if self.mode == "explicit":
@@ -435,7 +468,5 @@ def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt
     if tol <= 0:
         raise ValueError("tol must be positive")
     stepper = Stepper(spec, lt, dt)
-    dWu = spec.dWu.fold({"x": stepper.xs})
-    return fixed_point(stepper.backward_values, stepper._back,
-                       lambda u, policy: dt * frozen_values(dWu, stepper.xs, u),
+    return fixed_point(stepper.backward_values, stepper._back, stepper.newton_slope,
                        phi0.values, dt, tol, math.ceil(T_max / dt))

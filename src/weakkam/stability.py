@@ -33,7 +33,8 @@ from . import critical as crit
 from .errors import ConfigError
 from .grid import Field
 # conjugate_table is not called here; bench/tests check that the tracer patches it here too
-from .hamiltonian import HamiltonianSpec, LagrangianTable, conjugate_table, frozen_values
+from .hamiltonian import (HamiltonianSpec, LagrangianTable, affine_parts, conjugate_table,
+                          frozen_values)
 from .mather import extremal_integral, peierls_barrier, solve_occupational
 from .semigroup import evolve
 
@@ -121,16 +122,16 @@ def check_corollary_a(spec: HamiltonianSpec, dt: float = crit.DEFAULT_DT, *, lt:
                       cross_tol: float = crit.DEFAULT_CROSS_TOL) -> StabilityReport:
     """Constructive global-stability check for a(x)*u + G(x,Du) = c(G).
 
-    spec has W = a(x)*u, so a(x) is spec.dWu on lt's grid; lt is the
-    table of G.  Verdict "holds" when a > MARGIN on the Aubry set of G
-    (from peierls_barrier at its default horizons), "inconclusive" when
-    the two critical-value estimators disagree beyond cross_tol, "fails"
-    otherwise.
+    spec has W = a(x)*u: affine in u on lt's grid by the steppers' own test
+    (affine_parts) with b = 0, so a(x) is spec.dWu there; lt is the table
+    of G.  Verdict "holds" when a > MARGIN on the Aubry set of G (from
+    peierls_barrier at its default horizons), "inconclusive" when the two
+    critical-value estimators disagree beyond cross_tol, "fails" otherwise.
     """
-    nodes, zero = lt.grid.nodes, np.zeros(lt.grid.n)
-    if "u" in spec.dWu.variables() or np.any(frozen_values(spec.W, nodes, zero) != 0):
+    parts = affine_parts(spec.W, spec.dWu, lt.grid.nodes)
+    if parts is None or np.any(parts[1] != 0):
         raise ConfigError("corollary check requires W = a(x)*u with dWu = a(x) free of u")
-    a = frozen_values(spec.dWu, nodes, zero)
+    a = parts[0]
     if np.any(a < 0):
         raise ConfigError("corollary check requires a(x) = dWu >= 0 everywhere")
 

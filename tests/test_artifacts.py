@@ -7,11 +7,15 @@ from weakkam import cli
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _artifacts_tool():
-    spec = importlib.util.spec_from_file_location("artifacts", ROOT / "tools" / "artifacts.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _artifacts_tool():
+    return _tool("artifacts")
 
 
 def test_every_artifact_config_loads(tmp_path):
@@ -27,3 +31,19 @@ def test_exit_code_table_names_configs_of_the_set():
     tool = _artifacts_tool()
     assert set(tool.EXIT_CODES) <= set(tool.configs())
     assert all(code != 0 for code in tool.EXIT_CODES.values())
+
+
+def test_artdiff_reports_the_largest_move_of_each_differing_artifact(tmp_path, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    for root, last, extra in ((base, "0.5", "x"), (head, "0.5000000000001", "y")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "same.csv").write_text("# n=64\nt,u\n0.1,2.0\n")
+        (root / "run" / "moved.csv").write_text(f"# n=64\nt,u\n0.1,-2.0\n0.2,{last}\n")
+        (root / "run" / "text.json").write_text(f'{{"verdict": "{extra}"}}')
+    (head / "run" / "new.csv").write_text("1\n")
+    assert _tool("artdiff").main([str(base), str(head)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "run/moved.csv: 1 of 5 numbers differ, max abs 1e-13, max rel 2e-13"
+    assert lines[1:] == ["run/new.csv: only in HEAD", "run/text.json: differs outside its numbers"]
+    assert _tool("artdiff").main([str(base), str(base)]) == 0
+    assert capsys.readouterr().out == "No artifact differs.\n"

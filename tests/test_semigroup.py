@@ -11,8 +11,8 @@ from weakkam import TorusGrid, builtin, legendre
 from weakkam.errors import ConvergenceError
 from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr, sup_diff
-from weakkam.hamiltonian import HamiltonianSpec, frozen_values
-from weakkam import semigroup
+from weakkam.hamiltonian import HamiltonianSpec, frozen_values, spec_from_config
+from weakkam import hamiltonian, semigroup
 from weakkam.semigroup import (CFLError, MinPlusStepper, Stepper, evolve, iterate,
                                stationary_solve)
 
@@ -71,11 +71,22 @@ def _unfolded(spec, lt, dt, mode, u, sign):
     return iterate(corrected, z, 1.0, 50, tol=1e-13).values if mode == "picard" else z
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_PARAMS))
+# W quadratic in u: its Stepper has no (a, b) pair and evaluates the folded formula
+QUADRATIC_W = {"G": "p^2 + 0.3*cos(2*pi*x)", "W": "u + 0.3*u^2", "dWu": "1 + 0.6*u"}
+
+
+def _spec(name):
+    return spec_from_config(QUADRATIC_W) if name == "quadratic_W" else builtin(
+        name, BUILTIN_PARAMS[name])
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PARAMS) + ["quadratic_W"])
 @pytest.mark.parametrize("mode", ["explicit", "picard"])
 def test_folded_W_steps_bit_identically(name, mode):
+    # pins the folded-formula path (quadratic_W); every builtin W is affine and steps by
+    # its (a, b) arrays, equal here to the whole of W only as W's roundings are absorbed
     g = TorusGrid(64)
-    spec = builtin(name, BUILTIN_PARAMS[name])
+    spec = _spec(name)
     lt = legendre(spec, g, 33, 33)
     dt = 1e-3
     st = Stepper(spec, lt, dt, mode)
@@ -95,6 +106,87 @@ def test_folded_W_equals_only_a_fold_at_the_same_nodes(name):
     assert W != spec.W
     assert W != spec.W.fold({"x": TorusGrid(32).nodes})
     assert W != spec.W.fold({"x": lt.grid.nodes + 1e-3})
+
+
+AFFINE_BUILTINS = ["example_ex", "linear_contact", "corollary_a"]
+AFFINE_INLINE = {"G": "p^2 + cos(2*pi*x)", "W": "(2+sin(2*pi*x))*u", "dWu": "2+sin(2*pi*x)"}
+
+
+@pytest.mark.parametrize("name", AFFINE_BUILTINS + ["inline"])
+def test_affine_W_takes_the_array_path(name):
+    spec = spec_from_config(AFFINE_INLINE) if name == "inline" else _spec(name)
+    lt = legendre(spec, TorusGrid(64), 33, 33)
+    st = Stepper(spec, lt, 1e-3, copies=2)
+    a, b = st.affine
+    zero = np.zeros(st.xs.size)
+    assert np.array_equal(a, frozen_values(spec.dWu, st.xs, zero))
+    assert np.array_equal(b, frozen_values(spec.W, st.xs, zero))
+
+
+@pytest.mark.parametrize("W, dWu", [
+    ("u + 0.3*u^2", "1 + 0.6*u"),
+    # passes the load-time derivative check with dWu = 1; only the exact test catches it
+    ("u + 1e-9*u^2", "1"),
+    # affine, but dWu reads u
+    ("u", "1 + 0*u"),
+])
+def test_other_W_takes_the_formula_path(W, dWu):
+    spec = spec_from_config({"G": "p^2", "W": W, "dWu": dWu})
+    assert Stepper(spec, legendre(spec, TorusGrid(64), 33, 33), 1e-3).affine is None
+
+
+@pytest.mark.parametrize("name", AFFINE_BUILTINS)
+@pytest.mark.parametrize("copies", [1, 2])
+def test_affine_step_is_the_kernel_step_plus_a_multiply_add(name, copies):
+    g = TorusGrid(64)
+    spec = _spec(name)
+    lt = legendre(spec, g, 33, 33)
+    dt = 1e-3
+    st = Stepper(spec, lt, dt, copies=copies)
+    a, b = st.affine
+    rng = np.random.default_rng(11)
+    u = np.concatenate([random_field(g, rng).values for _ in range(copies)])
+    L = np.tile(lt.L, (copies, 1))
+    back = MinPlusStepper(g, lt.vgrid, dt, L).step(u)
+    fwd = -MinPlusStepper(g, -lt.vgrid, dt, L).step(-u)
+    assert np.array_equal(st.backward_values(u), back - dt * (a * u + b))
+    assert np.array_equal(st.forward_values(u), fwd + dt * (a * u + b))
+    # each copy steps as if alone
+    alone = Stepper(spec, lt, dt)
+    for j in range(copies):
+        rows = slice(j * g.n, (j + 1) * g.n)
+        assert np.array_equal(st.backward_values(u)[rows], alone.backward_values(u[rows]))
+        assert np.array_equal(st.forward_values(u)[rows], alone.forward_values(u[rows]))
+
+
+def test_affine_step_agrees_with_the_formula_step_to_rounding():
+    # the two contact terms differ by W's own roundings, at most AFFINE_ULPS ulps of
+    # |W| + |a u| + |b|, scaled by dt; each step's final sum rounds once more
+    g = TorusGrid(128)
+    spec = _spec("example_ex")
+    lt = legendre(spec, g, 49, 49)
+    dt = 1e-3
+    st = Stepper(spec, lt, dt)
+    a, b = st.affine
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        u = random_field(g, np.random.default_rng(seed), scale=2.0).values
+        W = frozen_values(spec.W, g.nodes, u)
+        terms = dt * hamiltonian.AFFINE_ULPS * eps * (np.abs(W) + np.abs(a * u) + np.abs(b))
+        for step, sign in ((st.backward_values, -1.0), (st.forward_values, +1.0)):
+            out = step(u)
+            formula = _unfolded(spec, lt, dt, "explicit", u, sign)
+            assert np.all(np.abs(out - formula) <= terms + 2 * eps * np.abs(formula))
+
+
+@pytest.mark.parametrize("name", ["example_ex", "quadratic_W"])
+def test_newton_slope_is_dt_dWu_on_either_path(name):
+    spec = _spec(name)
+    lt = legendre(spec, TorusGrid(64), 33, 33)
+    st = Stepper(spec, lt, 1e-3)
+    assert (st.affine is None) == (name == "quadratic_W")
+    u = random_field(lt.grid, np.random.default_rng(2)).values
+    assert np.array_equal(st.newton_slope(u, None), 1e-3 * frozen_values(spec.dWu, st.xs, u))
 
 
 def test_constant_data_exactness_with_x_dependent_W():
@@ -625,6 +717,24 @@ def test_policy_matrix_reproduces_the_step():
     # the argmin policy is kept; a worse current velocity is replaced
     assert np.array_equal(stepper.policy(u, policy), policy)
     assert np.array_equal(stepper.policy(u, (policy + 1) % lt.vgrid.size), policy)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_gather_matrix_reproduces_apply(copies):
+    g = TorusGrid(32)
+    vgrid = np.linspace(-3.0, 3.0, 17)
+    plan = semigroup.GatherPlan(g, vgrid, 0.03, copies)
+    # full (m, N) weights, one value per velocity
+    assert plan.w0.shape == plan.w1.shape == plan.idx0.shape == (vgrid.size, copies * g.n)
+    assert plan.w0.flags.c_contiguous and plan.w1.flags.c_contiguous
+    assert np.all(plan.w0 == plan.w0[:, :1]) and np.all(plan.w1 == plan.w1[:, :1])
+    rng = np.random.default_rng(copies)
+    policy = rng.integers(0, vgrid.size, copies * g.n)
+    u = rng.normal(size=copies * g.n)
+    rows = np.arange(u.size)
+    gathered = plan.apply(u)[policy, rows]
+    assert np.allclose(plan.matrix(policy) @ u, gathered, rtol=0,
+                       atol=4 * np.finfo(float).eps * np.abs(u).max())
 
 
 def test_policy_keeps_current_velocity_on_ties():

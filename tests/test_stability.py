@@ -6,6 +6,7 @@ import pytest
 from weakkam import TorusGrid, builtin, legendre
 from weakkam.errors import ConfigError
 from weakkam.grid import Field, constant_field
+from weakkam.hamiltonian import spec_from_config
 from weakkam.semigroup import evolve
 from weakkam import critical as crit
 from weakkam import stability as st
@@ -232,6 +233,18 @@ def test_corollary_rejects_negative_a():
     spec, lt = _corollary(-0.1, 0, 0)
     with pytest.raises(ConfigError):
         st.check_corollary_a(spec, lt=lt)
+
+
+@pytest.mark.parametrize("W, dWu", [
+    # passes the load-time derivative check, yet is not a(x)*u: the steppers' exact test
+    ("(2 + sin(2*pi*x))*u + 1e-9*u^2", "2 + sin(2*pi*x)"),
+    ("(2 + sin(2*pi*x))*u + 0.1", "2 + sin(2*pi*x)"),
+    ("2*u + 0.1*u^2", "2 + 0.2*u"),
+])
+def test_corollary_rejects_a_W_that_is_not_a_times_u(W, dWu):
+    spec = spec_from_config({"G": "p^2 + cos(2*pi*x) - 1", "W": W, "dWu": dWu})
+    with pytest.raises(ConfigError, match="W = a\\(x\\)\\*u"):
+        st.check_corollary_a(spec, lt=legendre(spec, TorusGrid(64), 33, 33))
 
 
 def test_corollary_disagreement_is_inconclusive(monkeypatch):
