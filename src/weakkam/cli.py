@@ -230,7 +230,6 @@ def run_mather(config):
 
 
 def run_barrier(config):
-    num = config.numerics
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
     bt = mather.peierls_barrier(ltp, result.c)

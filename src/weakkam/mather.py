@@ -25,14 +25,13 @@ keeping every tableau small.
 
 The Peierls barrier is computed by min-plus dynamic programming on the
 normalized running cost L + c.  The shared kernel semigroup.MinPlusStepper
-steps one function per start node as a batch, seeded from the diagonal,
-under the driver semigroup.iterate, for a base block of BASE_T only; longer
-horizons are min-plus powers of that table, by the semigroup identity
-h_{s+t}(x,y) = min_z [h_s(x,z) + h_t(z,y)] and repeated squaring in row
-chunks of at most CHUNK_BYTES.  The liminf over horizons is realized as a
-min over a finite horizon list.  A residual drift of the diagonal minimum between the
-two largest distinct horizons estimates any error in the supplied
-normalization constant and is subtracted.
+steps one function per start node as a batch, seeded with a cone K d(x, .)
+whose slope K bounds the barrier's, under semigroup.iterate, for a base
+block of BASE_T only.  The limit t -> infinity is that block's
+min-plus powers, by the semigroup identity h_{s+t}(x,y) = min_z [h_s(x,z) +
+h_t(z,y)]: the table is squared in row chunks of at most CHUNK_BYTES, less
+its diagonal minimum, which takes out any error in the supplied
+normalization constant, until a squaring moves it by rounding only.
 """
 
 from __future__ import annotations
@@ -42,9 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .grid import Field
 from .hamiltonian import LagrangianTable
-from .semigroup import MinPlusStepper, iterate
+from .semigroup import NEWTON_ROUNDING, MinPlusStepper, iterate
 
 __all__ = [
     "LinearProgram",
@@ -60,9 +60,9 @@ __all__ = [
 ]
 
 L_CLIP = 1e6
-BIG = L_CLIP        # barrier value of an unreached (start, arrival) pair
 SAFETY = 4.0        # dt*vmax may span at most SAFETY cells in the barrier
-BASE_T = 0.5        # the barrier steps this long; longer horizons are min-plus products
+BASE_T = 0.5        # the barrier steps this long; longer horizons are min-plus squares
+MAX_SQUARINGS = 20  # squarings of the barrier's base block before ConvergenceError
 CHUNK_BYTES = 512 * 1024    # temporary of one row chunk of a min-plus product
 LP_TOL = 1e-9       # simplex pivot and optimality tolerance
 LP_MAX_ITER = 200_000   # simplex pivots per phase before LPError
@@ -324,7 +324,7 @@ def solve_occupational(lt: LagrangianTable) -> OccupationalMeasure:
     closed probability measures; fold a potential in with lt.with_potential."""
     cost = np.minimum(lt.L, L_CLIP)
     cols = _OccupationalColumns(lt, cost)
-    n, m = lt.grid.n, lt.m
+    n = lt.grid.n
     j0 = int(np.argmin(np.abs(lt.vgrid)))    # v = 0 column per node: always feasible
     init_i = np.concatenate([np.arange(n), np.arange(n)])
     init_j = np.concatenate([np.full(n, j0, dtype=int), np.argmin(cost, axis=1)])
@@ -359,15 +359,15 @@ def extremal_integral(measure: OccupationalMeasure, f: Field, sense: str = "min"
 
 @dataclass
 class BarrierTable:
-    """The drift-corrected barrier of one table, with the Aubry set read off its diagonal."""
+    """The barrier of one table at rest, with the Aubry set read off its diagonal."""
 
     h: np.ndarray              # (n, n): normalized barrier from x to y
-    c_used: float              # normalization constant after drift correction
+    c_used: float              # c minus the normalization per unit of the final horizon
     aubry_indices: np.ndarray  # nodes with h[y,y] <= AUBRY_TOL
 
 
 def _minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The min-plus product min_z A[y, z] + B[z, x], clamped at BIG.
+    """The min-plus product min_z A[y, z] + B[z, x].
 
     With tables indexed [arrival, start], _minplus(A, B) is B's horizon
     followed by A's.  Rows go in chunks whose (rows, n, n) temporary is at
@@ -378,69 +378,61 @@ def _minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = np.empty((n, n))
     for i in range(0, n, rows):
         np.min(A[i:i + rows, :, None] + B[None, :, :], axis=1, out=out[i:i + rows])
-    return np.minimum(out, BIG, out=out)
+    return out
 
 
-def peierls_barrier(lt: LagrangianTable, c: float, t_list=(4.0, 8.0, 16.0)) -> BarrierTable:
-    """Min-plus dynamic programming for the normalized minimal action.
+def _cone_seed(lt: LagrangianTable) -> np.ndarray:
+    """The (n, n) table K d(x, y), d the torus distance between nodes.
 
-    h_t(x, .) = T_t delta_x for every start node x at once: column x of the
-    table H[y, x] is one function of the arrival node y, and the batch is
-    stepped by the min-plus kernel on the cost L + c,
+    K = 2 min_{v != 0} max_x (L(x, v) - min L)/|v| bounds the barrier's
+    Lipschitz constant: moving at a constant v gives h(z, x) <= d(z, x)
+    max_x (L + c)/|v|, and c <= -min L, since every closed measure has
+    integral of L at least min L.  The factor 2 covers the discrete
+    barrier's O(h) excess over that bound.
+    """
+    moving = lt.vgrid != 0
+    K = 2.0 * float(np.min((lt.L[:, moving] - lt.L.min()).max(axis=0)
+                           / np.abs(lt.vgrid[moving])))
+    n = lt.grid.n
+    cells = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return K * lt.grid.h * np.minimum(cells, n - cells)
+
+
+def peierls_barrier(lt: LagrangianTable, c: float) -> BarrierTable:
+    """Min-plus dynamic programming for the normalized minimal action, at rest.
+
+    Column x of the table H[y, x] is one function of the arrival node y,
+    seeded with the cone of _cone_seed, and the batch is stepped by the
+    min-plus kernel on the cost L + c,
 
         H_{t+dt}[y, x] = min_j ( H_t[y - v_j dt, x] + dt (L[y,j] + c) ),
 
-    seeded with 0 on the diagonal and BIG elsewhere, and clamped at BIG,
     with dt = min(0.02, SAFETY*h/vmax), vmax the largest |v| of the velocity
-    grid, so a foot point spans at most SAFETY cells.  Each horizon t is
-    N = round(t/dt) steps, but only the base block of B = min(round(BASE_T/dt),
-    largest N) steps is stepped from the seed: a horizon N <= B is its
-    stepped table, and a longer one N = q*B + r is the min-plus power H_B^q,
-    stepped on by its remainder r.  The powers H_B^(2^i) are formed by
-    repeated squaring with _minplus and shared by all horizons.  Neither
-    undercuts stepping from the seed: the kernel's interpolation is a convex
-    combination, so T(min_z g_z) <= min_z T(g_z), and T is monotone.  The
-    barrier is the min over the horizon list of the drift-corrected tables;
-    the Aubry set is the nodes y with h[y,y] <= AUBRY_TOL.
+    grid, so a foot point spans at most SAFETY cells, for one block of
+    round(BASE_T/dt) steps.  The block is then squared with _minplus,
+    H <- H (x) H minus its diagonal minimum, until a squaring moves the
+    table by at most NEWTON_ROUNDING * (1 + sup|H|): a c off the scheme's
+    critical value shifts every entry by the same amount per unit time,
+    which the diagonal minimum takes out.  A table not at rest after
+    MAX_SQUARINGS squarings raises ConvergenceError.  The Aubry set is the
+    nodes y with h[y,y] <= AUBRY_TOL.
     """
     g = lt.grid
-    t_list = tuple(sorted(float(t) for t in t_list))
-    if len(t_list) < 1 or any(t <= 0 for t in t_list):
-        raise ValueError("t_list must contain positive horizons")
     dt = min(0.02, SAFETY * g.h / float(np.abs(lt.vgrid).max()))
-    stepper = MinPlusStepper(g, lt.vgrid, dt, np.minimum(lt.L, BIG) + c)
-
-    def step(H):
-        return np.minimum(stepper.step(H), BIG)
-
-    snap_steps = sorted({max(1, int(round(t / dt))) for t in t_list})
-    base = min(round(BASE_T / dt), snap_steps[-1])
-    H0 = np.full((g.n, g.n), BIG)
-    np.fill_diagonal(H0, 0.0)
-    powers = [iterate(step, H0, dt, base).values]     # H_B^(2^i)
-    while 2 ** len(powers) <= snap_steps[-1] // base:
-        powers.append(_minplus(powers[-1], powers[-1]))
-    snaps = []
-    for N in snap_steps:
-        q, r = divmod(N, base)
-        H = None
-        for i, power in enumerate(powers):
-            if q >> i & 1:
-                H = power if H is None else _minplus(power, H)
-        if r:       # stepped on from the power, or from the seed
-            H = iterate(step, H0 if H is None else H, dt, r).values
-        snaps.append(H.T)
-
-    # estimate the residual normalization drift from the diagonal minimum
-    drift = 0.0
-    if len(snaps) >= 2:
-        d2 = float(np.diag(snaps[-1]).min())
-        d1 = float(np.diag(snaps[-2]).min())
-        drift = (d2 - d1) / (snap_steps[-1] * dt - snap_steps[-2] * dt)
-    barrier = None
-    for tgt, snap in zip(snap_steps, snaps):
-        corrected = snap - drift * (tgt * dt)
-        barrier = corrected if barrier is None else np.minimum(barrier, corrected)
-
-    indices = np.nonzero(np.diag(barrier) <= AUBRY_TOL)[0]
-    return BarrierTable(barrier, c - drift, indices)
+    base = round(BASE_T / dt)
+    H = iterate(MinPlusStepper(g, lt.vgrid, dt, lt.L + c).step, _cone_seed(lt), dt,
+                base).values
+    shift, steps = 0.0, base       # H is the raw table of `steps` steps minus shift
+    for _ in range(MAX_SQUARINGS):
+        squared = _minplus(H, H)
+        low = float(np.diag(squared).min())
+        squared -= low
+        shift, steps = 2.0 * shift + low, 2 * steps
+        move = float(np.abs(squared - H).max())
+        H = squared
+        if move <= NEWTON_ROUNDING * (1.0 + float(np.abs(H).max())):
+            h = H.T
+            indices = np.nonzero(np.diag(h) <= AUBRY_TOL)[0]
+            return BarrierTable(h, c - shift / (steps * dt), indices)
+    raise ConvergenceError(f"the Peierls barrier did not rest in {MAX_SQUARINGS} squarings: "
+                           f"the last moved it by {move:.3e}", move)

@@ -125,8 +125,8 @@ def check_corollary_a(spec: HamiltonianSpec, dt: float = crit.DEFAULT_DT, *, lt:
     spec has W = a(x)*u: affine in u on lt's grid by the steppers' own test
     (affine_parts) with b = 0, so a(x) is spec.dWu there; lt is the table
     of G.  Verdict "holds" when a > MARGIN on the Aubry set of G (from
-    peierls_barrier at its default horizons), "inconclusive" when the two
-    critical-value estimators disagree beyond cross_tol, "fails" otherwise.
+    peierls_barrier), "inconclusive" when the two critical-value
+    estimators disagree beyond cross_tol, "fails" otherwise.
     """
     parts = affine_parts(spec.W, spec.dWu, lt.grid.nodes)
     if parts is None or np.any(parts[1] != 0):

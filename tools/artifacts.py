@@ -13,8 +13,9 @@ else the run prints goes to stderr.  The set is the three
 benchmark workloads at seeds 1 and 2 (from bench/workloads.py, imported
 without writing bytecode) plus one small config per further command path, each
 at n=64, m=33 (the x-dependent homogenize config at small cell and fine grids,
-the barrier-remainder config at n=100, whose horizons are not power-of-two
-multiples of the barrier's base block, the |p| mather config at n=32, m=17, and
+the barrier-remainder config at n=100, vmax=2.5, where the cone seed's slope
+matters, the barrier-unaligned config, whose barrier step vmax*dt is not a whole
+number of cells, the |p| mather config at n=32, m=17, and
 two stationary solves of the worked example: from 0, and at theta = -0.2, which
 exits 1, and a stability config whose decay slope is the -delta orbit's fit).
 Two runs on different checkouts are byte-identical exactly when their
@@ -66,11 +67,15 @@ _EXTRA = {
                                               "dWu": "1 + 0.6*u"},
                               "numerics": dict(_SMALL, dt=5e-3, delta=0.3, zeta_grid=[0.25])},
     "mather-u-dependent": {"command": "mather", "hamiltonian": _CONTACT, "numerics": _SMALL},
-    # barrier dt = 0.016: a base block of 31 steps, horizons of 250, 500 and 1,000
-    # steps = 31*{8, 16, 32} + {2, 4, 8}, each a power of the block plus a remainder
+    # vmax = 2.5: the table's own slope max|dL/dv| = 1.21 as the cone seed's K would
+    # undercut the barrier by 2.1e-2, and K without its factor 2 (1.43) by 7e-4
     "barrier-remainder": {"command": "barrier",
                           "hamiltonian": {"G": "p^2 + cos(2*pi*x)", "vmax": 2.5},
                           "numerics": {"n": 100, "m": 33, "dt_critical": 0.05}},
+    # barrier dt = 0.02: vmax*dt is 3.84 cells, so foot points fall between nodes
+    "barrier-unaligned": {"command": "barrier", "numerics": _SMALL,
+                          "hamiltonian": {"builtin": "eikonal",
+                                          "params": {"V": "cos(2*pi*x)", "vmax": 3}}},
     # a flat, non-Tonelli Lagrangian: the first config whose restricted masters
     # price in new columns (13 masters)
     "mather-abs-p": {"command": "mather", "hamiltonian": {"G": "abs(p) + cos(2*pi*x)"},
