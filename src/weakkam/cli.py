@@ -232,7 +232,7 @@ def run_mather(config):
 def run_barrier(config):
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
-    bt = mather.peierls_barrier(ltp, result.c)
+    bt = mather.peierls_barrier(ltp)
     nodes = g.nodes.tolist()     # each node's float is shared by its n rows
     rows = [(x, y, h) for x, hx in zip(nodes, bt.h.tolist()) for y, h in zip(nodes, hx)]
     aubry = [(int(i), float(g.nodes[i])) for i in bt.aubry_indices]

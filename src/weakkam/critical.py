@@ -36,8 +36,9 @@ certificate of correctness; a poor corrector only widens the bracket.
 The W-part of a Hamiltonian G(x,p) + pot(x) is folded into the cost as
 L' = L - pot via LagrangianTable.with_potential.  Both estimators use the
 min-plus kernel semigroup.MinPlusStepper: the long-time march steps it
-under the driver semigroup.iterate; fixed_point reads its argmin policy
-and gather matrix for the discounted solve.
+under semigroup.iterate; for the discounted solve fixed_point
+steps it with the correction base - lam*dt*u and reads the argmin policy
+and gather matrix of each step's candidate table.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
                      tol: float = DEFAULT_TOL, u0: Field | None = None) -> Field:
     """Exact fixed point u = K(u)/(1 + lam*dt) of the discounted update, K the kernel.
 
-    semigroup.fixed_point solves (1 + lam*dt) u = K(u) by Newton from u0
+    semigroup.fixed_point solves (1 + lam*dt) u = K(u), the kernel K
+    corrected by -lam*dt*u, by Newton from u0
     (zero when not given), with no march: slope lam*dt makes each Newton
     matrix strictly diagonally dominant.  A policy that does not settle, or
     a certified residual above tol, raises ConvergenceError (no march to
@@ -82,8 +84,8 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     if dt * lam >= 1:
         raise CFLError(f"dt*lam = {dt * lam:.3g} must be below 1")
     kernel = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
-    rec = fixed_point(lambda u: kernel.step(u) - lam * dt * u, kernel, lambda u, pi: lam * dt,
-                      u0.values if u0 is not None else np.zeros(lt.grid.n), dt, tol, 0)
+    rec = fixed_point(kernel, lambda base, u: base - lam * dt * u, lambda u, pi: lam * dt,
+                      u0.values if u0 is not None else np.zeros(lt.grid.n), tol, 0)
     return Field(lt.grid, rec.require(f"discounted solve at lam={lam:.3g}", tol))
 
 

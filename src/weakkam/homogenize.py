@@ -11,9 +11,10 @@ p and c nodes and interpolates linearly in x only, while the multiscale
 solver discretizes the frozen two-scale Hamiltonian x -> H(x, x/eps, p, u)
 directly on a fine grid with eps = 1/k commensurate to the slow torus, a
 whole eps ladder in one call.  Both stationary solvers feed the min-plus
-kernel semigroup.MinPlusStepper a running cost tabulated on a grid of
-u-levels (at least 2) and interpolated at the current values, and find
-its fixed point with semigroup.fixed_point: march, then Newton-Howard on
+kernel semigroup.MinPlusStepper a running cost tabulated on a uniform
+grid of u-levels (at least 2) and interpolated at the current values, and
+find its fixed point with semigroup.fixed_point, which steps that kernel
+uncorrected: march, then Newton-Howard on
 grids of at most semigroup.NEWTON_MAX_N = 256 nodes (the default effective
 solve, the two-scale solve at eps = 1/8 with 32 nodes a period); finer
 grids only march.  Both raise at the first iterate off the level table;
@@ -42,7 +43,7 @@ from .grid import Field, TorusGrid, lipschitz
 from .hamiltonian import (BOUND_KEYS, DEFAULT_BOUND, U_CHECK, LagrangianTable,
                           _check_u_derivative, _midpoint_convexity_gap, _sample_points,
                           conjugate_table)
-from .semigroup import MinPlusStepper, fixed_point
+from .semigroup import MinPlusStepper, _check_step, fixed_point
 
 __all__ = [
     "HomogProblem",
@@ -172,15 +173,27 @@ class EffectiveTable:
     Lambda2: float
 
 
+def _check_table_nodes(p_nodes: np.ndarray, c_nodes: np.ndarray):
+    """ValueError unless the p nodes increase and the c nodes increase uniformly (to
+    rounding): the solve brackets u on the c nodes as a uniform level grid."""
+    if np.any(np.diff(p_nodes) <= 0):
+        raise ValueError("the effective table's p nodes must be increasing")
+    span = c_nodes[-1] - c_nodes[0]
+    uniform = np.linspace(c_nodes[0], c_nodes[-1], c_nodes.size)
+    if np.any(np.diff(c_nodes) <= 0) or np.any(np.abs(c_nodes - uniform) > 1e-9 * span):
+        raise ValueError("the effective table's c nodes must be increasing and uniform")
+
+
 def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
                           **cell_opts) -> EffectiveTable:
     """Tabulate cell_problem(**cell_opts), one call over every cell of the given grids,
-    and verify monotonicity."""
+    and verify monotonicity.  The p nodes must increase, the c nodes increase uniformly."""
     xn = np.asarray(list(x_nodes), dtype=float)
     pn = np.asarray(list(p_nodes), dtype=float)
     cn = np.asarray(list(c_nodes), dtype=float)
     if xn.size == 0 or pn.size == 0 or cn.size == 0:
         raise ValueError("table grids must be nonempty")
+    _check_table_nodes(pn, cn)
     values = cell_problem(hp, xn[:, None, None], pn[None, :, None], cn[None, None, :],
                           **cell_opts)
 
@@ -195,8 +208,9 @@ def build_effective_table(hp: HomogProblem, x_nodes, p_nodes, c_nodes,
                 f"(x={xn[i]:.4g}, p={pn[j]:.4g}, c={cn[kk]:.4g})")
     for j in range(pn.size - 2):
         mid = values[:, j + 1, :]
-        avg = (values[:, j, :] + values[:, j + 2, :]) / 2
-        bad = mid - avg > TABLE_TOL
+        t = (pn[j + 1] - pn[j]) / (pn[j + 2] - pn[j])
+        chord = (1 - t) * values[:, j, :] + t * values[:, j + 2, :]
+        bad = mid - chord > TABLE_TOL
         if np.any(bad):
             i, kk = np.argwhere(bad)[0]
             raise ConfigError(
@@ -212,11 +226,13 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
 
     L_table has shape (n, nlevels, m) on nlevels >= 2 uniform levels; the cost at
     node i is its linear interpolation along the level axis at the current u_i.
-    semigroup.fixed_point solves it with slope -dt*dL_pi/du (a grid over
-    NEWTON_MAX_N nodes only marches).  A u0 outside the levels raises
-    ConvergenceError, and so does the first iterate that leaves them,
-    naming its step or Newton iteration: nothing off the table is read,
-    clamped or extrapolated.  A missed tol raises through SolveRecord.require.
+    dt*Lambda2 > 1/2 raises CFLError here; the kernel checks only dt*vmax.
+    semigroup.fixed_point solves it with the identity correction and slope
+    -dt*dL_pi/du (a grid over NEWTON_MAX_N nodes only marches).  A u0
+    outside the levels raises ConvergenceError, and so does the first
+    iterate that leaves them, naming its step or Newton iteration: nothing
+    off the table is read, clamped or extrapolated.  A missed tol raises
+    through SolveRecord.require.
     """
     if levels.size < 2:
         raise ValueError(f"{what} needs at least 2 u-levels, got {levels.size}")
@@ -254,8 +270,9 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
 
     if outside(u0):
         raise ConvergenceError(f"{what} starts outside {span} at {outside(u0)} of {g.n} nodes")
-    kernel = MinPlusStepper(g, vs, dt, cost_at, lambda_bound=Lambda2)
-    rec = fixed_point(kernel.step, kernel, slope, u0, dt, tol, math.ceil(T_MAX / dt),
+    _check_step(dt, float(np.abs(vs).max()), Lambda2)
+    kernel = MinPlusStepper(g, vs, dt, cost_at)
+    rec = fixed_point(kernel, lambda base, u: base, slope, u0, tol, math.ceil(T_MAX / dt),
                       guard=guard)
     return Field(g, rec.require(what, tol))
 
@@ -265,10 +282,12 @@ def solve_effective(et: EffectiveTable, n_slow: int = 256) -> Field:
 
     Hbar is read at the table's own p and c nodes, interpolated linearly
     and periodically in x onto n_slow nodes; the c nodes are the u-levels
-    of the solve (at least 2 of each).  Nothing is extrapolated in p or c.
+    of the solve (at least 2 of each, p increasing, c increasing and
+    uniform, else ValueError).  Nothing is extrapolated in p or c.
     """
     if et.p_nodes.size < 2 or et.c_nodes.size < 2:
         raise ValueError("the effective table needs at least 2 p nodes and 2 c nodes")
+    _check_table_nodes(et.p_nodes, et.c_nodes)
     g = TorusGrid(n_slow)
     nx = et.x_nodes.size
     s = g.nodes / (1.0 / nx) if nx > 1 else np.zeros(g.n)   # one x-node: constant in x

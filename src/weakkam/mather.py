@@ -24,14 +24,17 @@ which certifies global optimality at the same 1e-9 tolerance while
 keeping every tableau small.
 
 The Peierls barrier is computed by min-plus dynamic programming on the
-normalized running cost L + c.  The shared kernel semigroup.MinPlusStepper
-steps one function per start node as a batch, seeded with a cone K d(x, .)
-whose slope K bounds the barrier's, under semigroup.iterate, for a base
-block of BASE_T only.  The limit t -> infinity is that block's
-min-plus powers, by the semigroup identity h_{s+t}(x,y) = min_z [h_s(x,z) +
-h_t(z,y)]: the table is squared in row chunks of at most CHUNK_BYTES, less
-its diagonal minimum, which takes out any error in the supplied
-normalization constant, until a squaring moves it by rounding only.
+running cost L, and normalizes itself: no critical value is supplied.
+The shared kernel semigroup.MinPlusStepper steps one function per start
+node as a batch, seeded with a cone K d(x, .) whose slope K bounds the
+barrier's, under semigroup.iterate, for a base block of BASE_T only.  The
+limit t -> infinity is that block's min-plus powers, by the semigroup
+identity h_{s+t}(x,y) = min_z [h_s(x,z) + h_t(z,y)]: the table is squared
+in row chunks of at most CHUNK_BYTES, less its diagonal minimum, until a
+squaring moves it by rounding only.  The diagonal minima take out the
+growth -c per unit time, so they also give the table's own critical value
+(Baccelli, Cohen, Olsder & Quadrat, Synchronization and Linearity, 1992,
+ch. 3).
 """
 
 from __future__ import annotations
@@ -362,7 +365,8 @@ class BarrierTable:
     """The barrier of one table at rest, with the Aubry set read off its diagonal."""
 
     h: np.ndarray              # (n, n): normalized barrier from x to y
-    c_used: float              # c minus the normalization per unit of the final horizon
+    c_used: float              # the table's critical value: minus the normalization
+                               # per unit of the final horizon
     aubry_indices: np.ndarray  # nodes with h[y,y] <= AUBRY_TOL
 
 
@@ -398,30 +402,32 @@ def _cone_seed(lt: LagrangianTable) -> np.ndarray:
     return K * lt.grid.h * np.minimum(cells, n - cells)
 
 
-def peierls_barrier(lt: LagrangianTable, c: float) -> BarrierTable:
+def peierls_barrier(lt: LagrangianTable) -> BarrierTable:
     """Min-plus dynamic programming for the normalized minimal action, at rest.
 
     Column x of the table H[y, x] is one function of the arrival node y,
     seeded with the cone of _cone_seed, and the batch is stepped by the
-    min-plus kernel on the cost L + c,
+    min-plus kernel on the cost L,
 
-        H_{t+dt}[y, x] = min_j ( H_t[y - v_j dt, x] + dt (L[y,j] + c) ),
+        H_{t+dt}[y, x] = min_j ( H_t[y - v_j dt, x] + dt L[y,j] ),
 
     with dt = min(0.02, SAFETY*h/vmax), vmax the largest |v| of the velocity
     grid, so a foot point spans at most SAFETY cells, for one block of
     round(BASE_T/dt) steps.  The block is then squared with _minplus,
     H <- H (x) H minus its diagonal minimum, until a squaring moves the
-    table by at most NEWTON_ROUNDING * (1 + sup|H|): a c off the scheme's
-    critical value shifts every entry by the same amount per unit time,
-    which the diagonal minimum takes out.  A table not at rest after
+    table by at most NEWTON_ROUNDING * (1 + sup|H|): the unnormalized table
+    falls by the scheme's critical value c per unit time, which the
+    diagonal minimum takes out, and c_used is that c: minus the total
+    normalization per unit of the final horizon.  L + s has the barrier of
+    L and c_used less s, to rounding.  A table not at rest after
     MAX_SQUARINGS squarings raises ConvergenceError.  The Aubry set is the
-    nodes y with h[y,y] <= AUBRY_TOL.
+    nodes y with h[y,y] <= AUBRY_TOL, never empty: the normalized diagonal
+    holds an exact 0.
     """
     g = lt.grid
     dt = min(0.02, SAFETY * g.h / float(np.abs(lt.vgrid).max()))
     base = round(BASE_T / dt)
-    H = iterate(MinPlusStepper(g, lt.vgrid, dt, lt.L + c).step, _cone_seed(lt), dt,
-                base).values
+    H = iterate(MinPlusStepper(g, lt.vgrid, dt, lt.L).step, _cone_seed(lt), dt, base).values
     shift, steps = 0.0, base       # H is the raw table of `steps` steps minus shift
     for _ in range(MAX_SQUARINGS):
         squared = _minplus(H, H)
@@ -433,6 +439,7 @@ def peierls_barrier(lt: LagrangianTable, c: float) -> BarrierTable:
         if move <= NEWTON_ROUNDING * (1.0 + float(np.abs(H).max())):
             h = H.T
             indices = np.nonzero(np.diag(h) <= AUBRY_TOL)[0]
-            return BarrierTable(h, c - shift / (steps * dt), indices)
+            # 0.0 - shift: a table at rest from the start reports c = +0.0, not -0.0
+            return BarrierTable(h, (0.0 - shift) / (steps * dt), indices)
     raise ConvergenceError(f"the Peierls barrier did not rest in {MAX_SQUARINGS} squarings: "
                            f"the last moved it by {move:.3e}", move)

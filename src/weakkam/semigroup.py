@@ -40,10 +40,12 @@ the mirror image (max, +dt W), taken through a kernel on the negated
 velocity grid, whose foot points x_i + v_j dt are the forward ones, by the
 identity max_j [a_j - b_j] = -min_j [-a_j + b_j].
 
-One rule (_check_step) bounds the time step, in the kernel and at config
-load alike:
+One rule (_check_step) bounds the time step:
     dt * Lambda <= 1/2        (contact term, when a bound is given)
     dt * vmax   <= 1/2        (foot points stay within half the unit torus)
+Each layer checks its own part: the kernel dt*vmax, and the layer that
+adds a u-dependent term (Stepper, the level-table solve of homogenize)
+dt*Lambda; config load checks both.
 
 The driver `iterate` runs every step loop in the package: the
 time-stepping loops (the Peierls barrier's base block included) and the
@@ -57,9 +59,13 @@ evolution, whose nonfinite guard covers every copy.
 
 `fixed_point` is the one solver of a stationary fixed point u = T(u):
 u_- (`stationary_solve`), the effective solve and the discounted solve.
-It is Newton-Howard on F(u) = u - T(u) (Bokanowski, Maroso & Zidani
-2009): J = diag(1 + d) - P_pi, pi the kernel's argmin, P_pi its gather
-rows, d the caller's (dt*dWu, -dt*dL_pi/du on a level table, lam*dt).
+T(u) = correct(K(u), u), K the kernel it is given and correct the
+caller's (the contact correction, base - lam*dt*u, the identity); its dt
+is the kernel's.  It is Newton-Howard on F(u) = u - T(u) (Bokanowski,
+Maroso & Zidani 2009): J = diag(1 + d) - P_pi, pi the kernel's argmin,
+P_pi its gather rows, d the caller's (dt*dWu, -dt*dL_pi/du on a level
+table, lam*dt).  A Newton iteration steps the kernel once, and reads F
+and pi from that one candidate table.
 The march runs first, to residual MARCH_TO = 1e-1, so Newton starts near
 the solution the march would reach (Alla, Falcone & Kalise 2015; from 0
 on the worked example Newton alone fails at once).  One real step
@@ -142,8 +148,9 @@ class GatherPlan:
         # m*N values instead of m loops over a broadcast column, with the same products
         self.w0 = np.ascontiguousarray(np.broadcast_to(1.0 - theta, self.idx0.shape))
         self.w1 = np.ascontiguousarray(np.broadcast_to(theta, self.idx0.shape))
-        # the (m, N) table and the second node's products, written in place by apply
-        self._table = np.empty(self.idx0.shape)
+        # the (m, N) table and the second node's products, written in place by apply;
+        # the table holds the last apply's values until the next
+        self.table = np.empty(self.idx0.shape)
         self._scratch = np.empty(self.idx0.shape)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -151,11 +158,11 @@ class GatherPlan:
         valid until the next apply.  No (m, N) temporary is allocated; the products
         and sums are those of u[idx0] * w0 + u[idx1] * w1, so the values are too."""
         # mode "wrap" takes straight into out; the default "raise" copies through a buffer
-        np.take(u, self.idx0, out=self._table, mode="wrap")
-        np.multiply(self._table, self.w0, out=self._table)
+        np.take(u, self.idx0, out=self.table, mode="wrap")
+        np.multiply(self.table, self.w0, out=self.table)
         np.take(u, self.idx1, out=self._scratch, mode="wrap")
         np.multiply(self._scratch, self.w1, out=self._scratch)
-        return np.add(self._table, self._scratch, out=self._table)
+        return np.add(self.table, self._scratch, out=self.table)
 
     def matrix(self, policy: np.ndarray) -> np.ndarray:
         """The dense (n, n) interpolation matrix P with (P u)_i = apply(u)[policy[i], i]."""
@@ -173,19 +180,18 @@ class MinPlusStepper:
     cost is the (n, m) table L, or a callable u -> (n, m) table for a cost
     that depends on the current values.  A fixed table of k*n rows steps k
     disjoint copies of the torus at once, copy j on rows j*n .. j*n + n - 1,
-    each bit for bit as if alone.  lambda_bound, when given, is the
-    derivative bound of a contact term applied on top of the kernel.
+    each bit for bit as if alone.  The kernel checks its own rule only,
+    dt*vmax <= 1/2; a layer that adds a contact term checks its bound.
     step takes one function of shape (N,) or, with a fixed cost table, a
     batch of shape (N, B), one function per column, each column stepped
-    exactly as if alone.  step and policy build a single function's
-    candidates in the plan's one preallocated (m, N) buffer.  policy reads
-    the minimizing velocity index of a single function.  A negated velocity grid gives the forward foot
-    points x_i + v_j dt with the same cost columns.
+    exactly as if alone.  A step of one function builds its candidates in
+    the plan's one preallocated (m, N) buffer, and policy reads the
+    minimizing velocity index from that table.  A negated velocity grid
+    gives the forward foot points x_i + v_j dt with the same cost columns.
     """
 
-    def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, cost,
-                 lambda_bound: float | None = None):
-        _check_step(dt, float(np.abs(vgrid).max()), lambda_bound)
+    def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, cost):
+        _check_step(dt, float(np.abs(vgrid).max()), None)
         self.dt = dt
         self._cost = cost if callable(cost) else None
         self.plan = GatherPlan(g, vgrid, dt, 1 if self._cost else cost.shape[0] // g.n)
@@ -194,18 +200,14 @@ class MinPlusStepper:
     def _dt_cost(self, u: np.ndarray) -> np.ndarray:
         return self._dtLT if self._cost is None else self.dt * self._cost(u).T
 
-    def _candidates(self, u: np.ndarray) -> np.ndarray:
-        """The (m, N) table u(x_i - v_j dt) + dt L(x_i, v_j) of one function u, in
-        the plan's buffer (valid until the next call).  A u-dependent cost is built
-        first, so its temporaries are freed before the gather."""
-        dt_cost = self._dt_cost(u)
-        cand = self.plan.apply(u)
-        cand += dt_cost
-        return cand
-
     def step(self, u: np.ndarray) -> np.ndarray:
         if u.ndim == 1:
-            return self._candidates(u).min(axis=0)
+            # the (m, N) candidates, in the plan's buffer until its next apply; a
+            # u-dependent cost is built first, so its temporaries are freed before the gather
+            dt_cost = self._dt_cost(u)
+            cand = self.plan.apply(u)
+            cand += dt_cost
+            return cand.min(axis=0)
         # a batch (N, B) goes one velocity at a time, keeping (N, B) temporaries; a
         # velocity's weights are one value, multiplied in as a scalar
         dtLT = self._dt_cost(u)
@@ -218,18 +220,19 @@ class MinPlusStepper:
             best = cand if best is None else np.minimum(best, cand, out=best)
         return best
 
-    def policy(self, u: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
-        """Index j_i of the minimizing velocity at each node for one function u.
+    def policy(self, current: np.ndarray | None = None) -> np.ndarray:
+        """Index j_i of the minimizing velocity at each node, read from the candidates
+        of the last step of one function (no gather of its own).
 
         With a current policy, node i keeps current[i] unless the argmin
         candidate is lower by more than rounding (16 eps relative): exact
         ties would otherwise let a policy iteration cycle.
         """
-        cand = self._candidates(u)
+        cand = self.plan.table
         best = cand.argmin(axis=0)
         if current is None:
             return best
-        cols = np.arange(u.size)
+        cols = np.arange(best.size)
         kept = cand[current, cols]
         better = cand[best, cols] < kept - 16 * np.finfo(float).eps * np.abs(kept)
         return np.where(better, best, current)
@@ -256,12 +259,12 @@ class Stepper:
             raise ValueError(f"mode must be 'explicit' or 'picard', got {mode!r}")
         if mode == "picard" and copies != 1:
             raise ValueError(f"picard mode steps one copy of the torus, got copies={copies}")
-        # the kernels check dt when first built; a Stepper refuses it at once
+        # the contact bound is this layer's to check; the vmax rule is also the kernels',
+        # which are built on first use
         _check_step(dt, float(np.abs(lt.vgrid).max()), spec.lambda_bound)
         self.dt = dt
         self.mode = mode
         self._lt = lt
-        self._lambda_bound = spec.lambda_bound
         self._copies = copies
         self.xs = np.tile(lt.grid.nodes, copies)
         # W's and dWu's x-only parts are evaluated here once
@@ -271,8 +274,7 @@ class Stepper:
 
     def _kernel(self, vgrid: np.ndarray) -> MinPlusStepper:
         lt = self._lt
-        return MinPlusStepper(lt.grid, vgrid, self.dt, np.tile(lt.L, (self._copies, 1)),
-                              self._lambda_bound)
+        return MinPlusStepper(lt.grid, vgrid, self.dt, np.tile(lt.L, (self._copies, 1)))
 
     @cached_property
     def _back(self) -> MinPlusStepper:
@@ -364,23 +366,30 @@ def iterate(step, u0: np.ndarray, dt: float, max_steps: int, tol: float | None =
     return SolveRecord(u, max_steps, residual, False)
 
 
-def fixed_point(step, kernel: MinPlusStepper, slope, u0: np.ndarray, dt: float, tol: float,
+def fixed_point(kernel: MinPlusStepper, correct, slope, u0: np.ndarray, tol: float,
                 max_steps: int, guard=None) -> SolveRecord:
-    """Solve u = step(u): march, then Newton-Howard, or the pure march if Newton fails.
+    """Solve u = step(u), step(u) = correct(kernel.step(u), u): march, then
+    Newton-Howard, or the pure march if Newton fails.
 
-    The march (iterate) runs to residual max(tol, MARCH_TO); Newton then
-    solves (diag(1 + slope(u, pi)) - P_pi) delta = -F until the policy
-    repeats with F at rounding, and the step that gave F certifies u
-    against tol.  A singular J, a nonfinite iterate, a residual raised on
-    one policy, a missed certificate or MAX_NEWTON iterations return
-    iterate(step, u0, dt, max_steps, tol) instead, carrying Newton's
-    iteration count.  A grid of more than NEWTON_MAX_N nodes only marches,
-    to tol.  max_steps = 0 means no march at all: Newton starts at u0, at
-    any n; a nonfinite step raises ValueError, and any other failure
-    returns its last iterate and residual, unconverged.  guard(u, at) sees
-    every iterate, `at` naming it ("step 102", "Newton iteration 3"), and
-    raises to refuse it.
+    The march (iterate, at the kernel's dt) runs to residual max(tol,
+    MARCH_TO); Newton then solves (diag(1 + slope(u, pi)) - P_pi) delta = -F
+    until the policy repeats with F at rounding, and the step that gave F
+    certifies u against tol.  Each Newton iteration steps the kernel once:
+    F and the policy pi are read from the one candidate table.  A singular
+    J, a nonfinite iterate, a residual raised on one policy, a missed
+    certificate or MAX_NEWTON iterations return iterate(step, u0, dt,
+    max_steps, tol) instead, carrying Newton's iteration count.  A grid of
+    more than NEWTON_MAX_N nodes only marches, to tol.  max_steps = 0 means
+    no march at all: Newton starts at u0, at any n; a nonfinite step raises
+    ValueError, and any other failure returns its last iterate and
+    residual, unconverged.  guard(u, at) sees every iterate, `at` naming it
+    ("step 102", "Newton iteration 3"), and raises to refuse it.
     """
+    dt = kernel.dt
+
+    def step(u):
+        return correct(kernel.step(u), u)
+
     observe = None if guard is None else (lambda k, u: guard(u, f"step {k}"))
     march = SolveRecord(np.array(u0, dtype=float), 0, math.inf, True)
     if max_steps:
@@ -398,7 +407,7 @@ def fixed_point(step, kernel: MinPlusStepper, slope, u0: np.ndarray, dt: float, 
                 break
             # no march to fall back on: raise as the march would, at this iterate's step
             raise ValueError(f"nonfinite values at step {newton + 1} (Newton iteration {newton})")
-        new = kernel.policy(u, policy)
+        new = kernel.policy(policy)
         same = policy is not None and np.array_equal(new, policy)
         # a policy switch may raise the residual; a Newton step on one policy may not
         if same and residual > prev:
@@ -468,5 +477,5 @@ def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt
     if tol <= 0:
         raise ValueError("tol must be positive")
     stepper = Stepper(spec, lt, dt)
-    return fixed_point(stepper.backward_values, stepper._back, stepper.newton_slope,
-                       phi0.values, dt, tol, math.ceil(T_max / dt))
+    return fixed_point(stepper._back, lambda base, u: stepper._resolve(base, u, -1.0),
+                       stepper.newton_slope, phi0.values, tol, math.ceil(T_max / dt))

@@ -136,9 +136,9 @@ def check_corollary_a(spec: HamiltonianSpec, dt: float = crit.DEFAULT_DT, *, lt:
         raise ConfigError("corollary check requires a(x) = dWu >= 0 everywhere")
 
     cres = crit.critical_value(lt, dt=dt, cross_tol=cross_tol)
-    bt = peierls_barrier(lt, cres.c)
+    bt = peierls_barrier(lt)
     aubry = bt.aubry_indices
-    a0 = float(a[aubry].min()) if aubry.size else 0.0
+    a0 = float(a[aubry].min())
     if cres.method != "agree":
         verdict = "inconclusive"
     else:

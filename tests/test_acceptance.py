@@ -260,8 +260,7 @@ def test_criterion_11_mather_support_in_aubry_set(example_setup, eikonal_cos_128
             n = lt.grid.n
             table = lt if pot is None else lt.with_potential(pot)
             measure = mather.solve_occupational(table)
-            cres = crit.critical_value(table)
-            bt = mather.peierls_barrier(table, cres.c)
+            bt = mather.peierls_barrier(table)
             nodes = bt.aubry_indices
             support = np.nonzero(measure.node_mass() > 1e-6)[0]
             assert support.size > 0

@@ -20,7 +20,7 @@ def _artifacts_tool():
 
 def test_every_artifact_config_loads(tmp_path):
     configs = _artifacts_tool().configs()
-    assert len(configs) == 24
+    assert len(configs) == 25
     for cid, config in configs.items():
         path = tmp_path / f"{cid}.json"
         path.write_text(json.dumps(config))

@@ -80,7 +80,8 @@ def _howard_loop(lt, lam, dt, u0):
     rows = np.arange(n)
     u, policy = u0, None
     for _ in range(semigroup.MAX_NEWTON):
-        new = stepper.policy(u, policy)
+        stepper.step(u)
+        new = stepper.policy(policy)
         if policy is not None and np.array_equal(new, policy):
             return u
         policy = new

@@ -13,7 +13,7 @@ from weakkam.hamiltonian import LagrangianTable
 from weakkam import critical as crit
 from weakkam import homogenize as hz
 from weakkam import semigroup
-from weakkam.semigroup import iterate
+from weakkam.semigroup import CFLError, iterate
 
 
 def make_problem(b=0.5):
@@ -302,8 +302,13 @@ def test_level_table_fallback_is_the_pure_march(monkeypatch):
     # own start, field for field, though the march prefix handed over well before tol
     records, solve = [], hz.fixed_point
 
-    def spy(step, kernel, slope, u0, dt, tol, max_steps, guard=None):
-        rec = solve(step, kernel, slope, u0, dt, tol, max_steps, guard=guard)
+    def spy(kernel, correct, slope, u0, tol, max_steps, guard=None):
+        rec = solve(kernel, correct, slope, u0, tol, max_steps, guard=guard)
+
+        def step(u):
+            return correct(kernel.step(u), u)
+
+        dt = kernel.dt
         prefix = iterate(step, u0, dt, max_steps, semigroup.MARCH_TO)
         records.append((rec, iterate(step, u0, dt, max_steps, tol), prefix))
         return rec
@@ -448,3 +453,42 @@ def test_level_table_solve_rejects_a_start_outside_the_levels(monkeypatch):
                        match=r"solve starts outside the u-level range \[-1, 1\] at 1 of 16"):
         hz._level_table_fixed_point(g, vs, levels, np.zeros((g.n, 3, vs.size)),
                                     1e-2, 1.0, u0, 1e-6, "solve")
+
+
+def test_level_table_solve_checks_the_contact_bound(monkeypatch):
+    # the kernel checks only dt*vmax; the level-table layer refuses dt*Lambda2 > 1/2
+    monkeypatch.setattr(hz, "fixed_point", _no_steps)
+    g = TorusGrid(16)
+    vs = np.linspace(-1.0, 1.0, 5)
+    levels = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(CFLError, match=r"^dt\*Lambda = 0.6 exceeds 1/2$"):
+        hz._level_table_fixed_point(g, vs, levels, np.zeros((g.n, 3, vs.size)),
+                                    1e-2, 60.0, np.zeros(g.n), 1e-6, "solve")
+
+
+def test_effective_table_refuses_nodes_it_cannot_bracket():
+    # c nodes (-1, -0.9, 1) gave max|u| = 0.853 for Hbar = c + p^2, whose solution is 0
+    p_nodes = np.linspace(-2.0, 2.0, 9)
+    for c_nodes in ([-1.0, -0.9, 1.0], [1.0, 0.0, -1.0]):
+        et = _synthetic_table(lambda x, p, c: c + p * p, p_nodes, c_nodes)
+        with pytest.raises(ValueError, match="c nodes must be increasing and uniform"):
+            hz.solve_effective(et, n_slow=32)
+        with pytest.raises(ValueError, match="c nodes must be increasing and uniform"):
+            hz.build_effective_table(make_problem(), [0.0], p_nodes, c_nodes)
+    et = _synthetic_table(lambda x, p, c: c + p * p, p_nodes[::-1], [-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="p nodes must be increasing"):
+        hz.solve_effective(et, n_slow=32)
+    with pytest.raises(ValueError, match="p nodes must be increasing"):
+        hz.build_effective_table(make_problem(), [0.0], p_nodes[::-1], [-1.0, 0.0, 1.0])
+
+
+def test_effective_table_convexity_on_uneven_p_nodes(monkeypatch):
+    # Hbar = c + p^2 on p nodes (0, 1.8, 2) is convex: the middle value lies below the
+    # chord at p = 1.8, though above the plain mean of the outer two
+    monkeypatch.setattr(hz, "cell_problem", lambda hp, x, p, c, **opts: c + p * p + 0 * x)
+    et = hz.build_effective_table(make_problem(), [0.0], [0.0, 1.8, 2.0], [0.0])
+    assert et.values[0, :, 0] == pytest.approx([0.0, 3.24, 4.0])
+    # a concave table is still refused
+    monkeypatch.setattr(hz, "cell_problem", lambda hp, x, p, c, **opts: c - p * p + 0 * x)
+    with pytest.raises(ConfigError, match=r"fails convexity in p at \(x=0, p=1.8, c=0\)"):
+        hz.build_effective_table(make_problem(), [0.0], [0.0, 1.8, 2.0], [0.0])

@@ -30,8 +30,8 @@ def test_inventory_prints_every_figure():
                          capture_output=True, text=True, check=True).stdout
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert list(lines) == ["src/weakkam lines", "src/weakkam code lines", "public parameters",
-                           "result dataclasses", "exception classes", "numerics keys",
-                           "top-level keys"]
+                           "result dataclasses", "class constructors", "exception classes",
+                           "numerics keys", "top-level keys"]
     sources = [p.read_text() for p in (ROOT / "src" / "weakkam").glob("*.py")]
     total = sum(len(text.splitlines()) for text in sources)
     assert lines["src/weakkam lines"].startswith(f"{total} (")
@@ -44,3 +44,8 @@ def test_inventory_prints_every_figure():
                                              lines["result dataclasses"]).groups()
     fields = [int(item.split()[1]) for item in per_type.split(", ")]
     assert (int(ntypes), int(nfields)) == (len(fields), sum(fields))
+    nclass, nparams, per_class = re.fullmatch(r"(\d+) with (\d+) parameters \((.*)\)",
+                                              lines["class constructors"]).groups()
+    counts = dict(item.split() for item in per_class.split(", "))
+    assert (int(nclass), int(nparams)) == (len(counts), sum(map(int, counts.values())))
+    assert {"MinPlusStepper", "Stepper"} <= set(counts)

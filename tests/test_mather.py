@@ -250,7 +250,7 @@ def test_lp_value_matches_critical_value(g64):
 def test_barrier_free_case(g64):
     spec = builtin("eikonal", {"V": 0})
     lt = legendre(spec, g64, 33, 33)
-    bt = mather.peierls_barrier(lt, 0.0)
+    bt = mather.peierls_barrier(lt)
     # cost of slow travel vanishes in the long-horizon limit
     assert np.abs(bt.h).max() <= 5e-2
     assert bt.aubry_indices.size == g64.n
@@ -260,7 +260,7 @@ def test_barrier_free_case(g64):
 def normalized_eikonal_barrier(g64):
     spec = builtin("eikonal", {"V": "cos(2*pi*x) - 1"})
     lt = legendre(spec, g64, 33, 33)
-    return mather.peierls_barrier(lt, 0.0), lt
+    return mather.peierls_barrier(lt), lt
 
 
 def test_barrier_diagonal_positive_off_aubry(normalized_eikonal_barrier, g64):
@@ -303,33 +303,34 @@ def test_barrier_matches_closed_form():
     for n, vmax, bound in ((32, 4, 4e-2), (64, 3, 4e-2), (64, 4, 2.5e-2), (128, 4, 1.3e-2)):
         g = TorusGrid(n)
         lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)", "vmax": vmax}), g, 49, 49)
-        bt = mather.peierls_barrier(lt, 1.0)
+        bt = mather.peierls_barrier(lt)
         d = np.sqrt(2.0) / np.pi * (1.0 - np.abs(np.cos(np.pi * g.nodes)))
         errors.append(float(np.max(np.abs(bt.h - (d[:, None] + d[None, :])))))
         assert errors[-1] <= bound
         assert 0 in bt.aubry_indices
+        # the barrier's own critical value: resting at the node x = 0 costs -max V = -1
+        assert abs(bt.c_used - 1.0) <= 1e-12
     assert errors[3] <= 0.6 * errors[2]
 
 
 def test_barrier_first_table_is_the_stepped_cone_seed(monkeypatch):
     # the table first squared is the cone K d(x, y) stepped round(BASE_T/dt) times on
-    # L + c, K = 2 min over v != 0 of max_x (L(x, v) - min L)/|v|
+    # L, K = 2 min over v != 0 of max_x (L(x, v) - min L)/|v|
     lt = _cos_table(24, 0.7, 0.3)
-    c = 0.9
     g, vs = lt.grid, lt.vgrid
     K = 2.0 * min(max((lt.L[:, j] - lt.L.min()) / abs(vs[j])) for j in range(vs.size)
                   if vs[j] != 0)
     dist = np.array([[min(abs(y - x), g.n - abs(y - x)) for x in range(g.n)]
                      for y in range(g.n)])
     dt = min(0.02, mather.SAFETY * g.h / float(np.abs(vs).max()))
-    stepper = MinPlusStepper(g, vs, dt, lt.L + c)
+    stepper = MinPlusStepper(g, vs, dt, lt.L)
     H = K * g.h * dist
     for _ in range(round(mather.BASE_T / dt)):
         H = stepper.step(H)
     first = []
     minplus = mather._minplus
     monkeypatch.setattr(mather, "_minplus", lambda A, B: first.append(A) or minplus(A, B))
-    mather.peierls_barrier(lt, c)
+    mather.peierls_barrier(lt)
     assert np.array_equal(first[0], H)
 
 
@@ -339,10 +340,18 @@ def test_barrier_squarings_cap_raises(g64, monkeypatch):
     for cap in (1, 2):
         monkeypatch.setattr(mather, "MAX_SQUARINGS", cap)
         with pytest.raises(ConvergenceError, match=f"did not rest in {cap} squarings") as err:
-            mather.peierls_barrier(lt, 1.0)
+            mather.peierls_barrier(lt)
         assert err.value.residual > 1e-12
     monkeypatch.setattr(mather, "MAX_SQUARINGS", 3)
-    mather.peierls_barrier(lt, 1.0)
+    mather.peierls_barrier(lt)
+
+
+def _assert_shift_invariant(lt, bt):
+    # L + s has the barrier of L, to rounding, and the critical value c - s
+    for s in (-0.5, 0.3):
+        shifted = mather.peierls_barrier(LagrangianTable(lt.grid, lt.vgrid, lt.L + s))
+        assert np.max(np.abs(shifted.h - bt.h)) <= 1e-12 * (1.0 + np.abs(bt.h).max())
+        assert abs(shifted.c_used - (bt.c_used - s)) <= 1e-12
 
 
 def test_barrier_doubled_cone_is_equal_on_aligned_grids(monkeypatch):
@@ -350,11 +359,11 @@ def test_barrier_doubled_cone_is_equal_on_aligned_grids(monkeypatch):
     seed = mather._cone_seed
     for n in (64, 128):
         lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), TorusGrid(n), 49, 49)
-        for c in (1.0, 1.3):
-            monkeypatch.setattr(mather, "_cone_seed", seed)
-            h = mather.peierls_barrier(lt, c).h
-            monkeypatch.setattr(mather, "_cone_seed", lambda lt: 2.0 * seed(lt))
-            assert np.max(np.abs(mather.peierls_barrier(lt, c).h - h)) <= 1e-12
+        monkeypatch.setattr(mather, "_cone_seed", seed)
+        bt = mather.peierls_barrier(lt)
+        _assert_shift_invariant(lt, bt)
+        monkeypatch.setattr(mather, "_cone_seed", lambda lt: 2.0 * seed(lt))
+        assert np.max(np.abs(mather.peierls_barrier(lt).h - bt.h)) <= 1e-12
 
 
 def _cos_table(n, amp, phase):
@@ -364,22 +373,23 @@ def _cos_table(n, amp, phase):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(8, 32), amp=st.floats(0.1, 2.0), phase=st.floats(0.0, 1.0),
-       offset=st.floats(-0.5, 0.5))
-def test_barrier_random_tables_rest_and_doubled_cone_within_scheme_error(n, amp, phase,
-                                                                           offset):
-    # c off the critical value by offset; every table rests within MAX_SQUARINGS (at
-    # most 13 squarings over 300 random tables), and doubling the cone's slope K moves
-    # the barrier by at most h, the scheme's first-order error (at most 0.65h there)
+@given(n=st.integers(8, 32), amp=st.floats(0.1, 2.0), phase=st.floats(0.0, 1.0))
+def test_barrier_random_tables_rest_and_doubled_cone_within_scheme_error(n, amp, phase):
+    # every table rests within MAX_SQUARINGS (at most 13 squarings over 300 random
+    # tables), a shift of L by a constant moves only its critical value, and doubling
+    # the cone's slope K moves the barrier by at most h, the scheme's first-order error
+    # (at most 0.65h there)
     lt = _cos_table(n, amp, phase)
-    h = mather.peierls_barrier(lt, amp + offset).h
+    bt = mather.peierls_barrier(lt)
+    h = bt.h
     composed = np.min(h[:, :, None] + h[None, :, :], axis=1)
     assert np.max(np.abs(composed - h)) <= 1e-12 * (1.0 + np.abs(h).max())
     seed = mather._cone_seed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mather, "_cone_seed", lambda lt: 2.0 * seed(lt))
-        doubled = mather.peierls_barrier(lt, amp + offset).h
+        doubled = mather.peierls_barrier(lt).h
     assert np.max(np.abs(doubled - h)) <= lt.grid.h
+    _assert_shift_invariant(lt, bt)
 
 
 def test_aubry_set_window(normalized_eikonal_barrier, g64):
@@ -394,8 +404,7 @@ def test_aubry_example_instance(example_setup):
     spec, lt, um = example_setup["spec"], example_setup["lt"], example_setup["u_minus"]
     g = example_setup["grid"]
     pot = frozen_values(spec.W, g.nodes, um.values)
-    res = crit.critical_value(lt.with_potential(pot))
-    bt = mather.peierls_barrier(lt.with_potential(pot), res.c)
+    bt = mather.peierls_barrier(lt.with_potential(pot))
     nodes = bt.aubry_indices
     quarter, three_quarter = g.n // 4, 3 * g.n // 4
     dist = np.minimum(np.abs(nodes - quarter), np.abs(nodes - three_quarter))
@@ -407,8 +416,7 @@ def test_mather_support_in_aubry_set(example_setup):
     spec, lt, um = example_setup["spec"], example_setup["lt"], example_setup["u_minus"]
     pot = frozen_values(spec.W, um.grid.nodes, um.values)
     meas = mather.solve_occupational(lt.with_potential(pot))
-    res = crit.critical_value(lt.with_potential(pot))
-    bt = mather.peierls_barrier(lt.with_potential(pot), res.c)
+    bt = mather.peierls_barrier(lt.with_potential(pot))
     nodes = bt.aubry_indices
     mass = meas.node_mass()
     support = np.nonzero(mass > 1e-6)[0]
@@ -424,4 +432,4 @@ def test_barrier_nan_cost_raises_at_first_step(g64):
     L[5, 3] = np.nan
     bad = LagrangianTable(lt.grid, lt.vgrid, L)
     with pytest.raises(ValueError, match="nonfinite values at step 1 "):
-        mather.peierls_barrier(bad, 0.0)
+        mather.peierls_barrier(bad)

@@ -12,7 +12,7 @@ from weakkam.errors import ConvergenceError
 from weakkam.expr import parse
 from weakkam.grid import Field, constant_field, field_from_expr, sup_diff
 from weakkam.hamiltonian import HamiltonianSpec, frozen_values, spec_from_config
-from weakkam import hamiltonian, semigroup
+from weakkam import critical, hamiltonian, homogenize, semigroup
 from weakkam.semigroup import (CFLError, MinPlusStepper, Stepper, evolve, iterate,
                                stationary_solve)
 
@@ -61,7 +61,7 @@ BUILTIN_PARAMS = {
 
 def _unfolded(spec, lt, dt, mode, u, sign):
     """One contact step from a bare kernel and the whole of W, as before folding."""
-    kernel = MinPlusStepper(lt.grid, -sign * lt.vgrid, dt, lt.L, spec.lambda_bound)
+    kernel = MinPlusStepper(lt.grid, -sign * lt.vgrid, dt, lt.L)
     base = kernel.step(u) if sign < 0 else -kernel.step(-u)
 
     def corrected(z):
@@ -493,8 +493,8 @@ def test_numerically_singular_newton_matrix_resumes_the_march(monkeypatch, a, ne
                            dWu=parse(f"{a}"))
     stepper = Stepper(spec, legendre(spec, g, 17, 17), 1e-3)
     monkeypatch.setattr(semigroup, "MARCH_TO", math.inf)
-    rec = semigroup.fixed_point(stepper.backward_values, stepper._back,
-                                lambda u, policy: 1e-3 * a, np.zeros(g.n), 1e-3, 1e-6, 100)
+    rec = semigroup.fixed_point(stepper._back, lambda base, u: stepper._resolve(base, u, -1.0),
+                                lambda u, policy: 1e-3 * a, np.zeros(g.n), 1e-6, 100)
     assert (rec.newton, rec.converged) == (newton, converged)
     if converged:
         assert rec.steps == 1 and rec.values.max() == pytest.approx(-1.0 / a, rel=1e-3)
@@ -520,9 +520,9 @@ def test_failed_newton_returns_the_pure_march(params, phi_src, T_max, newton):
     u0 = field_from_expr(g, parse(phi_src)).values
     max_steps = math.ceil(T_max / 1e-3)
     seen = []
-    rec = semigroup.fixed_point(stepper.backward_values, stepper._back,
+    rec = semigroup.fixed_point(stepper._back, lambda base, u: stepper._resolve(base, u, -1.0),
                                 lambda u, policy: 1e-3 * frozen_values(dWu, stepper.xs, u),
-                                u0, 1e-3, 1e-10, max_steps, guard=lambda u, at: seen.append(at))
+                                u0, 1e-10, max_steps, guard=lambda u, at: seen.append(at))
     ref = iterate(stepper.backward_values, u0, 1e-3, max_steps, 1e-10)
     assert np.array_equal(rec.values, ref.values)
     assert (rec.steps, rec.residual, rec.converged, rec.newton) == (
@@ -549,6 +549,50 @@ def test_newton_stage_only_on_small_grids(monkeypatch, cap, newton):
         assert np.array_equal(rec.values, ref.values) and rec.steps == ref.steps
 
 
+def _stationary_contact():
+    g = TorusGrid(32)
+    spec = builtin("linear_contact", {"a": 1.0, "V": "0.3*cos(2*pi*x)"})
+    stationary_solve(constant_field(g, 0.0), spec, legendre(spec, g, 17, 17), dt=1e-2,
+                     tol=1e-6, T_max=100.0)
+
+
+def _discounted_eikonal():
+    lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), TorusGrid(32), 17, 17)
+    critical.discounted_solve(lt, 1e-2)
+
+
+def _effective_potential():
+    x, p, c = np.linspace(0, 1, 16, endpoint=False), np.linspace(-2, 2, 17), np.linspace(-1, 1, 5)
+    values = (c[None, None, :] + p[None, :, None] ** 2
+              + 0.3 * np.cos(2 * np.pi * x)[:, None, None])
+    homogenize.solve_effective(homogenize.EffectiveTable(x, p, c, values, 1.0), n_slow=64)
+
+
+@pytest.mark.parametrize("module, solve", [
+    (semigroup, _stationary_contact), (critical, _discounted_eikonal),
+    (homogenize, _effective_potential)], ids=["stationary", "discounted", "effective"])
+def test_a_newton_iteration_gathers_once(monkeypatch, module, solve):
+    # F and the Howard policy are read from the one candidate table of a kernel step
+    records, gathers = [], []
+    fixed_point, apply = module.fixed_point, semigroup.GatherPlan.apply
+
+    def spy(*args, **kwargs):
+        records.append(fixed_point(*args, **kwargs))
+        return records[-1]
+
+    def counted(plan, u):
+        gathers.append(u.size)
+        return apply(plan, u)
+
+    monkeypatch.setattr(module, "fixed_point", spy)
+    monkeypatch.setattr(semigroup.GatherPlan, "apply", counted)
+    solve()
+    [rec] = records
+    assert rec.converged and rec.newton > 0
+    # the march's steps, one per Newton iteration and the step that certifies
+    assert len(gathers) == rec.steps + rec.newton + 1
+
+
 def test_fixed_point_guard_names_the_newton_iteration():
     # u' = u - dt (u + 1/2) marches toward -1/2; the guard refuses u < -0.45, which the
     # march does not reach before its residual is 0.1, but Newton's first iterate does
@@ -562,8 +606,8 @@ def test_fixed_point_guard_names_the_newton_iteration():
             raise ConvergenceError(f"left at {at}")
 
     with pytest.raises(ConvergenceError, match="left at Newton iteration 1$"):
-        semigroup.fixed_point(lambda u: kernel.step(u) - 1e-2 * (u + 0.5), kernel,
-                              lambda u, policy: 1e-2, np.zeros(g.n), 1e-2, 1e-6, 10 ** 4,
+        semigroup.fixed_point(kernel, lambda base, u: base - 1e-2 * (u + 0.5),
+                              lambda u, policy: 1e-2, np.zeros(g.n), 1e-6, 10 ** 4,
                               guard=guard)
     assert seen[:2] == ["step 1", "step 2"] and seen[-2].startswith("step ")
 
@@ -709,14 +753,15 @@ def test_policy_matrix_reproduces_the_step():
     lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), g, 17, 17)
     stepper = MinPlusStepper(g, lt.vgrid, 0.02, lt.L)
     u = np.random.default_rng(3).normal(size=g.n)
-    policy = stepper.policy(u)
+    stepped = stepper.step(u)
+    policy = stepper.policy()
     P = stepper.plan.matrix(policy)
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-15)
     step = P @ u + 0.02 * lt.L[np.arange(g.n), policy]
-    assert np.allclose(step, stepper.step(u), rtol=0, atol=1e-14)
+    assert np.allclose(step, stepped, rtol=0, atol=1e-14)
     # the argmin policy is kept; a worse current velocity is replaced
-    assert np.array_equal(stepper.policy(u, policy), policy)
-    assert np.array_equal(stepper.policy(u, (policy + 1) % lt.vgrid.size), policy)
+    assert np.array_equal(stepper.policy(policy), policy)
+    assert np.array_equal(stepper.policy((policy + 1) % lt.vgrid.size), policy)
 
 
 @pytest.mark.parametrize("copies", [1, 2])
@@ -742,7 +787,8 @@ def test_policy_keeps_current_velocity_on_ties():
     vgrid = np.linspace(-2.0, 2.0, 9)
     stepper = MinPlusStepper(g, vgrid, 0.05, np.zeros((g.n, vgrid.size)))
     current = np.arange(g.n) % vgrid.size
-    assert np.array_equal(stepper.policy(np.zeros(g.n), current), current)
+    stepper.step(np.zeros(g.n))
+    assert np.array_equal(stepper.policy(current), current)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,8 @@ the barrier-remainder config at n=100, vmax=2.5, where the cone seed's slope
 matters, the barrier-unaligned config, whose barrier step vmax*dt is not a whole
 number of cells, the |p| mather config at n=32, m=17, and
 two stationary solves of the worked example: from 0, and at theta = -0.2, which
-exits 1, and a stability config whose decay slope is the -delta orbit's fit).
+exits 1, a stability config whose decay slope is the -delta orbit's fit, and
+one, at a = -1, whose verdict is `fails` and whose basin bisection runs).
 Two runs on different checkouts are byte-identical exactly when their
 printouts are, so a byte-identity check is a `diff`, and the diff also shows
 every summary or verdict line that moves.  The script checks
@@ -60,6 +61,12 @@ _EXTRA = {
     "stability-basin": {"command": "stability", "hamiltonian": _CONTACT, "decay_T": 2.0,
                         "basin_delta_hi": 0.5,
                         "numerics": dict(_SMALL, dt=5e-3, T_max=20.0, zeta_grid=[0.25, 0.5])},
+    # a = -1: every zeta gives c > margin, so the verdict is "fails", and the basin
+    # bisection runs its rounds to Delta_estimate 0
+    "stability-unstable": {"command": "stability", "decay_T": 2.0, "basin_delta_hi": 0.5,
+                           "hamiltonian": {"builtin": "linear_contact",
+                                           "params": {"a": -1.0, "V": 0}},
+                           "numerics": dict(_SMALL, dt=5e-3, T_max=4.0, zeta_grid=[0.25, 0.5])},
     # W quadratic in u: the -delta orbit decays more slowly (fits -0.772 against -0.827
     # for +delta), so report.json's decay_slope is the -delta copy's fit
     "stability-quadratic-W": {"command": "stability", "decay_T": 2.0,

@@ -8,9 +8,11 @@ It prints the line count of src/weakkam and its code lines (lines that
 are not blank, not comment-only and not inside a docstring), each per
 module, the public parameters over the functions named in the modules'
 __all__ lists, the result dataclasses (the mutable dataclasses named in an
-__all__) with their fields, the exception classes, and the config keys the
-command line accepts.  It reads the package only by import, inspection and
-its source text; it changes nothing and checks no bound.
+__all__) with their fields, the constructor parameters of the other classes
+named in an __all__ (neither dataclasses nor exceptions), the exception
+classes, and the config keys the command line accepts.  It reads the
+package only by import, inspection and its source text; it changes nothing
+and checks no bound.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ def inventory() -> dict:
     results = {cls.__name__: len(dataclasses.fields(cls)) for cls in exported.values()
                if dataclasses.is_dataclass(cls) and isinstance(cls, type)
                and not cls.__dataclass_params__.frozen}
+    constructors = {cls.__name__: len(inspect.signature(cls).parameters)
+                    for cls in exported.values()
+                    if isinstance(cls, type) and not dataclasses.is_dataclass(cls)
+                    and not issubclass(cls, BaseException)}
     errors = sorted({obj.__name__ for mod in modules for obj in vars(mod).values()
                      if isinstance(obj, type) and issubclass(obj, BaseException)
                      and obj.__module__.startswith("weakkam")})
@@ -67,6 +73,7 @@ def inventory() -> dict:
         "public_parameters": (sum(len(inspect.signature(f).parameters) for f in functions),
                               len(functions)),
         "result_dataclasses": (len(results), sum(results.values()), results),
+        "constructors": (len(constructors), sum(constructors.values()), constructors),
         "exception_classes": (len(errors), errors),
         "numerics_keys": len(cli.NUMERIC_KEYS),
         "top_level_keys": len(top),
@@ -84,6 +91,9 @@ def main() -> int:
     ntypes, nfields, results = inv["result_dataclasses"]
     print(f"result dataclasses: {ntypes} with {nfields} fields ("
           + ", ".join(f"{name} {count}" for name, count in sorted(results.items())) + ")")
+    nclass, nparams, constructors = inv["constructors"]
+    print(f"class constructors: {nclass} with {nparams} parameters ("
+          + ", ".join(f"{name} {count}" for name, count in sorted(constructors.items())) + ")")
     nerr, errors = inv["exception_classes"]
     print(f"exception classes: {nerr} ({', '.join(errors)})")
     print(f"numerics keys: {inv['numerics_keys']}")
