@@ -41,7 +41,7 @@ from .semigroup import CFLError, _check_step, evolve, stationary_solve
 # every numerics key with its kind and default, by the commands that read it; the homogenize
 # table grids (>= 3 p nodes, >= 2 c levels) and cell grids have none (the library's own)
 NUMERIC_KEYS = {
-    "n": (count(8), 256), "m": (count(), 64), "dt": (positive, 1e-3), "tol": (positive, 1e-6),
+    "n": (count(8), 256), "m": (count(), 64), "dt": (positive, 4e-3), "tol": (positive, 1e-6),
     "T": (positive, 10.0), "T_max": (positive, 40.0), "snap_every": (count(0), 0),
     "dt_critical": (positive, crit.DEFAULT_DT), "cross_tol": (positive, crit.DEFAULT_CROSS_TOL),
     "zeta_grid": (numbers, list(stability.DEFAULT_ZETA_GRID)),

@@ -73,9 +73,9 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     """Exact fixed point u = K(u)/(1 + lam*dt) of the discounted update, K the kernel.
 
     semigroup.fixed_point solves (1 + lam*dt) u = K(u), the kernel K
-    corrected by -lam*dt*u, by Newton from u0
-    (zero when not given), with no march: slope lam*dt makes each Newton
-    matrix strictly diagonally dominant.  A policy that does not settle, or
+    corrected by -lam*dt*u, by Newton from u0 (zero when not given), with no
+    march: derivative (1, lam*dt) makes each Newton matrix strictly
+    diagonally dominant.  A policy that does not settle, or
     a certified residual above tol, raises ConvergenceError (no march to
     fall back on).
     """
@@ -84,7 +84,7 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     if dt * lam >= 1:
         raise CFLError(f"dt*lam = {dt * lam:.3g} must be below 1")
     kernel = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
-    rec = fixed_point(kernel, lambda base, u: base - lam * dt * u, lambda u, pi: lam * dt,
+    rec = fixed_point(kernel, lambda base, u: base - lam * dt * u, lambda u, pi: (1.0, lam * dt),
                       u0.values if u0 is not None else np.zeros(lt.grid.n), tol, 0)
     return Field(lt.grid, rec.require(f"discounted solve at lam={lam:.3g}", tol))
 

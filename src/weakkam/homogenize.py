@@ -227,8 +227,8 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
     L_table has shape (n, nlevels, m) on nlevels >= 2 uniform levels; the cost at
     node i is its linear interpolation along the level axis at the current u_i.
     dt*Lambda2 > 1/2 raises CFLError here; the kernel checks only dt*vmax.
-    semigroup.fixed_point solves it with the identity correction and slope
-    -dt*dL_pi/du (a grid over NEWTON_MAX_N nodes only marches).  A u0
+    semigroup.fixed_point solves it with the identity correction and
+    derivative (1, -dt*dL_pi/du) (a grid over NEWTON_MAX_N nodes only marches).  A u0
     outside the levels raises ConvergenceError, and so does the first
     iterate that leaves them, naming its step or Newton iteration: nothing
     off the table is read, clamped or extrapolated.  A missed tol raises
@@ -257,9 +257,9 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
         cost += upper
         return cost
 
-    def slope(u, policy):
+    def derivative(u, policy):
         i0 = bracket(u)[0]
-        return -dt * (L_table[rows, i0 + 1, policy] - L_table[rows, i0, policy]) / dlev
+        return 1.0, -dt * (L_table[rows, i0 + 1, policy] - L_table[rows, i0, policy]) / dlev
 
     span = f"the u-level range [{levels[0]:.4g}, {levels[-1]:.4g}]"
 
@@ -272,7 +272,7 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
         raise ConvergenceError(f"{what} starts outside {span} at {outside(u0)} of {g.n} nodes")
     _check_step(dt, float(np.abs(vs).max()), Lambda2)
     kernel = MinPlusStepper(g, vs, dt, cost_at)
-    rec = fixed_point(kernel, lambda base, u: base, slope, u0, tol, math.ceil(T_MAX / dt),
+    rec = fixed_point(kernel, lambda base, u: base, derivative, u0, tol, math.ceil(T_MAX / dt),
                       guard=guard)
     return Field(g, rec.require(what, tol))
 

@@ -19,26 +19,32 @@ the same products and sums as a freshly built table; the plan's weights
 are full (m, N) arrays, each row one value, so a product with them is one
 loop over the table.  The velocity search is exhaustive over the velocity
 grid (L may be nonsmooth) and foot points use monotone periodic linear
-interpolation.  `Stepper` adds the contact correction -dt*W(x,u) of a
-split Hamiltonian, explicitly by default; "picard" mode re-evaluates W at
-the updated value by scalar fixed-point iteration under `iterate`, which
-contracts because dt*Lambda <= 1/2.  A W affine in u (every builtin) is
-read once per Stepper as two node arrays, a = dWu and b = W(x, 0), and a
-step is the kernel step plus one multiply-add: K(u) -+ dt*(a*u + b),
-evaluating no formula.  The Stepper decides this itself
-(`hamiltonian.affine_parts`): dWu must not read u, and W must equal a*u + b
-within a few ulps at every node and every u of the load-time lattice.  Any
-other W is folded at the nodes once (`Expr.fold`) and each step evaluates
-its u-dependent rest, bit-identical to evaluating all of W; an affine step
-equals that formula step only up to W's own roundings.  The Stepper also
-supplies the Newton slope dt*dWu(x, u) of `stationary_solve` (dt*a when W
-is affine).  An explicit Stepper over k copies of the torus steps k
-functions as one of k*n values (the kernel on lt.L tiled k times, W read
-on the tiled nodes), each bit for bit as if alone; the Picard mode refuses
-copies.  The forward step is
-the mirror image (max, +dt W), taken through a kernel on the negated
-velocity grid, whose foot points x_i + v_j dt are the forward ones, by the
-identity max_j [a_j - b_j] = -min_j [-a_j + b_j].
+interpolation.  `Stepper` adds the contact term W(x,u) of a split
+Hamiltonian.  A W affine in u (every builtin) is read once per Stepper as
+two node arrays, a = dWu and b = W(x, 0), and its explicit step is the
+Strang split E(dt/2) K E(dt/2) (Strang 1968), E(h) the exact flow of
+u' = -(a u + b): u -> alpha*u + beta with alpha = exp(-a h) and
+beta = -b h phi1(-a h), phi1(z) = expm1(z)/z, phi1(0) = 1.  alpha and beta
+are node arrays computed once per Stepper and direction, so a step is a
+multiply-add, the kernel step and a multiply-add, evaluating no formula;
+it is monotone, with Lipschitz constant at most exp(dt*Lambda).  The
+Stepper decides this itself (`hamiltonian.affine_parts`): dWu must not
+read u, and W must equal a*u + b within a few ulps at every node and every
+u of the load-time lattice.  Any other W is folded at the nodes once
+(`Expr.fold`) and its explicit step is K(u) - dt*W(x, u), evaluating the
+u-dependent rest, bit-identical to evaluating all of W.  "picard" mode
+corrects K(u) by -dt*W at the updated value instead, by scalar
+fixed-point iteration under `iterate`, which contracts because
+dt*Lambda <= 1/2; it reads an affine W as a*u + b, equal to the formula
+up to W's own roundings.  The Stepper also supplies the Newton slope
+dt*dWu(x, u) of `stationary_solve` for a W that is not affine.  An
+explicit Stepper over k copies of the torus steps k functions as one of
+k*n values (the kernel on lt.L tiled k times, W read on the tiled nodes),
+each bit for bit as if alone; the Picard mode refuses copies.  The forward
+step is the mirror image (max, +W, the flow of u' = a u + b), taken
+through a kernel on the negated velocity grid, whose foot points
+x_i + v_j dt are the forward ones, by the identity
+max_j [a_j - b_j] = -min_j [-a_j + b_j].
 
 One rule (_check_step) bounds the time step:
     dt * Lambda <= 1/2        (contact term, when a bound is given)
@@ -60,12 +66,16 @@ evolution, whose nonfinite guard covers every copy.
 `fixed_point` is the one solver of a stationary fixed point u = T(u):
 u_- (`stationary_solve`), the effective solve and the discounted solve.
 T(u) = correct(K(u), u), K the kernel it is given and correct the
-caller's (the contact correction, base - lam*dt*u, the identity); its dt
-is the kernel's.  It is Newton-Howard on F(u) = u - T(u) (Bokanowski,
-Maroso & Zidani 2009): J = diag(1 + d) - P_pi, pi the kernel's argmin,
-P_pi its gather rows, d the caller's (dt*dWu, -dt*dL_pi/du on a level
-table, lam*dt).  A Newton iteration steps the kernel once, and reads F
-and pi from that one candidate table.
+caller's (the affine flow E(dt) of the split step, the Euler contact
+correction, base - lam*dt*u, the identity); its dt is the kernel's.  It
+is Newton-Howard on F(u) = u - T(u) (Bokanowski, Maroso & Zidani 2009):
+J = diag(1 + d) - diag(g) P_pi, pi the kernel's argmin, P_pi its gather
+rows, (g, d) the caller's ((exp(-a dt), 0) for the split step,
+(1, dt*dWu), (1, -dt*dL_pi/du) on a level table, (1, lam*dt)).  A Newton
+iteration steps the kernel once, and reads F and pi from that one
+candidate table.  For an affine W, stationary_solve solves w = E(dt) K(w)
+for w = E(dt/2) u, so u_- = E(-dt/2) w is a fixed point of the split step
+itself, from which the evolutions of u_- +- delta do not drift.
 The march runs first, to residual MARCH_TO = 1e-1, so Newton starts near
 the solution the march would reach (Alla, Falcone & Kalise 2015; from 0
 on the worked example Newton alone fails at once).  One real step
@@ -238,19 +248,31 @@ class MinPlusStepper:
         return np.where(better, best, current)
 
 
+def _affine_flow(a: np.ndarray, b: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) with u -> alpha*u + beta the exact flow of u' = -(a*u + b) over time t:
+    alpha = exp(-a t) and beta = -b t phi1(-a t), phi1(z) = expm1(z)/z, phi1(0) = 1.
+    A negative t gives the flow of u' = a*u + b over time -t."""
+    z = -a * t
+    phi1 = np.ones_like(z)
+    np.divide(np.expm1(z), z, out=phi1, where=z != 0)
+    return np.exp(z), -t * b * phi1
+
+
 class Stepper:
     """One contact step bound to (spec, table, dt, mode): the min-plus kernel
-    followed by the explicit or Picard correction -+dt W(x, u).
+    and the contact term -+W(x, u), explicit or Picard.
 
     With copies = k it steps one function of k*n values, k disjoint copies of
     lt's torus laid end to end (copy j on j*n .. j*n + n - 1), each bit for bit
     as if alone: the kernel's cost is lt.L tiled k times and W is read on the
     tiled nodes.  A W affine in u (affine_parts on those nodes) is the pair
-    `affine` = (a, b) of node arrays, and the correction is dt*(a*u + b); any
-    other W (affine None) is folded at the nodes and evaluated each step.  The
-    Picard mode refuses copies, since its stop at tol over the union would give
-    a copy that settled early extra iterations.  Each direction's kernel is
-    built on its first step.
+    `affine` = (a, b) of node arrays; its explicit step is
+    alpha*K(alpha*u + beta) + beta, (alpha, beta) the exact flow of
+    u' = -+(a*u + b) over dt/2, and its Picard correction reads W as a*u + b.
+    Any other W (affine None) is folded at the nodes and evaluated each step
+    in the correction -+dt*W.  The Picard mode refuses copies, since its stop
+    at tol over the union would give a copy that settled early extra
+    iterations.  Each direction's kernel is built on its first step.
     """
 
     def __init__(self, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,
@@ -271,6 +293,9 @@ class Stepper:
         self.W = spec.W.fold({"x": self.xs})
         self._dWu = spec.dWu.fold({"x": self.xs})
         self.affine = affine_parts(self.W, self._dWu, self.xs)
+        # the explicit step's half flows E(-+dt/2), keyed by the contact term's sign
+        self._half = None if mode != "explicit" or self.affine is None else {
+            -1.0: _affine_flow(*self.affine, dt / 2), +1.0: _affine_flow(*self.affine, -dt / 2)}
 
     def _kernel(self, vgrid: np.ndarray) -> MinPlusStepper:
         lt = self._lt
@@ -296,10 +321,8 @@ class Stepper:
 
     def newton_slope(self, u: np.ndarray, policy: np.ndarray) -> np.ndarray:
         """dt*dWu(x, u) on the nodes: the diagonal that fixed_point's Newton step adds
-        under any policy (dt*a for an affine W)."""
-        if self.affine is None:
-            return self.dt * frozen_values(self._dWu, self.xs, u)
-        return self.dt * self.affine[0]
+        under any policy to the step corrected by -dt*W."""
+        return self.dt * frozen_values(self._dWu, self.xs, u)
 
     def _resolve(self, base: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
         def corrected(z):
@@ -315,12 +338,25 @@ class Stepper:
                 f"picard iteration did not converge (|delta|={rec.residual:.3e})", rec.residual)
         return rec.values
 
+    def _step(self, u: np.ndarray, sign: float, kernel_step) -> np.ndarray:
+        """The split alpha*K(alpha*u + beta) + beta of an explicit affine step, else
+        the kernel step corrected by sign*dt*W."""
+        if self._half is None:
+            return self._resolve(kernel_step(u), u, sign)
+        alpha, beta = self._half[sign]
+        w = alpha * u
+        w += beta
+        out = kernel_step(w)
+        out *= alpha
+        out += beta
+        return out
+
     def backward_values(self, u: np.ndarray) -> np.ndarray:
-        return self._resolve(self._back.step(u), u, -1.0)
+        return self._step(u, -1.0, self._back.step)
 
     def forward_values(self, u: np.ndarray) -> np.ndarray:
         # max_j [u(x_i + v_j dt) - dt L] = -min_j [-u(x_i + v_j dt) + dt L]
-        return self._resolve(-self._fwd.step(-u), u, +1.0)
+        return self._step(u, +1.0, lambda w: -self._fwd.step(-w))
 
 
 @dataclass
@@ -366,13 +402,15 @@ def iterate(step, u0: np.ndarray, dt: float, max_steps: int, tol: float | None =
     return SolveRecord(u, max_steps, residual, False)
 
 
-def fixed_point(kernel: MinPlusStepper, correct, slope, u0: np.ndarray, tol: float,
+def fixed_point(kernel: MinPlusStepper, correct, derivative, u0: np.ndarray, tol: float,
                 max_steps: int, guard=None) -> SolveRecord:
     """Solve u = step(u), step(u) = correct(kernel.step(u), u): march, then
     Newton-Howard, or the pure march if Newton fails.
 
+    derivative(u, pi) is the pair (g, d) of diagonals (node arrays or
+    scalars) with the step's derivative diag(g) P_pi - diag(d) along policy pi.
     The march (iterate, at the kernel's dt) runs to residual max(tol,
-    MARCH_TO); Newton then solves (diag(1 + slope(u, pi)) - P_pi) delta = -F
+    MARCH_TO); Newton then solves (diag(1 + d) - diag(g) P_pi) delta = -F
     until the policy repeats with F at rounding, and the step that gave F
     certifies u against tol.  Each Newton iteration steps the kernel once:
     F and the policy pi are read from the one candidate table.  A singular
@@ -418,9 +456,10 @@ def fixed_point(kernel: MinPlusStepper, correct, slope, u0: np.ndarray, tol: flo
             break
         if newton == MAX_NEWTON:
             break
+        gain, d = derivative(u, new)
         J = kernel.plan.matrix(new)
-        J *= -1.0
-        J[nodes, nodes] += 1.0 + slope(u, new)
+        J *= -np.reshape(gain, (-1, 1))
+        J[nodes, nodes] += 1.0 + d
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -468,14 +507,31 @@ def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt
                      tol: float, T_max: float) -> SolveRecord:
     """Fixed point of the explicit backward step from phi0, to residual tol.
 
-    fixed_point marches backward, hands over to Newton with slope
-    dt*dWu(x, u), and returns the pure march within T_max if Newton does
-    not settle.  Non-convergence is reported through the record's flag,
-    not raised, since a residual stall at the scheme consistency level is a
-    meaningful outcome; a caller that needs tol reached calls require.
+    fixed_point marches backward, hands over to Newton, and returns the pure
+    march within T_max if Newton does not settle.  For a W affine in u the
+    step is the split S = E(dt/2) K E(dt/2), and u = S(u) exactly when
+    w = E(dt/2) u solves w = E(dt) K(w).  fixed_point solves that from
+    E(dt/2) phi0 with derivative (alpha, 0), E(dt) = alpha*w + beta: its
+    march is the march of S conjugated by E(dt/2), which is the identity
+    for a W-free spec.  u = E(-dt/2) w, and the record's residual and
+    converged flag are those of one real step S from u.  Any other W steps
+    K corrected by -dt*W with slope dt*dWu(x, u).
+    Non-convergence is reported through the record's flag, not raised,
+    since a residual stall at the scheme consistency level is a meaningful
+    outcome; a caller that needs tol reached calls require.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     stepper = Stepper(spec, lt, dt)
-    return fixed_point(stepper._back, lambda base, u: stepper._resolve(base, u, -1.0),
-                       stepper.newton_slope, phi0.values, tol, math.ceil(T_max / dt))
+    max_steps = math.ceil(T_max / dt)
+    if stepper.affine is None:
+        return fixed_point(stepper._back, lambda base, u: stepper._resolve(base, u, -1.0),
+                           lambda u, pi: (1.0, stepper.newton_slope(u, pi)), phi0.values,
+                           tol, max_steps)
+    alpha, beta = _affine_flow(*stepper.affine, dt)
+    (a0, b0), (a1, b1) = stepper._half[-1.0], stepper._half[+1.0]
+    rec = fixed_point(stepper._back, lambda base, w: alpha * base + beta,
+                      lambda w, pi: (alpha, 0.0), a0 * phi0.values + b0, tol, max_steps)
+    u = a1 * rec.values + b1
+    residual = float(np.abs(stepper.backward_values(u) - u).max()) / dt
+    return SolveRecord(u, rec.steps, residual, residual <= tol, rec.newton)

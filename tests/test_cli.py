@@ -30,7 +30,7 @@ def test_load_config_minimal_defaults(tmp_path):
     config = cli.load_config(path)
     assert config.numerics["n"] == 256
     assert config.numerics["m"] == 64
-    assert config.numerics["dt"] == 1e-3
+    assert config.numerics["dt"] == 4e-3
     assert config.numerics["tol"] == 1e-6
     assert config.spec.vmax == 4.0
     assert config.spec is not None
@@ -735,7 +735,7 @@ def test_unconverged_u_minus_is_a_solver_failure(tmp_path, capsys, command):
     path = write_config(tmp_path / "c.json", dict(UNCONVERGED, command=command,
                                                   output_dir=str(out)))
     assert cli.main([command, "--config", path]) == 1
-    message = "stationary solve for u_- stopped at residual 1.104e-01 after 1000 steps"
+    message = "stationary solve for u_- stopped at residual 1.103e-01 after 1000 steps"
     assert message in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["diagnostic.txt"]
     assert message in (out / "diagnostic.txt").read_text()
@@ -745,7 +745,7 @@ def test_stationary_command_reports_unconverged_solve(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", dict(UNCONVERGED, command="stationary",
                                                   output_dir=str(tmp_path / "out")))
     assert cli.main(["stationary", "--config", path]) == 0
-    assert "converged=False residual=1.104e-01 steps=1000" in capsys.readouterr().out
+    assert "converged=False residual=1.103e-01 steps=1000" in capsys.readouterr().out
     assert (tmp_path / "out" / "stationary.csv").exists()
 
 

@@ -40,15 +40,15 @@ def test_zero_is_fixed_point_free(free_64):
 
 
 def test_constant_data_one_step_exact(contact_64):
+    # W = u: the split step moves a constant by the exact flow of u' = -+u
     g, spec, lt = contact_64
     delta, dt = 0.37, 1e-3
     u = constant_field(g, delta)
-    fwd_euler = delta * (1 - 1.0 * dt)
     st = Stepper(spec, lt, dt)
     out = Field(g, st.backward_values(u.values))
-    assert np.allclose(out.values, fwd_euler, atol=1e-15)
+    assert np.allclose(out.values, delta * math.exp(-dt), rtol=0, atol=1e-15)
     out_f = Field(g, st.forward_values(u.values))
-    assert np.allclose(out_f.values, delta * (1 + 1.0 * dt), atol=1e-15)
+    assert np.allclose(out_f.values, delta * math.exp(dt), rtol=0, atol=1e-15)
 
 
 BUILTIN_PARAMS = {
@@ -60,9 +60,19 @@ BUILTIN_PARAMS = {
 
 
 def _unfolded(spec, lt, dt, mode, u, sign):
-    """One contact step from a bare kernel and the whole of W, as before folding."""
+    """One contact step from a bare kernel and the whole of W, as before folding: the
+    explicit step of an affine W splits the kernel step between two half flows read off
+    the unfolded formulas, a = dWu and b = W(x, 0)."""
     kernel = MinPlusStepper(lt.grid, -sign * lt.vgrid, dt, lt.L)
-    base = kernel.step(u) if sign < 0 else -kernel.step(-u)
+
+    def K(z):
+        return kernel.step(z) if sign < 0 else -kernel.step(-z)
+
+    parts = hamiltonian.affine_parts(spec.W, spec.dWu, lt.grid.nodes)
+    if mode == "explicit" and parts is not None:
+        alpha, beta = semigroup._affine_flow(*parts, -sign * dt / 2)
+        return alpha * K(alpha * u + beta) + beta
+    base = K(u)
 
     def corrected(z):
         return base + sign * dt * frozen_values(spec.W, lt.grid.nodes, z)
@@ -84,7 +94,8 @@ def _spec(name):
 @pytest.mark.parametrize("mode", ["explicit", "picard"])
 def test_folded_W_steps_bit_identically(name, mode):
     # pins the folded-formula path (quadratic_W); every builtin W is affine and steps by
-    # its (a, b) arrays, equal here to the whole of W only as W's roundings are absorbed
+    # its (a, b) arrays: explicitly by the half flows, in the Picard mode by a*u + b, equal
+    # here to the whole of W only as W's roundings are absorbed
     g = TorusGrid(64)
     spec = _spec(name)
     lt = legendre(spec, g, 33, 33)
@@ -138,19 +149,21 @@ def test_other_W_takes_the_formula_path(W, dWu):
 @pytest.mark.parametrize("name", AFFINE_BUILTINS)
 @pytest.mark.parametrize("copies", [1, 2])
 def test_affine_step_is_the_kernel_step_plus_a_multiply_add(name, copies):
+    # the explicit step of an affine W is alpha*K(alpha*u + beta) + beta, a multiply-add
+    # on each side of the kernel step, with (alpha, beta) the direction's half flow
     g = TorusGrid(64)
     spec = _spec(name)
     lt = legendre(spec, g, 33, 33)
     dt = 1e-3
     st = Stepper(spec, lt, dt, copies=copies)
-    a, b = st.affine
     rng = np.random.default_rng(11)
     u = np.concatenate([random_field(g, rng).values for _ in range(copies)])
     L = np.tile(lt.L, (copies, 1))
-    back = MinPlusStepper(g, lt.vgrid, dt, L).step(u)
-    fwd = -MinPlusStepper(g, -lt.vgrid, dt, L).step(-u)
-    assert np.array_equal(st.backward_values(u), back - dt * (a * u + b))
-    assert np.array_equal(st.forward_values(u), fwd + dt * (a * u + b))
+    (ab, bb), (af, bf) = st._half[-1.0], st._half[+1.0]
+    back = MinPlusStepper(g, lt.vgrid, dt, L).step(ab * u + bb)
+    fwd = -MinPlusStepper(g, -lt.vgrid, dt, L).step(-(af * u + bf))
+    assert np.array_equal(st.backward_values(u), ab * back + bb)
+    assert np.array_equal(st.forward_values(u), af * fwd + bf)
     # each copy steps as if alone
     alone = Stepper(spec, lt, dt)
     for j in range(copies):
@@ -159,24 +172,59 @@ def test_affine_step_is_the_kernel_step_plus_a_multiply_add(name, copies):
         assert np.array_equal(st.forward_values(u)[rows], alone.forward_values(u[rows]))
 
 
+# a(x) = sin(2 pi x) is exactly 0 at the node x = 0, where phi1 takes its limit 1
+ZERO_A = {"G": "p^2", "W": "sin(2*pi*x)*u + cos(2*pi*x)", "dWu": "sin(2*pi*x)"}
+
+
+@pytest.mark.parametrize("name", AFFINE_BUILTINS + ["zero_a"])
+def test_half_flows_are_the_closed_form(name):
+    # E(h) u = alpha*u + beta is the flow of u' = -+(a u + b) over h = dt/2:
+    # alpha = exp(-+a h), beta = -+b h phi1(-+a h), phi1(z) = expm1(z)/z, phi1(0) = 1
+    g = TorusGrid(64)
+    spec = spec_from_config(ZERO_A) if name == "zero_a" else _spec(name)
+    st = Stepper(spec, legendre(spec, g, 33, 33), 0.02)
+    a, b = st.affine
+    if name == "zero_a":
+        assert a[0] == 0.0 and b[0] == 1.0
+    for sign, (alpha, beta) in st._half.items():
+        z = sign * a * 0.01
+        phi1 = np.array([math.expm1(zi) / zi if zi else 1.0 for zi in z])
+        assert np.allclose(alpha, np.exp(z), rtol=2e-16, atol=0)
+        assert np.allclose(beta, sign * b * 0.01 * phi1, rtol=4e-16, atol=0)
+        if name == "zero_a":
+            assert (alpha[0], beta[0]) == (1.0, sign * 0.01)
+        # the flow itself, against 200 RK4 steps of the ODE over h
+        u0 = np.linspace(-1.0, 1.0, g.n)
+        u, k = u0.copy(), 0.01 / 200
+        for _ in range(200):
+            k1 = sign * (a * u + b)
+            k2 = sign * (a * (u + k / 2 * k1) + b)
+            k3 = sign * (a * (u + k / 2 * k2) + b)
+            k4 = sign * (a * (u + k * k3) + b)
+            u = u + k / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.allclose(alpha * u0 + beta, u, rtol=0, atol=1e-13)
+
+
 def test_affine_step_agrees_with_the_formula_step_to_rounding():
-    # the two contact terms differ by W's own roundings, at most AFFINE_ULPS ulps of
-    # |W| + |a u| + |b|, scaled by dt; each step's final sum rounds once more
+    # the Picard mode still reads an affine W as a*u + b; its step and the folded formula's
+    # differ by W's own roundings, at most AFFINE_ULPS ulps of |W| + |a u| + |b| scaled by
+    # dt, which the resolvent divides by at most 1 - dt*Lambda; the sum rounds once more
     g = TorusGrid(128)
     spec = _spec("example_ex")
     lt = legendre(spec, g, 49, 49)
     dt = 1e-3
-    st = Stepper(spec, lt, dt)
+    st = Stepper(spec, lt, dt, "picard")
     a, b = st.affine
     eps = np.finfo(float).eps
     for seed in range(5):
         u = random_field(g, np.random.default_rng(seed), scale=2.0).values
-        W = frozen_values(spec.W, g.nodes, u)
-        terms = dt * hamiltonian.AFFINE_ULPS * eps * (np.abs(W) + np.abs(a * u) + np.abs(b))
         for step, sign in ((st.backward_values, -1.0), (st.forward_values, +1.0)):
             out = step(u)
-            formula = _unfolded(spec, lt, dt, "explicit", u, sign)
-            assert np.all(np.abs(out - formula) <= terms + 2 * eps * np.abs(formula))
+            formula = _unfolded(spec, lt, dt, "picard", u, sign)
+            W = frozen_values(spec.W, g.nodes, out)
+            terms = dt * hamiltonian.AFFINE_ULPS * eps * (np.abs(W) + np.abs(a * out) + np.abs(b))
+            terms /= 1 - dt * spec.lambda_bound
+            assert np.all(np.abs(out - formula) <= terms + 2 * eps * np.abs(formula) + 1e-16)
 
 
 @pytest.mark.parametrize("name", ["example_ex", "quadratic_W"])
@@ -190,7 +238,7 @@ def test_newton_slope_is_dt_dWu_on_either_path(name):
 
 
 def test_constant_data_exactness_with_x_dependent_W():
-    # explicit step must equal the Euler update of du/dt = -G(x,0) - W(x,u)
+    # explicit step must equal the exact flow of du/dt = -G(x,0) - W(x,u), G(x,0) = 0
     g = TorusGrid(64)
     spec = HamiltonianSpec(G=parse("p^2"), W=parse("cos(2*pi*x)*u"),
                            dWu=parse("cos(2*pi*x)"), lambda_bound=1.0)
@@ -198,8 +246,8 @@ def test_constant_data_exactness_with_x_dependent_W():
     dt = 1e-2
     u = constant_field(g, 0.8)
     out = Field(g, Stepper(spec, lt, dt).backward_values(u.values))
-    euler = 0.8 - dt * np.cos(2 * np.pi * g.nodes) * 0.8
-    assert np.allclose(out.values, euler, atol=1e-15)
+    exact = 0.8 * np.exp(-dt * np.cos(2 * np.pi * g.nodes))
+    assert np.allclose(out.values, exact, rtol=0, atol=1e-15)
 
 
 def test_one_step_against_velocity_refinement_oracle():
@@ -419,6 +467,31 @@ def _march(phi0, spec, lt, dt, tol, T_max):
                    math.ceil(T_max / dt), tol)
 
 
+def _split_march(phi0, spec, lt, dt, tol, T_max):
+    """The pure march of an affine W's stationary solve: w -> E(dt) K(w) from
+    E(dt/2) phi0 to tol within T_max, its record's values mapped back by E(-dt/2)."""
+    st = Stepper(spec, lt, dt)
+    alpha, beta = semigroup._affine_flow(*st.affine, dt)
+    (a0, b0), (a1, b1) = st._half[-1.0], st._half[+1.0]
+    rec = iterate(lambda w: alpha * st._back.step(w) + beta, a0 * phi0.values + b0, dt,
+                  math.ceil(T_max / dt), tol)
+    rec.values = a1 * rec.values + b1
+    return rec
+
+
+@pytest.mark.parametrize("theta, dt", [(0.5, 4e-3), (0.5, 1e-3), (1.0, 4e-3)])
+def test_stationary_solve_is_a_fixed_point_of_the_split_step(theta, dt):
+    # u_- = S(u_-) to tol for S = E(dt/2) K E(dt/2), measured by one more real step
+    g, tol = TorusGrid(128), 1e-6
+    spec = builtin("example_ex", dict(BUILTIN_PARAMS["example_ex"], theta=theta))
+    lt = legendre(spec, g, 49, 49)
+    rec = stationary_solve(field_from_expr(g, parse(PHI_SRC)), spec, lt, dt=dt, tol=tol,
+                           T_max=40.0)
+    after = Stepper(spec, lt, dt).backward_values(rec.values)
+    assert rec.converged and rec.newton >= 1
+    assert np.abs(after - rec.values).max() / dt == rec.residual <= tol
+
+
 @settings(max_examples=5, deadline=None)
 @given(a=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 16))
 def test_newton_matches_a_tight_march_on_linear_contact(a, seed):
@@ -455,17 +528,19 @@ def test_hybrid_from_zero_matches_the_march():
 @pytest.mark.parametrize("V, T_max", [("cos(2*pi*x) - 1", 8.0), ("cos(2*pi*x)", 2.0)])
 def test_eikonal_stationary_solve_is_the_march(V, T_max):
     # W-free: J = I - P_pi is singular (no Newton iteration completes), so the solve
-    # falls back to the march and the record is the pure march's, bit for bit (the
-    # drifting V never hands over)
+    # falls back to the march, whose half flows are the identity: values and steps are
+    # the pure march's, bit for bit (the drifting V never hands over), and the residual
+    # and converged flag those of one more real step
     g = TorusGrid(64)
     spec = builtin("eikonal", {"V": V})
     lt = legendre(spec, g, 33, 33)
     zero = constant_field(g, 0.0)
     rec = stationary_solve(zero, spec, lt, dt=1e-3, tol=1e-10, T_max=T_max)
     ref = _march(zero, spec, lt, 1e-3, 1e-10, T_max)
+    check = iterate(Stepper(spec, lt, 1e-3).backward_values, ref.values, 1e-3, 1, 1e-10)
     assert np.array_equal(rec.values, ref.values)
     assert (rec.steps, rec.residual, rec.converged, rec.newton) == (
-        ref.steps, ref.residual, ref.converged, 0)
+        ref.steps, check.residual, check.converged, 0)
 
 
 def test_unsettled_newton_resumes_the_march():
@@ -476,7 +551,7 @@ def test_unsettled_newton_resumes_the_march():
     lt = legendre(spec, g, 33, 33)
     phi = field_from_expr(g, parse(PHI_SRC))
     rec = stationary_solve(phi, spec, lt, dt=1e-3, tol=1e-6, T_max=0.5)
-    ref = _march(phi, spec, lt, 1e-3, 1e-6, 0.5)
+    ref = _split_march(phi, spec, lt, 1e-3, 1e-6, 0.5)
     assert not rec.converged and rec.newton == semigroup.MAX_NEWTON
     assert np.array_equal(rec.values, ref.values) and rec.steps == ref.steps == 500
 
@@ -493,13 +568,18 @@ def test_numerically_singular_newton_matrix_resumes_the_march(monkeypatch, a, ne
                            dWu=parse(f"{a}"))
     stepper = Stepper(spec, legendre(spec, g, 17, 17), 1e-3)
     monkeypatch.setattr(semigroup, "MARCH_TO", math.inf)
-    rec = semigroup.fixed_point(stepper._back, lambda base, u: stepper._resolve(base, u, -1.0),
-                                lambda u, policy: 1e-3 * a, np.zeros(g.n), 1e-6, 100)
+
+    def correct(base, u):
+        return stepper._resolve(base, u, -1.0)
+
+    rec = semigroup.fixed_point(stepper._back, correct, lambda u, policy: (1.0, 1e-3 * a),
+                                np.zeros(g.n), 1e-6, 100)
     assert (rec.newton, rec.converged) == (newton, converged)
     if converged:
         assert rec.steps == 1 and rec.values.max() == pytest.approx(-1.0 / a, rel=1e-3)
     else:
-        ref = iterate(stepper.backward_values, np.zeros(g.n), 1e-3, 100, 1e-6)
+        ref = iterate(lambda u: correct(stepper._back.step(u), u), np.zeros(g.n), 1e-3, 100,
+                      1e-6)
         assert rec.steps == 100 and np.array_equal(rec.values, ref.values)
 
 
@@ -520,14 +600,21 @@ def test_failed_newton_returns_the_pure_march(params, phi_src, T_max, newton):
     u0 = field_from_expr(g, parse(phi_src)).values
     max_steps = math.ceil(T_max / 1e-3)
     seen = []
-    rec = semigroup.fixed_point(stepper._back, lambda base, u: stepper._resolve(base, u, -1.0),
-                                lambda u, policy: 1e-3 * frozen_values(dWu, stepper.xs, u),
+
+    def correct(base, u):
+        return stepper._resolve(base, u, -1.0)
+
+    def step(u):
+        return correct(stepper._back.step(u), u)
+
+    rec = semigroup.fixed_point(stepper._back, correct,
+                                lambda u, policy: (1.0, 1e-3 * frozen_values(dWu, stepper.xs, u)),
                                 u0, 1e-10, max_steps, guard=lambda u, at: seen.append(at))
-    ref = iterate(stepper.backward_values, u0, 1e-3, max_steps, 1e-10)
+    ref = iterate(step, u0, 1e-3, max_steps, 1e-10)
     assert np.array_equal(rec.values, ref.values)
     assert (rec.steps, rec.residual, rec.converged, rec.newton) == (
         ref.steps, ref.residual, ref.converged, newton)
-    prefix = iterate(stepper.backward_values, u0, 1e-3, max_steps, semigroup.MARCH_TO).steps
+    prefix = iterate(step, u0, 1e-3, max_steps, semigroup.MARCH_TO).steps
     assert 0 < prefix < ref.steps
     assert seen == ([f"step {k}" for k in range(1, prefix + 1)]
                     + [f"Newton iteration {k}" for k in range(1, newton + 1)]
@@ -543,7 +630,7 @@ def test_newton_stage_only_on_small_grids(monkeypatch, cap, newton):
     lt = legendre(spec, g, 17, 17)
     zero = constant_field(g, 0.0)
     rec = stationary_solve(zero, spec, lt, dt=1e-2, tol=1e-6, T_max=100.0)
-    ref = _march(zero, spec, lt, 1e-2, 1e-6, 100.0)
+    ref = _split_march(zero, spec, lt, 1e-2, 1e-6, 100.0)
     assert rec.converged and (rec.newton > 0) == newton
     if not newton:
         assert np.array_equal(rec.values, ref.values) and rec.steps == ref.steps
@@ -589,8 +676,9 @@ def test_a_newton_iteration_gathers_once(monkeypatch, module, solve):
     solve()
     [rec] = records
     assert rec.converged and rec.newton > 0
-    # the march's steps, one per Newton iteration and the step that certifies
-    assert len(gathers) == rec.steps + rec.newton + 1
+    # the march's steps, one per Newton iteration and the step that certifies; the
+    # stationary solve of an affine W certifies u_- by one more real split step
+    assert len(gathers) == rec.steps + rec.newton + 1 + (module is semigroup)
 
 
 def test_fixed_point_guard_names_the_newton_iteration():
@@ -607,7 +695,7 @@ def test_fixed_point_guard_names_the_newton_iteration():
 
     with pytest.raises(ConvergenceError, match="left at Newton iteration 1$"):
         semigroup.fixed_point(kernel, lambda base, u: base - 1e-2 * (u + 0.5),
-                              lambda u, policy: 1e-2, np.zeros(g.n), 1e-6, 10 ** 4,
+                              lambda u, policy: (1.0, 1e-2), np.zeros(g.n), 1e-6, 10 ** 4,
                               guard=guard)
     assert seen[:2] == ["step 1", "step 2"] and seen[-2].startswith("step ")
 
@@ -616,7 +704,9 @@ def test_evolve_aborts_on_nonfinite():
     g = TorusGrid(64)
     spec = builtin("linear_contact", {"a": -1.0, "V": 0, "vmax": 1.0})
     lt = legendre(spec, g, 33, 33)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonfinite"):
+    # the half flow overflows before the kernel, whose zero weights then meet inf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError,
+                                                                     match="nonfinite"):
         evolve(constant_field(g, 700.0), spec, lt, T=900.0, dt=0.4)
 
 

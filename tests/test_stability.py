@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import DPHI_SRC, PHI_SRC
 from weakkam import TorusGrid, builtin, legendre
+from weakkam.cli import NUMERIC_KEYS
 from weakkam.errors import ConfigError
-from weakkam.grid import Field, constant_field
+from weakkam.expr import parse
+from weakkam.grid import Field, constant_field, field_from_expr
 from weakkam.hamiltonian import spec_from_config
-from weakkam.semigroup import evolve
+from weakkam.semigroup import evolve, stationary_solve
 from weakkam import critical as crit
 from weakkam import stability as st
 
@@ -354,3 +357,17 @@ def test_instability_probe_matches_a_per_step_evolution(request, which, T):
     escaped = devs[-1] >= target
     assert escaped == (which == "contact_neg")
     assert pr.t_escape == (times[-1] if escaped else None)
+
+
+def test_decay_slope_at_the_default_dt_is_minus_theta():
+    # example_ex at theta = 1/2 (n = 128, m = 49) at the CLI's default dt: the split
+    # step's orbits decay at -theta to 1e-5 (the Euler contact term at dt = 1e-3 was
+    # 1.2e-4 off, biased by about a^2 dt/2)
+    dt = NUMERIC_KEYS["dt"][1]
+    g = TorusGrid(128)
+    spec = builtin("example_ex", {"phi": PHI_SRC, "dphi": DPHI_SRC, "theta": 0.5, "zeta": 1.0})
+    lt = legendre(spec, g, 49, 49)
+    rec = stationary_solve(field_from_expr(g, parse(PHI_SRC)), spec, lt, dt=dt, tol=1e-6,
+                           T_max=40.0)
+    um = Field(g, rec.require("u_-", 1e-6))
+    assert abs(st.decay_exponent(spec, um, delta=0.05, T=8.0, dt=dt, lt=lt).slope + 0.5) <= 1e-5
