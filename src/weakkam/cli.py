@@ -233,7 +233,8 @@ def run_barrier(config):
     g, lt = _grid_lt(config)
     result, ltp = _critical_of_frozen(config, g, lt)
     bt = mather.peierls_barrier(ltp)
-    nodes = g.nodes.tolist()     # each node's float is shared by its n rows
+    # each node is rendered once and its text shared by the 2n rows that name it
+    nodes = [_cell(x) for x in g.nodes.tolist()]
     rows = [(x, y, h) for x, hx in zip(nodes, bt.h.tolist()) for y, h in zip(nodes, hx)]
     aubry = [(int(i), float(g.nodes[i])) for i in bt.aubry_indices]
     return (f"aubry_nodes={bt.aubry_indices.size} c_used={bt.c_used:.4f}",

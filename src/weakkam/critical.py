@@ -73,11 +73,12 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     """Exact fixed point u = K(u)/(1 + lam*dt) of the discounted update, K the kernel.
 
     semigroup.fixed_point solves (1 + lam*dt) u = K(u), the kernel K
-    corrected by -lam*dt*u, by Newton from u0 (zero when not given), with no
-    march: derivative (1, lam*dt) makes each Newton matrix strictly
-    diagonally dominant.  A policy that does not settle, or
-    a certified residual above tol, raises ConvergenceError (no march to
-    fall back on).
+    corrected by -lam*dt*u, by Newton from u0 (zero when not given):
+    derivative (1, lam*dt) has d = lam*dt > 0, so each Newton matrix is
+    strictly diagonally dominant and Newton starts at u0, fixed_point's
+    Newton-first rule.  max_steps = 0 leaves that rule no march to fall
+    back on: a policy that does not settle, or a certified residual above
+    tol, raises ConvergenceError.
     """
     if lam <= 0:
         raise ValueError("discount rate lam must be positive")

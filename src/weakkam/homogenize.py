@@ -14,12 +14,15 @@ whole eps ladder in one call.  Both stationary solvers feed the min-plus
 kernel semigroup.MinPlusStepper a running cost tabulated on a uniform
 grid of u-levels (at least 2) and interpolated at the current values, and
 find its fixed point with semigroup.fixed_point, which steps that kernel
-uncorrected: march, then Newton-Howard on
-grids of at most semigroup.NEWTON_MAX_N = 256 nodes (the default effective
-solve, the two-scale solve at eps = 1/8 with 32 nodes a period); finer
-grids only march.  Both raise at the first iterate off the level table;
-the monotonicity window Lambda1 <= dH/du <= Lambda2 gives contraction at
-rate Lambda1.
+uncorrected.  On grids of at most semigroup.NEWTON_MAX_N = 256 nodes (the
+default effective solve, the two-scale solve at eps = 1/8 with 32 nodes a
+period) Newton-Howard starts at the solve's start when the Newton
+diagonal -dt*dL/du is positive at every node (H grows in u, dH/du >=
+Lambda1 > 0), and a failed Newton falls back to the march, then Newton;
+finer grids only march.  Nothing off the level table is read: a Newton
+iterate from the start off it hands over to the march, and the first
+iterate off it after that raises.  The monotonicity window
+Lambda1 <= dH/du <= Lambda2 gives contraction at rate Lambda1.
 
 The rate experiment solves the ladder eps in {1/8, ..., 1/64}, measures
 sup-norm distances to the effective solution on each fine grid, and fits
@@ -228,10 +231,12 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
     node i is its linear interpolation along the level axis at the current u_i.
     dt*Lambda2 > 1/2 raises CFLError here; the kernel checks only dt*vmax.
     semigroup.fixed_point solves it with the identity correction and
-    derivative (1, -dt*dL_pi/du) (a grid over NEWTON_MAX_N nodes only marches).  A u0
-    outside the levels raises ConvergenceError, and so does the first
-    iterate that leaves them, naming its step or Newton iteration: nothing
-    off the table is read, clamped or extrapolated.  A missed tol raises
+    derivative (1, -dt*dL_pi/du), by Newton from u0 where that diagonal is
+    positive at every node (a grid over NEWTON_MAX_N nodes only marches).  A u0
+    outside the levels raises ConvergenceError, and so does the first march
+    step or Newton iterate after the march that leaves them, naming it; a
+    Newton iterate from u0 that leaves them hands over to the march.
+    Nothing off the table is read, clamped or extrapolated.  A missed tol raises
     through SolveRecord.require.
     """
     if levels.size < 2:

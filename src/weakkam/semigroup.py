@@ -11,9 +11,11 @@ The cost is a fixed table, or is recomputed from the current values when
 it depends on u (the two-scale solvers).  The kernel steps one function
 or a batch of them, one per column (the Peierls barrier steps one per
 start node, over a base block only: its longer horizons are min-plus
-products).  A cost table of k*n rows makes it step k disjoint copies of
-the torus as one function of k*n values, each copy bit for bit as if
-alone (the long-time march of many critical values at once).  One
+products); a batch reads each velocity's foot rows as slices of itself
+stacked twice, since on one copy they are its rows rotated by one shift.
+A cost table of k*n rows makes it step k disjoint copies of the torus as
+one function of k*n values, each copy bit for bit as if alone (the
+long-time march of many critical values at once).  One
 function is stepped through a preallocated (m, N) candidate buffer, with
 the same products and sums as a freshly built table; the plan's weights
 are full (m, N) arrays, each row one value, so a product with them is one
@@ -76,19 +78,24 @@ iteration steps the kernel once, and reads F and pi from that one
 candidate table.  For an affine W, stationary_solve solves w = E(dt) K(w)
 for w = E(dt/2) u, so u_- = E(-dt/2) w is a fixed point of the split step
 itself, from which the evolutions of u_- +- delta do not drift.
-The march runs first, to residual MARCH_TO = 1e-1, so Newton starts near
-the solution the march would reach (Alla, Falcone & Kalise 2015; from 0
-on the worked example Newton alone fails at once).  One real step
-certifies Newton's result against tol.  A singular J (the W-free
-eikonal), a cycling policy (theta < 0 in the worked example) or any
-failed Newton step ends Newton, and the solve returns the pure march
-from the start, bit for bit (the guard sees the prefix's steps twice).
-J is dense, so only grids of at most NEWTON_MAX_N = 256 nodes get a
-Newton stage; the two-scale grids of 512 and 1,024 nodes march to tol,
-faster and in less memory there.  The discounted solve has no march (it
-contracts by only lam*dt a step): Newton alone, at any n.  A caller
-that needs tol reached calls SolveRecord.require, the one report of a
-missed tol.
+Where Newton starts is read from d at the start, pi its kernel step's
+argmin.  Where d > 0 at every node, J is strictly diagonally dominant
+under every policy, Howard's algorithm converges from any start, and
+Newton starts there (the effective solve, a W with dWu > 0, the
+discounted solve).  Otherwise (d = 0 for the split step), or when that
+Newton fails, the march runs first, to residual MARCH_TO = 1e-1, so
+Newton starts near the solution the march would reach (Alla, Falcone &
+Kalise 2015; from 0 on the worked example Newton alone fails at once).
+One real step certifies Newton's result against tol.  A singular J (the
+W-free eikonal), a cycling policy (theta < 0 in the worked example) or
+any failed Newton step ends the Newton that follows the march, and the
+solve returns the pure march from the start, bit for bit (the guard sees
+the prefix's steps twice).  J is dense, so only grids of at most
+NEWTON_MAX_N = 256 nodes get Newton; the two-scale grids of 512 and
+1,024 nodes march to tol, faster and in less memory there.  The
+discounted solve has no march to fall back on (it contracts by only
+lam*dt a step): Newton alone, at any n.  A caller that needs tol reached
+calls SolveRecord.require, the one report of a missed tol.
 """
 
 from __future__ import annotations
@@ -203,6 +210,7 @@ class MinPlusStepper:
     def __init__(self, g: TorusGrid, vgrid: np.ndarray, dt: float, cost):
         _check_step(dt, float(np.abs(vgrid).max()), None)
         self.dt = dt
+        self._n = g.n
         self._cost = cost if callable(cost) else None
         self.plan = GatherPlan(g, vgrid, dt, 1 if self._cost else cost.shape[0] // g.n)
         self._dtLT = None if self._cost else np.ascontiguousarray(dt * cost.T)
@@ -218,17 +226,28 @@ class MinPlusStepper:
             cand = self.plan.apply(u)
             cand += dt_cost
             return cand.min(axis=0)
-        # a batch (N, B) goes one velocity at a time, keeping (N, B) temporaries; a
-        # velocity's weights are one value, multiplied in as a scalar
+        # a batch (N, B) goes one velocity at a time through three (N, B) buffers.  A
+        # velocity's foot nodes in a copy are that copy's n rows rotated by one shift,
+        # so they are a slice of the copy stacked on itself, starting at the shift
+        # (idx0[j, 0], idx1[j, 0]); its weights are one value, multiplied in as a
+        # scalar.  The products and sums are those of u[idx0[j]]*w0 + u[idx1[j]]*w1.
         dtLT = self._dt_cost(u)
-        p = self.plan
-        best = None
+        p, n = self.plan, self._n
+        blocks = u.reshape(-1, n, u.shape[1])
+        stacked = np.concatenate([blocks, blocks], axis=1)
+        costs = dtLT.reshape(dtLT.shape[0], -1, n, 1)
+        best, cand, scratch = (np.empty(blocks.shape) for _ in range(3))
         for j in range(dtLT.shape[0]):
-            cand = u[p.idx0[j]] * p.w0[j, :1]
-            cand += u[p.idx1[j]] * p.w1[j, :1]
-            cand += dtLT[j][:, None]
-            best = cand if best is None else np.minimum(best, cand, out=best)
-        return best
+            s0, s1 = p.idx0[j, 0], p.idx1[j, 0]
+            np.multiply(stacked[:, s0:s0 + n], p.w0[j, 0], out=cand)
+            np.multiply(stacked[:, s1:s1 + n], p.w1[j, 0], out=scratch)
+            cand += scratch
+            cand += costs[j]
+            if j == 0:
+                best, cand = cand, best
+            else:
+                np.minimum(best, cand, out=best)
+        return best.reshape(u.shape)
 
     def policy(self, current: np.ndarray | None = None) -> np.ndarray:
         """Index j_i of the minimizing velocity at each node, read from the candidates
@@ -404,78 +423,104 @@ def iterate(step, u0: np.ndarray, dt: float, max_steps: int, tol: float | None =
 
 def fixed_point(kernel: MinPlusStepper, correct, derivative, u0: np.ndarray, tol: float,
                 max_steps: int, guard=None) -> SolveRecord:
-    """Solve u = step(u), step(u) = correct(kernel.step(u), u): march, then
+    """Solve u = step(u), step(u) = correct(kernel.step(u), u): Newton-Howard
+    from u0 when every Newton matrix is diagonally dominant, else march, then
     Newton-Howard, or the pure march if Newton fails.
 
     derivative(u, pi) is the pair (g, d) of diagonals (node arrays or
     scalars) with the step's derivative diag(g) P_pi - diag(d) along policy pi.
-    The march (iterate, at the kernel's dt) runs to residual max(tol,
-    MARCH_TO); Newton then solves (diag(1 + d) - diag(g) P_pi) delta = -F
-    until the policy repeats with F at rounding, and the step that gave F
-    certifies u against tol.  Each Newton iteration steps the kernel once:
-    F and the policy pi are read from the one candidate table.  A singular
-    J, a nonfinite iterate, a residual raised on one policy, a missed
-    certificate or MAX_NEWTON iterations return iterate(step, u0, dt,
-    max_steps, tol) instead, carrying Newton's iteration count.  A grid of
-    more than NEWTON_MAX_N nodes only marches, to tol.  max_steps = 0 means
-    no march at all: Newton starts at u0, at any n; a nonfinite step raises
-    ValueError, and any other failure returns its last iterate and
+    Newton solves (diag(1 + d) - diag(g) P_pi) delta = -F until the policy
+    repeats with F at rounding, and the step that gave F certifies u against
+    tol.  Each Newton iteration steps the kernel once: F and the policy pi
+    are read from the one candidate table.  When d > 0 at every node of u0
+    (pi read from u0's own kernel step), Newton starts at u0.  Otherwise, or
+    when that Newton stage fails, the solve is the march-first one from u0,
+    record and all: the march (iterate, at the kernel's dt) runs to residual
+    max(tol, MARCH_TO), Newton takes over, and a failed Newton returns
+    iterate(step, u0, dt, max_steps, tol) instead, carrying that Newton's
+    iteration count.  Newton fails at a singular J, a nonfinite iterate, a
+    residual raised on one policy, a missed certificate or MAX_NEWTON
+    iterations, and Newton from u0 also at a guard refusal.  A grid of more
+    than NEWTON_MAX_N nodes only marches, to tol.  max_steps = 0 means no
+    march at all: Newton starts at u0, at any n and d; a nonfinite step
+    raises ValueError, and any other failure returns its last iterate and
     residual, unconverged.  guard(u, at) sees every iterate, `at` naming it
-    ("step 102", "Newton iteration 3"), and raises to refuse it.
+    ("step 102", "Newton iteration 3"), and raises ConvergenceError to
+    refuse it; the refusal propagates, except from Newton at u0 with a march
+    to fall back on.
     """
     dt = kernel.dt
 
     def step(u):
         return correct(kernel.step(u), u)
 
-    observe = None if guard is None else (lambda k, u: guard(u, f"step {k}"))
-    march = SolveRecord(np.array(u0, dtype=float), 0, math.inf, True)
-    if max_steps:
-        newton_to = max(tol, MARCH_TO) if march.values.size <= NEWTON_MAX_N else tol
-        march = iterate(step, u0, dt, max_steps, newton_to, observe)
-        if not march.converged or march.residual <= tol:
-            return march
-    u, policy, prev, newton = march.values, None, math.inf, 0
-    nodes = np.arange(u.size)
-    while True:
-        F = u - step(u)
-        residual = float(np.abs(F).max()) / dt
-        if not math.isfinite(residual):
-            if max_steps:
+    def newton(u, steps, first):
+        """Newton from u, reached after `steps` march steps: the record of its last
+        iterate, converged once certified.  Newton from u0 with a march to fall back
+        on (first) stops before its first solve unless every d > 0, and at a refusal."""
+        policy, prev, k = None, math.inf, 0
+        nodes = np.arange(u.size)
+        while True:
+            F = u - step(u)
+            residual = float(np.abs(F).max()) / dt
+            if not math.isfinite(residual):
+                if max_steps:
+                    break
+                # no march to fall back on: raise as the march would, at this iterate's step
+                raise ValueError(f"nonfinite values at step {k + 1} (Newton iteration {k})")
+            new = kernel.policy(policy)
+            same = policy is not None and np.array_equal(new, policy)
+            # a policy switch may raise the residual; a Newton step on one policy may not
+            if same and residual > prev:
                 break
-            # no march to fall back on: raise as the march would, at this iterate's step
-            raise ValueError(f"nonfinite values at step {newton + 1} (Newton iteration {newton})")
-        new = kernel.policy(policy)
-        same = policy is not None and np.array_equal(new, policy)
-        # a policy switch may raise the residual; a Newton step on one policy may not
-        if same and residual > prev:
-            break
-        if same and residual * dt <= NEWTON_ROUNDING * (1.0 + float(np.abs(u).max())):
-            if residual <= tol:
-                return SolveRecord(u, march.steps, residual, True, newton)
-            break
-        if newton == MAX_NEWTON:
-            break
-        gain, d = derivative(u, new)
-        J = kernel.plan.matrix(new)
-        J *= -np.reshape(gain, (-1, 1))
-        J[nodes, nodes] += 1.0 + d
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            break
-        newton += 1
-        # also false for a nonfinite delta; a huge gain bounds |J^-1| from below
-        if not float(np.abs(delta).max()) <= MAX_GAIN * residual * dt:
-            break
-        policy, prev, u = new, residual, u + delta
-        if guard is not None:
-            guard(u, f"Newton iteration {newton}")
+            if same and residual * dt <= NEWTON_ROUNDING * (1.0 + float(np.abs(u).max())):
+                if residual <= tol:
+                    return SolveRecord(u, steps, residual, True, k)
+                break
+            if k == MAX_NEWTON:
+                break
+            gain, d = derivative(u, new)
+            if first and k == 0 and not np.all(np.asarray(d) > 0):
+                break
+            J = kernel.plan.matrix(new)
+            J *= -np.reshape(gain, (-1, 1))
+            J[nodes, nodes] += 1.0 + d
+            try:
+                delta = np.linalg.solve(J, -F)
+            except np.linalg.LinAlgError:
+                break
+            k += 1
+            # also false for a nonfinite delta; a huge gain bounds |J^-1| from below
+            if not float(np.abs(delta).max()) <= MAX_GAIN * residual * dt:
+                break
+            policy, prev, u = new, residual, u + delta
+            if guard is not None:
+                try:
+                    guard(u, f"Newton iteration {k}")
+                except ConvergenceError:
+                    if not first:
+                        raise
+                    break
+        return SolveRecord(u, steps, residual, False, k)
+
+    u0 = np.array(u0, dtype=float)
     if not max_steps:
-        return SolveRecord(u, 0, residual, False, newton)
-    rec = iterate(step, u0, dt, max_steps, tol, observe)
-    rec.newton = newton
-    return rec
+        return newton(u0, 0, False)
+    observe = None if guard is None else (lambda k, u: guard(u, f"step {k}"))
+    if u0.size > NEWTON_MAX_N:
+        return iterate(step, u0, dt, max_steps, tol, observe)
+    rec = newton(u0, 0, True)
+    if rec.converged:
+        return rec
+    march = iterate(step, u0, dt, max_steps, max(tol, MARCH_TO), observe)
+    if not march.converged or march.residual <= tol:
+        return march
+    rec = newton(march.values, march.steps, False)
+    if rec.converged:
+        return rec
+    march = iterate(step, u0, dt, max_steps, tol, observe)
+    march.newton = rec.newton
+    return march
 
 
 def evolve(phi: Field | Sequence[Field], spec: HamiltonianSpec, lt: LagrangianTable, T: float, dt: float,
@@ -508,7 +553,8 @@ def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt
     """Fixed point of the explicit backward step from phi0, to residual tol.
 
     fixed_point marches backward, hands over to Newton, and returns the pure
-    march within T_max if Newton does not settle.  For a W affine in u the
+    march within T_max if Newton does not settle; a W with dWu > 0 at every
+    node starts with Newton from phi0 instead, and marches only if it fails.  For a W affine in u the
     step is the split S = E(dt/2) K E(dt/2), and u = S(u) exactly when
     w = E(dt/2) u solves w = E(dt) K(w).  fixed_point solves that from
     E(dt/2) phi0 with derivative (alpha, 0), E(dt) = alpha*w + beta: its

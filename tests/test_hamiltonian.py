@@ -26,7 +26,7 @@ def test_legendre_quadratic_self_duality(g32):
     lt = legendre(spec, g32, 33, 33)
     j2 = int(np.argmin(np.abs(lt.vgrid - 2.0)))
     assert lt.vgrid[j2] == pytest.approx(2.0)
-    assert np.allclose(lt.L[:, j2], 1.0, atol=1e-10)  # L(v) = v^2/4
+    assert np.allclose(lt.L[:, j2], 1.0, rtol=0, atol=1e-10)  # L(v) = v^2/4
 
 
 def test_legendre_with_potential_brute_force(g32):

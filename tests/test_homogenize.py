@@ -76,7 +76,7 @@ def test_cell_problems_read_the_slow_variable():
     xs = np.array([0.0, 0.25, 0.5])
     et = hz.build_effective_table(hp, xs, [0.0, 0.5], [0.0], n_fast=16, m=17)
     shift = 0.2 * (np.cos(2 * np.pi * xs) - 1.0)
-    assert np.allclose(et.values - et.values[0], shift[:, None, None], atol=1e-6)
+    assert np.allclose(et.values - et.values[0], shift[:, None, None], rtol=0, atol=1e-6)
 
 
 def test_cell_problem_rejects_nonfinite():
@@ -260,7 +260,7 @@ def test_solve_effective_flat_oscillatory():
     et = _synthetic_table(lambda x, p, c: c + oracle_effective(p),
                           np.linspace(-2, 2, 17), np.linspace(-1.2, 1.2, 5))
     ubar = hz.solve_effective(et, n_slow=64)
-    assert np.allclose(ubar.values, -0.5, atol=2e-2)
+    assert np.allclose(ubar.values, -0.5, rtol=0, atol=2e-2)
 
 
 def test_solve_effective_potential_bracket():
@@ -326,8 +326,42 @@ def test_level_table_fallback_is_the_pure_march(monkeypatch):
     assert prefix.converged and prefix.steps < ref.steps
 
 
+def test_effective_solve_takes_newton_from_its_start(monkeypatch):
+    # the homog-cells table: d = -dt*dL_pi/du > 0 at every node, so Newton starts at
+    # u0 with no march and lands where the march-first solve does (the same solve with
+    # d read as 0 at u0, which refuses Newton there)
+    hp = make_problem()
+    span = hz._default_c_span(hp)
+    et = hz.build_effective_table(hp, [0.0], np.linspace(-2, 2, 9),
+                                  np.linspace(-span, span, 3))
+    records, solve = [], hz.fixed_point
+
+    def spy(kernel, correct, derivative, u0, tol, max_steps, guard=None):
+        calls = []
+
+        def march_first(u, policy):
+            gain, d = derivative(u, policy)
+            calls.append(d)
+            return gain, 0.0 * d if len(calls) == 1 else d
+
+        records.append(solve(kernel, correct, derivative, u0, tol, max_steps, guard=guard))
+        records.append(solve(kernel, correct, march_first, u0, tol, max_steps, guard=guard))
+        assert np.all(calls[0] > 0)
+        return records[0]
+
+    monkeypatch.setattr(hz, "fixed_point", spy)
+    u = hz.solve_effective(et)
+    first, marched = records
+    assert (first.steps, first.converged) == (0, True) and first.newton >= 1
+    assert marched.converged and marched.steps > 0 and marched.newton >= 1
+    assert np.array_equal(u.values, first.values)
+    assert np.abs(first.values - marched.values).max() <= 1e-12
+
+
 def test_level_table_stall_reports_its_residual(monkeypatch):
-    # 10 steps of 5e-3 leave the residual above MARCH_TO: no Newton stage, a missed tol
+    # MAX_NEWTON = 0 fails Newton from u0 at once; 10 steps of 5e-3 then leave the
+    # residual above MARCH_TO: no Newton stage after the march, a missed tol
+    monkeypatch.setattr(semigroup, "MAX_NEWTON", 0)
     monkeypatch.setattr(hz, "T_MAX", 0.05)
     et = _synthetic_table(lambda x, p, c: c + p * p + 0.3 * np.cos(2 * np.pi * x),
                           np.linspace(-2, 2, 17), np.linspace(-1, 1, 5))

@@ -291,7 +291,7 @@ def test_u_independent_commutes_with_constants(free_64):
     phi = random_field(g, rng)
     r1 = evolve(phi, spec, lt, T=0.1, dt=1e-3)
     r2 = evolve(Field(g, phi.values + 0.37), spec, lt, T=0.1, dt=1e-3)
-    assert np.allclose(r2.values - r1.values, 0.37, atol=1e-13)
+    assert np.allclose(r2.values - r1.values, 0.37, rtol=0, atol=1e-13)
 
 
 def test_evolve_observe_sees_every_step(free_64):
@@ -560,9 +560,10 @@ def test_unsettled_newton_resumes_the_march():
 def test_numerically_singular_newton_matrix_resumes_the_march(monkeypatch, a, newton,
                                                              converged):
     # W = a*u on a drifting eikonal (critical value 1): the fixed point is u ~ -1/a, and
-    # the Newton step toward it is sup|F|/(dt*a) long; beyond MAX_GAIN = 1e10 times
-    # sup|F| (a = 1e-9) J counts as singular and the solve falls back to the march, at
-    # a = 1e-6 Newton reaches it
+    # the Newton step toward it is sup|F|/(dt*a) long; d = dt*a > 0, so Newton starts at
+    # u0.  Beyond MAX_GAIN = 1e10 times sup|F| (a = 1e-9) J counts as singular, from u0
+    # and again after the one-step march prefix (MARCH_TO = inf), and the solve falls
+    # back to the march; at a = 1e-6 Newton from u0 reaches it with no march
     g = TorusGrid(32)
     spec = HamiltonianSpec(G=parse("p^2 + cos(2*pi*x)"), W=parse(f"{a}*u"),
                            dWu=parse(f"{a}"))
@@ -576,7 +577,7 @@ def test_numerically_singular_newton_matrix_resumes_the_march(monkeypatch, a, ne
                                 np.zeros(g.n), 1e-6, 100)
     assert (rec.newton, rec.converged) == (newton, converged)
     if converged:
-        assert rec.steps == 1 and rec.values.max() == pytest.approx(-1.0 / a, rel=1e-3)
+        assert rec.steps == 0 and rec.values.max() == pytest.approx(-1.0 / a, rel=1e-3)
     else:
         ref = iterate(lambda u: correct(stepper._back.step(u), u), np.zeros(g.n), 1e-3, 100,
                       1e-6)
@@ -636,6 +637,47 @@ def test_newton_stage_only_on_small_grids(monkeypatch, cap, newton):
         assert np.array_equal(rec.values, ref.values) and rec.steps == ref.steps
 
 
+def test_affine_stationary_solve_marches_before_newton():
+    # the split step's derivative is (alpha, 0): d = 0, so no Newton from u0, and the
+    # solve is the march to MARCH_TO, then Newton from there (fixed_point with no march
+    # of its own), bit for bit
+    g, dt = TorusGrid(32), 1e-2
+    spec = builtin("linear_contact", {"a": 1.0, "V": "0.3*cos(2*pi*x)"})
+    lt = legendre(spec, g, 17, 17)
+    st = Stepper(spec, lt, dt)
+    alpha, beta = semigroup._affine_flow(*st.affine, dt)
+    (a0, b0), (a1, b1) = st._half[-1.0], st._half[+1.0]
+
+    def correct(base, w):
+        return alpha * base + beta
+
+    march = iterate(lambda w: correct(st._back.step(w), w), b0 + a0 * np.zeros(g.n), dt,
+                    10 ** 4, semigroup.MARCH_TO)
+    newton = semigroup.fixed_point(st._back, correct, lambda w, pi: (alpha, 0.0),
+                                   march.values, 1e-6, 0)
+    rec = stationary_solve(constant_field(g, 0.0), spec, lt, dt=dt, tol=1e-6, T_max=100.0)
+    assert march.converged and march.steps > 0 and newton.converged and rec.converged
+    assert np.array_equal(rec.values, a1 * newton.values + b1)
+    assert (rec.steps, rec.newton) == (march.steps, newton.newton)
+
+
+def test_discounted_solve_is_newton_from_its_start_with_no_fallback(monkeypatch):
+    # d = lam*dt > 0: with a march to fall back on, fixed_point also starts Newton at u0
+    # and returns the same record; with none (max_steps = 0) a failed Newton raises
+    lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), TorusGrid(32), 17, 17)
+    lam, dt = 1e-2, critical.DEFAULT_DT
+    kernel = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
+    first = semigroup.fixed_point(kernel, lambda base, u: base - lam * dt * u,
+                                  lambda u, pi: (1.0, lam * dt), np.zeros(lt.grid.n),
+                                  critical.DEFAULT_TOL, 10 ** 4)
+    u = critical.discounted_solve(lt, lam, dt)
+    assert first.converged and first.steps == 0 and first.newton >= 1
+    assert np.array_equal(u.values, first.values)
+    monkeypatch.setattr(semigroup, "MAX_NEWTON", 0)
+    with pytest.raises(ConvergenceError, match=r"after 0 steps and 0 Newton iterations"):
+        critical.discounted_solve(lt, lam, dt)
+
+
 def _stationary_contact():
     g = TorusGrid(32)
     spec = builtin("linear_contact", {"a": 1.0, "V": "0.3*cos(2*pi*x)"})
@@ -676,14 +718,20 @@ def test_a_newton_iteration_gathers_once(monkeypatch, module, solve):
     solve()
     [rec] = records
     assert rec.converged and rec.newton > 0
+    # the discounted and effective solves take Newton from u0 (d > 0); the stationary
+    # solve of an affine W (d = 0) marches first
+    assert (rec.steps == 0) == (module is not semigroup)
     # the march's steps, one per Newton iteration and the step that certifies; the
-    # stationary solve of an affine W certifies u_- by one more real split step
-    assert len(gathers) == rec.steps + rec.newton + 1 + (module is semigroup)
+    # stationary solve also steps u0 once, reading d = 0 from it, and certifies u_- by
+    # one more real split step
+    assert len(gathers) == rec.steps + rec.newton + 1 + 2 * (module is semigroup)
 
 
 def test_fixed_point_guard_names_the_newton_iteration():
     # u' = u - dt (u + 1/2) marches toward -1/2; the guard refuses u < -0.45, which the
-    # march does not reach before its residual is 0.1, but Newton's first iterate does
+    # march does not reach before its residual is 0.1, but Newton's first iterate does:
+    # from u0 (d = dt > 0), which hands over to the march, and again after the march,
+    # which raises
     g = TorusGrid(16)
     kernel = MinPlusStepper(g, np.linspace(-1.0, 1.0, 5), 1e-2, np.zeros((g.n, 5)))
     seen = []
@@ -697,7 +745,8 @@ def test_fixed_point_guard_names_the_newton_iteration():
         semigroup.fixed_point(kernel, lambda base, u: base - 1e-2 * (u + 0.5),
                               lambda u, policy: (1.0, 1e-2), np.zeros(g.n), 1e-6, 10 ** 4,
                               guard=guard)
-    assert seen[:2] == ["step 1", "step 2"] and seen[-2].startswith("step ")
+    assert seen[:3] == ["Newton iteration 1", "step 1", "step 2"]
+    assert seen[-2].startswith("step ")
 
 
 def test_evolve_aborts_on_nonfinite():
@@ -836,6 +885,21 @@ def test_batch_step_equals_columnwise(backward):
     assert out.shape == batch.shape
     for b in range(batch.shape[1]):
         assert np.array_equal(out[:, b], stepper.step(np.ascontiguousarray(batch[:, b])))
+
+
+def test_batch_step_of_copies_is_the_gather_of_each_velocity():
+    # an (N, B) batch over k = 3 copies is u[idx0[j]]*w0 + u[idx1[j]]*w1 + dt*L at each
+    # velocity j, minimized over j, bit for bit: each copy's foot rows are its own slices
+    copies = 3
+    g = TorusGrid(24)
+    lt = legendre(builtin("eikonal", {"V": "cos(2*pi*x)"}), g, 17, 17)
+    cost = np.tile(lt.L, (copies, 1))
+    kernel = MinPlusStepper(g, lt.vgrid, 0.03, cost)
+    u = np.random.default_rng(7).normal(size=(copies * g.n, 5))
+    p = kernel.plan
+    ref = np.min([u[p.idx0[j]] * p.w0[j, :1] + u[p.idx1[j]] * p.w1[j, :1]
+                  + 0.03 * cost[:, j, None] for j in range(lt.vgrid.size)], axis=0)
+    assert np.array_equal(kernel.step(u), ref)
 
 
 def test_policy_matrix_reproduces_the_step():
