@@ -85,7 +85,8 @@ def discounted_solve(lt: LagrangianTable, lam: float, dt: float = DEFAULT_DT,
     if dt * lam >= 1:
         raise CFLError(f"dt*lam = {dt * lam:.3g} must be below 1")
     kernel = MinPlusStepper(lt.grid, lt.vgrid, dt, lt.L)
-    rec = fixed_point(kernel, lambda base, u: base - lam * dt * u, lambda u, pi: (1.0, lam * dt),
+    rec = fixed_point(kernel, lambda base, u: base - lam * dt * u,
+                      lambda base, u, pi: (1.0, lam * dt),
                       u0.values if u0 is not None else np.zeros(lt.grid.n), tol, 0)
     return Field(lt.grid, rec.require(f"discounted solve at lam={lam:.3g}", tol))
 

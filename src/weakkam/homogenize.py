@@ -262,7 +262,7 @@ def _level_table_fixed_point(g: TorusGrid, vs: np.ndarray, levels: np.ndarray,
         cost += upper
         return cost
 
-    def derivative(u, policy):
+    def derivative(base, u, policy):
         i0 = bracket(u)[0]
         return 1.0, -dt * (L_table[rows, i0 + 1, policy] - L_table[rows, i0, policy]) / dlev
 

@@ -22,31 +22,28 @@ are full (m, N) arrays, each row one value, so a product with them is one
 loop over the table.  The velocity search is exhaustive over the velocity
 grid (L may be nonsmooth) and foot points use monotone periodic linear
 interpolation.  `Stepper` adds the contact term W(x,u) of a split
-Hamiltonian.  A W affine in u (every builtin) is read once per Stepper as
-two node arrays, a = dWu and b = W(x, 0), and its explicit step is the
-Strang split E(dt/2) K E(dt/2) (Strang 1968), E(h) the exact flow of
-u' = -(a u + b): u -> alpha*u + beta with alpha = exp(-a h) and
-beta = -b h phi1(-a h), phi1(z) = expm1(z)/z, phi1(0) = 1.  alpha and beta
-are node arrays computed once per Stepper and direction, so a step is a
-multiply-add, the kernel step and a multiply-add, evaluating no formula;
-it is monotone, with Lipschitz constant at most exp(dt*Lambda).  The
-Stepper decides this itself (`hamiltonian.affine_parts`): dWu must not
-read u, and W must equal a*u + b within a few ulps at every node and every
-u of the load-time lattice.  Any other W is folded at the nodes once
-(`Expr.fold`) and its explicit step is K(u) - dt*W(x, u), evaluating the
-u-dependent rest, bit-identical to evaluating all of W.  "picard" mode
-corrects K(u) by -dt*W at the updated value instead, by scalar
-fixed-point iteration under `iterate`, which contracts because
-dt*Lambda <= 1/2; it reads an affine W as a*u + b, equal to the formula
-up to W's own roundings.  The Stepper also supplies the Newton slope
-dt*dWu(x, u) of `stationary_solve` for a W that is not affine.  An
-explicit Stepper over k copies of the torus steps k functions as one of
-k*n values (the kernel on lt.L tiled k times, W read on the tiled nodes),
-each bit for bit as if alone; the Picard mode refuses copies.  The forward
-step is the mirror image (max, +W, the flow of u' = a u + b), taken
-through a kernel on the negated velocity grid, whose foot points
-x_i + v_j dt are the forward ones, by the identity
-max_j [a_j - b_j] = -min_j [-a_j + b_j].
+Hamiltonian.  Its explicit step is the Strang split S = E(dt/2) K E(dt/2)
+(Strang 1968) for every W, E(h) the half flow of u' = -W(x, u).  A W
+affine in u (every builtin) is read once per Stepper as two node arrays,
+a = dWu and b = W(x, 0), and E is its exact flow u -> alpha*u + beta with
+alpha = exp(-a h) and beta = -b h phi1(-a h), phi1(z) = expm1(z)/z,
+phi1(0) = 1: node arrays computed once per Stepper and direction, so a
+step is a multiply-add, the kernel step and a multiply-add, evaluating no
+formula.  The Stepper decides this itself (`hamiltonian.affine_parts`):
+dWu must not read u, and W must equal a*u + b within a few ulps at every
+node and every u of the load-time lattice.  Any other W is folded at the
+nodes once (`Expr.fold`), and E is one Heun step of u' = -W(x, u), two
+evaluations of the u-dependent rest; its slope E' is written out from W
+and dWu.  Heun's step is a convex combination of Euler steps (Gottlieb,
+Shu & Tadmor 2001), monotone since dt*Lambda <= 1/2, with Lipschitz
+constant at most exp(dt*Lambda/2), and misses the exact flow by O(dt^3).
+So S is monotone, with Lipschitz constant at most exp(dt*Lambda), and
+second order in the contact term.  A Stepper over k copies of the torus
+steps k functions as one of k*n values (the kernel on lt.L tiled k times,
+W read on the tiled nodes), each bit for bit as if alone.  The forward
+step is the mirror image (max, the flow of u' = +W), taken through a
+kernel on the negated velocity grid, whose foot points x_i + v_j dt are
+the forward ones, by the identity max_j [a_j - b_j] = -min_j [-a_j + b_j].
 
 One rule (_check_step) bounds the time step:
     dt * Lambda <= 1/2        (contact term, when a bound is given)
@@ -57,34 +54,35 @@ dt*Lambda; config load checks both.
 
 The driver `iterate` runs every step loop in the package: the
 time-stepping loops (the Peierls barrier's base block included) and the
-Picard correction.  It applies a step map, measures the residual
-sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite iterate, and
-stops at a tolerance or when an observer asks it to.  Every contact
-evolution over a horizon (the evolve command and the stability probes)
-goes through `evolve`, which returns the `SolveRecord` of `iterate`; given
-several starting functions it steps them as copies of the torus in one
-evolution, whose nonfinite guard covers every copy.
+marches of fixed_point.  It applies a step map, measures the
+residual sup|u_{k+1} - u_k|/dt once per step, raises on a nonfinite
+iterate, and stops at a tolerance or when an observer asks it to.  Every
+contact evolution over a horizon (the evolve command and the stability
+probes) goes through `evolve`, which returns the `SolveRecord` of
+`iterate`; given several starting functions it steps them as copies of
+the torus in one evolution, whose nonfinite guard covers every copy.
 
 `fixed_point` is the one solver of a stationary fixed point u = T(u):
 u_- (`stationary_solve`), the effective solve and the discounted solve.
 T(u) = correct(K(u), u), K the kernel it is given and correct the
-caller's (the affine flow E(dt) of the split step, the Euler contact
-correction, base - lam*dt*u, the identity); its dt is the kernel's.  It
-is Newton-Howard on F(u) = u - T(u) (Bokanowski, Maroso & Zidani 2009):
+caller's (the two half flows E E of the split step, base - lam*dt*u, the
+identity); its dt is the kernel's.  It is Newton-Howard on
+F(u) = u - T(u) (Bokanowski, Maroso & Zidani 2009):
 J = diag(1 + d) - diag(g) P_pi, pi the kernel's argmin, P_pi its gather
-rows, (g, d) the caller's ((exp(-a dt), 0) for the split step,
-(1, dt*dWu), (1, -dt*dL_pi/du) on a level table, (1, lam*dt)).  A Newton
-iteration steps the kernel once, and reads F and pi from that one
-candidate table.  For an affine W, stationary_solve solves w = E(dt) K(w)
-for w = E(dt/2) u, so u_- = E(-dt/2) w is a fixed point of the split step
-itself, from which the evolutions of u_- +- delta do not drift.
-Where Newton starts is read from d at the start, pi its kernel step's
-argmin.  Where d > 0 at every node, J is strictly diagonally dominant
-under every policy, Howard's algorithm converges from any start, and
-Newton starts there (the effective solve, a W with dWu > 0, the
-discounted solve).  Otherwise (d = 0 for the split step), or when that
-Newton fails, the march runs first, to residual MARCH_TO = 1e-1, so
-Newton starts near the solution the march would reach (Alla, Falcone &
+rows, (g, d) the caller's, read at the kernel step z = K(u)
+((E'(E(z)) E'(z), 0) for the split step, (1, -dt*dL_pi/du) on a level
+table, (1, lam*dt)).  A Newton iteration steps the kernel once, and reads
+F and pi from that one candidate table.  stationary_solve solves
+w = E(E(K(w))) for w = E(u), and u_- = E(K(w)) is one more real step, a
+fixed point of the split step itself, from which the evolutions of
+u_- +- delta do not drift.  Where Newton starts is read from (g, d) at
+the start, pi its kernel step's argmin.  Where 1 + d > |g| at every node,
+J is strictly diagonally dominant under every policy, Howard's algorithm
+converges from any start, and Newton starts there (the effective solve,
+the discounted solve, and u_- of a W with dWu > 0, whose half flows
+contract).  Otherwise (g = 1 with d = 0 W-free, g > 1 where dWu < 0), or
+when that Newton fails, the march runs first, to residual MARCH_TO = 1e-1,
+so Newton starts near the solution the march would reach (Alla, Falcone &
 Kalise 2015; from 0 on the worked example Newton alone fails at once).
 One real step certifies Newton's result against tol.  A singular J (the
 W-free eikonal), a cycling policy (theta < 0 in the worked example) or
@@ -278,33 +276,24 @@ def _affine_flow(a: np.ndarray, b: np.ndarray, t: float) -> tuple[np.ndarray, np
 
 
 class Stepper:
-    """One contact step bound to (spec, table, dt, mode): the min-plus kernel
-    and the contact term -+W(x, u), explicit or Picard.
+    """One contact step bound to (spec, table, dt): the split step
+    S = E(dt/2) K E(dt/2), K the min-plus kernel and E the half flow of the
+    contact term, u' = -+W(x, u) over dt/2.
 
     With copies = k it steps one function of k*n values, k disjoint copies of
     lt's torus laid end to end (copy j on j*n .. j*n + n - 1), each bit for bit
     as if alone: the kernel's cost is lt.L tiled k times and W is read on the
     tiled nodes.  A W affine in u (affine_parts on those nodes) is the pair
-    `affine` = (a, b) of node arrays; its explicit step is
-    alpha*K(alpha*u + beta) + beta, (alpha, beta) the exact flow of
-    u' = -+(a*u + b) over dt/2, and its Picard correction reads W as a*u + b.
-    Any other W (affine None) is folded at the nodes and evaluated each step
-    in the correction -+dt*W.  The Picard mode refuses copies, since its stop
-    at tol over the union would give a copy that settled early extra
-    iterations.  Each direction's kernel is built on its first step.
+    `affine` = (a, b) of node arrays, and E is its exact flow alpha*u + beta.
+    Any other W (affine None) is folded at the nodes, and E is one Heun step
+    of u' = -+W(x, u).  Each direction's kernel is built on its first step.
     """
 
-    def __init__(self, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,
-                 mode: str = "explicit", copies: int = 1):
-        if mode not in ("explicit", "picard"):
-            raise ValueError(f"mode must be 'explicit' or 'picard', got {mode!r}")
-        if mode == "picard" and copies != 1:
-            raise ValueError(f"picard mode steps one copy of the torus, got copies={copies}")
+    def __init__(self, spec: HamiltonianSpec, lt: LagrangianTable, dt: float, copies: int = 1):
         # the contact bound is this layer's to check; the vmax rule is also the kernels',
         # which are built on first use
         _check_step(dt, float(np.abs(lt.vgrid).max()), spec.lambda_bound)
         self.dt = dt
-        self.mode = mode
         self._lt = lt
         self._copies = copies
         self.xs = np.tile(lt.grid.nodes, copies)
@@ -312,8 +301,8 @@ class Stepper:
         self.W = spec.W.fold({"x": self.xs})
         self._dWu = spec.dWu.fold({"x": self.xs})
         self.affine = affine_parts(self.W, self._dWu, self.xs)
-        # the explicit step's half flows E(-+dt/2), keyed by the contact term's sign
-        self._half = None if mode != "explicit" or self.affine is None else {
+        # an affine W's half flows E(-+dt/2), keyed by the contact term's sign
+        self._half = None if self.affine is None else {
             -1.0: _affine_flow(*self.affine, dt / 2), +1.0: _affine_flow(*self.affine, -dt / 2)}
 
     def _kernel(self, vgrid: np.ndarray) -> MinPlusStepper:
@@ -329,53 +318,34 @@ class Stepper:
         # x_i + v_j dt is the backward foot point of -v_j
         return self._kernel(-self._lt.vgrid)
 
-    def _contact(self, u: np.ndarray) -> np.ndarray:
-        """W(x, u) on the nodes: a*u + b for an affine W, else the folded formula."""
-        if self.affine is None:
-            return frozen_values(self.W, self.xs, u)
-        a, b = self.affine
-        w = a * u
-        w += b
-        return w
+    def _flow(self, u: np.ndarray, sign: float) -> np.ndarray:
+        """E(u), the half flow of u' = sign*W(x, u) over dt/2: alpha*u + beta for an
+        affine W, else one Heun step u + h/2 (W(u) + W(u + h W(u))), h = sign*dt/2."""
+        if self._half is not None:
+            alpha, beta = self._half[sign]
+            w = alpha * u
+            w += beta
+            return w
+        h = sign * self.dt / 2
+        w = frozen_values(self.W, self.xs, u)
+        return u + h / 2 * (w + frozen_values(self.W, self.xs, u + h * w))
 
-    def newton_slope(self, u: np.ndarray, policy: np.ndarray) -> np.ndarray:
-        """dt*dWu(x, u) on the nodes: the diagonal that fixed_point's Newton step adds
-        under any policy to the step corrected by -dt*W."""
-        return self.dt * frozen_values(self._dWu, self.xs, u)
-
-    def _resolve(self, base: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
-        def corrected(z):
-            return base + sign * self.dt * self._contact(z)
-
-        z = corrected(u)
-        if self.mode == "explicit":
-            return z
-        # unit dt: the driver's residual is the plain sup-norm change
-        rec = iterate(corrected, z, 1.0, 50, tol=1e-13)
-        if not rec.converged:
-            raise ConvergenceError(
-                f"picard iteration did not converge (|delta|={rec.residual:.3e})", rec.residual)
-        return rec.values
-
-    def _step(self, u: np.ndarray, sign: float, kernel_step) -> np.ndarray:
-        """The split alpha*K(alpha*u + beta) + beta of an explicit affine step, else
-        the kernel step corrected by sign*dt*W."""
-        if self._half is None:
-            return self._resolve(kernel_step(u), u, sign)
-        alpha, beta = self._half[sign]
-        w = alpha * u
-        w += beta
-        out = kernel_step(w)
-        out *= alpha
-        out += beta
-        return out
+    def _slope(self, u: np.ndarray, sign: float) -> np.ndarray:
+        """E'(u), the half flow's derivative in u: alpha for an affine W, else the Heun
+        step's 1 + h/2 (s1 + s2 (1 + h s1)), s1 and s2 dWu at u and at u + h W(u)."""
+        if self._half is not None:
+            return self._half[sign][0]
+        h = sign * self.dt / 2
+        s1 = frozen_values(self._dWu, self.xs, u)
+        s2 = frozen_values(self._dWu, self.xs, u + h * frozen_values(self.W, self.xs, u))
+        return 1.0 + h / 2 * (s1 + s2 * (1.0 + h * s1))
 
     def backward_values(self, u: np.ndarray) -> np.ndarray:
-        return self._step(u, -1.0, self._back.step)
+        return self._flow(self._back.step(self._flow(u, -1.0)), -1.0)
 
     def forward_values(self, u: np.ndarray) -> np.ndarray:
         # max_j [u(x_i + v_j dt) - dt L] = -min_j [-u(x_i + v_j dt) + dt L]
-        return self._step(u, +1.0, lambda w: -self._fwd.step(-w))
+        return self._flow(-self._fwd.step(-self._flow(u, +1.0)), +1.0)
 
 
 @dataclass
@@ -427,27 +397,30 @@ def fixed_point(kernel: MinPlusStepper, correct, derivative, u0: np.ndarray, tol
     from u0 when every Newton matrix is diagonally dominant, else march, then
     Newton-Howard, or the pure march if Newton fails.
 
-    derivative(u, pi) is the pair (g, d) of diagonals (node arrays or
-    scalars) with the step's derivative diag(g) P_pi - diag(d) along policy pi.
-    Newton solves (diag(1 + d) - diag(g) P_pi) delta = -F until the policy
-    repeats with F at rounding, and the step that gave F certifies u against
-    tol.  Each Newton iteration steps the kernel once: F and the policy pi
-    are read from the one candidate table.  When d > 0 at every node of u0
-    (pi read from u0's own kernel step), Newton starts at u0.  Otherwise, or
-    when that Newton stage fails, the solve is the march-first one from u0,
-    record and all: the march (iterate, at the kernel's dt) runs to residual
-    max(tol, MARCH_TO), Newton takes over, and a failed Newton returns
-    iterate(step, u0, dt, max_steps, tol) instead, carrying that Newton's
-    iteration count.  Newton fails at a singular J, a nonfinite iterate, a
-    residual raised on one policy, a missed certificate or MAX_NEWTON
-    iterations, and Newton from u0 also at a guard refusal.  A grid of more
-    than NEWTON_MAX_N nodes only marches, to tol.  max_steps = 0 means no
-    march at all: Newton starts at u0, at any n and d; a nonfinite step
-    raises ValueError, and any other failure returns its last iterate and
-    residual, unconverged.  guard(u, at) sees every iterate, `at` naming it
-    ("step 102", "Newton iteration 3"), and raises ConvergenceError to
-    refuse it; the refusal propagates, except from Newton at u0 with a march
-    to fall back on.
+    derivative(base, u, pi) is the pair (g, d) of diagonals (node arrays or
+    scalars) with the step's derivative diag(g) P_pi - diag(d) along policy
+    pi, base = kernel.step(u).  Newton solves
+    (diag(1 + d) - diag(g) P_pi) delta = -F until the policy repeats, or
+    returns to the one before it (a near tie), with F at rounding, and the
+    step that gave F certifies u against tol.  Each Newton iteration steps
+    the kernel once: F, base and the policy pi are read from the one
+    candidate table.  When d > |g| - 1 at every node of u0 (pi and base from
+    u0's own kernel step), every Newton matrix is strictly diagonally
+    dominant, and Newton starts at u0; for g = 1 this is d > 0, bit for bit.
+    Otherwise, or when that Newton stage fails, the solve is the march-first
+    one from u0, record and all: the march (iterate, at the kernel's dt)
+    runs to residual max(tol, MARCH_TO), Newton takes over, and a failed
+    Newton returns iterate(step, u0, dt, max_steps, tol) instead, carrying
+    that Newton's iteration count.  Newton fails at a singular J, a
+    nonfinite iterate, a residual raised on one policy, a missed certificate
+    or MAX_NEWTON iterations, and Newton from u0 also at a guard refusal.
+    A grid of more than NEWTON_MAX_N nodes only marches, to tol.
+    max_steps = 0 means no march at all: Newton starts at u0, at any n and
+    d; a nonfinite step raises ValueError, and any other failure returns its
+    last iterate and residual, unconverged.  guard(u, at) sees every
+    iterate, `at` naming it ("step 102", "Newton iteration 3"), and raises
+    ConvergenceError to refuse it; the refusal propagates, except from
+    Newton at u0 with a march to fall back on.
     """
     dt = kernel.dt
 
@@ -457,11 +430,13 @@ def fixed_point(kernel: MinPlusStepper, correct, derivative, u0: np.ndarray, tol
     def newton(u, steps, first):
         """Newton from u, reached after `steps` march steps: the record of its last
         iterate, converged once certified.  Newton from u0 with a march to fall back
-        on (first) stops before its first solve unless every d > 0, and at a refusal."""
-        policy, prev, k = None, math.inf, 0
+        on (first) stops before its first solve unless d > |g| - 1 at every node,
+        and at a refusal."""
+        older, policy, prev, k = None, None, math.inf, 0
         nodes = np.arange(u.size)
         while True:
-            F = u - step(u)
+            base = kernel.step(u)
+            F = u - correct(base, u)
             residual = float(np.abs(F).max()) / dt
             if not math.isfinite(residual):
                 if max_steps:
@@ -473,14 +448,17 @@ def fixed_point(kernel: MinPlusStepper, correct, derivative, u0: np.ndarray, tol
             # a policy switch may raise the residual; a Newton step on one policy may not
             if same and residual > prev:
                 break
-            if same and residual * dt <= NEWTON_ROUNDING * (1.0 + float(np.abs(u).max())):
+            # two policies that alternate at a residual at rounding are a near tie
+            back = older is not None and np.array_equal(new, older)
+            settled = residual * dt <= NEWTON_ROUNDING * (1.0 + float(np.abs(u).max()))
+            if (same or back) and settled:
                 if residual <= tol:
                     return SolveRecord(u, steps, residual, True, k)
                 break
             if k == MAX_NEWTON:
                 break
-            gain, d = derivative(u, new)
-            if first and k == 0 and not np.all(np.asarray(d) > 0):
+            gain, d = derivative(base, u, new)
+            if first and k == 0 and not np.all(np.asarray(d) > np.abs(gain) - 1.0):
                 break
             J = kernel.plan.matrix(new)
             J *= -np.reshape(gain, (-1, 1))
@@ -493,7 +471,7 @@ def fixed_point(kernel: MinPlusStepper, correct, derivative, u0: np.ndarray, tol
             # also false for a nonfinite delta; a huge gain bounds |J^-1| from below
             if not float(np.abs(delta).max()) <= MAX_GAIN * residual * dt:
                 break
-            policy, prev, u = new, residual, u + delta
+            older, policy, prev, u = policy, new, residual, u + delta
             if guard is not None:
                 try:
                     guard(u, f"Newton iteration {k}")
@@ -550,18 +528,18 @@ def evolve(phi: Field | Sequence[Field], spec: HamiltonianSpec, lt: LagrangianTa
 
 def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt: float,
                      tol: float, T_max: float) -> SolveRecord:
-    """Fixed point of the explicit backward step from phi0, to residual tol.
+    """Fixed point of the explicit backward step S = E K E from phi0, to tol.
 
-    fixed_point marches backward, hands over to Newton, and returns the pure
-    march within T_max if Newton does not settle; a W with dWu > 0 at every
-    node starts with Newton from phi0 instead, and marches only if it fails.  For a W affine in u the
-    step is the split S = E(dt/2) K E(dt/2), and u = S(u) exactly when
-    w = E(dt/2) u solves w = E(dt) K(w).  fixed_point solves that from
-    E(dt/2) phi0 with derivative (alpha, 0), E(dt) = alpha*w + beta: its
-    march is the march of S conjugated by E(dt/2), which is the identity
-    for a W-free spec.  u = E(-dt/2) w, and the record's residual and
-    converged flag are those of one real step S from u.  Any other W steps
-    K corrected by -dt*W with slope dt*dWu(x, u).
+    u = S(u) exactly when w = E(u) solves w = E(E(K(w))), E the backward
+    half flow and K the kernel, with derivative (g, 0), g = E'(E(z)) E'(z)
+    at z = K(w), for every W.  fixed_point solves that from E(phi0) within
+    T_max, and u = E(K(w)) is one more real step: the march of w is the
+    march of S mapped by E, bit for bit, so u is the march's iterate one
+    step on.  Where |g| < 1 at every node (a W with dWu > 0, whose half
+    flows contract) Newton starts at E(phi0); elsewhere (g = 1 W-free,
+    g > 1 where dWu < 0) the march runs first.  The record is fixed_point's
+    with u for w: its residual |E(u) - w|/dt bounds that of one more step
+    S from u, up to E's Lipschitz constant exp(dt*Lambda/2).
     Non-convergence is reported through the record's flag, not raised,
     since a residual stall at the scheme consistency level is a meaningful
     outcome; a caller that needs tol reached calls require.
@@ -569,15 +547,14 @@ def stationary_solve(phi0: Field, spec: HamiltonianSpec, lt: LagrangianTable, dt
     if tol <= 0:
         raise ValueError("tol must be positive")
     stepper = Stepper(spec, lt, dt)
-    max_steps = math.ceil(T_max / dt)
-    if stepper.affine is None:
-        return fixed_point(stepper._back, lambda base, u: stepper._resolve(base, u, -1.0),
-                           lambda u, pi: (1.0, stepper.newton_slope(u, pi)), phi0.values,
-                           tol, max_steps)
-    alpha, beta = _affine_flow(*stepper.affine, dt)
-    (a0, b0), (a1, b1) = stepper._half[-1.0], stepper._half[+1.0]
-    rec = fixed_point(stepper._back, lambda base, w: alpha * base + beta,
-                      lambda w, pi: (alpha, 0.0), a0 * phi0.values + b0, tol, max_steps)
-    u = a1 * rec.values + b1
-    residual = float(np.abs(stepper.backward_values(u) - u).max()) / dt
-    return SolveRecord(u, rec.steps, residual, residual <= tol, rec.newton)
+
+    def E(u):
+        return stepper._flow(u, -1.0)
+
+    def derivative(z, w, policy):
+        return stepper._slope(E(z), -1.0) * stepper._slope(z, -1.0), 0.0
+
+    rec = fixed_point(stepper._back, lambda z, w: E(E(z)), derivative, E(phi0.values), tol,
+                      math.ceil(T_max / dt))
+    return SolveRecord(E(stepper._back.step(rec.values)), rec.steps, rec.residual,
+                       rec.converged, rec.newton)

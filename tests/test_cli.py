@@ -723,9 +723,12 @@ def test_readme_configs_load(tmp_path):
         cli.load_config(str(path))
 
 
-# u_- of this Hamiltonian needs about 13 time units to reach tol = 1e-6; T_max = 1 stops short
-UNCONVERGED = {"hamiltonian": {"builtin": "linear_contact",
-                               "params": {"a": 1.0, "V": "0.3*cos(2*pi*x)"}},
+# a = 0.5 + cos(2 pi x) takes both signs, so u_- of this Hamiltonian marches first, to
+# residual MARCH_TO = 0.1 at about 1.1 time units, before Newton reaches tol = 1e-6;
+# T_max = 1 stops short
+UNCONVERGED = {"hamiltonian": {"builtin": "corollary_a",
+                               "params": {"a": "0.5 + cos(2*pi*x)", "V": "0.3*cos(2*pi*x)",
+                                          "c": 0}},
                "numerics": dict(FAST_NUMERICS, T_max=1.0)}
 
 
@@ -735,7 +738,7 @@ def test_unconverged_u_minus_is_a_solver_failure(tmp_path, capsys, command):
     path = write_config(tmp_path / "c.json", dict(UNCONVERGED, command=command,
                                                   output_dir=str(out)))
     assert cli.main([command, "--config", path]) == 1
-    message = "stationary solve for u_- stopped at residual 1.103e-01 after 1000 steps"
+    message = "stationary solve for u_- stopped at residual 1.133e-01 after 1000 steps"
     assert message in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["diagnostic.txt"]
     assert message in (out / "diagnostic.txt").read_text()
@@ -745,7 +748,7 @@ def test_stationary_command_reports_unconverged_solve(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", dict(UNCONVERGED, command="stationary",
                                                   output_dir=str(tmp_path / "out")))
     assert cli.main(["stationary", "--config", path]) == 0
-    assert "converged=False residual=1.103e-01 steps=1000" in capsys.readouterr().out
+    assert "converged=False residual=1.133e-01 steps=1000" in capsys.readouterr().out
     assert (tmp_path / "out" / "stationary.csv").exists()
 
 

@@ -121,7 +121,8 @@ def test_critical_free_is_zero(free_table):
 def test_critical_eikonal(eikonal_cos_128):
     spec, lt = eikonal_cos_128
     res = crit.critical_value(lt)
-    assert res.c == pytest.approx(1.0, abs=2e-2)
+    # c - 1 is -7.0e-6 here; the raw -lam*mean(u_lam) at the smallest lam is 1.7e-3 off
+    assert res.c == pytest.approx(1.0, abs=1e-4)
     assert res.method == "agree"
     assert res.u_corrector.mean() == pytest.approx(0.0, abs=1e-12)
 

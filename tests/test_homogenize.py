@@ -339,8 +339,8 @@ def test_effective_solve_takes_newton_from_its_start(monkeypatch):
     def spy(kernel, correct, derivative, u0, tol, max_steps, guard=None):
         calls = []
 
-        def march_first(u, policy):
-            gain, d = derivative(u, policy)
+        def march_first(base, u, policy):
+            gain, d = derivative(base, u, policy)
             calls.append(d)
             return gain, 0.0 * d if len(calls) == 1 else d
 

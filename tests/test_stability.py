@@ -136,6 +136,22 @@ def test_decay_window_shrinks_at_noise_floor(contact_pos):
     assert slope <= 0.0
 
 
+def test_quadratic_W_decay_slope_is_settled_in_dt():
+    # W = u + 0.3 u^2 steps by Heun half flows: the -delta orbit's slope (the worse fit) at
+    # the stability-quadratic-W config's dt = 5e-3 lies within 1e-4 of the same split at
+    # dt = 1.25e-3, each from its own u_- (K(u) - dt*W missed by 1.1e-3 at 5e-3)
+    spec = spec_from_config({"G": "p^2 + 0.3*cos(2*pi*x)", "W": "u + 0.3*u^2",
+                             "dWu": "1 + 0.6*u"})
+    lt = legendre(spec, TorusGrid(64), 33, 33)
+    slopes = []
+    for dt in (5e-3, 1.25e-3):
+        rec = stationary_solve(constant_field(lt.grid, 0.0), spec, lt, dt=dt, tol=1e-6,
+                               T_max=40.0)
+        um = Field(lt.grid, rec.require("u_-", 1e-6))
+        slopes.append(st.decay_exponent(spec, um, delta=0.3, T=2.0, dt=dt, lt=lt).slope)
+    assert abs(slopes[0] - slopes[1]) <= 1e-4
+
+
 def test_decay_exponent_neutral_for_u_independent():
     g = TorusGrid(64)
     spec = builtin("eikonal", {"V": 0})

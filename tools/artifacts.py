@@ -67,7 +67,7 @@ _EXTRA = {
                            "hamiltonian": {"builtin": "linear_contact",
                                            "params": {"a": -1.0, "V": 0}},
                            "numerics": dict(_SMALL, dt=5e-3, T_max=4.0, zeta_grid=[0.25, 0.5])},
-    # W quadratic in u: the -delta orbit decays more slowly (fits -0.772 against -0.827
+    # W quadratic in u: the -delta orbit decays more slowly (fits -0.770 against -0.826
     # for +delta), so report.json's decay_slope is the -delta copy's fit
     "stability-quadratic-W": {"command": "stability", "decay_T": 2.0,
                               "hamiltonian": {"G": "p^2 + 0.3*cos(2*pi*x)", "W": "u + 0.3*u^2",
